@@ -43,7 +43,6 @@
 #include "obs/trace_report.h"
 #include "serve/projector.h"
 #include "sketch/rand_svd.h"
-#include "sketch/sparse_ppca.h"
 #include "sketch/sparsifier.h"
 #include "workload/synthetic.h"
 
@@ -337,15 +336,15 @@ int Main(int argc, char** argv) {
   {
     spca::dist::Engine engine(spca::bench::PaperSpec(),
                               spca::dist::EngineMode::kSpark, &registry);
-    spca::sketch::SparsePpcaOptions sparse_options;
+    spca::core::SpcaOptions sparse_options;
     sparse_options.num_components = d_b;
     sparse_options.max_iterations = options.iterations;
     sparse_options.l1_threshold = options.l1_threshold;
     sparse_options.target_accuracy_fraction = 2.0;
+    sparse_options.error_sample_rows = 1000;
     sparse_options.ideal_error_override = ideal_b;
     sparse_options.seed = options.seed;
-    auto result =
-        spca::sketch::SparsePpca(&engine, sparse_options).Solve(matrix_b);
+    auto result = spca::core::Spca(&engine, sparse_options).Solve(matrix_b);
     SketchRun run = FromResult("spca_sparse", result, matrix_b, sample_b,
                                d_b, ideal_b);
     if (result.ok()) AttachServingCost(&run, result.value().model);

@@ -4,7 +4,7 @@
 
 namespace spca::baselines {
 
-using core::BatchSolver;
+using core::FitFnSolver;
 using core::FitOptions;
 using core::Solver;
 using core::SolveResult;
@@ -12,7 +12,7 @@ using dist::DistMatrix;
 
 std::unique_ptr<Solver> MakeCovEigSolver(dist::Engine* engine,
                                          const CovEigOptions& options) {
-  return std::make_unique<BatchSolver>(
+  return std::make_unique<FitFnSolver>(
       "mllib", [engine, options](const DistMatrix& y,
                                  const FitOptions&) -> StatusOr<SolveResult> {
         auto fit = CovEigPca(engine, options).Fit(y);
@@ -28,7 +28,7 @@ std::unique_ptr<Solver> MakeCovEigSolver(dist::Engine* engine,
 
 std::unique_ptr<Solver> MakeSsvdSolver(dist::Engine* engine,
                                        const SsvdOptions& options) {
-  return std::make_unique<BatchSolver>(
+  return std::make_unique<FitFnSolver>(
       "mahout", [engine, options](const DistMatrix& y,
                                   const FitOptions&) -> StatusOr<SolveResult> {
         auto fit = SsvdPca(engine, options).Fit(y);
@@ -46,7 +46,7 @@ std::unique_ptr<Solver> MakeSsvdSolver(dist::Engine* engine,
 
 std::unique_ptr<Solver> MakeLanczosSolver(dist::Engine* engine,
                                           const LanczosOptions& options) {
-  return std::make_unique<BatchSolver>(
+  return std::make_unique<FitFnSolver>(
       "lanczos", [engine, options](const DistMatrix& y,
                                    const FitOptions&) -> StatusOr<SolveResult> {
         auto fit = LanczosPca(engine, options).Fit(y);
@@ -61,7 +61,7 @@ std::unique_ptr<Solver> MakeLanczosSolver(dist::Engine* engine,
 
 std::unique_ptr<Solver> MakeSvdBidiagSolver(dist::Engine* engine,
                                             const SvdBidiagOptions& options) {
-  return std::make_unique<BatchSolver>(
+  return std::make_unique<FitFnSolver>(
       "bidiag", [engine, options](const DistMatrix& y,
                                   const FitOptions&) -> StatusOr<SolveResult> {
         auto fit = SvdBidiagPca(engine, options).Fit(y);

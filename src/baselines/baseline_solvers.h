@@ -13,7 +13,7 @@
 namespace spca::baselines {
 
 /// Solver-surface adapters for the batch baselines: each factory wraps the
-/// baseline's single-shot Fit in a core::BatchSolver, so spca_cli and the
+/// baseline's single-shot Fit in a core::FitFnSolver, so spca_cli and the
 /// benches can drive every algorithm — sPCA, streaming, and baselines —
 /// through the one core::Solver interface. `engine` must outlive the
 /// returned solver. The baselines ignore FitOptions warm starts (none of

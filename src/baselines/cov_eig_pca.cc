@@ -40,9 +40,9 @@ StatusOr<CovEigResult> CovEigPca::Fit(const DistMatrix& y) const {
                             options_.driver_memory_factor) +
       static_cast<uint64_t>(engine_->spec().driver_baseline_bytes);
   result.driver_bytes = covariance_bytes;
-  auto alloc = engine_->AllocateDriverMemory("covariance matrix",
-                                             covariance_bytes);
-  if (!alloc.ok()) return alloc;
+  const auto driver_memory =
+      engine_->ReserveDriverMemory("covariance matrix", covariance_bytes);
+  if (!driver_memory.ok()) return driver_memory.status();
 
   result.model.mean = core::MeanJob(engine_, y);
 
@@ -111,8 +111,6 @@ StatusOr<CovEigResult> CovEigPca::Fit(const DistMatrix& y) const {
   }
   result.model.components = std::move(basis);
   result.model.noise_variance = 0.0;
-
-  engine_->ReleaseDriverMemory(covariance_bytes);
 
   result.stats = dist::StatsDiff(engine_->stats(), stats_before);
   result.stats.wall_seconds = wall.ElapsedSeconds();

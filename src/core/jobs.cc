@@ -1,12 +1,16 @@
 #include "core/jobs.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "linalg/kernels.h"
+#include "linalg/ops.h"
+#include "linalg/solve.h"
 
 namespace spca::core {
 
@@ -63,18 +67,6 @@ uint64_t PartialResultBytes(const Engine& engine, const DistMatrix& y,
   return ytx_bytes + xtx_bytes;
 }
 
-/// Routes a task's partial-result bytes per platform: MapReduce mapper
-/// output travels through the DFS between the map and reduce phases
-/// (intermediate data), whereas Spark accumulator updates flow straight to
-/// the driver (result data).
-void EmitPartial(const Engine& engine, TaskContext* ctx, uint64_t bytes) {
-  if (engine.mode() == EngineMode::kMapReduce) {
-    ctx->EmitIntermediate(bytes);
-  } else {
-    ctx->EmitResult(bytes);
-  }
-}
-
 }  // namespace
 
 DenseVector MeanJob(Engine* engine, const DistMatrix& y) {
@@ -89,7 +81,7 @@ DenseVector MeanJob(Engine* engine, const DistMatrix& y) {
           entries += y.RowNnz(i);
         }
         ctx->CountFlops(entries);
-        EmitPartial(*engine, ctx, dim * sizeof(double));
+        engine->EmitPartial(ctx, dim * sizeof(double));
         return sums;
       });
   DenseVector mean(dim);
@@ -283,7 +275,7 @@ YtXResult YtXJob(Engine* engine, const DistMatrix& y, const DenseVector& ym,
           }
           if (want_xtx) bytes += d * d * sizeof(double);
           bytes += d * sizeof(double);  // xc_sum
-          EmitPartial(*engine, ctx, bytes);
+          engine->EmitPartial(ctx, bytes);
           return partial;
         });
   };
@@ -409,6 +401,100 @@ double Ss3Job(Engine* engine, const DistMatrix& y, const DenseVector& ym,
   double ss3 = 0.0;
   for (double p : partials) ss3 += p;
   return ss3;
+}
+
+StatusOr<EStep> PrepareEStep(Engine* engine, const DenseMatrix& c, double ss,
+                             const DenseVector& ym) {
+  const size_t dim = c.rows();
+  const size_t d = c.cols();
+  EStep e_step;
+  e_step.ss = ss;
+  DenseMatrix m = linalg::TransposeMultiply(c, c);  // d x d
+  m.AddScaledIdentity(ss);
+  auto m_inverse = linalg::Inverse(m);
+  if (!m_inverse.ok()) return m_inverse.status();
+  e_step.m_inverse = std::move(m_inverse).value();
+  e_step.cm = linalg::Multiply(c, e_step.m_inverse);  // D x d
+  e_step.xm = DenseVector(d);
+  for (size_t k = 0; k < dim; ++k) {
+    const double mk = ym[k];
+    if (mk == 0.0) continue;
+    for (size_t j = 0; j < d; ++j) e_step.xm[j] += mk * e_step.cm(k, j);
+  }
+  engine->CountDriverFlops(2ull * dim * d * d +  // C'C
+                           2ull * d * d * d +    // inverse
+                           2ull * dim * d * d +  // C * M^-1
+                           2ull * dim * d);      // Xm
+  return e_step;
+}
+
+double SoftThreshold(double value, double threshold) {
+  if (value > threshold) return value - threshold;
+  if (value < -threshold) return value + threshold;
+  return 0.0;
+}
+
+namespace {
+
+/// Soft-thresholds C in place, protecting each column's largest-magnitude
+/// entry (so no component ever collapses to the zero vector, which would
+/// make C'C + ss*I ill-conditioned). Returns the number of non-zero
+/// loadings remaining.
+uint64_t ThresholdLoadings(DenseMatrix* c, double threshold) {
+  uint64_t nnz = 0;
+  for (size_t j = 0; j < c->cols(); ++j) {
+    size_t keep = 0;
+    double best = -1.0;
+    for (size_t i = 0; i < c->rows(); ++i) {
+      const double magnitude = std::fabs((*c)(i, j));
+      if (magnitude > best) {
+        best = magnitude;
+        keep = i;
+      }
+    }
+    for (size_t i = 0; i < c->rows(); ++i) {
+      if (i != keep) (*c)(i, j) = SoftThreshold((*c)(i, j), threshold);
+      if ((*c)(i, j) != 0.0) ++nnz;
+    }
+  }
+  return nnz;
+}
+
+}  // namespace
+
+StatusOr<MStep> SolveMStep(Engine* engine, const EStep& e_step,
+                           YtXResult stats, double l1_threshold) {
+  const size_t dim = stats.ytx.rows();
+  const size_t d = stats.ytx.cols();
+  // XtX += ss * M^-1 (line 10), then C' = YtX / XtX (line 11).
+  stats.xtx.AddScaled(e_step.ss, e_step.m_inverse);
+  auto c_new = linalg::SolveRight(stats.ytx, stats.xtx);
+  if (!c_new.ok()) return c_new.status();
+  engine->CountDriverFlops(2ull * d * d * d + 2ull * dim * d * d);
+
+  MStep m_step;
+  m_step.c = std::move(c_new).value();
+  if (l1_threshold > 0.0) {
+    // Sparse loadings: the prox runs *before* the variance update, so
+    // (C', ss') stay mutually consistent and the model alone is the
+    // complete resume state.
+    m_step.nnz_loadings = ThresholdLoadings(&m_step.c, l1_threshold);
+    engine->CountDriverFlops(2ull * dim * d);
+  }
+
+  // ss2 = trace(XtX * C'' * C') (line 12).
+  const DenseMatrix ctc = linalg::TransposeMultiply(m_step.c, m_step.c);
+  for (size_t a = 0; a < d; ++a) {
+    for (size_t b = 0; b < d; ++b) m_step.ss2 += stats.xtx(a, b) * ctc(b, a);
+  }
+  engine->CountDriverFlops(2ull * dim * d * d + 2ull * d * d);
+  return m_step;
+}
+
+double MStep::NoiseVariance(double ss1, double ss3, double rows) const {
+  const double ss = (ss1 + ss2 - 2.0 * ss3) / rows /
+                    static_cast<double>(c.rows());
+  return std::max(ss, 1e-12);
 }
 
 }  // namespace spca::core

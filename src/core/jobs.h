@@ -1,6 +1,7 @@
 #ifndef SPCA_CORE_JOBS_H_
 #define SPCA_CORE_JOBS_H_
 
+#include "common/status.h"
 #include "dist/dist_matrix.h"
 #include "dist/engine.h"
 #include "linalg/dense_matrix.h"
@@ -72,6 +73,47 @@ double Ss3Job(dist::Engine* engine, const dist::DistMatrix& y,
               const linalg::DenseMatrix& cm, const linalg::DenseMatrix& c,
               const linalg::DenseMatrix* materialized_x,
               const JobToggles& toggles);
+
+// ---- Driver algebra of one EM iteration --------------------------------
+// PrepareEStep (Algorithm 4 lines 6-8), YtXJob (line 9), SolveMStep (lines
+// 10-12), Ss3Job on the new C (line 13), MStep::NoiseVariance (line 14):
+// core::Spca and the mini-batch EM streaming solver both run exactly this
+// sequence. Each step charges its own driver flops from the shapes (D, d).
+
+/// The E-step's driver-side inputs (Algorithm 4 lines 6-8).
+struct EStep {
+  double ss = 0.0;                // the noise variance in M = C'C + ss * I
+  linalg::DenseMatrix m_inverse;  // M^-1 (d x d)
+  linalg::DenseMatrix cm;         // C * M^-1 (D x d), broadcast to the jobs
+  linalg::DenseVector xm;         // Ym' * CM, the mean term of every X row
+};
+
+/// Builds the E-step inputs for components `c` (D x d), noise variance
+/// `ss` and column mean `ym`. Fails when M is singular.
+StatusOr<EStep> PrepareEStep(dist::Engine* engine,
+                             const linalg::DenseMatrix& c, double ss,
+                             const linalg::DenseVector& ym);
+
+/// The M-step's new model (Algorithm 4 lines 10-12).
+struct MStep {
+  linalg::DenseMatrix c;      // C' = YtX / (XtX + ss * M^-1) (D x d)
+  double ss2 = 0.0;           // trace(XtX * C'' * C')
+  uint64_t nnz_loadings = 0;  // left non-zero by the soft-threshold, if run
+
+  /// The noise-variance update (line 14) once Ss3Job has run on `c` over
+  /// `rows` rows: (ss1 + ss2 - 2 * ss3) / rows / D, floored at 1e-12.
+  double NoiseVariance(double ss1, double ss3, double rows) const;
+};
+
+/// Solves the M-step from YtXJob's statistics. With `l1_threshold` > 0 the
+/// lasso prox (SoftThreshold on every loading except each column's
+/// largest, so no component collapses) sparsifies C' before ss2; at 0 it
+/// is skipped entirely.
+StatusOr<MStep> SolveMStep(dist::Engine* engine, const EStep& e_step,
+                           YtXResult stats, double l1_threshold);
+
+/// The soft-threshold operator: sign(x) * max(|x| - threshold, 0).
+double SoftThreshold(double value, double threshold);
 
 }  // namespace spca::core
 

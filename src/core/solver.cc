@@ -23,23 +23,23 @@ Status BatchSolver::Step(const DistMatrix& batch) {
   return Status::Ok();
 }
 
-StatusOr<SolveResult> BatchSolver::FitBuffered() const {
+StatusOr<SolveResult> BatchSolver::SolveBuffered() const {
   if (batches_.empty()) {
     return Status::FailedPrecondition("no rows ingested; call Step first");
   }
   auto y = ConcatBatches(batches_);
   if (!y.ok()) return y.status();
-  return fit_(y.value(), options_);
+  return Solve(y.value(), options_);
 }
 
 StatusOr<PcaModel> BatchSolver::Snapshot() const {
-  auto result = FitBuffered();
+  auto result = SolveBuffered();
   if (!result.ok()) return result.status();
   return std::move(result.value().model);
 }
 
 StatusOr<SolveResult> BatchSolver::Result() {
-  auto result = FitBuffered();
+  auto result = SolveBuffered();
   batches_.clear();
   return result;
 }

@@ -100,13 +100,19 @@ struct SolverCheckpoint {
     }
     return nullptr;
   }
+  /// The Restore() guard: InvalidArgument unless `expected` wrote this.
+  Status ExpectSolver(std::string_view expected) const {
+    if (solver == expected) return Status::Ok();
+    return Status::InvalidArgument("checkpoint was written by solver '" +
+                                   solver + "', not '" +
+                                   std::string(expected) + "'");
+  }
 };
 
-/// Optional inputs common to every solver — the warm start and telemetry
-/// routing that used to live in the sPCA-specific `FitInit`.
-/// Default-constructed it means "cold start": random initial components and
-/// noise variance, smart-guess pre-fit if the solver's options ask for it,
-/// telemetry into the engine's registry.
+/// Optional inputs common to every solver: the warm start and telemetry
+/// routing. Default-constructed it means "cold start": random initial
+/// components and noise variance, smart-guess pre-fit if the solver's
+/// options ask for it, telemetry into the engine's registry.
 struct FitOptions {
   /// Warm-start components (D x d). When set, the random initialization
   /// AND the smart-guess pre-fit are both skipped — the caller's model is
@@ -182,32 +188,54 @@ class Solver {
   }
 };
 
-/// Adapts a single-shot fit function (the batch baselines) to the Solver
-/// surface: Step() buffers batches, Result() concatenates them and runs the
-/// fit. A single Step() hands its DistMatrix through unchanged — same
-/// partitioning, same bits — so adapted solvers are bit-identical to the
-/// direct fit call.
+/// The Solver surface of a batch solver: Step() buffers batches and
+/// Snapshot()/Result() run the single-shot Solve() over everything
+/// ingested. A single Step() hands its DistMatrix through unchanged — same
+/// partitioning, same bits — so RunSolver is bit-identical to a direct
+/// Solve call.
 class BatchSolver : public Solver {
  public:
-  using FitFn = std::function<StatusOr<SolveResult>(const dist::DistMatrix&,
-                                                    const FitOptions&)>;
+  /// The single-shot fit: `options` carries the warm start and telemetry
+  /// routing.
+  virtual StatusOr<SolveResult> Solve(const dist::DistMatrix& y,
+                                      const FitOptions& options) const = 0;
 
-  BatchSolver(std::string name, FitFn fit)
-      : name_(std::move(name)), fit_(std::move(fit)) {}
-
-  std::string_view name() const override { return name_; }
   Status Init(const FitOptions& options) override;
   Status Step(const dist::DistMatrix& batch) override;
   StatusOr<PcaModel> Snapshot() const override;
   StatusOr<SolveResult> Result() override;
 
- private:
-  StatusOr<SolveResult> FitBuffered() const;
+ protected:
+  /// The options Init() stored, which every buffered solve runs with;
+  /// Restore() implementations install their warm start here.
+  FitOptions& fit_options() { return options_; }
 
-  std::string name_;
-  FitFn fit_;
+ private:
+  StatusOr<SolveResult> SolveBuffered() const;
+
   FitOptions options_;
   std::vector<dist::DistMatrix> batches_;
+};
+
+/// Adapts a single-shot fit function (the batch baselines) to the Solver
+/// surface through BatchSolver.
+class FitFnSolver final : public BatchSolver {
+ public:
+  using FitFn = std::function<StatusOr<SolveResult>(const dist::DistMatrix&,
+                                                    const FitOptions&)>;
+
+  FitFnSolver(std::string name, FitFn fit)
+      : name_(std::move(name)), fit_(std::move(fit)) {}
+
+  std::string_view name() const override { return name_; }
+  StatusOr<SolveResult> Solve(const dist::DistMatrix& y,
+                              const FitOptions& options) const override {
+    return fit_(y, options);
+  }
+
+ private:
+  std::string name_;
+  FitFn fit_;
 };
 
 /// Init + Step + Result in one call — the batch entry point for any solver.

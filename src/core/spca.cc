@@ -8,8 +8,6 @@
 #include "common/stopwatch.h"
 #include "core/jobs.h"
 #include "core/reconstruction_error.h"
-#include "linalg/ops.h"
-#include "linalg/solve.h"
 
 namespace spca::core {
 
@@ -30,6 +28,9 @@ StatusOr<SpcaResult> Spca::Solve(const DistMatrix& y,
   if (y.rows() < 2) {
     return Status::InvalidArgument("need at least 2 rows");
   }
+  if (!(options_.l1_threshold >= 0.0)) {
+    return Status::InvalidArgument("l1_threshold must be non-negative");
+  }
 
   obs::Registry* registry =
       init.registry != nullptr ? init.registry : engine_->registry();
@@ -38,6 +39,9 @@ StatusOr<SpcaResult> Spca::Solve(const DistMatrix& y,
   fit_span.SetAttribute("cols", static_cast<uint64_t>(y.cols()));
   fit_span.SetAttribute("components",
                         static_cast<uint64_t>(options_.num_components));
+  if (options_.l1_threshold > 0.0) {
+    fit_span.SetAttribute("l1_threshold", options_.l1_threshold);
+  }
 
   const bool warm_start = init.components.has_value();
   DenseMatrix c;
@@ -98,67 +102,17 @@ StatusOr<SpcaResult> Spca::Solve(const DistMatrix& y,
   return result;
 }
 
-StatusOr<SpcaResult> Spca::FitWithInit(const DistMatrix& y,
-                                       DenseMatrix initial_components,
-                                       double initial_ss) const {
-  FitOptions fit;
-  fit.components = std::move(initial_components);
-  fit.noise_variance = initial_ss;
-  return Solve(y, fit);
-}
-
-Status Spca::Init(const FitOptions& options) {
-  solve_options_ = options;
-  batches_.clear();
-  return Status::Ok();
-}
-
-Status Spca::Step(const DistMatrix& batch) {
-  if (batch.rows() == 0) {
-    return Status::InvalidArgument("empty batch");
-  }
-  if (!batches_.empty() && batch.cols() != batches_.front().cols()) {
-    return Status::InvalidArgument("batch dimensionality changed mid-solve");
-  }
-  batches_.push_back(batch);
-  return Status::Ok();
-}
-
-StatusOr<SpcaResult> Spca::SolveBuffered() const {
-  if (batches_.empty()) {
-    return Status::FailedPrecondition("no rows ingested; call Step first");
-  }
-  auto y = ConcatBatches(batches_);
-  if (!y.ok()) return y.status();
-  return Solve(y.value(), solve_options_);
-}
-
-StatusOr<PcaModel> Spca::Snapshot() const {
-  auto result = SolveBuffered();
-  if (!result.ok()) return result.status();
-  return std::move(result.value().model);
-}
-
-StatusOr<SolveResult> Spca::Result() {
-  auto result = SolveBuffered();
-  batches_.clear();
-  return result;
-}
-
 Status Spca::Restore(const PcaModel& model,
                      const SolverCheckpoint& checkpoint) {
-  if (checkpoint.solver != name()) {
-    return Status::InvalidArgument("checkpoint was written by solver '" +
-                                   checkpoint.solver + "', not 'spca'");
-  }
+  SPCA_RETURN_IF_ERROR(checkpoint.ExpectSolver(name()));
   if (model.components.rows() == 0 || model.components.cols() == 0) {
     return Status::InvalidArgument("checkpoint model has no components");
   }
   if (!(model.noise_variance > 0.0)) {
     return Status::InvalidArgument("checkpoint noise variance must be > 0");
   }
-  solve_options_.components = model.components;
-  solve_options_.noise_variance = model.noise_variance;
+  fit_options().components = model.components;
+  fit_options().noise_variance = model.noise_variance;
   return Status::Ok();
 }
 
@@ -177,23 +131,11 @@ StatusOr<SpcaResult> Spca::RunEm(
     return Status::InvalidArgument("initial ss must be positive");
   }
 
-  // Driver-resident working set: the runtime baseline plus the D x d
-  // matrices the driver holds (C, CM, YtX, and the merged partials), with
-  // a JVM-style object overhead factor. Unlike MLlib-PCA's D x D
-  // covariance, this is linear in D — the reason sPCA's driver memory stays
-  // nearly flat in Figure 8.
-  constexpr double kDriverObjectOverhead = 10.0;
-  const uint64_t driver_bytes =
-      static_cast<uint64_t>(engine_->spec().driver_baseline_bytes) +
-      static_cast<uint64_t>(kDriverObjectOverhead * 4.0 *
-                            static_cast<double>(dim) * d * sizeof(double));
-  SPCA_RETURN_IF_ERROR(
-      engine_->AllocateDriverMemory("sPCA driver state", driver_bytes));
-  struct DriverMemoryGuard {
-    dist::Engine* engine;
-    uint64_t bytes;
-    ~DriverMemoryGuard() { engine->ReleaseDriverMemory(bytes); }
-  } driver_memory_guard{engine_, driver_bytes};
+  // Driver-resident working set: C, CM, YtX and the merged partials.
+  const auto driver_memory = engine_->ReserveDriverMemory(
+      "sPCA driver state",
+      dist::LinearDriverStateBytes(engine_->spec(), dim, d));
+  if (!driver_memory.ok()) return driver_memory.status();
 
   const CommStats stats_before = engine_->stats();
   const double sim_before = engine_->SimulatedSeconds();
@@ -245,21 +187,10 @@ StatusOr<SpcaResult> Spca::RunEm(
     registry->counter("spca.em_iterations")->Increment();
 
     // Driver-side small algebra (Algorithm 4 lines 6-8).
-    DenseMatrix m = linalg::TransposeMultiply(c, c);  // d x d
-    m.AddScaledIdentity(ss);
-    auto m_inverse = linalg::Inverse(m);
-    if (!m_inverse.ok()) return m_inverse.status();
-    const DenseMatrix cm = linalg::Multiply(c, m_inverse.value());  // D x d
-    DenseVector xm(d);
-    for (size_t k = 0; k < dim; ++k) {
-      const double mk = ym[k];
-      if (mk == 0.0) continue;
-      for (size_t j = 0; j < d; ++j) xm[j] += mk * cm(k, j);
-    }
-    engine_->CountDriverFlops(2ull * dim * d * d +  // C'C
-                              2ull * d * d * d +    // inverse
-                              2ull * dim * d * d +  // C * M^-1
-                              2ull * dim * d);      // Xm
+    auto e_step = PrepareEStep(engine_, c, ss, ym);
+    if (!e_step.ok()) return e_step.status();
+    const DenseMatrix& cm = e_step->cm;
+    const DenseVector& xm = e_step->xm;
 
     // The unoptimized path materializes X once per iteration and feeds it
     // to the consumer jobs (Figure 1); the optimized path regenerates X on
@@ -271,42 +202,34 @@ StatusOr<SpcaResult> Spca::RunEm(
       x_ptr = &materialized_x;
     }
 
-    // Distributed YtXJob (computes XtX and YtX; Algorithm 4 line 9).
+    // Distributed YtXJob (line 9), then the driver's M-step (lines 10-12).
     YtXResult ytx_result = YtXJob(engine_, y, ym, xm, cm, x_ptr, toggles);
-
-    // XtX += ss * M^-1 (line 10), then C = YtX / XtX (line 11).
-    ytx_result.xtx.AddScaled(ss, m_inverse.value());
-    auto c_new = linalg::SolveRight(ytx_result.ytx, ytx_result.xtx);
-    if (!c_new.ok()) return c_new.status();
-    engine_->CountDriverFlops(2ull * d * d * d + 2ull * dim * d * d);
-
-    // ss2 = trace(XtX * C' * C) (line 12).
-    const DenseMatrix ctc = linalg::TransposeMultiply(c_new.value(),
-                                                      c_new.value());
-    double ss2 = 0.0;
-    for (size_t a = 0; a < d; ++a) {
-      for (size_t b = 0; b < d; ++b) ss2 += ytx_result.xtx(a, b) * ctc(b, a);
-    }
-    engine_->CountDriverFlops(2ull * dim * d * d + 2ull * d * d);
+    auto m_step = SolveMStep(engine_, *e_step, std::move(ytx_result),
+                             options_.l1_threshold);
+    if (!m_step.ok()) return m_step.status();
 
     // Distributed ss3 job (line 13), then the variance update (line 14).
     const double ss3 =
-        Ss3Job(engine_, y, ym, xm, cm, c_new.value(), x_ptr, toggles);
-    const double ss_new =
-        (ss1 + ss2 - 2.0 * ss3) / static_cast<double>(n) /
-        static_cast<double>(dim);
-
-    c = std::move(c_new.value());
-    ss = std::max(ss_new, 1e-12);
+        Ss3Job(engine_, y, ym, xm, cm, m_step->c, x_ptr, toggles);
+    ss = m_step->NoiseVariance(ss1, ss3, static_cast<double>(n));
+    c = std::move(m_step->c);
     result.iterations_run = iteration;
     iter_span.SetAttribute("ss", ss);
+    if (options_.l1_threshold > 0.0) {
+      const uint64_t nnz = m_step->nnz_loadings;
+      iter_span.SetAttribute("nnz_loadings", nnz);
+      registry->counter("sketch.sparse_ppca.zeroed_loadings")
+          ->Add(static_cast<double>(static_cast<uint64_t>(dim) * d - nnz));
+      registry->gauge("sketch.sparse_ppca.nnz_loadings")
+          ->Set(static_cast<double>(nnz));
+    }
 
     if (on_checkpoint) {
       // result.model already aliases (C, ss, mean) — the complete resume
       // state: warm-starting from it re-runs the remaining iterations
       // bit-identically (each iteration is pure in the model and Y).
       SolverCheckpoint checkpoint;
-      checkpoint.solver = "spca";
+      checkpoint.solver = std::string(name());
       checkpoint.step = static_cast<uint64_t>(iteration);
       checkpoint.rows_seen = n;
       SPCA_RETURN_IF_ERROR(on_checkpoint(result.model, checkpoint));

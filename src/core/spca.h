@@ -2,9 +2,7 @@
 #define SPCA_CORE_SPCA_H_
 
 #include <functional>
-#include <optional>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 #include "core/pca_model.h"
@@ -20,11 +18,6 @@ namespace spca::core {
 /// The outcome of Spca::Solve — the common SolveResult under its historical
 /// name.
 using SpcaResult = SolveResult;
-
-/// Deprecated: optional inputs to the legacy Spca::Fit shim. `FitInit` was
-/// folded into the solver-agnostic core::FitOptions; the alias keeps old
-/// call sites compiling unchanged.
-using FitInit = FitOptions;
 
 /// sPCA: scalable distributed Probabilistic PCA (the paper's Algorithm 4).
 ///
@@ -46,11 +39,15 @@ using FitInit = FitOptions;
 ///   fit.noise_variance = previous.model.noise_variance;
 ///   auto refit = spca.Solve(matrix, fit);
 ///
-/// Spca also implements the incremental core::Solver surface (Init / Step /
-/// Snapshot / Result): Step buffers batches and Result runs one batch solve
-/// over everything ingested. A single-batch Step solves the caller's matrix
-/// with its original partitioning, bit-identical to Solve.
-class Spca : public Solver {
+/// With SpcaOptions::l1_threshold > 0 every M-step also soft-thresholds C
+/// (sparse loadings: interpretable components and proportionally fewer
+/// serve-time Projector QueryFlops), and the solver is named
+/// "spca_sparse".
+///
+/// Spca implements the incremental core::Solver surface through
+/// BatchSolver: Step buffers batches and Result runs one Solve over
+/// everything ingested.
+class Spca : public BatchSolver {
  public:
   /// `engine` must outlive this object.
   Spca(dist::Engine* engine, const SpcaOptions& options)
@@ -61,28 +58,11 @@ class Spca : public Solver {
   /// the wrong shape, ...). `fit` carries the optional warm start and the
   /// optional telemetry registry; the default is a cold start.
   StatusOr<SpcaResult> Solve(const dist::DistMatrix& y,
-                             const FitOptions& fit = {}) const;
+                             const FitOptions& fit = {}) const override;
 
-  /// Deprecated: pre-Solver-API name for Solve. Kept as a shim so existing
-  /// callers and serialized call sites keep working; bit-identical to
-  /// Solve(y, init).
-  StatusOr<SpcaResult> Fit(const dist::DistMatrix& y,
-                           const FitInit& init = {}) const {
-    return Solve(y, init);
+  std::string_view name() const override {
+    return options_.l1_threshold > 0.0 ? "spca_sparse" : "spca";
   }
-
-  /// Backwards-compatible shim for the old two-method surface; equivalent
-  /// to Solve(y, {.components=..., .noise_variance=...}).
-  StatusOr<SpcaResult> FitWithInit(const dist::DistMatrix& y,
-                                   linalg::DenseMatrix initial_components,
-                                   double initial_ss) const;
-
-  // Solver surface.
-  std::string_view name() const override { return "spca"; }
-  Status Init(const FitOptions& options) override;
-  Status Step(const dist::DistMatrix& batch) override;
-  StatusOr<PcaModel> Snapshot() const override;
-  StatusOr<SolveResult> Result() override;
 
   /// Restores a checkpoint written by FitOptions::on_checkpoint during a
   /// previous (possibly killed) solve: the checkpointed model becomes the
@@ -108,14 +88,8 @@ class Spca : public Solver {
       const std::function<Status(const PcaModel&, const SolverCheckpoint&)>&
           on_checkpoint = {}) const;
 
-  StatusOr<SpcaResult> SolveBuffered() const;
-
   dist::Engine* engine_;
   SpcaOptions options_;
-
-  // Solver-surface state: buffered Step batches and the Init-time options.
-  FitOptions solve_options_;
-  std::vector<dist::DistMatrix> batches_;
 };
 
 }  // namespace spca::core

@@ -6,7 +6,7 @@
 
 namespace spca::core {
 
-/// Configuration for Spca::Fit. The optimization toggles exist so the
+/// Configuration for Spca::Solve. The optimization toggles exist so the
 /// effect of each design decision can be measured in isolation (the paper's
 /// Section 5.4 / Table 3); production use leaves them all enabled. With
 /// every toggle disabled, the algorithm degenerates to the naive
@@ -29,6 +29,13 @@ struct SpcaOptions {
 
   /// Seed for C/ss initialization and the error-row sample.
   uint64_t seed = 1;
+
+  /// Sparse loadings (the `spca_sparse` solver, Zou-Hastie-Tibshirani's
+  /// lasso idea on the distributed EM): when > 0, every M-step
+  /// soft-thresholds C by this amount, c <- sign(c) * max(|c| - t, 0),
+  /// sparing each column's largest-magnitude entry so no component
+  /// collapses. 0 runs plain PPCA EM.
+  double l1_threshold = 0.0;
 
   // ---- Optimization toggles (Section 3) -------------------------------
 

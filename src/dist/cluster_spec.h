@@ -53,13 +53,6 @@ struct ClusterSpec {
   /// GB rather than near zero.
   double driver_baseline_bytes = 2.0 * 1024 * 1024 * 1024;
 
-  /// Fault injection: probability that any single task attempt fails and
-  /// is transparently re-executed by the platform (the failure handling
-  /// MapReduce/Spark provide "for free", Section 1). Each retry re-pays
-  /// the task's compute. Attempts are capped by max_task_attempts.
-  double task_failure_probability = 0.0;
-  int max_task_attempts = 4;
-
   int total_cores() const { return num_nodes * cores_per_node; }
   double total_disk_bandwidth() const {
     return disk_bandwidth_per_node * num_nodes;

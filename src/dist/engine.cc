@@ -101,7 +101,21 @@ void Engine::CountDriverFlops(uint64_t flops) {
       ->Add(static_cast<double>(flops) / spec_.flops_per_sec_per_core);
 }
 
-Status Engine::AllocateDriverMemory(const std::string& what, uint64_t bytes) {
+DriverReservation::~DriverReservation() {
+  if (engine_ != nullptr) engine_->ReleaseDriverMemory(bytes_);
+}
+
+uint64_t LinearDriverStateBytes(const ClusterSpec& spec, size_t dim,
+                                size_t width) {
+  constexpr double kObjectOverhead = 10.0;
+  return static_cast<uint64_t>(spec.driver_baseline_bytes) +
+         static_cast<uint64_t>(kObjectOverhead * 4.0 *
+                               static_cast<double>(dim) * width *
+                               sizeof(double));
+}
+
+StatusOr<DriverReservation> Engine::ReserveDriverMemory(
+    const std::string& what, uint64_t bytes) {
   if (static_cast<double>(driver_memory_) + static_cast<double>(bytes) >
       spec_.driver_memory_bytes) {
     return Status::OutOfMemory(
@@ -117,7 +131,7 @@ Status Engine::AllocateDriverMemory(const std::string& what, uint64_t bytes) {
       ->Set(static_cast<double>(driver_memory_));
   registry_->gauge("engine.driver_memory_peak_bytes")
       ->SetMax(static_cast<double>(peak_driver_memory_));
-  return Status::Ok();
+  return DriverReservation(this, bytes);
 }
 
 void Engine::ReleaseDriverMemory(uint64_t bytes) {

@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -50,6 +51,34 @@ class TaskContext {
   uint64_t result_bytes_ = 0;
 };
 
+class Engine;
+
+/// A driver-memory reservation from Engine::ReserveDriverMemory, released
+/// when the handle is destroyed — on every exit path of the solve holding
+/// it, failed ones included. Move-only.
+class DriverReservation {
+ public:
+  DriverReservation(DriverReservation&& other) noexcept
+      : engine_(std::exchange(other.engine_, nullptr)), bytes_(other.bytes_) {}
+  ~DriverReservation();
+
+ private:
+  friend class Engine;
+  DriverReservation(Engine* engine, uint64_t bytes)
+      : engine_(engine), bytes_(bytes) {}
+
+  Engine* engine_;
+  uint64_t bytes_;
+};
+
+/// Driver bytes of a solver whose driver state is linear in D: the runtime
+/// baseline plus four D x `width` matrices (the model, its broadcast
+/// derivative, the merged statistics and the partials being merged) with
+/// a JVM-style object overhead factor. Unlike MLlib-PCA's D x D
+/// covariance this stays nearly flat as D grows (Figure 8).
+uint64_t LinearDriverStateBytes(const ClusterSpec& spec, size_t dim,
+                                size_t width);
+
 // JobTrace, ReplayScales, and the replay entry points (ReplayJobSeconds,
 // ReplayJob, ReplayRun) live in dist/replay.h, alongside the ComputeJobCost
 // cost model FinishJob shares with them.
@@ -73,21 +102,13 @@ class TaskContext {
 /// there is exactly one source of truth.
 class Engine {
  public:
-  /// `registry`, when non-null, must outlive the engine. A ClusterSpec
-  /// with task_failure_probability > 0 implicitly installs the equivalent
-  /// failure-only FaultPlan (the legacy knob); SetFaultPlan overrides it.
+  /// `registry`, when non-null, must outlive the engine. Fault injection
+  /// is off until SetFaultPlan installs a plan.
   explicit Engine(const ClusterSpec& spec, EngineMode mode,
                   obs::Registry* registry = nullptr)
       : spec_(spec),
         mode_(mode),
-        registry_(registry != nullptr ? registry : &owned_registry_) {
-    if (spec.task_failure_probability > 0.0) {
-      FaultSpec fault_spec;
-      fault_spec.task_failure_probability = spec.task_failure_probability;
-      fault_spec.max_task_attempts = spec.max_task_attempts;
-      fault_plan_ = FaultPlan(fault_spec);
-    }
-  }
+        registry_(registry != nullptr ? registry : &owned_registry_) {}
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -183,12 +204,24 @@ class Engine {
   /// Records driver-side floating point work (the small d x d algebra).
   void CountDriverFlops(uint64_t flops);
 
-  /// Reserves driver memory; fails with OUT_OF_MEMORY when the driver's
-  /// budget would be exceeded (this is how the MLlib-PCA baseline fails for
-  /// D > ~6,000 in Figures 7/8). `what` names the allocation for the error
-  /// message.
-  Status AllocateDriverMemory(const std::string& what, uint64_t bytes);
-  void ReleaseDriverMemory(uint64_t bytes);
+  /// Routes a task's partial-result bytes per platform: MapReduce mapper
+  /// output travels through the DFS between the map and reduce phases
+  /// (intermediate data), whereas Spark accumulator updates flow straight
+  /// to the driver (result data).
+  void EmitPartial(TaskContext* ctx, uint64_t bytes) const {
+    if (mode_ == EngineMode::kMapReduce) {
+      ctx->EmitIntermediate(bytes);
+    } else {
+      ctx->EmitResult(bytes);
+    }
+  }
+
+  /// Reserves driver memory for as long as the returned handle lives;
+  /// fails with OUT_OF_MEMORY when the driver's budget would be exceeded
+  /// (this is how the MLlib-PCA baseline fails for D > ~6,000 in Figures
+  /// 7/8). `what` names the allocation for the error message.
+  StatusOr<DriverReservation> ReserveDriverMemory(const std::string& what,
+                                                  uint64_t bytes);
   uint64_t current_driver_memory() const { return driver_memory_; }
   uint64_t peak_driver_memory() const { return peak_driver_memory_; }
 
@@ -214,13 +247,15 @@ class Engine {
 
   /// Installs the fault-injection plan every subsequent job consults.
   /// Call before the first job for a reproducible fault schedule (draws
-  /// are keyed by the engine's job counter). Overrides any plan implied by
-  /// ClusterSpec::task_failure_probability; a default-constructed plan
+  /// are keyed by the engine's job counter). A default-constructed plan
   /// turns fault injection off.
   void SetFaultPlan(const FaultPlan& plan) { fault_plan_ = plan; }
   const FaultPlan& fault_plan() const { return fault_plan_; }
 
  private:
+  friend class DriverReservation;
+  void ReleaseDriverMemory(uint64_t bytes);
+
   /// Lazily creates the persistent worker pool and records the spawn /
   /// reuse bookkeeping (engine.pool.* metrics).
   WorkerPool* EnsureWorkerPool(size_t num_threads);

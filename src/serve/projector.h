@@ -47,8 +47,8 @@ class Projector {
   linalg::DenseVector Project(const linalg::DenseVector& query) const;
 
   /// Stored (non-zero) loadings of C, counted once at Create. Dense models
-  /// have input_dim * num_components; sparse-loadings models (the
-  /// L1-thresholded sketch::SparsePpca family) proportionally fewer.
+  /// have input_dim * num_components; sparse-loadings models (sPCA with
+  /// SpcaOptions::l1_threshold > 0) proportionally fewer.
   uint64_t component_nnz() const { return component_nnz_; }
 
   /// Floating-point work of one query with `nnz` stored entries (serving

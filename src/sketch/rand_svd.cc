@@ -16,7 +16,6 @@ namespace spca::sketch {
 
 using dist::CommStats;
 using dist::DistMatrix;
-using dist::EngineMode;
 using dist::RowRange;
 using dist::TaskContext;
 using linalg::DenseMatrix;
@@ -31,18 +30,6 @@ struct SketchPartial {
   DenseMatrix w;
   DenseVector t_sum;
 };
-
-/// Routes a partial's bytes per platform, matching core/jobs.cc: MapReduce
-/// mapper output is intermediate data through the DFS; Spark accumulator
-/// partials return straight to the driver.
-void EmitPartial(const dist::Engine& engine, TaskContext* ctx,
-                 uint64_t bytes) {
-  if (engine.mode() == EngineMode::kMapReduce) {
-    ctx->EmitIntermediate(bytes);
-  } else {
-    ctx->EmitResult(bytes);
-  }
-}
 
 }  // namespace
 
@@ -88,18 +75,10 @@ StatusOr<core::SolveResult> RandSvdPca::Solve(
 
   // Driver working set: Z, W, T and the merged partials — all D x k or
   // smaller, linear in D like sPCA's (never the N x k projection).
-  constexpr double kDriverObjectOverhead = 10.0;
-  const uint64_t driver_bytes =
-      static_cast<uint64_t>(engine_->spec().driver_baseline_bytes) +
-      static_cast<uint64_t>(kDriverObjectOverhead * 4.0 *
-                            static_cast<double>(dim) * k * sizeof(double));
-  SPCA_RETURN_IF_ERROR(
-      engine_->AllocateDriverMemory("rand_svd driver state", driver_bytes));
-  struct DriverMemoryGuard {
-    dist::Engine* engine;
-    uint64_t bytes;
-    ~DriverMemoryGuard() { engine->ReleaseDriverMemory(bytes); }
-  } driver_memory_guard{engine_, driver_bytes};
+  const auto driver_memory = engine_->ReserveDriverMemory(
+      "rand_svd driver state",
+      dist::LinearDriverStateBytes(engine_->spec(), dim, k));
+  if (!driver_memory.ok()) return driver_memory.status();
 
   const CommStats stats_before = engine_->stats();
   const double sim_before = engine_->SimulatedSeconds();
@@ -177,8 +156,8 @@ StatusOr<core::SolveResult> RandSvdPca::Solve(
             flops += 4ull * y.RowNnz(i) * k + 2ull * k;
           }
           ctx->CountFlops(flops);
-          EmitPartial(*engine_, ctx,
-                      (static_cast<uint64_t>(dim) * k + k) * sizeof(double));
+          engine_->EmitPartial(
+              ctx, (static_cast<uint64_t>(dim) * k + k) * sizeof(double));
           return partial;
         });
 
@@ -279,51 +258,14 @@ StatusOr<core::SolveResult> RandSvdPca::Solve(
 }
 
 Status RandSvdPca::Init(const core::FitOptions& options) {
-  solve_options_ = options;
-  batches_.clear();
   restored_basis_.reset();
   restored_rounds_ = 0;
-  return Status::Ok();
-}
-
-Status RandSvdPca::Step(const DistMatrix& batch) {
-  if (batch.rows() == 0) {
-    return Status::InvalidArgument("empty batch");
-  }
-  if (!batches_.empty() && batch.cols() != batches_.front().cols()) {
-    return Status::InvalidArgument("batch dimensionality changed mid-solve");
-  }
-  batches_.push_back(batch);
-  return Status::Ok();
-}
-
-StatusOr<core::SolveResult> RandSvdPca::SolveBuffered() const {
-  if (batches_.empty()) {
-    return Status::FailedPrecondition("no rows ingested; call Step first");
-  }
-  auto y = core::ConcatBatches(batches_);
-  if (!y.ok()) return y.status();
-  return Solve(y.value(), solve_options_);
-}
-
-StatusOr<core::PcaModel> RandSvdPca::Snapshot() const {
-  auto result = SolveBuffered();
-  if (!result.ok()) return result.status();
-  return std::move(result.value().model);
-}
-
-StatusOr<core::SolveResult> RandSvdPca::Result() {
-  auto result = SolveBuffered();
-  batches_.clear();
-  return result;
+  return BatchSolver::Init(options);
 }
 
 Status RandSvdPca::Restore(const core::PcaModel& model,
                            const core::SolverCheckpoint& checkpoint) {
-  if (checkpoint.solver != name()) {
-    return Status::InvalidArgument("checkpoint was written by solver '" +
-                                   checkpoint.solver + "', not 'rand_svd'");
-  }
+  SPCA_RETURN_IF_ERROR(checkpoint.ExpectSolver(name()));
   const DenseMatrix* z = checkpoint.FindMatrix("Z");
   if (z == nullptr) {
     return Status::InvalidArgument("rand_svd checkpoint is missing Z");

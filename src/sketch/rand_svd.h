@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 #include "core/solver.h"
@@ -58,7 +57,7 @@ struct RandSvdOptions {
 /// Determinism: Omega is drawn from Rng(seed) via DrawOmega, every round
 /// is a pure function of (Z, Y), and checkpoints store the next round's Z
 /// — resuming re-runs the remaining rounds bit-identically.
-class RandSvdPca : public core::Solver {
+class RandSvdPca : public core::BatchSolver {
  public:
   /// `engine` must outlive this object.
   RandSvdPca(dist::Engine* engine, const RandSvdOptions& options)
@@ -73,15 +72,13 @@ class RandSvdPca : public core::Solver {
   size_t EffectiveSketchDim(size_t rows, size_t cols) const;
 
   /// Single-shot fit.
-  StatusOr<core::SolveResult> Solve(const dist::DistMatrix& y,
-                                    const core::FitOptions& fit = {}) const;
+  StatusOr<core::SolveResult> Solve(
+      const dist::DistMatrix& y,
+      const core::FitOptions& fit = {}) const override;
 
-  // Solver surface.
   std::string_view name() const override { return "rand_svd"; }
+  /// Also forgets any restored basis.
   Status Init(const core::FitOptions& options) override;
-  Status Step(const dist::DistMatrix& batch) override;
-  StatusOr<core::PcaModel> Snapshot() const override;
-  StatusOr<core::SolveResult> Result() override;
 
   /// Restores a checkpoint written during a previous (possibly killed)
   /// solve. The checkpoint carries the orthonormal basis Z the *next*
@@ -94,14 +91,9 @@ class RandSvdPca : public core::Solver {
   const RandSvdOptions& options() const { return options_; }
 
  private:
-  StatusOr<core::SolveResult> SolveBuffered() const;
-
   dist::Engine* engine_;
   RandSvdOptions options_;
 
-  // Solver-surface state.
-  core::FitOptions solve_options_;
-  std::vector<dist::DistMatrix> batches_;
   // Restored mid-run basis (orthonormal, D x k) and the number of rounds
   // already completed when it was checkpointed.
   std::optional<linalg::DenseMatrix> restored_basis_;

@@ -10,9 +10,7 @@
 #include "common/rng.h"
 #include "core/jobs.h"
 #include "linalg/kernels.h"
-#include "linalg/ops.h"
 #include "linalg/qr.h"
-#include "linalg/solve.h"
 
 namespace spca::stream {
 
@@ -25,16 +23,6 @@ using linalg::DenseMatrix;
 using linalg::DenseVector;
 
 namespace {
-
-// Same platform routing as the batch jobs (core/jobs.cc): MapReduce mapper
-// output is intermediate data; Spark accumulator partials go to the driver.
-void EmitPartial(const Engine& engine, TaskContext* ctx, uint64_t bytes) {
-  if (engine.mode() == EngineMode::kMapReduce) {
-    ctx->EmitIntermediate(bytes);
-  } else {
-    ctx->EmitResult(bytes);
-  }
-}
 
 /// Distributed per-batch column-sum job. Unlike core::MeanJob it returns
 /// raw sums, so the driver can fold them into the running stream mean
@@ -51,7 +39,7 @@ DenseVector StreamSumJob(Engine* engine, const DistMatrix& batch) {
           entries += batch.RowNnz(i);
         }
         ctx->CountFlops(entries);
-        EmitPartial(*engine, ctx, dim * sizeof(double));
+        engine->EmitPartial(ctx, dim * sizeof(double));
         return sums;
       });
   DenseVector total(dim);
@@ -166,21 +154,11 @@ Status MiniBatchEmSolver::Step(const DistMatrix& batch) {
   const double ss1_b =
       core::FrobeniusNormJob(engine_, batch, mean_, /*efficient=*/true);
 
-  // E-step driver algebra — identical to the batch EM iteration.
-  DenseMatrix m = linalg::TransposeMultiply(c_, c_);
-  m.AddScaledIdentity(ss_);
-  auto m_inverse = linalg::Inverse(m);
-  if (!m_inverse.ok()) return m_inverse.status();
-  const DenseMatrix cm = linalg::Multiply(c_, m_inverse.value());
-  DenseVector xm(d);
-  for (size_t k = 0; k < dim_; ++k) {
-    const double mk = mean_[k];
-    if (mk == 0.0) continue;
-    for (size_t j = 0; j < d; ++j) xm[j] += mk * cm(k, j);
-  }
-  engine_->CountDriverFlops(2ull * dim_ * d * d + 2ull * d * d * d +
-                            2ull * dim_ * d * d + 2ull * dim_ * d);
-
+  // The batch EM iteration's E-step, on the current batch.
+  auto e_step = core::PrepareEStep(engine_, c_, ss_, mean_);
+  if (!e_step.ok()) return e_step.status();
+  const DenseMatrix& cm = e_step->cm;
+  const DenseVector& xm = e_step->xm;
   core::JobToggles toggles;  // all optimizations on for stream batches
   core::YtXResult ytx =
       core::YtXJob(engine_, batch, mean_, xm, cm, nullptr, toggles);
@@ -194,31 +172,23 @@ Status MiniBatchEmSolver::Step(const DistMatrix& batch) {
   s_ss1_ = (1.0 - rho) * s_ss1_ + rho * ss1_b / b;
   engine_->CountDriverFlops(2ull * (dim_ * d + d * d));
 
-  // M-step on the blended statistics, materialized at the current batch's
-  // scale so rho = 1 reproduces one batch EM iteration exactly.
-  DenseMatrix xtx_hat(d, d);
-  xtx_hat.AddScaled(b, s_xtx_);
-  xtx_hat.AddScaled(ss_, m_inverse.value());
-  DenseMatrix ytx_hat(dim_, d);
-  ytx_hat.AddScaled(b, s_ytx_);
-  auto c_new = linalg::SolveRight(ytx_hat, xtx_hat);
-  if (!c_new.ok()) return c_new.status();
-  engine_->CountDriverFlops(2ull * d * d * d + 2ull * dim_ * d * d);
+  // The batch M-step on the blended statistics scaled back up to the batch
+  // size, so a first step (rho = 1) over all rows is one batch iteration.
+  core::YtXResult blended;
+  blended.xtx = DenseMatrix(d, d);
+  blended.xtx.AddScaled(b, s_xtx_);
+  blended.ytx = DenseMatrix(dim_, d);
+  blended.ytx.AddScaled(b, s_ytx_);
+  auto m_step = core::SolveMStep(engine_, *e_step, std::move(blended),
+                                 /*l1_threshold=*/0.0);
+  if (!m_step.ok()) return m_step.status();
 
-  const DenseMatrix ctc =
-      linalg::TransposeMultiply(c_new.value(), c_new.value());
-  double ss2 = 0.0;
-  for (size_t a = 0; a < d; ++a) {
-    for (size_t q = 0; q < d; ++q) ss2 += xtx_hat(a, q) * ctc(q, a);
-  }
-  engine_->CountDriverFlops(2ull * dim_ * d * d + 2ull * d * d);
-
-  const double ss3_b = core::Ss3Job(engine_, batch, mean_, xm, cm,
-                                    c_new.value(), nullptr, toggles);
+  const double ss3_b = core::Ss3Job(engine_, batch, mean_, xm, cm, m_step->c,
+                                    nullptr, toggles);
   s_ss3_ = (1.0 - rho) * s_ss3_ + rho * ss3_b / b;
 
-  c_ = std::move(c_new.value());
-  ss_ = std::max((b * s_ss1_ + ss2 - 2.0 * b * s_ss3_) / (b * dim_), 1e-12);
+  ss_ = m_step->NoiseVariance(b * s_ss1_, b * s_ss3_, b);
+  c_ = std::move(m_step->c);
   steps_ += 1;
 
   core::IterationTrace point;
@@ -268,11 +238,7 @@ StatusOr<core::SolverCheckpoint> MiniBatchEmSolver::Checkpoint() const {
 
 Status MiniBatchEmSolver::Restore(const core::PcaModel& model,
                                   const core::SolverCheckpoint& checkpoint) {
-  if (checkpoint.solver != name()) {
-    return Status::InvalidArgument("checkpoint was written by solver '" +
-                                   checkpoint.solver + "', not '" +
-                                   std::string(name()) + "'");
-  }
+  SPCA_RETURN_IF_ERROR(checkpoint.ExpectSolver(name()));
   const double* dim = checkpoint.FindScalar("dim");
   const double* ss = checkpoint.FindScalar("ss");
   const double* s_ss1 = checkpoint.FindScalar("s_ss1");
@@ -476,7 +442,7 @@ Status OjaSolver::Step(const DistMatrix& batch) {
           bytes = dim_ * d * sizeof(double);
         }
         bytes += d * sizeof(double) + 2 * sizeof(double);
-        EmitPartial(*engine_, ctx, bytes);
+        engine_->EmitPartial(ctx, bytes);
         return partial;
       });
 
@@ -570,11 +536,7 @@ StatusOr<core::SolverCheckpoint> OjaSolver::Checkpoint() const {
 
 Status OjaSolver::Restore(const core::PcaModel& model,
                           const core::SolverCheckpoint& checkpoint) {
-  if (checkpoint.solver != name()) {
-    return Status::InvalidArgument("checkpoint was written by solver '" +
-                                   checkpoint.solver + "', not '" +
-                                   std::string(name()) + "'");
-  }
+  SPCA_RETURN_IF_ERROR(checkpoint.ExpectSolver(name()));
   const double* dim = checkpoint.FindScalar("dim");
   const double* s_norm = checkpoint.FindScalar("s_norm");
   const double* s_proj = checkpoint.FindScalar("s_proj");

@@ -45,11 +45,11 @@ struct StreamSolverOptions {
 ///
 /// State between batches is exactly the servable triple (mean, C, ss) plus
 /// EMA-blended per-row sufficient statistics (E[x x'], E[y' x], E||yc||^2).
-/// Each Step runs one EM iteration whose E-step statistics come from the
-/// current batch (through the same distributed jobs — and hence the same
-/// cost accounting and replayable traces — as the batch solver), blended
-/// into the running statistics before the M-step. With decay = 0 and a
-/// single Step over all rows this is one batch EM iteration.
+/// Each Step runs the batch solver's EM iteration (core/jobs.h: the same
+/// driver algebra and distributed jobs, hence the same cost accounting and
+/// replayable traces) with the current batch's statistics blended into the
+/// running ones before the M-step. A first Step over all rows is therefore
+/// one batch EM iteration, up to the rounding of the per-row rescaling.
 class MiniBatchEmSolver : public core::Solver {
  public:
   /// `engine` must outlive this object.

@@ -222,14 +222,20 @@ TEST(EngineTest, DriverMemoryBudget) {
   ClusterSpec spec = SimpleSpec();
   spec.driver_memory_bytes = 1000.0;
   Engine engine(spec, EngineMode::kSpark);
-  EXPECT_TRUE(engine.AllocateDriverMemory("a", 600).ok());
-  const auto status = engine.AllocateDriverMemory("b", 600);
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kOutOfMemory);
-  engine.ReleaseDriverMemory(600);
-  EXPECT_TRUE(engine.AllocateDriverMemory("b", 600).ok());
-  EXPECT_EQ(engine.peak_driver_memory(), 600u);
-  EXPECT_EQ(engine.current_driver_memory(), 600u);
+  {
+    const auto a = engine.ReserveDriverMemory("a", 600);
+    EXPECT_TRUE(a.ok());
+    const auto status = engine.ReserveDriverMemory("b", 600);
+    EXPECT_FALSE(status.ok());
+    EXPECT_EQ(status.status().code(), StatusCode::kOutOfMemory);
+  }  // "a" is released when its reservation goes out of scope
+  {
+    const auto b = engine.ReserveDriverMemory("b", 600);
+    EXPECT_TRUE(b.ok());
+    EXPECT_EQ(engine.peak_driver_memory(), 600u);
+    EXPECT_EQ(engine.current_driver_memory(), 600u);
+  }
+  EXPECT_EQ(engine.current_driver_memory(), 0u);
 }
 
 TEST(EngineTest, ResetStatsClearsEverything) {
@@ -264,9 +270,10 @@ TEST(EngineTest, StatsDiffFieldwise) {
 TEST(EngineTest, FailureInjectionChargesRetries) {
   const DistMatrix m = DistMatrix::FromDense(RandomDense(32, 2, 16), 16);
   auto run = [&](double failure_probability) {
-    ClusterSpec spec = SimpleSpec();
-    spec.task_failure_probability = failure_probability;
-    Engine engine(spec, EngineMode::kSpark);
+    FaultSpec fault_spec;
+    fault_spec.task_failure_probability = failure_probability;
+    Engine engine(SimpleSpec(), EngineMode::kSpark);
+    engine.SetFaultPlan(FaultPlan(fault_spec));
     auto results = engine.RunMap<double>(
         "flaky", m, [](const RowRange& range, TaskContext* ctx) {
           ctx->CountFlops(100000000ull);
@@ -290,10 +297,11 @@ TEST(EngineTest, FailureInjectionChargesRetries) {
 
 TEST(EngineTest, FailureAttemptsRespectCap) {
   const DistMatrix m = DistMatrix::FromDense(RandomDense(8, 2, 17), 8);
-  ClusterSpec spec = SimpleSpec();
-  spec.task_failure_probability = 1.0;  // every attempt "fails"
-  spec.max_task_attempts = 3;
-  Engine engine(spec, EngineMode::kSpark);
+  FaultSpec fault_spec;
+  fault_spec.task_failure_probability = 1.0;  // every attempt "fails"
+  fault_spec.max_task_attempts = 3;
+  Engine engine(SimpleSpec(), EngineMode::kSpark);
+  engine.SetFaultPlan(FaultPlan(fault_spec));
   engine.RunMap<int>("doomed", m, [](const RowRange&, TaskContext* ctx) {
     ctx->CountFlops(1000);
     return 0;

@@ -11,8 +11,8 @@
 //    suites below pin each compiled SIMD variant against
 //    kernels::scalar on ~100 randomized shapes per kernel.
 //
-// The FitBitIdentity test asserts end-to-end that Spca::Fit reproduces
-// the golden captured from the pre-kernel scalar implementation:
+// The FitMatchesPreKernelGolden test asserts end-to-end that Spca::Solve
+// reproduces the golden captured from the pre-kernel scalar implementation:
 // bit-identically under scalar dispatch (the forced-scalar ctest leg
 // runs this whole binary with SPCA_KERNEL_ISA=scalar), and within 1e-12
 // relative per element under SIMD dispatch. Regenerate (only for an
@@ -593,6 +593,35 @@ void ExpectDumpNearGolden(const std::string& dump, const std::string& golden) {
   }
 }
 
+// Byte-for-byte under scalar dispatch, 1e-12 relative under SIMD; with
+// SPCA_REGENERATE_FIT_GOLDEN set (scalar dispatch only) rewrites the file.
+void ExpectMatchesGolden(const std::string& dump, const char* file) {
+  const std::string golden_path =
+      std::string(SPCA_TEST_SRCDIR) + "/golden/" + file;
+  if (std::getenv("SPCA_REGENERATE_FIT_GOLDEN") != nullptr) {
+    ASSERT_TRUE(DispatchIsExact())
+        << "regenerate the golden under SPCA_KERNEL_ISA=scalar: it pins the "
+           "exact tier, which only the scalar kernels reproduce";
+    std::ofstream out(golden_path, std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+    out << dump;
+    GTEST_SKIP() << "golden regenerated at " << golden_path;
+  }
+  std::ifstream in(golden_path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << golden_path;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  if (DispatchIsExact()) {
+    EXPECT_EQ(dump, golden.str())
+        << file << ": fit numerics drifted under scalar dispatch, which "
+           "promises bit-identical results. If a numerics change is "
+           "intentional, regenerate with SPCA_REGENERATE_FIT_GOLDEN=1 "
+           "SPCA_KERNEL_ISA=scalar";
+  } else {
+    ExpectDumpNearGolden(dump, golden.str());
+  }
+}
+
 // Fit results on seeded workloads against the golden dumped from the
 // pre-kernel scalar implementation. Covers sparse + dense storage, both
 // engine modes, and both the optimized and the naive (toggles-off) job
@@ -650,30 +679,46 @@ TEST(KernelsTest, FitMatchesPreKernelGolden) {
     if (HasFatalFailure()) return;
   }
 
-  const std::string golden_path =
-      std::string(SPCA_TEST_SRCDIR) + "/golden/fit_bits.golden";
-  if (std::getenv("SPCA_REGENERATE_FIT_GOLDEN") != nullptr) {
-    ASSERT_TRUE(DispatchIsExact())
-        << "regenerate the golden under SPCA_KERNEL_ISA=scalar: it pins the "
-           "exact tier, which only the scalar kernels reproduce";
-    std::ofstream out(golden_path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
-    out << dump;
-    GTEST_SKIP() << "golden regenerated at " << golden_path;
-  }
-  std::ifstream in(golden_path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden file " << golden_path;
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  if (DispatchIsExact()) {
-    EXPECT_EQ(dump, golden.str())
-        << "Spca::Fit numerics drifted from the pre-kernel-layer golden "
-           "under scalar dispatch, which promises bit-identical results. If "
-           "a numerics change is intentional, regenerate with "
-           "SPCA_REGENERATE_FIT_GOLDEN=1 SPCA_KERNEL_ISA=scalar";
-  } else {
-    ExpectDumpNearGolden(dump, golden.str());
-  }
+  ExpectMatchesGolden(dump, "fit_bits.golden");
+}
+
+// Sparse-loadings EM (SpcaOptions::l1_threshold: a soft-threshold after
+// every M-step) against the golden dumped from the standalone
+// sparse-PPCA solver it replaced: two seeded sparse-signal inputs, one per
+// platform, four sweeps each.
+void RunSparseFitCase(std::string* out, const char* tag,
+                      const dist::DistMatrix& y, double l1_threshold,
+                      dist::EngineMode mode) {
+  core::SpcaOptions options;
+  options.num_components = 4;
+  options.max_iterations = 4;
+  options.l1_threshold = l1_threshold;
+  options.target_accuracy_fraction = 2.0;  // always run max_iterations
+  options.error_sample_rows = 64;
+  options.seed = 29;
+  options.ideal_error_override = 1.0;  // skip the hidden converged fit
+  RunFitCase(out, tag, y, options, mode);
+}
+
+TEST(KernelsTest, SparseFitMatchesGolden) {
+  std::string dump;
+  workload::SparseSignalConfig config;
+  config.rows = 240;
+  config.cols = 30;
+  config.active_per_component = 6;
+  config.seed = 41;
+  RunSparseFitCase(&dump, "sparse_signal_spark",
+                   dist::DistMatrix::FromDense(
+                       workload::GenerateSparseSignal(config), 5),
+                   0.05, dist::EngineMode::kSpark);
+  if (HasFatalFailure()) return;
+  config.seed = 43;
+  RunSparseFitCase(&dump, "sparse_signal_mapreduce",
+                   dist::DistMatrix::FromDense(
+                       workload::GenerateSparseSignal(config), 4),
+                   0.1, dist::EngineMode::kMapReduce);
+  if (HasFatalFailure()) return;
+  ExpectMatchesGolden(dump, "sparse_fit_bits.golden");
 }
 
 }  // namespace

@@ -605,7 +605,7 @@ TEST(ObsEngineTest, FitInitRegistryOverridesSolverSpans) {
   options.max_iterations = 2;
   options.target_accuracy_fraction = 2.0;
   options.compute_accuracy_trace = false;
-  core::FitInit init;
+  core::FitOptions init;
   init.registry = &solver_registry;
   ASSERT_TRUE(core::Spca(&engine, options).Solve(y, init).ok());
   // Solver spans land in the override; engine job spans stay with the
@@ -618,35 +618,6 @@ TEST(ObsEngineTest, FitInitRegistryOverridesSolverSpans) {
   EXPECT_TRUE(solver_has_fit);
   EXPECT_GT(engine.registry()->FindCounter("engine.jobs_launched")->value(),
             0.0);
-}
-
-TEST(ObsEngineTest, WarmStartShimMatchesFitInit) {
-  const DistMatrix y = SmallData(100, 8, 6);
-  core::SpcaOptions options;
-  options.num_components = 2;
-  options.max_iterations = 3;
-  options.target_accuracy_fraction = 2.0;
-  options.compute_accuracy_trace = false;
-
-  Engine e1(dist::ClusterSpec{}, EngineMode::kSpark);
-  auto cold = core::Spca(&e1, options).Solve(y);
-  ASSERT_TRUE(cold.ok());
-
-  Engine e2(dist::ClusterSpec{}, EngineMode::kSpark);
-  Engine e3(dist::ClusterSpec{}, EngineMode::kSpark);
-  auto via_shim = core::Spca(&e2, options).FitWithInit(
-      y, cold.value().model.components, cold.value().model.noise_variance);
-  core::FitInit init;
-  init.components = cold.value().model.components;
-  init.noise_variance = cold.value().model.noise_variance;
-  auto via_init = core::Spca(&e3, options).Solve(y, init);
-  ASSERT_TRUE(via_shim.ok());
-  ASSERT_TRUE(via_init.ok());
-  EXPECT_EQ(via_shim.value().model.components.MaxAbsDiff(
-                via_init.value().model.components),
-            0.0);
-  EXPECT_DOUBLE_EQ(via_shim.value().model.noise_variance,
-                   via_init.value().model.noise_variance);
 }
 
 TEST(ObsEngineTest, PersistentPoolRecordsSpawnSavings) {

@@ -21,7 +21,6 @@
 #include "dist/replay.h"
 #include "linalg/sparse_matrix.h"
 #include "sketch/rand_svd.h"
-#include "sketch/sparse_ppca.h"
 #include "sketch/sparsifier.h"
 #include "workload/synthetic.h"
 
@@ -138,9 +137,11 @@ TEST(ReplayIdentityProperty, UnitScaleReplayMatchesAccountedCost) {
     spec.network_bandwidth_per_node = 1e6 * (1.0 + 999.0 * rng.NextDouble());
     spec.mapreduce_job_launch_sec = 0.5 + 15.0 * rng.NextDouble();
     spec.spark_stage_launch_sec = 0.05 + 1.0 * rng.NextDouble();
-    spec.task_failure_probability =
+    dist::FaultSpec fault_spec;
+    fault_spec.task_failure_probability =
         cases % 3 == 0 ? 0.4 * rng.NextDouble() : 0.0;
-    spec.max_task_attempts = 1 + static_cast<int>(rng.NextUint64Below(4));
+    fault_spec.max_task_attempts =
+        1 + static_cast<int>(rng.NextUint64Below(4));
     const EngineMode mode = rng.NextUint64Below(2) == 0
                                 ? EngineMode::kSpark
                                 : EngineMode::kMapReduce;
@@ -168,6 +169,7 @@ TEST(ReplayIdentityProperty, UnitScaleReplayMatchesAccountedCost) {
     options.seed = rng.NextUint64();
 
     Engine engine(spec, mode);
+    engine.SetFaultPlan(dist::FaultPlan(fault_spec));
     auto fit = core::Spca(&engine, options).Solve(matrix);
     ASSERT_TRUE(fit.ok()) << fit.status().ToString();
     ASSERT_FALSE(engine.traces().size() == 0);
@@ -377,8 +379,8 @@ sketch::RandSvdOptions ReplayRandSvdOptions() {
   return options;
 }
 
-sketch::SparsePpcaOptions ReplaySparsePpcaOptions() {
-  sketch::SparsePpcaOptions options;
+core::SpcaOptions ReplaySparseLoadingsOptions() {
+  core::SpcaOptions options;
   options.num_components = 3;
   options.max_iterations = 2;
   options.l1_threshold = 0.05;
@@ -404,7 +406,7 @@ TEST(SketchReplayIdentity, UnitScaleReplayMatchesAccountedCost) {
     ASSERT_TRUE(sketch::RandSvdPca(&rand_svd_engine, ReplayRandSvdOptions())
                     .Solve(matrix)
                     .ok());
-    ASSERT_TRUE(sketch::SparsePpca(&sparse_engine, ReplaySparsePpcaOptions())
+    ASSERT_TRUE(core::Spca(&sparse_engine, ReplaySparseLoadingsOptions())
                     .Solve(matrix)
                     .ok());
     ASSERT_TRUE(
@@ -472,7 +474,7 @@ TEST(SketchReplayIdentity, CleanTraceReplayMatchesLiveFaultedRun) {
                           .Solve(matrix)
                           .ok());
         } else {
-          ASSERT_TRUE(sketch::SparsePpca(engine, ReplaySparsePpcaOptions())
+          ASSERT_TRUE(core::Spca(engine, ReplaySparseLoadingsOptions())
                           .Solve(matrix)
                           .ok());
         }

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/jobs.h"
 #include "core/reconstruction_error.h"
 #include "core/solver.h"
 #include "core/spca.h"
@@ -36,7 +37,6 @@
 #include "serve/model_io.h"
 #include "serve/projector.h"
 #include "sketch/rand_svd.h"
-#include "sketch/sparse_ppca.h"
 #include "sketch/sparsifier.h"
 #include "workload/synthetic.h"
 
@@ -50,8 +50,6 @@ using dist::EngineMode;
 using linalg::DenseMatrix;
 using sketch::RandSvdOptions;
 using sketch::RandSvdPca;
-using sketch::SparsePpca;
-using sketch::SparsePpcaOptions;
 using sketch::Sparsifier;
 using sketch::SparsifierOptions;
 
@@ -90,9 +88,9 @@ RandSvdOptions FastRandSvdOptions(size_t d, int power_iterations) {
   return options;
 }
 
-SparsePpcaOptions FastSparseOptions(size_t d, int iterations,
+core::SpcaOptions FastSparseOptions(size_t d, int iterations,
                                     double l1_threshold) {
-  SparsePpcaOptions options;
+  core::SpcaOptions options;
   options.num_components = d;
   options.max_iterations = iterations;
   options.l1_threshold = l1_threshold;
@@ -297,7 +295,7 @@ TEST(SparsePpcaTest, ZeroesMostLoadingsWithoutGivingUpAccuracy) {
 
   Engine sparse_engine(ClusterSpec{}, EngineMode::kSpark);
   auto sparse =
-      SparsePpca(&sparse_engine, FastSparseOptions(4, 8, 0.1)).Solve(matrix);
+      core::Spca(&sparse_engine, FastSparseOptions(4, 8, 0.1)).Solve(matrix);
   ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
 
   core::SpcaOptions dense_options;
@@ -333,8 +331,7 @@ TEST(SparsePpcaTest, ZeroesMostLoadingsWithoutGivingUpAccuracy) {
       << "thresholding cost too much accuracy";
 
   // The engine's registry carries the sparsity telemetry.
-  EXPECT_EQ(CounterValue(*sparse_engine.registry(),
-                         "sketch.sparse_ppca.em_iterations"),
+  EXPECT_EQ(CounterValue(*sparse_engine.registry(), "spca.em_iterations"),
             8u);
   EXPECT_GT(
       CounterValue(*sparse_engine.registry(), "sketch.sparse_ppca.zeroed_loadings"),
@@ -342,11 +339,11 @@ TEST(SparsePpcaTest, ZeroesMostLoadingsWithoutGivingUpAccuracy) {
 }
 
 TEST(SparsePpcaTest, ShrinkIsTheSoftThresholdOperator) {
-  EXPECT_DOUBLE_EQ(SparsePpca::Shrink(0.5, 0.1), 0.4);
-  EXPECT_DOUBLE_EQ(SparsePpca::Shrink(-0.5, 0.1), -0.4);
-  EXPECT_DOUBLE_EQ(SparsePpca::Shrink(0.05, 0.1), 0.0);
-  EXPECT_DOUBLE_EQ(SparsePpca::Shrink(-0.05, 0.1), 0.0);
-  EXPECT_DOUBLE_EQ(SparsePpca::Shrink(0.1, 0.1), 0.0);
+  EXPECT_DOUBLE_EQ(core::SoftThreshold(0.5, 0.1), 0.4);
+  EXPECT_DOUBLE_EQ(core::SoftThreshold(-0.5, 0.1), -0.4);
+  EXPECT_DOUBLE_EQ(core::SoftThreshold(0.05, 0.1), 0.0);
+  EXPECT_DOUBLE_EQ(core::SoftThreshold(-0.05, 0.1), 0.0);
+  EXPECT_DOUBLE_EQ(core::SoftThreshold(0.1, 0.1), 0.0);
 }
 
 // Sparse loadings must translate into proportionally fewer serve-time
@@ -447,12 +444,12 @@ TEST(SketchCheckpointTest, SparsePpcaKillMidEmThenResumeIsBitIdentical) {
 
   Engine clean_engine(ClusterSpec{}, EngineMode::kSpark);
   auto clean =
-      SparsePpca(&clean_engine, FastSparseOptions(4, 6, 0.1)).Solve(matrix);
+      core::Spca(&clean_engine, FastSparseOptions(4, 6, 0.1)).Solve(matrix);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
 
   const std::string path = TempPath("sketch_sparse_ppca_checkpoint.spcm");
   Engine killed_engine(ClusterSpec{}, EngineMode::kSpark);
-  SparsePpca killed(&killed_engine, FastSparseOptions(4, 6, 0.1));
+  core::Spca killed(&killed_engine, FastSparseOptions(4, 6, 0.1));
   core::FitOptions fit;
   fit.on_checkpoint = [&](const core::PcaModel& model,
                           const core::SolverCheckpoint& state) -> Status {
@@ -468,7 +465,7 @@ TEST(SketchCheckpointTest, SparsePpcaKillMidEmThenResumeIsBitIdentical) {
   EXPECT_EQ(loaded->state.step, 3u);
 
   Engine resume_engine(ClusterSpec{}, EngineMode::kSpark);
-  SparsePpca resumed(&resume_engine, FastSparseOptions(4, 3, 0.1));
+  core::Spca resumed(&resume_engine, FastSparseOptions(4, 3, 0.1));
   ASSERT_TRUE(resumed.Init({}).ok());
   ASSERT_TRUE(resumed.Restore(loaded->model, loaded->state).ok());
   ASSERT_TRUE(resumed.Step(matrix).ok());
@@ -481,7 +478,7 @@ TEST(SketchCheckpointTest, SparsePpcaKillMidEmThenResumeIsBitIdentical) {
 TEST(SketchCheckpointTest, RestoreRejectsForeignOrIncompleteCheckpoints) {
   Engine engine(ClusterSpec{}, EngineMode::kSpark);
   RandSvdPca rand_svd(&engine, FastRandSvdOptions(4, 1));
-  SparsePpca sparse(&engine, FastSparseOptions(4, 3, 0.1));
+  core::Spca sparse(&engine, FastSparseOptions(4, 3, 0.1));
   core::PcaModel model;
 
   // A checkpoint written by the other solver is rejected by both.

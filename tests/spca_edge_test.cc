@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "baselines/ssvd_pca.h"
 #include "common/rng.h"
@@ -92,16 +93,23 @@ TEST(SpcaEdgeTest, IdealErrorOverrideIsUsedVerbatim) {
   EXPECT_DOUBLE_EQ(result.value().ideal_error, 0.123);
 }
 
+FitOptions WarmStart(DenseMatrix components, double noise_variance) {
+  FitOptions fit;
+  fit.components = std::move(components);
+  fit.noise_variance = noise_variance;
+  return fit;
+}
+
 TEST(SpcaEdgeTest, FitWithInitValidatesArguments) {
   const DistMatrix y = SmallData(50, 8, 6);
   Engine engine(dist::ClusterSpec{}, EngineMode::kSpark);
   Spca spca(&engine, QuietOptions(2, 2));
   // Wrong shape.
-  EXPECT_FALSE(spca.FitWithInit(y, DenseMatrix(8, 5), 1.0).ok());
-  EXPECT_FALSE(spca.FitWithInit(y, DenseMatrix(5, 2), 1.0).ok());
+  EXPECT_FALSE(spca.Solve(y, WarmStart(DenseMatrix(8, 5), 1.0)).ok());
+  EXPECT_FALSE(spca.Solve(y, WarmStart(DenseMatrix(5, 2), 1.0)).ok());
   // Non-positive ss.
-  EXPECT_FALSE(spca.FitWithInit(y, DenseMatrix(8, 2), 0.0).ok());
-  EXPECT_FALSE(spca.FitWithInit(y, DenseMatrix(8, 2), -1.0).ok());
+  EXPECT_FALSE(spca.Solve(y, WarmStart(DenseMatrix(8, 2), 0.0)).ok());
+  EXPECT_FALSE(spca.Solve(y, WarmStart(DenseMatrix(8, 2), -1.0)).ok());
 }
 
 TEST(SpcaEdgeTest, WarmStartFromPreviousModelConverges) {
@@ -110,8 +118,8 @@ TEST(SpcaEdgeTest, WarmStartFromPreviousModelConverges) {
   Spca spca(&engine, QuietOptions(3, 6));
   auto first = spca.Solve(y);
   ASSERT_TRUE(first.ok());
-  auto second = spca.FitWithInit(y, first.value().model.components,
-                                 first.value().model.noise_variance);
+  auto second = spca.Solve(y, WarmStart(first.value().model.components,
+                                        first.value().model.noise_variance));
   ASSERT_TRUE(second.ok());
   // Warm start from a converged model barely moves.
   EXPECT_LT(second.value().model.components.MaxAbsDiff(
@@ -145,10 +153,11 @@ TEST(SpcaEdgeTest, FailsWhenDriverMemoryTooSmall) {
 
 TEST(SpcaEdgeTest, FaultInjectionDoesNotChangeResults) {
   const DistMatrix y = SmallData(120, 10, 10);
-  dist::ClusterSpec flaky;
+  dist::FaultSpec flaky;
   flaky.task_failure_probability = 0.5;
   Engine healthy_engine(dist::ClusterSpec{}, EngineMode::kSpark);
-  Engine flaky_engine(flaky, EngineMode::kSpark);
+  Engine flaky_engine(dist::ClusterSpec{}, EngineMode::kSpark);
+  flaky_engine.SetFaultPlan(dist::FaultPlan(flaky));
   auto healthy = Spca(&healthy_engine, QuietOptions(3, 4)).Solve(y);
   auto with_failures = Spca(&flaky_engine, QuietOptions(3, 4)).Solve(y);
   ASSERT_TRUE(healthy.ok());

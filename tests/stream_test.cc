@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -193,6 +194,46 @@ TEST(MiniBatchEmTest, ConvergesOnStationaryStream) {
   ExpectModelsBitIdentical(result->model, snapshot.value());
 }
 
+// The documented mini-batch property, by construction: a first Step over
+// every row runs the batch EM iteration (same seed, same partitions, same
+// E-step and M-step). The mean goes through the same column sums bit for
+// bit; C and ss differ only by the rounding of rescaling the blended
+// per-row statistics back up to the batch size.
+TEST(MiniBatchEmTest, FirstStepOverAllRowsIsOneBatchIteration) {
+  const DistMatrix y = LowRankBatch(240, 48, 17, 5);
+  Engine stream_engine(dist::ClusterSpec{}, EngineMode::kSpark);
+  MiniBatchEmSolver streaming(&stream_engine, SmallSolverOptions());
+  ASSERT_TRUE(streaming.Init({}).ok());
+  ASSERT_TRUE(streaming.Step(y).ok());
+  auto step = streaming.Snapshot();
+  ASSERT_TRUE(step.ok());
+
+  core::SpcaOptions options = BatchOptions();
+  options.max_iterations = 1;
+  options.seed = SmallSolverOptions().seed;
+  Engine batch_engine(dist::ClusterSpec{}, EngineMode::kSpark);
+  auto iteration = core::Spca(&batch_engine, options).Solve(y);
+  ASSERT_TRUE(iteration.ok()) << iteration.status().ToString();
+  const core::PcaModel& batch = iteration->model;
+
+  ASSERT_EQ(step->mean.size(), batch.mean.size());
+  for (size_t k = 0; k < batch.mean.size(); ++k) {
+    EXPECT_EQ(step->mean[k], batch.mean[k]) << "column " << k;
+  }
+  ASSERT_EQ(step->components.rows(), batch.components.rows());
+  ASSERT_EQ(step->components.cols(), batch.components.cols());
+  double scale = 0.0;
+  for (size_t i = 0; i < batch.components.rows(); ++i) {
+    for (size_t j = 0; j < batch.components.cols(); ++j) {
+      scale = std::max(scale, std::fabs(batch.components(i, j)));
+    }
+  }
+  ASSERT_GT(scale, 0.0);
+  EXPECT_LE(step->components.MaxAbsDiff(batch.components), 1e-10 * scale);
+  EXPECT_NEAR(step->noise_variance, batch.noise_variance,
+              1e-10 * batch.noise_variance);
+}
+
 TEST(OjaTest, ConvergesOnStationaryStream) {
   const auto config = SmallStreamConfig();
   workload::RowStream stream(config);
@@ -284,19 +325,6 @@ TEST(SolverApiTest, RunSolverMatchesSolve) {
   ExpectModelsBitIdentical(direct->model, via_runner->model);
 }
 
-TEST(SolverApiTest, LegacyFitShimMatchesSolve) {
-  const DistMatrix y = LowRankBatch(160, 48, 13, 4);
-  Engine e1(dist::ClusterSpec{}, EngineMode::kSpark);
-  auto via_solve = core::Spca(&e1, BatchOptions()).Solve(y);
-  Engine e2(dist::ClusterSpec{}, EngineMode::kSpark);
-  auto via_fit = core::Spca(&e2, BatchOptions()).Fit(y);
-  ASSERT_TRUE(via_solve.ok());
-  ASSERT_TRUE(via_fit.ok());
-  ExpectModelsBitIdentical(via_solve->model, via_fit->model);
-  EXPECT_EQ(via_solve->iterations_run, via_fit->iterations_run);
-  EXPECT_EQ(via_solve->stats.task_flops, via_fit->stats.task_flops);
-}
-
 TEST(SolverApiTest, StreamingSnapshotWarmStartsBatchFitBitIdentically) {
   // Stream some batches, snapshot, and persist the snapshot.
   workload::RowStream stream(SmallStreamConfig());
@@ -316,7 +344,8 @@ TEST(SolverApiTest, StreamingSnapshotWarmStartsBatchFitBitIdentically) {
   ExpectModelsBitIdentical(snapshot.value(), reloaded.value());
 
   // Warm-starting a batch fit from the snapshot through FitOptions is
-  // bit-identical to the legacy FitWithInit shim given the same state.
+  // bit-identical whether it runs as a direct Solve or through the Solver
+  // surface.
   const DistMatrix y = LowRankBatch(200, 64, 21, 4);
   Engine e1(dist::ClusterSpec{}, EngineMode::kSpark);
   core::FitOptions warm;
@@ -324,12 +353,11 @@ TEST(SolverApiTest, StreamingSnapshotWarmStartsBatchFitBitIdentically) {
   warm.noise_variance = reloaded->noise_variance;
   auto via_options = core::Spca(&e1, BatchOptions()).Solve(y, warm);
   Engine e2(dist::ClusterSpec{}, EngineMode::kSpark);
-  auto via_shim = core::Spca(&e2, BatchOptions())
-                      .FitWithInit(y, reloaded->components,
-                                   reloaded->noise_variance);
+  core::Spca spca(&e2, BatchOptions());
+  auto via_runner = core::RunSolver(&spca, y, warm);
   ASSERT_TRUE(via_options.ok());
-  ASSERT_TRUE(via_shim.ok());
-  ExpectModelsBitIdentical(via_options->model, via_shim->model);
+  ASSERT_TRUE(via_runner.ok());
+  ExpectModelsBitIdentical(via_options->model, via_runner->model);
 }
 
 TEST(SolverApiTest, BatchSolverAdapterMatchesDirectBaselineFit) {

@@ -32,7 +32,6 @@
 #include "obs/stream.h"
 #include "serve/model_io.h"
 #include "sketch/rand_svd.h"
-#include "sketch/sparse_ppca.h"
 #include "sketch/sparsifier.h"
 #include "workload/datasets.h"
 #include "workload/io.h"
@@ -363,15 +362,15 @@ StatusOr<std::unique_ptr<spca::core::Solver>> MakeSolver(
         std::make_unique<spca::sketch::RandSvdPca>(engine, options));
   }
   if (algorithm == "spca_sparse") {
-    spca::sketch::SparsePpcaOptions options;
+    spca::core::SpcaOptions options;
     options.num_components = d;
     options.max_iterations = iterations;
-    options.l1_threshold =
-        args.GetDouble("--l1-threshold", options.l1_threshold);
+    options.l1_threshold = args.GetDouble("--l1-threshold", 0.1);
+    options.error_sample_rows = 1000;
     options.target_accuracy_fraction = target;
     options.seed = seed;
     return std::unique_ptr<spca::core::Solver>(
-        std::make_unique<spca::sketch::SparsePpca>(engine, options));
+        std::make_unique<spca::core::Spca>(engine, options));
   }
   return Status::InvalidArgument("unknown --algorithm " + algorithm);
 }
@@ -456,30 +455,31 @@ StatusOr<spca::core::PcaModel> RunAlgorithm(Args args,
     std::printf("checkpointed every iteration to %s\n",
                 checkpoint_file.c_str());
   }
-  const std::string_view name = solver.value()->name();
-  if (name == "spca") {
+  // Keyed by the flag, not Solver::name(): `--solver spca_sparse
+  // --l1-threshold 0` runs plain sPCA but keeps its sparse-PPCA line.
+  if (algorithm == "spca") {
     std::printf("sPCA: %d iterations", result.value().iterations_run);
     if (!result.value().trace.empty()) {
       std::printf(", final accuracy %.1f%% of ideal",
                   result.value().trace.back().accuracy_percent);
     }
     std::printf("\n");
-  } else if (name == "mllib") {
+  } else if (algorithm == "mllib") {
     std::printf("MLlib-PCA: driver held %s\n",
                 spca::HumanBytes(
                     static_cast<double>(result.value().driver_bytes))
                     .c_str());
-  } else if (name == "mahout") {
+  } else if (algorithm == "mahout") {
     std::printf("Mahout-PCA (SSVD): %d rounds\n",
                 result.value().iterations_run);
-  } else if (name == "rand_svd") {
+  } else if (algorithm == "rand_svd") {
     std::printf("RandSVD-PCA: %d sketch rounds", result.value().iterations_run);
     if (!result.value().trace.empty()) {
       std::printf(", final accuracy %.1f%% of ideal",
                   result.value().trace.back().accuracy_percent);
     }
     std::printf("\n");
-  } else if (name == "spca_sparse") {
+  } else if (algorithm == "spca_sparse") {
     std::printf("sparse-PPCA: %d iterations", result.value().iterations_run);
     if (!result.value().trace.empty()) {
       std::printf(", final accuracy %.1f%% of ideal",
