@@ -33,14 +33,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/check.h"
+#include "common/flags.h"
 #include "common/rng.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -57,6 +56,13 @@ namespace {
 
 using spca::obs::JsonNumber;
 
+constexpr const char* kUsage =
+    "usage: bench_serve [--out FILE] [--duration SEC] "
+    "[--threads N] [--batch-max N] [--dim D] "
+    "[--components d] [--shards N] [--connections N] "
+    "[--window N] [--models N] [--slo-p99-ms MS] "
+    "[--slo-min-qps QPS] [--no-socket]\n";
+
 struct BenchOptions {
   std::string out = "BENCH_serve.json";
   double duration_sec = 2.0;
@@ -65,7 +71,7 @@ struct BenchOptions {
   size_t dim = 2000;
   size_t components = 50;
   // Socket leg.
-  bool socket = true;
+  bool no_socket = false;
   size_t shards = 4;
   size_t connections = 2;
   size_t window = 1024;  // outstanding requests per connection
@@ -375,74 +381,25 @@ std::string PointJson(const LoadPoint& point) {
 
 int Main(int argc, char** argv) {
   BenchOptions options;
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    std::string value;
-    if (const size_t eq = flag.find('='); eq != std::string::npos) {
-      value = flag.substr(eq + 1);
-      flag = flag.substr(0, eq);
-    } else if (i + 1 < argc) {
-      value = argv[i + 1];
-    }
-    auto take = [&] {  // consume the separate-argument spelling
-      if (std::strchr(argv[i], '=') == nullptr) ++i;
-    };
-    if (flag == "--out") {
-      options.out = value;
-      take();
-    } else if (flag == "--duration") {
-      options.duration_sec = std::atof(value.c_str());
-      take();
-    } else if (flag == "--threads") {
-      options.threads = std::strtoul(value.c_str(), nullptr, 10);
-      take();
-    } else if (flag == "--batch-max") {
-      options.batch_max = std::strtoul(value.c_str(), nullptr, 10);
-      take();
-    } else if (flag == "--dim") {
-      options.dim = std::strtoul(value.c_str(), nullptr, 10);
-      take();
-    } else if (flag == "--components") {
-      options.components = std::strtoul(value.c_str(), nullptr, 10);
-      take();
-    } else if (flag == "--shards") {
-      options.shards = std::strtoul(value.c_str(), nullptr, 10);
-      take();
-    } else if (flag == "--connections") {
-      options.connections = std::strtoul(value.c_str(), nullptr, 10);
-      take();
-    } else if (flag == "--window") {
-      options.window = std::strtoul(value.c_str(), nullptr, 10);
-      take();
-    } else if (flag == "--models") {
-      options.num_models = std::strtoul(value.c_str(), nullptr, 10);
-      take();
-    } else if (flag == "--slo-p99-ms") {
-      options.slo_p99_ms = std::atof(value.c_str());
-      take();
-    } else if (flag == "--slo-min-qps") {
-      options.slo_min_qps = std::atof(value.c_str());
-      take();
-    } else if (flag == "--no-socket") {
-      options.socket = false;
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_serve [--out FILE] [--duration SEC] "
-                   "[--threads N] [--batch-max N] [--dim D] "
-                   "[--components d] [--shards N] [--connections N] "
-                   "[--window N] [--models N] [--slo-p99-ms MS] "
-                   "[--slo-min-qps QPS] [--no-socket]\n");
-      return 2;
-    }
+  spca::FlagSet flags;
+  flags.String("--out", &options.out);
+  flags.Double("--duration", &options.duration_sec);
+  flags.Int("--threads", &options.threads, size_t{1});
+  flags.Int("--batch-max", &options.batch_max, size_t{1});
+  flags.Int("--dim", &options.dim, size_t{1});
+  flags.Int("--components", &options.components, size_t{1});
+  flags.Int("--shards", &options.shards, size_t{1});
+  flags.Int("--connections", &options.connections, size_t{1});
+  flags.Int("--window", &options.window, size_t{1});
+  flags.Int("--models", &options.num_models, size_t{1});
+  flags.Double("--slo-p99-ms", &options.slo_p99_ms);
+  flags.Double("--slo-min-qps", &options.slo_min_qps);
+  flags.Bool("--no-socket", &options.no_socket);
+  spca::Status status = flags.Parse(argc, argv);
+  if (status.ok() && options.duration_sec <= 0.0) {
+    status = spca::Status::InvalidArgument("--duration must be > 0");
   }
-  if (options.socket &&
-      (options.shards == 0 || options.connections == 0 ||
-       options.window == 0 || options.num_models == 0)) {
-    std::fprintf(stderr,
-                 "error: --shards/--connections/--window/--models must be "
-                 "positive\n");
-    return 2;
-  }
+  if (!status.ok()) return spca::FlagError(status, kUsage);
 
   std::printf("bench_serve: D=%zu d=%zu, %zu threads, batch max %zu, "
               "%.1f s per point\n",
@@ -492,7 +449,7 @@ int Main(int argc, char** argv) {
                 p.qps, p.offered_qps, p.p50_ms, p.p95_ms, p.p99_ms,
                 static_cast<unsigned long long>(p.shed));
   }
-  if (options.socket) {
+  if (!options.no_socket) {
     points.push_back(MeasureSocketPoint(&registry, options, model, queries));
     const LoadPoint& p = points.back();
     std::printf("  socket %zu shards, %zu conns x window %zu: %8.0f qps  "
@@ -522,7 +479,7 @@ int Main(int argc, char** argv) {
     json += "\n";
   }
   json += "  ]\n}\n";
-  const spca::Status status = spca::obs::WriteFile(options.out, json);
+  status = spca::obs::WriteFile(options.out, json);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return 1;
@@ -531,8 +488,8 @@ int Main(int argc, char** argv) {
 
   // The SLO gate: regression in the socket point fails the bench run.
   int violations = 0;
-  if (options.socket && (options.slo_p99_ms > 0.0 ||
-                         options.slo_min_qps > 0.0)) {
+  if (!options.no_socket &&
+      (options.slo_p99_ms > 0.0 || options.slo_min_qps > 0.0)) {
     const LoadPoint& p = points.back();
     if (options.slo_p99_ms > 0.0 && p.p99_ms > options.slo_p99_ms) {
       std::fprintf(stderr,

@@ -30,12 +30,11 @@
 // (standalone flags; this bench does not use BenchEnv).
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/flags.h"
 #include "core/reconstruction_error.h"
 #include "obs/export.h"
 #include "obs/json.h"
@@ -51,6 +50,12 @@ namespace {
 using spca::bench::RunOutcome;
 using spca::obs::CrossoverRow;
 using spca::obs::JsonNumber;
+
+constexpr const char* kUsage =
+    "usage: bench_sketch [--rows N] [--cols N] [--components d] "
+    "[--iterations N] [--target F] [--sparsify-keep P] "
+    "[--l1-threshold T] [--out FILE] [--trace-out FILE] [--seed S] "
+    "[--gate-accuracy-floor PCT] [--gate-shipped-ratio R]\n";
 
 struct BenchOptions {
   size_t rows = 6000;
@@ -167,65 +172,26 @@ std::string RunJson(const SketchRun& run) {
 
 int Main(int argc, char** argv) {
   BenchOptions options;
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    std::string value;
-    if (const size_t eq = flag.find('='); eq != std::string::npos) {
-      value = flag.substr(eq + 1);
-      flag = flag.substr(0, eq);
-    } else if (i + 1 < argc) {
-      value = argv[i + 1];
-    }
-    auto take = [&] {  // consume the separate-argument spelling
-      if (std::strchr(argv[i], '=') == nullptr) ++i;
-    };
-    if (flag == "--rows") {
-      options.rows = std::strtoul(value.c_str(), nullptr, 10);
-      take();
-    } else if (flag == "--cols") {
-      options.cols = std::strtoul(value.c_str(), nullptr, 10);
-      take();
-    } else if (flag == "--components") {
-      options.components = std::strtoul(value.c_str(), nullptr, 10);
-      take();
-    } else if (flag == "--iterations") {
-      options.iterations = static_cast<int>(std::strtol(value.c_str(),
-                                                        nullptr, 10));
-      take();
-    } else if (flag == "--target") {
-      options.target = std::strtod(value.c_str(), nullptr);
-      take();
-    } else if (flag == "--sparsify-keep") {
-      options.sparsify_keep = std::strtod(value.c_str(), nullptr);
-      take();
-    } else if (flag == "--l1-threshold") {
-      options.l1_threshold = std::strtod(value.c_str(), nullptr);
-      take();
-    } else if (flag == "--out") {
-      options.out = value;
-      take();
-    } else if (flag == "--trace-out") {
-      options.trace_out = value;
-      take();
-    } else if (flag == "--seed") {
-      options.seed = std::strtoull(value.c_str(), nullptr, 10);
-      take();
-    } else if (flag == "--gate-accuracy-floor") {
-      options.gate_accuracy_floor = std::strtod(value.c_str(), nullptr);
-      take();
-    } else if (flag == "--gate-shipped-ratio") {
-      options.gate_shipped_ratio = std::strtod(value.c_str(), nullptr);
-      take();
-    } else {
-      std::fprintf(
-          stderr,
-          "usage: bench_sketch [--rows N] [--cols N] [--components d] "
-          "[--iterations N] [--target F] [--sparsify-keep P] "
-          "[--l1-threshold T] [--out FILE] [--trace-out FILE] [--seed S] "
-          "[--gate-accuracy-floor PCT] [--gate-shipped-ratio R]\n");
-      return 2;
-    }
+  spca::FlagSet flags;
+  flags.Int("--rows", &options.rows, size_t{1});
+  flags.Int("--cols", &options.cols, size_t{1});
+  flags.Int("--components", &options.components, size_t{1});
+  flags.Int("--iterations", &options.iterations, 0);
+  flags.Double("--target", &options.target);
+  flags.Double("--sparsify-keep", &options.sparsify_keep);
+  flags.Double("--l1-threshold", &options.l1_threshold);
+  flags.String("--out", &options.out);
+  flags.String("--trace-out", &options.trace_out);
+  flags.Int("--seed", &options.seed);
+  flags.Double("--gate-accuracy-floor", &options.gate_accuracy_floor);
+  flags.Double("--gate-shipped-ratio", &options.gate_shipped_ratio);
+  spca::Status status = flags.Parse(argc, argv);
+  if (status.ok() &&
+      !(options.sparsify_keep > 0.0 && options.sparsify_keep <= 1.0)) {
+    status =
+        spca::Status::InvalidArgument("--sparsify-keep must be in (0, 1]");
   }
+  if (!status.ok()) return spca::FlagError(status, kUsage);
 
   spca::obs::Registry registry;
   const size_t d = options.components;
@@ -465,7 +431,7 @@ int Main(int argc, char** argv) {
   json += "    \"pass\": " +
           std::string(violations.empty() ? "true" : "false") + "\n  }\n}\n";
 
-  const spca::Status status = spca::obs::WriteFile(options.out, json);
+  status = spca::obs::WriteFile(options.out, json);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return 1;

@@ -17,14 +17,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "common/flags.h"
 #include "core/solver.h"
 #include "core/spca.h"
 #include "dist/engine.h"
@@ -41,6 +40,11 @@
 namespace {
 
 using spca::obs::JsonNumber;
+
+constexpr const char* kUsage =
+    "usage: bench_stream [--out FILE] [--dim D] "
+    "[--components d] [--batch-rows N] [--batches N] "
+    "[--publish-every N] [--seed S]\n";
 
 struct BenchOptions {
   std::string out = "BENCH_stream.json";
@@ -227,47 +231,20 @@ std::string RunJson(const SolverRun& run) {
 
 int Main(int argc, char** argv) {
   BenchOptions options;
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    std::string value;
-    if (const size_t eq = flag.find('='); eq != std::string::npos) {
-      value = flag.substr(eq + 1);
-      flag = flag.substr(0, eq);
-    } else if (i + 1 < argc) {
-      value = argv[i + 1];
-    }
-    auto take = [&] {  // consume the separate-argument spelling
-      if (std::strchr(argv[i], '=') == nullptr) ++i;
-    };
-    if (flag == "--out") {
-      options.out = value;
-      take();
-    } else if (flag == "--dim") {
-      options.dim = std::strtoul(value.c_str(), nullptr, 10);
-      take();
-    } else if (flag == "--components") {
-      options.components = std::strtoul(value.c_str(), nullptr, 10);
-      take();
-    } else if (flag == "--batch-rows") {
-      options.batch_rows = std::strtoul(value.c_str(), nullptr, 10);
-      take();
-    } else if (flag == "--batches") {
-      options.batches = std::strtoul(value.c_str(), nullptr, 10);
-      take();
-    } else if (flag == "--publish-every") {
-      options.publish_every = std::strtoul(value.c_str(), nullptr, 10);
-      take();
-    } else if (flag == "--seed") {
-      options.seed = std::strtoull(value.c_str(), nullptr, 10);
-      take();
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_stream [--out FILE] [--dim D] "
-                   "[--components d] [--batch-rows N] [--batches N] "
-                   "[--publish-every N] [--seed S]\n");
-      return 2;
-    }
+  spca::FlagSet flags;
+  flags.String("--out", &options.out);
+  flags.Int("--dim", &options.dim, size_t{1});
+  flags.Int("--components", &options.components, size_t{1});
+  flags.Int("--batch-rows", &options.batch_rows, size_t{1});
+  // At least one batch: the row stream is unbounded, so 0 would never end.
+  flags.Int("--batches", &options.batches, size_t{1});
+  flags.Int("--publish-every", &options.publish_every, size_t{1});
+  flags.Int("--seed", &options.seed);
+  spca::Status status = flags.Parse(argc, argv);
+  if (status.ok() && options.components > options.dim) {
+    status = spca::Status::InvalidArgument("--components must be <= --dim");
   }
+  if (!status.ok()) return spca::FlagError(status, kUsage);
 
   std::printf("bench_stream: D=%zu d=%zu, %zu batches x %zu rows, "
               "publish every %zu\n",
@@ -307,7 +284,7 @@ int Main(int argc, char** argv) {
     json += "\n";
   }
   json += "  ]\n}\n";
-  const spca::Status status = spca::obs::WriteFile(options.out, json);
+  status = spca::obs::WriteFile(options.out, json);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return 1;

@@ -1,9 +1,9 @@
 #include "bench_util.h"
 
+#include <climits>
 #include <cstdlib>
-#include <cstring>
-#include <string_view>
 
+#include "common/flags.h"
 #include "core/reconstruction_error.h"
 #include "obs/export.h"
 
@@ -42,82 +42,26 @@ BenchEnv::BenchEnv(int argc, char** argv) {
   std::string stream_path;
   size_t flush_every = obs::TraceStreamer::kDefaultFlushEveryJobs;
   dist::FaultSpec fault_spec;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    // Accepts --flag=value and --flag value; returns false when `arg` is a
-    // different flag entirely.
-    auto take_value = [&](std::string_view flag, std::string* out) -> bool {
-      if (arg == flag) {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "missing value for %s\n%s",
-                       std::string(flag).c_str(), kBenchUsage);
-          std::exit(2);
-        }
-        *out = argv[++i];
-        return true;
-      }
-      if (arg.size() > flag.size() + 1 &&
-          arg.substr(0, flag.size()) == flag && arg[flag.size()] == '=') {
-        *out = std::string(arg.substr(flag.size() + 1));
-        return true;
-      }
-      return false;
-    };
-    std::string value;
-    if (arg == "--metrics") {
-      print_metrics_ = true;
-    } else if (take_value("--trace-out", &value)) {
-      trace_out_path_ = value;
-    } else if (take_value("--trace-stream", &value)) {
-      stream_path = value;
-    } else if (take_value("--flush-every", &value)) {
-      const long n = std::atol(value.c_str());
-      if (n < 1) {
-        std::fprintf(stderr, "--flush-every needs a positive count\n");
-        std::exit(2);
-      }
-      flush_every = static_cast<size_t>(n);
-    } else if (take_value("--fault-rate", &value)) {
-      fault_spec.task_failure_probability = std::atof(value.c_str());
-      if (fault_spec.task_failure_probability < 0.0 ||
-          fault_spec.task_failure_probability >= 1.0) {
-        std::fprintf(stderr, "--fault-rate must be in [0, 1)\n");
-        std::exit(2);
-      }
-    } else if (take_value("--straggler-rate", &value)) {
-      fault_spec.straggler_probability = std::atof(value.c_str());
-      if (fault_spec.straggler_probability < 0.0 ||
-          fault_spec.straggler_probability > 1.0) {
-        std::fprintf(stderr, "--straggler-rate must be in [0, 1]\n");
-        std::exit(2);
-      }
-    } else if (take_value("--straggler-slowdown", &value)) {
-      fault_spec.straggler_slowdown = std::atof(value.c_str());
-      if (fault_spec.straggler_slowdown < 1.0) {
-        std::fprintf(stderr, "--straggler-slowdown must be >= 1\n");
-        std::exit(2);
-      }
-    } else if (take_value("--max-retries", &value)) {
-      const long retries = std::atol(value.c_str());
-      if (retries < 0) {
-        std::fprintf(stderr, "--max-retries must be non-negative\n");
-        std::exit(2);
-      }
-      fault_spec.max_task_attempts = 1 + static_cast<int>(retries);
-    } else if (take_value("--retry-backoff", &value)) {
-      fault_spec.retry_backoff_sec = std::atof(value.c_str());
-      if (fault_spec.retry_backoff_sec < 0.0) {
-        std::fprintf(stderr, "--retry-backoff must be non-negative\n");
-        std::exit(2);
-      }
-    } else if (take_value("--fault-seed", &value)) {
-      fault_spec.seed = static_cast<uint64_t>(std::atoll(value.c_str()));
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n%s",
-                   std::string(arg).c_str(), kBenchUsage);
-      std::exit(2);
-    }
+  int max_retries = fault_spec.max_task_attempts - 1;
+  FlagSet flags;
+  flags.Bool("--metrics", &print_metrics_);
+  flags.String("--trace-out", &trace_out_path_);
+  flags.String("--trace-stream", &stream_path);
+  flags.Int("--flush-every", &flush_every, size_t{1});
+  flags.Double("--fault-rate", &fault_spec.task_failure_probability);
+  flags.Double("--straggler-rate", &fault_spec.straggler_probability);
+  flags.Double("--straggler-slowdown", &fault_spec.straggler_slowdown);
+  flags.Int("--max-retries", &max_retries, 0);
+  flags.Double("--retry-backoff", &fault_spec.retry_backoff_sec);
+  flags.Int("--fault-seed", &fault_spec.seed);
+  Status status = flags.Parse(argc, argv);
+  if (status.ok()) {
+    // Saturates instead of overflowing the int attempt count.
+    fault_spec.max_task_attempts =
+        max_retries < INT_MAX ? max_retries + 1 : INT_MAX;
+    status = fault_spec.Validate();
   }
+  if (!status.ok()) std::exit(FlagError(status, kBenchUsage));
   g_fault_plan = dist::FaultPlan(fault_spec);
   if (g_fault_plan.active()) {
     std::printf(
@@ -130,7 +74,7 @@ BenchEnv::BenchEnv(int argc, char** argv) {
   }
   if (!stream_path.empty()) {
     streamer_ = std::make_unique<obs::TraceStreamer>(&registry_, flush_every);
-    const Status status = streamer_->Open(stream_path);
+    status = streamer_->Open(stream_path);
     if (!status.ok()) {
       std::fprintf(stderr, "--trace-stream: %s\n",
                    status.ToString().c_str());

@@ -36,8 +36,10 @@ namespace spca::bench {
 /// that every Run* helper's engine consults, so a whole bench can be
 /// re-run under injected failures; results stay bit-identical, only the
 /// simulated times move.
-/// Both `--flag value` and `--flag=value` spellings work; an unknown flag
-/// prints usage and exits with status 2. With --trace-stream active, spans
+/// Flags parse through spca::FlagSet, so both `--flag value` and
+/// `--flag=value` spellings work; an unknown flag, a malformed value or an
+/// out-of-range fault setting (FaultSpec::Validate) prints an error and
+/// usage and exits with status 2. With --trace-stream active, spans
 /// are drained out of the registry as the bench runs, so a simultaneous
 /// --trace-out file holds only the spans still live at exit.
 ///

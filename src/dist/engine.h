@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "dist/cluster_spec.h"
@@ -103,12 +104,16 @@ uint64_t LinearDriverStateBytes(const ClusterSpec& spec, size_t dim,
 class Engine {
  public:
   /// `registry`, when non-null, must outlive the engine. Fault injection
-  /// is off until SetFaultPlan installs a plan.
+  /// is off until SetFaultPlan installs a plan. The spec needs at least
+  /// one node of at least one core, the same bound ResizeCluster keeps.
   explicit Engine(const ClusterSpec& spec, EngineMode mode,
                   obs::Registry* registry = nullptr)
       : spec_(spec),
         mode_(mode),
-        registry_(registry != nullptr ? registry : &owned_registry_) {}
+        registry_(registry != nullptr ? registry : &owned_registry_) {
+    SPCA_CHECK_GE(spec_.num_nodes, 1);
+    SPCA_CHECK_GE(spec_.cores_per_node, 1);
+  }
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;

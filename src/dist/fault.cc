@@ -1,11 +1,42 @@
 #include "dist/fault.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 #include "common/rng.h"
 
 namespace spca::dist {
+
+Status FaultSpec::Validate() const {
+  // Each test is written so that NaN fails it; the isfinite halves keep
+  // infinities out of the unbounded ranges.
+  const char* error = nullptr;
+  if (!(task_failure_probability >= 0.0 && task_failure_probability < 1.0)) {
+    error = "task failure probability must be in [0, 1)";
+  } else if (!(node_failure_probability >= 0.0 &&
+               node_failure_probability < 1.0)) {
+    error = "node failure probability must be in [0, 1)";
+  } else if (!(straggler_probability >= 0.0 && straggler_probability <= 1.0)) {
+    error = "straggler probability must be in [0, 1]";
+  } else if (!(straggler_slowdown >= 1.0 &&
+               std::isfinite(straggler_slowdown))) {
+    error = "straggler slowdown must be >= 1";
+  } else if (max_task_attempts < 1) {
+    error = "max task attempts must be >= 1";
+  } else if (!(retry_backoff_sec >= 0.0 && std::isfinite(retry_backoff_sec))) {
+    error = "retry backoff must be >= 0";
+  } else if (num_workers < 1) {
+    error = "fault workers must be >= 1";
+  } else if (!(speculation.relaunch_delay_factor > 0.0 &&
+               std::isfinite(speculation.relaunch_delay_factor))) {
+    error = "speculation delay must be > 0";
+  } else if (!(speculation.min_slowdown > 1.0 &&
+               std::isfinite(speculation.min_slowdown))) {
+    error = "speculation minimum slowdown must be > 1";
+  }
+  return error == nullptr ? Status::Ok() : Status::InvalidArgument(error);
+}
 
 FaultPlan::FaultPlan(const FaultSpec& spec) : spec_(spec) {
   SPCA_CHECK_GE(spec_.task_failure_probability, 0.0);

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
+
 namespace spca::dist {
 
 /// Speculative re-launch of straggler tasks, Spark/Hadoop style: when the
@@ -83,6 +85,14 @@ struct FaultSpec {
     return task_failure_probability > 0.0 || straggler_probability > 0.0 ||
            node_failure_probability > 0.0;
   }
+
+  /// InvalidArgument unless every field is finite and in range: failure
+  /// and node-loss probabilities in [0, 1), straggler probability in
+  /// [0, 1], slowdown >= 1, attempts >= 1, backoff >= 0, workers >= 1,
+  /// speculation delay > 0 and minimum slowdown > 1. The one check for
+  /// fault settings that arrive from outside the program; FaultPlan's
+  /// constructor still CHECKs the lower bounds.
+  Status Validate() const;
 };
 
 /// The faults one (job, task) pair experiences: how many attempts fail

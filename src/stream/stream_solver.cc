@@ -68,14 +68,14 @@ DenseVector MatrixAsVector(const DenseMatrix& m) {
   return v;
 }
 
-Status MissingCheckpointField(const char* solver, const char* key) {
+Status MissingCheckpointField(std::string_view solver, const char* key) {
   return Status::InvalidArgument(std::string(solver) +
                                  " checkpoint is missing field '" + key + "'");
 }
 
 }  // namespace
 
-Status MiniBatchEmSolver::Init(const core::FitOptions& options) {
+Status StreamSolver::Init(const core::FitOptions& options) {
   registry_ = options.registry != nullptr ? options.registry
                                           : engine_->registry();
   on_checkpoint_ = options.on_checkpoint;
@@ -84,25 +84,14 @@ Status MiniBatchEmSolver::Init(const core::FitOptions& options) {
   rows_seen_ = 0;
   mean_sum_ = DenseVector();
   mean_ = DenseVector();
-  s_xtx_ = DenseMatrix();
-  s_ytx_ = DenseMatrix();
-  s_ss1_ = 0.0;
-  s_ss3_ = 0.0;
   trace_.clear();
-  if (options.components.has_value()) {
-    c_ = *options.components;
-    if (c_.cols() != options_.num_components) {
-      return Status::InvalidArgument("warm-start components have the wrong "
-                                     "number of columns");
-    }
-    ss_ = options.noise_variance.value_or(1.0);
-  } else {
-    c_ = DenseMatrix();
-    ss_ = options.noise_variance.value_or(0.0);  // 0 = draw at first Step
+  c_ = options.components.value_or(DenseMatrix());
+  if (options.components.has_value() &&
+      c_.cols() != options_.num_components) {
+    return Status::InvalidArgument("warm-start components have the wrong "
+                                   "number of columns");
   }
-  if (options.noise_variance.has_value() && !(*options.noise_variance > 0.0)) {
-    return Status::InvalidArgument("initial ss must be positive");
-  }
+  SPCA_RETURN_IF_ERROR(ResetState(options));
   stats_before_ = engine_->stats();
   sim_before_ = engine_->SimulatedSeconds();
   first_job_index_ = engine_->traces().size();
@@ -110,7 +99,7 @@ Status MiniBatchEmSolver::Init(const core::FitOptions& options) {
   return Status::Ok();
 }
 
-Status MiniBatchEmSolver::Step(const DistMatrix& batch) {
+Status StreamSolver::Step(const DistMatrix& batch) {
   const size_t d = options_.num_components;
   if (batch.rows() == 0) return Status::InvalidArgument("empty batch");
   if (dim_ == 0) {
@@ -123,20 +112,17 @@ Status MiniBatchEmSolver::Step(const DistMatrix& batch) {
       // Cold start: the same draw order as the batch solver's cold start.
       Rng rng(options_.seed);
       c_ = DenseMatrix::GaussianRandom(dim_, d, &rng);
-      if (!(ss_ > 0.0)) ss_ = std::fabs(rng.NextGaussian(1.0, 1.0)) + 1e-3;
+      ColdStart(&rng);
     } else if (c_.rows() != dim_) {
       return Status::InvalidArgument("warm-start components have the wrong "
                                      "number of rows");
     }
     mean_sum_ = DenseVector(dim_);
     mean_ = DenseVector(dim_);
-    s_xtx_ = DenseMatrix(d, d);
-    s_ytx_ = DenseMatrix(dim_, d);
   }
   if (batch.cols() != dim_) {
     return Status::InvalidArgument("batch dimensionality changed mid-stream");
   }
-  const double b = static_cast<double>(batch.rows());
 
   obs::Span step_span(registry_, "stream.step", "stream");
   step_span.SetAttribute("solver", std::string(name()));
@@ -151,9 +137,129 @@ Status MiniBatchEmSolver::Step(const DistMatrix& batch) {
   mean_.Scale(1.0 / static_cast<double>(rows_seen_));
   engine_->CountDriverFlops(2ull * dim_);
 
+  SPCA_RETURN_IF_ERROR(Update(batch));
+  steps_ += 1;
+
+  core::IterationTrace point;
+  point.iteration = static_cast<int>(steps_);
+  point.ss = NoiseVariance();
+  point.simulated_seconds = engine_->SimulatedSeconds() - sim_before_;
+  point.wall_seconds = wall_.ElapsedSeconds();
+  point.jobs_completed = engine_->traces().size();
+  trace_.push_back(point);
+
+  registry_->counter("stream.steps")->Increment();
+  registry_->counter("stream.rows_ingested")
+      ->Add(static_cast<double>(batch.rows()));
+  registry_->histogram("stream.step_sec")->Observe(step_wall.ElapsedSeconds());
+  step_span.SetAttribute("ss", point.ss);
+  registry_->SetSpanAttribute(step_span.id(), "sim_seconds",
+                              point.simulated_seconds);
+
+  if (on_checkpoint_) {
+    auto model = Snapshot();
+    if (!model.ok()) return model.status();
+    auto checkpoint = Checkpoint();
+    if (!checkpoint.ok()) return checkpoint.status();
+    SPCA_RETURN_IF_ERROR(on_checkpoint_(model.value(), checkpoint.value()));
+  }
+  return Status::Ok();
+}
+
+StatusOr<core::PcaModel> StreamSolver::Snapshot() const {
+  if (steps_ == 0) {
+    return Status::FailedPrecondition("no rows ingested; call Step first");
+  }
+  core::PcaModel model;
+  model.components = Components();
+  model.mean = mean_;
+  model.noise_variance = NoiseVariance();
+  return model;
+}
+
+StatusOr<core::SolveResult> StreamSolver::Result() {
+  auto model = Snapshot();
+  if (!model.ok()) return model.status();
+  core::SolveResult result;
+  result.model = std::move(model).value();
+  result.trace = trace_;
+  result.iterations_run = static_cast<int>(steps_);
+  result.first_job_index = first_job_index_;
+  dist::CommStats stats_after = engine_->stats();
+  stats_after.wall_seconds =
+      wall_.ElapsedSeconds() + stats_before_.wall_seconds;
+  result.stats = dist::StatsDiff(stats_after, stats_before_);
+  return result;
+}
+
+StatusOr<core::SolverCheckpoint> StreamSolver::Checkpoint() const {
+  if (steps_ == 0) {
+    return Status::FailedPrecondition("no rows ingested; nothing to "
+                                      "checkpoint");
+  }
+  core::SolverCheckpoint checkpoint;
+  checkpoint.solver = std::string(name());
+  checkpoint.step = steps_;
+  checkpoint.rows_seen = rows_seen_;
+  checkpoint.SetScalar("dim", static_cast<double>(dim_));
+  checkpoint.SetMatrix("mean_sum", VectorAsMatrix(mean_sum_));
+  SaveState(&checkpoint);
+  return checkpoint;
+}
+
+Status StreamSolver::Restore(const core::PcaModel& model,
+                             const core::SolverCheckpoint& checkpoint) {
+  SPCA_RETURN_IF_ERROR(checkpoint.ExpectSolver(name()));
+  const double* dim = checkpoint.FindScalar("dim");
+  const DenseMatrix* mean_sum = checkpoint.FindMatrix("mean_sum");
+  if (dim == nullptr) return MissingCheckpointField(name(), "dim");
+  if (mean_sum == nullptr) return MissingCheckpointField(name(), "mean_sum");
+  const size_t restored_dim = static_cast<size_t>(*dim);
+  if (model.components.rows() != restored_dim ||
+      model.components.cols() != options_.num_components ||
+      mean_sum->rows() != restored_dim) {
+    return Status::InvalidArgument(
+        std::string(name()) +
+        " checkpoint shapes do not match the solver options");
+  }
+  SPCA_RETURN_IF_ERROR(RestoreState(model, checkpoint, restored_dim));
+  dim_ = restored_dim;
+  steps_ = checkpoint.step;
+  rows_seen_ = checkpoint.rows_seen;
+  mean_sum_ = MatrixAsVector(*mean_sum);
+  mean_ = mean_sum_;
+  if (rows_seen_ > 0) mean_.Scale(1.0 / static_cast<double>(rows_seen_));
+  return Status::Ok();
+}
+
+Status MiniBatchEmSolver::ResetState(const core::FitOptions& options) {
+  s_xtx_ = DenseMatrix();
+  s_ytx_ = DenseMatrix();
+  s_ss1_ = 0.0;
+  s_ss3_ = 0.0;
+  // A cold start draws ss at the first Step unless one is given.
+  ss_ = options.noise_variance.value_or(
+      options.components.has_value() ? 1.0 : 0.0);
+  if (options.noise_variance.has_value() && !(*options.noise_variance > 0.0)) {
+    return Status::InvalidArgument("initial ss must be positive");
+  }
+  return Status::Ok();
+}
+
+void MiniBatchEmSolver::ColdStart(Rng* rng) {
+  if (!(ss_ > 0.0)) ss_ = std::fabs(rng->NextGaussian(1.0, 1.0)) + 1e-3;
+}
+
+Status MiniBatchEmSolver::Update(const DistMatrix& batch) {
+  const size_t d = options_.num_components;
+  const double b = static_cast<double>(batch.rows());
+  if (s_ytx_.rows() == 0) {
+    s_xtx_ = DenseMatrix(d, d);
+    s_ytx_ = DenseMatrix(dim_, d);
+  }
+
   const double ss1_b =
       core::FrobeniusNormJob(engine_, batch, mean_, /*efficient=*/true);
-
   // The batch EM iteration's E-step, on the current batch.
   auto e_step = core::PrepareEStep(engine_, c_, ss_, mean_);
   if (!e_step.ok()) return e_step.status();
@@ -189,90 +295,39 @@ Status MiniBatchEmSolver::Step(const DistMatrix& batch) {
 
   ss_ = m_step->NoiseVariance(b * s_ss1_, b * s_ss3_, b);
   c_ = std::move(m_step->c);
-  steps_ += 1;
-
-  core::IterationTrace point;
-  point.iteration = static_cast<int>(steps_);
-  point.ss = ss_;
-  point.simulated_seconds = engine_->SimulatedSeconds() - sim_before_;
-  point.wall_seconds = wall_.ElapsedSeconds();
-  point.jobs_completed = engine_->traces().size();
-  trace_.push_back(point);
-
-  registry_->counter("stream.steps")->Increment();
-  registry_->counter("stream.rows_ingested")
-      ->Add(static_cast<double>(batch.rows()));
-  registry_->histogram("stream.step_sec")->Observe(step_wall.ElapsedSeconds());
-  step_span.SetAttribute("ss", ss_);
-  registry_->SetSpanAttribute(step_span.id(), "sim_seconds",
-                              point.simulated_seconds);
-
-  if (on_checkpoint_) {
-    auto model = Snapshot();
-    if (!model.ok()) return model.status();
-    auto checkpoint = Checkpoint();
-    if (!checkpoint.ok()) return checkpoint.status();
-    SPCA_RETURN_IF_ERROR(on_checkpoint_(model.value(), checkpoint.value()));
-  }
   return Status::Ok();
 }
 
-StatusOr<core::SolverCheckpoint> MiniBatchEmSolver::Checkpoint() const {
-  if (steps_ == 0) {
-    return Status::FailedPrecondition("no rows ingested; nothing to "
-                                      "checkpoint");
-  }
-  core::SolverCheckpoint checkpoint;
-  checkpoint.solver = std::string(name());
-  checkpoint.step = steps_;
-  checkpoint.rows_seen = rows_seen_;
-  checkpoint.SetScalar("dim", static_cast<double>(dim_));
-  checkpoint.SetScalar("ss", ss_);
-  checkpoint.SetScalar("s_ss1", s_ss1_);
-  checkpoint.SetScalar("s_ss3", s_ss3_);
-  checkpoint.SetMatrix("mean_sum", VectorAsMatrix(mean_sum_));
-  checkpoint.SetMatrix("s_xtx", s_xtx_);
-  checkpoint.SetMatrix("s_ytx", s_ytx_);
-  return checkpoint;
+void MiniBatchEmSolver::SaveState(core::SolverCheckpoint* checkpoint) const {
+  checkpoint->SetScalar("ss", ss_);
+  checkpoint->SetScalar("s_ss1", s_ss1_);
+  checkpoint->SetScalar("s_ss3", s_ss3_);
+  checkpoint->SetMatrix("s_xtx", s_xtx_);
+  checkpoint->SetMatrix("s_ytx", s_ytx_);
 }
 
-Status MiniBatchEmSolver::Restore(const core::PcaModel& model,
-                                  const core::SolverCheckpoint& checkpoint) {
-  SPCA_RETURN_IF_ERROR(checkpoint.ExpectSolver(name()));
-  const double* dim = checkpoint.FindScalar("dim");
+Status MiniBatchEmSolver::RestoreState(const core::PcaModel& model,
+                                       const core::SolverCheckpoint& checkpoint,
+                                       size_t dim) {
   const double* ss = checkpoint.FindScalar("ss");
   const double* s_ss1 = checkpoint.FindScalar("s_ss1");
   const double* s_ss3 = checkpoint.FindScalar("s_ss3");
-  const DenseMatrix* mean_sum = checkpoint.FindMatrix("mean_sum");
   const DenseMatrix* s_xtx = checkpoint.FindMatrix("s_xtx");
   const DenseMatrix* s_ytx = checkpoint.FindMatrix("s_ytx");
-  if (dim == nullptr) return MissingCheckpointField("minibatch_em", "dim");
-  if (ss == nullptr) return MissingCheckpointField("minibatch_em", "ss");
-  if (s_ss1 == nullptr) return MissingCheckpointField("minibatch_em", "s_ss1");
-  if (s_ss3 == nullptr) return MissingCheckpointField("minibatch_em", "s_ss3");
-  if (mean_sum == nullptr) {
-    return MissingCheckpointField("minibatch_em", "mean_sum");
-  }
-  if (s_xtx == nullptr) return MissingCheckpointField("minibatch_em", "s_xtx");
-  if (s_ytx == nullptr) return MissingCheckpointField("minibatch_em", "s_ytx");
+  if (ss == nullptr) return MissingCheckpointField(name(), "ss");
+  if (s_ss1 == nullptr) return MissingCheckpointField(name(), "s_ss1");
+  if (s_ss3 == nullptr) return MissingCheckpointField(name(), "s_ss3");
+  if (s_xtx == nullptr) return MissingCheckpointField(name(), "s_xtx");
+  if (s_ytx == nullptr) return MissingCheckpointField(name(), "s_ytx");
   const size_t d = options_.num_components;
-  const size_t restored_dim = static_cast<size_t>(*dim);
-  if (model.components.rows() != restored_dim ||
-      model.components.cols() != d || mean_sum->rows() != restored_dim ||
-      s_xtx->rows() != d || s_xtx->cols() != d ||
-      s_ytx->rows() != restored_dim || s_ytx->cols() != d) {
+  if (s_xtx->rows() != d || s_xtx->cols() != d || s_ytx->rows() != dim ||
+      s_ytx->cols() != d) {
     return Status::InvalidArgument(
         "minibatch_em checkpoint shapes do not match the solver options");
   }
   if (!(*ss > 0.0)) {
     return Status::InvalidArgument("checkpoint noise variance must be > 0");
   }
-  dim_ = restored_dim;
-  steps_ = checkpoint.step;
-  rows_seen_ = checkpoint.rows_seen;
-  mean_sum_ = MatrixAsVector(*mean_sum);
-  mean_ = mean_sum_;
-  if (rows_seen_ > 0) mean_.Scale(1.0 / static_cast<double>(rows_seen_));
   c_ = model.components;
   ss_ = *ss;
   s_xtx_ = *s_xtx;
@@ -280,32 +335,6 @@ Status MiniBatchEmSolver::Restore(const core::PcaModel& model,
   s_ss1_ = *s_ss1;
   s_ss3_ = *s_ss3;
   return Status::Ok();
-}
-
-StatusOr<core::PcaModel> MiniBatchEmSolver::Snapshot() const {
-  if (steps_ == 0) {
-    return Status::FailedPrecondition("no rows ingested; call Step first");
-  }
-  core::PcaModel model;
-  model.components = c_;
-  model.mean = mean_;
-  model.noise_variance = ss_;
-  return model;
-}
-
-StatusOr<core::SolveResult> MiniBatchEmSolver::Result() {
-  auto model = Snapshot();
-  if (!model.ok()) return model.status();
-  core::SolveResult result;
-  result.model = std::move(model).value();
-  result.trace = trace_;
-  result.iterations_run = static_cast<int>(steps_);
-  result.first_job_index = first_job_index_;
-  dist::CommStats stats_after = engine_->stats();
-  stats_after.wall_seconds =
-      wall_.ElapsedSeconds() + stats_before_.wall_seconds;
-  result.stats = dist::StatsDiff(stats_after, stats_before_);
-  return result;
 }
 
 namespace {
@@ -321,71 +350,19 @@ struct OjaPartial {
 
 }  // namespace
 
-Status OjaSolver::Init(const core::FitOptions& options) {
-  registry_ = options.registry != nullptr ? options.registry
-                                          : engine_->registry();
-  on_checkpoint_ = options.on_checkpoint;
-  dim_ = 0;
-  steps_ = 0;
-  rows_seen_ = 0;
+Status OjaSolver::ResetState(const core::FitOptions& options) {
   steps_since_reorth_ = 0;
-  mean_sum_ = DenseVector();
-  mean_ = DenseVector();
   s_norm_ = 0.0;
   s_proj_ = 0.0;
-  trace_.clear();
-  if (options.components.has_value()) {
-    c_ = linalg::OrthonormalizeColumns(*options.components);
-    if (c_.cols() != options_.num_components) {
-      return Status::InvalidArgument("warm-start components have the wrong "
-                                     "number of columns");
-    }
-  } else {
-    c_ = DenseMatrix();
-  }
-  stats_before_ = engine_->stats();
-  sim_before_ = engine_->SimulatedSeconds();
-  first_job_index_ = engine_->traces().size();
-  wall_.Reset();
+  if (options.components.has_value()) c_ = linalg::OrthonormalizeColumns(c_);
   return Status::Ok();
 }
 
-Status OjaSolver::Step(const DistMatrix& batch) {
+void OjaSolver::ColdStart(Rng*) { c_ = linalg::OrthonormalizeColumns(c_); }
+
+Status OjaSolver::Update(const DistMatrix& batch) {
   const size_t d = options_.num_components;
-  if (batch.rows() == 0) return Status::InvalidArgument("empty batch");
-  if (dim_ == 0) {
-    dim_ = batch.cols();
-    if (dim_ < d) {
-      return Status::InvalidArgument(
-          "num_components exceeds the input dimensionality");
-    }
-    if (c_.rows() == 0) {
-      Rng rng(options_.seed);
-      c_ = linalg::OrthonormalizeColumns(
-          DenseMatrix::GaussianRandom(dim_, d, &rng));
-    } else if (c_.rows() != dim_) {
-      return Status::InvalidArgument("warm-start components have the wrong "
-                                     "number of rows");
-    }
-    mean_sum_ = DenseVector(dim_);
-    mean_ = DenseVector(dim_);
-  }
-  if (batch.cols() != dim_) {
-    return Status::InvalidArgument("batch dimensionality changed mid-stream");
-  }
   const double b = static_cast<double>(batch.rows());
-
-  obs::Span step_span(registry_, "stream.step", "stream");
-  step_span.SetAttribute("solver", std::string(name()));
-  step_span.SetAttribute("step", static_cast<uint64_t>(steps_ + 1));
-  step_span.SetAttribute("batch_rows", static_cast<uint64_t>(batch.rows()));
-  Stopwatch step_wall;
-
-  mean_sum_.Add(StreamSumJob(engine_, batch));
-  rows_seen_ += batch.rows();
-  mean_ = mean_sum_;
-  mean_.Scale(1.0 / static_cast<double>(rows_seen_));
-  engine_->CountDriverFlops(2ull * dim_);
 
   // Driver precomputes C' * mean (mean propagation: p_i = Y_i C - C'm) and
   // ||m||^2 (for the per-row centered energy).
@@ -483,125 +460,54 @@ Status OjaSolver::Step(const DistMatrix& batch) {
   const double rho = BlendRho(steps_, options_.decay);
   s_norm_ = (1.0 - rho) * s_norm_ + rho * norm_sq / b;
   s_proj_ = (1.0 - rho) * s_proj_ + rho * proj_sq / b;
-  steps_ += 1;
-
-  core::IterationTrace point;
-  point.iteration = static_cast<int>(steps_);
-  point.ss = std::max((s_norm_ - s_proj_) /
-                          static_cast<double>(std::max<size_t>(dim_ - d, 1)),
-                      1e-12);
-  point.simulated_seconds = engine_->SimulatedSeconds() - sim_before_;
-  point.wall_seconds = wall_.ElapsedSeconds();
-  point.jobs_completed = engine_->traces().size();
-  trace_.push_back(point);
-
-  registry_->counter("stream.steps")->Increment();
-  registry_->counter("stream.rows_ingested")
-      ->Add(static_cast<double>(batch.rows()));
-  registry_->histogram("stream.step_sec")->Observe(step_wall.ElapsedSeconds());
-  step_span.SetAttribute("ss", point.ss);
-  registry_->SetSpanAttribute(step_span.id(), "sim_seconds",
-                              point.simulated_seconds);
-
-  if (on_checkpoint_) {
-    auto model = Snapshot();
-    if (!model.ok()) return model.status();
-    auto checkpoint = Checkpoint();
-    if (!checkpoint.ok()) return checkpoint.status();
-    SPCA_RETURN_IF_ERROR(on_checkpoint_(model.value(), checkpoint.value()));
-  }
   return Status::Ok();
 }
 
-StatusOr<core::SolverCheckpoint> OjaSolver::Checkpoint() const {
-  if (steps_ == 0) {
-    return Status::FailedPrecondition("no rows ingested; nothing to "
-                                      "checkpoint");
-  }
-  core::SolverCheckpoint checkpoint;
-  checkpoint.solver = std::string(name());
-  checkpoint.step = steps_;
-  checkpoint.rows_seen = rows_seen_;
-  checkpoint.SetScalar("dim", static_cast<double>(dim_));
-  checkpoint.SetScalar("s_norm", s_norm_);
-  checkpoint.SetScalar("s_proj", s_proj_);
-  checkpoint.SetScalar("steps_since_reorth",
-                       static_cast<double>(steps_since_reorth_));
-  checkpoint.SetMatrix("mean_sum", VectorAsMatrix(mean_sum_));
-  // The raw basis, not the published orthonormalized one: restoring it
-  // keeps the lazy-reorthonormalization schedule bit-identical.
-  checkpoint.SetMatrix("c_raw", c_);
-  return checkpoint;
+double OjaSolver::NoiseVariance() const {
+  return std::max((s_norm_ - s_proj_) /
+                      static_cast<double>(
+                          std::max<size_t>(dim_ - options_.num_components, 1)),
+                  1e-12);
 }
 
-Status OjaSolver::Restore(const core::PcaModel& model,
-                          const core::SolverCheckpoint& checkpoint) {
-  SPCA_RETURN_IF_ERROR(checkpoint.ExpectSolver(name()));
-  const double* dim = checkpoint.FindScalar("dim");
+// Published bases are always orthonormal even mid-way through a lazy
+// reorthonormalization window.
+DenseMatrix OjaSolver::Components() const {
+  return linalg::OrthonormalizeColumns(c_);
+}
+
+void OjaSolver::SaveState(core::SolverCheckpoint* checkpoint) const {
+  checkpoint->SetScalar("s_norm", s_norm_);
+  checkpoint->SetScalar("s_proj", s_proj_);
+  checkpoint->SetScalar("steps_since_reorth",
+                        static_cast<double>(steps_since_reorth_));
+  // The raw basis, not the published orthonormalized one: restoring it
+  // keeps the lazy-reorthonormalization schedule bit-identical.
+  checkpoint->SetMatrix("c_raw", c_);
+}
+
+Status OjaSolver::RestoreState(const core::PcaModel&,
+                               const core::SolverCheckpoint& checkpoint,
+                               size_t dim) {
   const double* s_norm = checkpoint.FindScalar("s_norm");
   const double* s_proj = checkpoint.FindScalar("s_proj");
   const double* since_reorth = checkpoint.FindScalar("steps_since_reorth");
-  const DenseMatrix* mean_sum = checkpoint.FindMatrix("mean_sum");
   const DenseMatrix* c_raw = checkpoint.FindMatrix("c_raw");
-  if (dim == nullptr) return MissingCheckpointField("oja", "dim");
-  if (s_norm == nullptr) return MissingCheckpointField("oja", "s_norm");
-  if (s_proj == nullptr) return MissingCheckpointField("oja", "s_proj");
+  if (s_norm == nullptr) return MissingCheckpointField(name(), "s_norm");
+  if (s_proj == nullptr) return MissingCheckpointField(name(), "s_proj");
   if (since_reorth == nullptr) {
-    return MissingCheckpointField("oja", "steps_since_reorth");
+    return MissingCheckpointField(name(), "steps_since_reorth");
   }
-  if (mean_sum == nullptr) return MissingCheckpointField("oja", "mean_sum");
-  if (c_raw == nullptr) return MissingCheckpointField("oja", "c_raw");
-  const size_t restored_dim = static_cast<size_t>(*dim);
-  if (c_raw->rows() != restored_dim ||
-      c_raw->cols() != options_.num_components ||
-      mean_sum->rows() != restored_dim || model.components.rows() !=
-                                              restored_dim) {
+  if (c_raw == nullptr) return MissingCheckpointField(name(), "c_raw");
+  if (c_raw->rows() != dim || c_raw->cols() != options_.num_components) {
     return Status::InvalidArgument(
         "oja checkpoint shapes do not match the solver options");
   }
-  dim_ = restored_dim;
-  steps_ = checkpoint.step;
-  rows_seen_ = checkpoint.rows_seen;
   steps_since_reorth_ = static_cast<size_t>(*since_reorth);
-  mean_sum_ = MatrixAsVector(*mean_sum);
-  mean_ = mean_sum_;
-  if (rows_seen_ > 0) mean_.Scale(1.0 / static_cast<double>(rows_seen_));
   c_ = *c_raw;
   s_norm_ = *s_norm;
   s_proj_ = *s_proj;
   return Status::Ok();
-}
-
-StatusOr<core::PcaModel> OjaSolver::Snapshot() const {
-  if (steps_ == 0) {
-    return Status::FailedPrecondition("no rows ingested; call Step first");
-  }
-  core::PcaModel model;
-  // Published bases are always orthonormal even mid-way through a lazy
-  // reorthonormalization window.
-  model.components = linalg::OrthonormalizeColumns(c_);
-  model.mean = mean_;
-  model.noise_variance =
-      std::max((s_norm_ - s_proj_) /
-                   static_cast<double>(
-                       std::max<size_t>(dim_ - options_.num_components, 1)),
-               1e-12);
-  return model;
-}
-
-StatusOr<core::SolveResult> OjaSolver::Result() {
-  auto model = Snapshot();
-  if (!model.ok()) return model.status();
-  core::SolveResult result;
-  result.model = std::move(model).value();
-  result.trace = trace_;
-  result.iterations_run = static_cast<int>(steps_);
-  result.first_job_index = first_job_index_;
-  dist::CommStats stats_after = engine_->stats();
-  stats_after.wall_seconds =
-      wall_.ElapsedSeconds() + stats_before_.wall_seconds;
-  result.stats = dist::StatsDiff(stats_after, stats_before_);
-  return result;
 }
 
 }  // namespace spca::stream

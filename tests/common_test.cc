@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/flags.h"
 #include "common/format.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -177,6 +181,163 @@ TEST(FormatTest, HumanCount) {
   EXPECT_EQ(HumanCount(999), "999");
   EXPECT_EQ(HumanCount(1000), "1,000");
   EXPECT_EQ(HumanCount(1264812931ull), "1,264,812,931");
+}
+
+// ---- FlagSet -----------------------------------------------------------
+
+Status ParseFlags(FlagSet* flags, const std::vector<std::string>& args) {
+  std::vector<const char*> argv = {"prog"};
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  return flags->Parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(FlagSetTest, AcceptsBothSpellings) {
+  size_t rows = 0;
+  double target = 0.0;
+  std::string out;
+  bool metrics = false;
+  FlagSet flags;
+  flags.Int("--rows", &rows);
+  flags.Double("--target", &target);
+  flags.String("--out", &out);
+  flags.Bool("--metrics", &metrics);
+  ASSERT_TRUE(ParseFlags(&flags, {"--rows", "12", "--target=0.5", "--metrics",
+                                  "--out=x.json"})
+                  .ok());
+  EXPECT_EQ(rows, 12u);
+  EXPECT_EQ(target, 0.5);
+  EXPECT_EQ(out, "x.json");
+  EXPECT_TRUE(metrics);
+  EXPECT_TRUE(flags.Seen("--rows"));
+}
+
+TEST(FlagSetTest, UnsetFlagsKeepTheirDefaults) {
+  int seed = 7;
+  std::string name = "stream";
+  FlagSet flags;
+  flags.Int("--seed", &seed);
+  flags.String("--name", &name);
+  ASSERT_TRUE(ParseFlags(&flags, {}).ok());
+  EXPECT_EQ(seed, 7);
+  EXPECT_EQ(name, "stream");
+  EXPECT_FALSE(flags.Seen("--seed"));
+}
+
+TEST(FlagSetTest, InlineValueKeepsEverythingAfterTheFirstEquals) {
+  std::vector<std::string> models;
+  FlagSet flags;
+  flags.Strings("--model", &models);
+  ASSERT_TRUE(ParseFlags(&flags, {"--model=a=b.spcm"}).ok());
+  EXPECT_EQ(models, std::vector<std::string>{"a=b.spcm"});
+}
+
+TEST(FlagSetTest, RepeatedFlagCollectsValuesInOrder) {
+  std::vector<std::string> models;
+  int threads = 0;
+  FlagSet flags;
+  flags.Strings("--model", &models);
+  flags.Int("--threads", &threads);
+  ASSERT_TRUE(ParseFlags(&flags, {"--model", "a", "--threads", "1",
+                                  "--model=b", "--threads=3", "--model", "c"})
+                  .ok());
+  EXPECT_EQ(models, (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(threads, 3);  // a scalar flag keeps its last value
+}
+
+TEST(FlagSetTest, BareFlagRejectsAValue) {
+  bool metrics = false;
+  FlagSet flags;
+  flags.Bool("--metrics", &metrics);
+  const Status status = ParseFlags(&flags, {"--metrics=1"});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "--metrics does not take a value");
+  EXPECT_FALSE(metrics);
+}
+
+TEST(FlagSetTest, TrailingFlagWithoutValueIsRejected) {
+  double target = 0.95;
+  FlagSet flags;
+  flags.Double("--target", &target);
+  const Status status = ParseFlags(&flags, {"--target"});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "--target needs a value");
+  EXPECT_EQ(target, 0.95);
+}
+
+TEST(FlagSetTest, UnknownFlagIsRejected) {
+  int rows = 0;
+  FlagSet flags;
+  flags.Int("--rows", &rows);
+  EXPECT_EQ(ParseFlags(&flags, {"--failures", "0.1"}).message(),
+            "unknown flag --failures");
+  EXPECT_EQ(ParseFlags(&flags, {"rows"}).message(), "unknown flag rows");
+}
+
+TEST(FlagSetTest, MalformedValuesAreRejected) {
+  size_t count = 5;
+  uint64_t seed = 1;
+  int64_t offset = 3;
+  double rate = 0.25;
+  FlagSet flags;
+  flags.Int("--count", &count);
+  flags.Int("--seed", &seed);
+  flags.Int("--offset", &offset);
+  flags.Double("--rate", &rate);
+  const std::vector<std::vector<std::string>> bad = {
+      {"--count", "4x"},
+      {"--count", "-1"},
+      {"--count", " 4"},
+      {"--count=0x10"},
+      {"--count", "1e3"},
+      {"--seed", "18446744073709551616"},
+      {"--offset", "9223372036854775808"},
+      {"--offset", "--4"},
+      {"--rate", "nan"},
+      {"--rate", "inf"},
+      {"--rate=-inf"},
+      {"--rate", "1e999"},
+      {"--rate", "0.5x"},
+      {"--rate", "abc"},
+      {"--count="},
+      {"--rate", ""},
+  };
+  for (const auto& args : bad) {
+    const Status status = ParseFlags(&flags, args);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << args[0];
+  }
+  EXPECT_EQ(count, 5u);
+  EXPECT_EQ(seed, 1u);
+  EXPECT_EQ(offset, 3);
+  EXPECT_EQ(rate, 0.25);
+  EXPECT_EQ(ParseFlags(&flags, {"--count", "-1"}).message(),
+            "--count expects a non-negative integer, got '-1'");
+  EXPECT_EQ(ParseFlags(&flags, {"--rate", "nan"}).message(),
+            "--rate expects a finite number, got 'nan'");
+
+  ASSERT_TRUE(ParseFlags(&flags, {"--seed", "18446744073709551615",
+                                  "--offset=-9223372036854775808",
+                                  "--rate", "-1e-3"})
+                  .ok());
+  EXPECT_EQ(seed, UINT64_MAX);
+  EXPECT_EQ(offset, INT64_MIN);
+  EXPECT_EQ(rate, -1e-3);
+}
+
+TEST(FlagSetTest, DeclaredMinimumIsEnforced) {
+  size_t partitions = 16;
+  int listen = -1;
+  FlagSet flags;
+  flags.Int("--partitions", &partitions, size_t{1});
+  flags.Int("--listen", &listen, 0);
+  EXPECT_EQ(ParseFlags(&flags, {"--partitions", "0"}).message(),
+            "--partitions must be >= 1, got '0'");
+  EXPECT_EQ(ParseFlags(&flags, {"--listen=-5"}).message(),
+            "--listen must be >= 0, got '-5'");
+  EXPECT_EQ(partitions, 16u);
+  EXPECT_EQ(listen, -1);
+  ASSERT_TRUE(ParseFlags(&flags, {"--partitions", "1", "--listen", "0"}).ok());
+  EXPECT_EQ(partitions, 1u);
+  EXPECT_EQ(listen, 0);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -122,6 +123,48 @@ TEST(FaultPlanTest, RespectsAttemptCapAndInactiveDefault) {
     EXPECT_TRUE(inactive.Draw(3, task).clean());
   }
   EXPECT_EQ(inactive.BackoffSeconds(10), 0.0);
+}
+
+TEST(FaultSpecTest, ValidateRejectsOutOfRangeAndNonFiniteSettings) {
+  EXPECT_TRUE(FaultSpec{}.Validate().ok());
+  const double nan = std::nan("");
+  const double inf = HUGE_VAL;
+  const std::vector<void (*)(FaultSpec*, double)> fields = {
+      [](FaultSpec* s, double v) { s->task_failure_probability = v; },
+      [](FaultSpec* s, double v) { s->node_failure_probability = v; },
+      [](FaultSpec* s, double v) { s->straggler_probability = v; },
+      [](FaultSpec* s, double v) { s->straggler_slowdown = v; },
+      [](FaultSpec* s, double v) { s->retry_backoff_sec = v; },
+      [](FaultSpec* s, double v) { s->speculation.relaunch_delay_factor = v; },
+      [](FaultSpec* s, double v) { s->speculation.min_slowdown = v; },
+  };
+  for (const auto& set : fields) {
+    for (const double bad : {nan, inf, -inf, -0.5}) {
+      FaultSpec spec;
+      set(&spec, bad);
+      EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument) << bad;
+    }
+  }
+  // The range edges, one field at a time.
+  FaultSpec spec;
+  spec.task_failure_probability = 1.0;
+  EXPECT_FALSE(spec.Validate().ok());
+  spec = FaultSpec{};
+  spec.node_failure_probability = 1.0;
+  EXPECT_FALSE(spec.Validate().ok());
+  spec = FaultSpec{};
+  spec.straggler_probability = 1.0;
+  spec.straggler_slowdown = 1.0;
+  spec.retry_backoff_sec = 0.0;
+  EXPECT_TRUE(spec.Validate().ok());
+  spec.speculation.min_slowdown = 1.0;
+  EXPECT_FALSE(spec.Validate().ok());
+  spec = FaultSpec{};
+  spec.max_task_attempts = 0;
+  EXPECT_FALSE(spec.Validate().ok());
+  spec = FaultSpec{};
+  spec.num_workers = 0;
+  EXPECT_FALSE(spec.Validate().ok());
 }
 
 // ---- The headline chaos property ----------------------------------------

@@ -11,16 +11,17 @@
 //
 // Run with --help for the full flag list.
 
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "baselines/baseline_solvers.h"
+#include "common/flags.h"
 #include "common/format.h"
 #include "core/solver.h"
 #include "core/spca.h"
@@ -74,8 +75,7 @@ Cluster model:
 
 Fault injection (deterministic; results are bit-identical to a clean run,
 only recovery cost is charged — see DESIGN.md "Fault injection & recovery"):
-  --fault-rate P        per-attempt task failure probability (default 0;
-                        --failures is a legacy alias)
+  --fault-rate P        per-attempt task failure probability (default 0)
   --straggler-rate P    probability a task's committing attempt straggles
   --straggler-slowdown F  straggler compute multiplier (default 4)
   --max-retries N       retries per task before it must succeed (default 3)
@@ -141,91 +141,42 @@ Replay (cost-model extrapolation, see EXPERIMENTS.md):
 Flags accept both "--flag value" and "--flag=value".
 )";
 
-struct Args {
-  std::map<std::string, std::string> values;
-  bool Has(const std::string& key) const { return values.contains(key); }
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : it->second;
-  }
-  long GetInt(const std::string& key, long fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : std::atol(it->second.c_str());
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : std::atof(it->second.c_str());
-  }
+/// Every flag's value; each field holds the flag's default.
+struct Options {
+  std::string input;
+  std::string format = "sparse-bin";
+  std::string generate;
+  size_t rows = 20000;
+  size_t cols = 2000;
+  size_t text_cols = 0;  // 0: not given
+  std::string algorithm = "spca";
+  std::string platform = "spark";
+  size_t components = 50;
+  int iterations = 10;
+  double target = 0.95;
+  bool smart_guess = false;
+  size_t sketch_dim = 0;
+  int power_iters = 1;
+  double l1_threshold = 0.1;
+  double sparsify_keep = 0.0;  // 0: not given
+  size_t partitions = 16;
+  int nodes = 8;
+  spca::dist::FaultSpec fault;
+  bool replay_faults = false;
+  std::string checkpoint_dir;
+  bool resume = false;
+  std::string output;
+  std::string output_bin;
+  std::string save_model;
+  std::string load_model;
+  uint64_t seed = 1;
+  bool metrics = false;
+  std::string trace_out;
+  std::string trace_stream;
+  size_t flush_every = spca::obs::TraceStreamer::kDefaultFlushEveryJobs;
+  std::vector<double> replay_rows;
+  bool help = false;
 };
-
-StatusOr<Args> ParseArgs(int argc, char** argv) {
-  static const char* kFlagsWithValue[] = {
-      "--input",      "--format",     "--generate", "--rows",
-      "--cols",       "--text-cols",  "--algorithm", "--platform",
-      "--components", "--iterations", "--target",    "--partitions",
-      "--nodes",      "--failures",   "--output",    "--output-bin",
-      "--save-model", "--load-model",
-      "--seed",       "--trace-out",  "--trace-stream", "--flush-every",
-      "--replay-rows", "--fault-rate", "--fault-seed", "--straggler-rate",
-      "--straggler-slowdown", "--max-retries", "--retry-backoff",
-      "--correlated-faults", "--fault-workers", "--speculation-delay",
-      "--speculation-min-slowdown", "--checkpoint-dir",
-      "--solver", "--sketch-dim", "--power-iters", "--l1-threshold",
-      "--sparsify-keep"};
-  static const char* kFlagsBare[] = {"--smart-guess", "--metrics",
-                                     "--replay-faults", "--speculation",
-                                     "--resume", "--help"};
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    // Accept --flag=value as well as "--flag value".
-    std::string inline_value;
-    bool has_inline_value = false;
-    if (const size_t eq = flag.find('='); eq != std::string::npos) {
-      inline_value = flag.substr(eq + 1);
-      flag = flag.substr(0, eq);
-      has_inline_value = true;
-    }
-    bool matched = false;
-    for (const char* known : kFlagsBare) {
-      if (flag == known) {
-        if (has_inline_value) {
-          return Status::InvalidArgument(flag + " does not take a value");
-        }
-        args.values[flag] = "1";
-        matched = true;
-        break;
-      }
-    }
-    if (matched) continue;
-    for (const char* known : kFlagsWithValue) {
-      if (flag == known) {
-        if (has_inline_value) {
-          args.values[flag] = inline_value;
-        } else {
-          if (i + 1 >= argc) {
-            return Status::InvalidArgument(flag + " needs a value");
-          }
-          args.values[flag] = argv[++i];
-        }
-        matched = true;
-        break;
-      }
-    }
-    if (!matched) return Status::InvalidArgument("unknown flag " + flag);
-  }
-  // --solver is an exact alias for --algorithm (the Solver API's own
-  // vocabulary); normalize here so the rest of the program sees one flag.
-  if (args.Has("--solver")) {
-    if (args.Has("--algorithm") &&
-        args.Get("--algorithm", "") != args.Get("--solver", "")) {
-      return Status::InvalidArgument(
-          "--solver and --algorithm are aliases; pass one");
-    }
-    args.values["--algorithm"] = args.Get("--solver", "");
-  }
-  return args;
-}
 
 StatusOr<std::vector<double>> ParseRowCounts(const std::string& list) {
   std::vector<double> rows;
@@ -237,7 +188,8 @@ StatusOr<std::vector<double>> ParseRowCounts(const std::string& list) {
     if (!item.empty()) {
       char* end = nullptr;
       const double value = std::strtod(item.c_str(), &end);
-      if (end == item.c_str() || *end != '\0' || !(value > 0.0)) {
+      if (end == item.c_str() || *end != '\0' || !(value > 0.0) ||
+          !std::isfinite(value)) {
         return Status::InvalidArgument("bad --replay-rows entry '" + item +
                                        "'");
       }
@@ -252,155 +204,222 @@ StatusOr<std::vector<double>> ParseRowCounts(const std::string& list) {
   return rows;
 }
 
-StatusOr<spca::dist::DistMatrix> LoadInput(const Args& args,
-                                           size_t partitions) {
+StatusOr<Options> ParseOptions(int argc, char** argv) {
+  Options o;
+  std::string solver;
+  std::string replay_rows;
+  spca::dist::FaultSpec& fault = o.fault;
+  int max_retries = fault.max_task_attempts - 1;
+  spca::FlagSet flags;
+  flags.String("--input", &o.input);
+  flags.String("--format", &o.format);
+  flags.String("--generate", &o.generate);
+  flags.Int("--rows", &o.rows, size_t{1});
+  flags.Int("--cols", &o.cols, size_t{1});
+  flags.Int("--text-cols", &o.text_cols, size_t{1});
+  flags.String("--algorithm", &o.algorithm);
+  flags.String("--solver", &solver);
+  flags.String("--platform", &o.platform);
+  flags.Int("--components", &o.components, size_t{1});
+  flags.Int("--iterations", &o.iterations, 0);
+  flags.Double("--target", &o.target);
+  flags.Bool("--smart-guess", &o.smart_guess);
+  flags.Int("--sketch-dim", &o.sketch_dim);
+  flags.Int("--power-iters", &o.power_iters, 0);
+  flags.Double("--l1-threshold", &o.l1_threshold);
+  flags.Double("--sparsify-keep", &o.sparsify_keep);
+  flags.Int("--partitions", &o.partitions, size_t{1});
+  flags.Int("--nodes", &o.nodes, 1);
+  flags.Double("--fault-rate", &fault.task_failure_probability);
+  flags.Double("--straggler-rate", &fault.straggler_probability);
+  flags.Double("--straggler-slowdown", &fault.straggler_slowdown);
+  flags.Int("--max-retries", &max_retries, 0);
+  flags.Double("--retry-backoff", &fault.retry_backoff_sec);
+  flags.Int("--fault-seed", &fault.seed);
+  flags.Double("--correlated-faults", &fault.node_failure_probability);
+  flags.Int("--fault-workers", &fault.num_workers);
+  flags.Bool("--speculation", &fault.speculation.enabled);
+  flags.Double("--speculation-delay", &fault.speculation.relaunch_delay_factor);
+  flags.Double("--speculation-min-slowdown", &fault.speculation.min_slowdown);
+  flags.Bool("--replay-faults", &o.replay_faults);
+  flags.String("--checkpoint-dir", &o.checkpoint_dir);
+  flags.Bool("--resume", &o.resume);
+  flags.String("--output", &o.output);
+  flags.String("--output-bin", &o.output_bin);
+  flags.String("--save-model", &o.save_model);
+  flags.String("--load-model", &o.load_model);
+  flags.Int("--seed", &o.seed);
+  flags.Bool("--metrics", &o.metrics);
+  flags.String("--trace-out", &o.trace_out);
+  flags.String("--trace-stream", &o.trace_stream);
+  flags.Int("--flush-every", &o.flush_every, size_t{1});
+  flags.String("--replay-rows", &replay_rows);
+  flags.Bool("--help", &o.help);
+  SPCA_RETURN_IF_ERROR(flags.Parse(argc, argv));
+  if (o.help) return o;
+
+  // --solver is an exact alias for --algorithm (the Solver API's own
+  // vocabulary); normalize here so the rest of the program sees one flag.
+  if (!solver.empty()) {
+    if (flags.Seen("--algorithm") && o.algorithm != solver) {
+      return Status::InvalidArgument(
+          "--solver and --algorithm are aliases; pass one");
+    }
+    o.algorithm = solver;
+  }
+  if (o.platform != "spark" && o.platform != "mapreduce") {
+    return Status::InvalidArgument("--platform must be spark or mapreduce");
+  }
+  // Saturates instead of overflowing the int attempt count.
+  fault.max_task_attempts = max_retries < INT_MAX ? max_retries + 1 : INT_MAX;
+  SPCA_RETURN_IF_ERROR(fault.Validate());
+  if (flags.Seen("--sparsify-keep") &&
+      !(o.sparsify_keep > 0.0 && o.sparsify_keep <= 1.0)) {
+    return Status::InvalidArgument("--sparsify-keep must be in (0, 1]");
+  }
+  if (!replay_rows.empty()) {
+    auto rows = ParseRowCounts(replay_rows);
+    if (!rows.ok()) return rows.status();
+    o.replay_rows = std::move(rows).value();
+  }
+  if (o.replay_faults && o.replay_rows.empty()) {
+    return Status::InvalidArgument("--replay-faults requires --replay-rows");
+  }
+  // Checkpoint/restart covers the solvers that write resume state.
+  if (o.resume || !o.checkpoint_dir.empty()) {
+    if (o.algorithm != "spca" && o.algorithm != "rand_svd" &&
+        o.algorithm != "spca_sparse") {
+      return Status::InvalidArgument(
+          "--checkpoint-dir/--resume support only --algorithm spca, "
+          "rand_svd or spca_sparse");
+    }
+    if (o.checkpoint_dir.empty()) {
+      return Status::InvalidArgument("--resume needs --checkpoint-dir");
+    }
+  }
+  return o;
+}
+
+StatusOr<spca::dist::DistMatrix> LoadInput(const Options& o) {
   namespace workload = spca::workload;
-  if (args.Has("--generate")) {
-    const std::string kind_name = args.Get("--generate", "");
+  if (!o.generate.empty()) {
     workload::DatasetKind kind;
-    if (kind_name == "tweets") {
+    if (o.generate == "tweets") {
       kind = workload::DatasetKind::kTweets;
-    } else if (kind_name == "biotext") {
+    } else if (o.generate == "biotext") {
       kind = workload::DatasetKind::kBioText;
-    } else if (kind_name == "diabetes") {
+    } else if (o.generate == "diabetes") {
       kind = workload::DatasetKind::kDiabetes;
-    } else if (kind_name == "images") {
+    } else if (o.generate == "images") {
       kind = workload::DatasetKind::kImages;
     } else {
-      return Status::InvalidArgument("unknown --generate kind " + kind_name);
+      return Status::InvalidArgument("unknown --generate kind " + o.generate);
     }
-    const size_t rows = args.GetInt("--rows", 20000);
-    const size_t cols = args.GetInt("--cols", 2000);
-    return workload::MakeDataset(kind, rows, cols, partitions,
-                                 args.GetInt("--seed", 1))
+    return workload::MakeDataset(kind, o.rows, o.cols, o.partitions, o.seed)
         .matrix;
   }
-  if (!args.Has("--input")) {
+  if (o.input.empty()) {
     return Status::InvalidArgument("need --input or --generate (see --help)");
   }
-  const std::string path = args.Get("--input", "");
-  const std::string format = args.Get("--format", "sparse-bin");
-  if (format == "sparse-bin") {
-    auto matrix = workload::LoadSparseBinary(path);
+  if (o.format == "sparse-bin") {
+    auto matrix = workload::LoadSparseBinary(o.input);
     if (!matrix.ok()) return matrix.status();
     return spca::dist::DistMatrix::FromSparse(std::move(matrix.value()),
-                                              partitions);
+                                              o.partitions);
   }
-  if (format == "dense-bin") {
-    auto matrix = workload::LoadDenseBinary(path);
+  if (o.format == "dense-bin") {
+    auto matrix = workload::LoadDenseBinary(o.input);
     if (!matrix.ok()) return matrix.status();
     return spca::dist::DistMatrix::FromDense(std::move(matrix.value()),
-                                             partitions);
+                                             o.partitions);
   }
-  if (format == "sparse-text") {
-    if (!args.Has("--text-cols")) {
+  if (o.format == "sparse-text") {
+    if (o.text_cols == 0) {
       return Status::InvalidArgument("sparse-text needs --text-cols");
     }
-    auto matrix =
-        workload::LoadSparseText(path, args.GetInt("--text-cols", 0));
+    auto matrix = workload::LoadSparseText(o.input, o.text_cols);
     if (!matrix.ok()) return matrix.status();
     return spca::dist::DistMatrix::FromSparse(std::move(matrix.value()),
-                                              partitions);
+                                              o.partitions);
   }
-  return Status::InvalidArgument("unknown --format " + format);
+  return Status::InvalidArgument("unknown --format " + o.format);
 }
 
 /// Builds the requested algorithm behind the one core::Solver surface —
 /// spca_cli no longer knows about per-algorithm Fit entry points.
 StatusOr<std::unique_ptr<spca::core::Solver>> MakeSolver(
-    const Args& args, spca::dist::Engine* engine) {
-  const std::string algorithm = args.Get("--algorithm", "spca");
-  const size_t d = args.GetInt("--components", 50);
-  const int iterations = static_cast<int>(args.GetInt("--iterations", 10));
-  const double target = args.GetDouble("--target", 0.95);
-  const uint64_t seed = args.GetInt("--seed", 1);
-
-  if (algorithm == "spca") {
+    const Options& o, spca::dist::Engine* engine) {
+  if (o.algorithm == "spca") {
     spca::core::SpcaOptions options;
-    options.num_components = d;
-    options.max_iterations = iterations;
-    options.target_accuracy_fraction = target;
-    options.smart_guess = args.Has("--smart-guess");
-    options.seed = seed;
+    options.num_components = o.components;
+    options.max_iterations = o.iterations;
+    options.target_accuracy_fraction = o.target;
+    options.smart_guess = o.smart_guess;
+    options.seed = o.seed;
     return std::unique_ptr<spca::core::Solver>(
         std::make_unique<spca::core::Spca>(engine, options));
   }
-  if (algorithm == "mllib") {
+  if (o.algorithm == "mllib") {
     spca::baselines::CovEigOptions options;
-    options.num_components = d;
-    options.seed = seed;
+    options.num_components = o.components;
+    options.seed = o.seed;
     return spca::baselines::MakeCovEigSolver(engine, options);
   }
-  if (algorithm == "mahout") {
+  if (o.algorithm == "mahout") {
     spca::baselines::SsvdOptions options;
-    options.num_components = d;
-    options.max_power_iterations = iterations;
-    options.target_accuracy_fraction = target;
-    options.seed = seed;
+    options.num_components = o.components;
+    options.max_power_iterations = o.iterations;
+    options.target_accuracy_fraction = o.target;
+    options.seed = o.seed;
     return spca::baselines::MakeSsvdSolver(engine, options);
   }
-  if (algorithm == "lanczos") {
+  if (o.algorithm == "lanczos") {
     spca::baselines::LanczosOptions options;
-    options.num_components = d;
-    options.seed = seed;
+    options.num_components = o.components;
+    options.seed = o.seed;
     return spca::baselines::MakeLanczosSolver(engine, options);
   }
-  if (algorithm == "bidiag") {
+  if (o.algorithm == "bidiag") {
     spca::baselines::SvdBidiagOptions options;
-    options.num_components = d;
+    options.num_components = o.components;
     return spca::baselines::MakeSvdBidiagSolver(engine, options);
   }
-  if (algorithm == "rand_svd") {
+  if (o.algorithm == "rand_svd") {
     spca::sketch::RandSvdOptions options;
-    options.num_components = d;
-    options.sketch_dim = static_cast<size_t>(args.GetInt("--sketch-dim", 0));
-    options.power_iterations =
-        static_cast<int>(args.GetInt("--power-iters", 1));
-    options.target_accuracy_fraction = target;
-    options.seed = seed;
+    options.num_components = o.components;
+    options.sketch_dim = o.sketch_dim;
+    options.power_iterations = o.power_iters;
+    options.target_accuracy_fraction = o.target;
+    options.seed = o.seed;
     return std::unique_ptr<spca::core::Solver>(
         std::make_unique<spca::sketch::RandSvdPca>(engine, options));
   }
-  if (algorithm == "spca_sparse") {
+  if (o.algorithm == "spca_sparse") {
     spca::core::SpcaOptions options;
-    options.num_components = d;
-    options.max_iterations = iterations;
-    options.l1_threshold = args.GetDouble("--l1-threshold", 0.1);
+    options.num_components = o.components;
+    options.max_iterations = o.iterations;
+    options.l1_threshold = o.l1_threshold;
     options.error_sample_rows = 1000;
-    options.target_accuracy_fraction = target;
-    options.seed = seed;
+    options.target_accuracy_fraction = o.target;
+    options.seed = o.seed;
     return std::unique_ptr<spca::core::Solver>(
         std::make_unique<spca::core::Spca>(engine, options));
   }
-  return Status::InvalidArgument("unknown --algorithm " + algorithm);
+  return Status::InvalidArgument("unknown --algorithm " + o.algorithm);
 }
 
-StatusOr<spca::core::PcaModel> RunAlgorithm(Args args,
+StatusOr<spca::core::PcaModel> RunAlgorithm(Options o,
                                             spca::dist::Engine* engine,
                                             const spca::dist::DistMatrix& y) {
-  // Checkpoint/restart (sPCA only): the checkpoint file is a normal SPCM
-  // model plus an .sstat sidecar of resume state, overwritten after every
-  // EM iteration. --resume warm-starts from it and runs only the remaining
-  // iterations; sidecar step numbering stays global across restarts.
-  const bool resume = args.Has("--resume");
-  const bool checkpointing = args.Has("--checkpoint-dir");
-  const std::string algorithm = args.Get("--algorithm", "spca");
-  std::string checkpoint_file;
-  if (checkpointing || resume) {
-    if (algorithm != "spca" && algorithm != "rand_svd" &&
-        algorithm != "spca_sparse") {
-      return Status::InvalidArgument(
-          "--checkpoint-dir/--resume support only --algorithm spca, "
-          "rand_svd or spca_sparse");
-    }
-    if (!checkpointing) {
-      return Status::InvalidArgument("--resume needs --checkpoint-dir");
-    }
-    checkpoint_file = args.Get("--checkpoint-dir", "") + "/checkpoint.spcm";
-  }
+  // Checkpoint/restart: the checkpoint file is a normal SPCM model plus an
+  // .sstat sidecar of resume state, overwritten after every EM iteration
+  // or sketch round. --resume warm-starts from it and runs only the
+  // remaining steps; sidecar step numbering stays global across restarts.
+  const bool checkpointing = !o.checkpoint_dir.empty();
+  const std::string checkpoint_file = o.checkpoint_dir + "/checkpoint.spcm";
   uint64_t base_step = 0;
   std::optional<spca::serve::LoadedCheckpoint> loaded;
-  if (resume) {
+  if (o.resume) {
     auto checkpoint = spca::serve::LoadCheckpoint(checkpoint_file);
     if (!checkpoint.ok()) return checkpoint.status();
     loaded = std::move(checkpoint).value();
@@ -408,26 +427,24 @@ StatusOr<spca::core::PcaModel> RunAlgorithm(Args args,
     // Remaining-work math: spca/spca_sparse checkpoint after each EM
     // iteration out of --iterations; rand_svd after each sketch round out
     // of --power-iters + 1 (the first round is the single data pass).
-    const bool rounds = algorithm == "rand_svd";
-    const long total = rounds ? args.GetInt("--power-iters", 1) + 1
-                              : args.GetInt("--iterations", 10);
+    const bool rounds = o.algorithm == "rand_svd";
+    const long total = rounds ? o.power_iters + 1L : o.iterations;
     std::printf("resuming %s from %s %llu of %ld\n", checkpoint_file.c_str(),
                 rounds ? "round" : "iteration",
                 static_cast<unsigned long long>(base_step), total);
-    if (static_cast<long>(base_step) >= total) {
+    const long remaining = total - static_cast<long>(base_step);
+    if (remaining <= 0) {
       std::printf("checkpoint already complete; nothing to run\n");
       return std::move(loaded->model);
     }
     if (rounds) {
-      args.values["--power-iters"] =
-          std::to_string(total - static_cast<long>(base_step) - 1);
+      o.power_iters = static_cast<int>(remaining - 1);
     } else {
-      args.values["--iterations"] =
-          std::to_string(total - static_cast<long>(base_step));
+      o.iterations = static_cast<int>(remaining);
     }
   }
 
-  auto solver = MakeSolver(args, engine);
+  auto solver = MakeSolver(o, engine);
   if (!solver.ok()) return solver.status();
 
   spca::core::FitOptions fit;
@@ -441,7 +458,7 @@ StatusOr<spca::core::PcaModel> RunAlgorithm(Args args,
   }
 
   auto run = [&]() -> StatusOr<spca::core::SolveResult> {
-    if (!resume) return spca::core::RunSolver(solver.value().get(), y, fit);
+    if (!o.resume) return spca::core::RunSolver(solver.value().get(), y, fit);
     // Restore must land between Init and Step, so spell out RunSolver.
     SPCA_RETURN_IF_ERROR(solver.value()->Init(fit));
     SPCA_RETURN_IF_ERROR(solver.value()->Restore(loaded->model,
@@ -457,29 +474,29 @@ StatusOr<spca::core::PcaModel> RunAlgorithm(Args args,
   }
   // Keyed by the flag, not Solver::name(): `--solver spca_sparse
   // --l1-threshold 0` runs plain sPCA but keeps its sparse-PPCA line.
-  if (algorithm == "spca") {
+  if (o.algorithm == "spca") {
     std::printf("sPCA: %d iterations", result.value().iterations_run);
     if (!result.value().trace.empty()) {
       std::printf(", final accuracy %.1f%% of ideal",
                   result.value().trace.back().accuracy_percent);
     }
     std::printf("\n");
-  } else if (algorithm == "mllib") {
+  } else if (o.algorithm == "mllib") {
     std::printf("MLlib-PCA: driver held %s\n",
                 spca::HumanBytes(
                     static_cast<double>(result.value().driver_bytes))
                     .c_str());
-  } else if (algorithm == "mahout") {
+  } else if (o.algorithm == "mahout") {
     std::printf("Mahout-PCA (SSVD): %d rounds\n",
                 result.value().iterations_run);
-  } else if (algorithm == "rand_svd") {
+  } else if (o.algorithm == "rand_svd") {
     std::printf("RandSVD-PCA: %d sketch rounds", result.value().iterations_run);
     if (!result.value().trace.empty()) {
       std::printf(", final accuracy %.1f%% of ideal",
                   result.value().trace.back().accuracy_percent);
     }
     std::printf("\n");
-  } else if (algorithm == "spca_sparse") {
+  } else if (o.algorithm == "spca_sparse") {
     std::printf("sparse-PPCA: %d iterations", result.value().iterations_run);
     if (!result.value().trace.empty()) {
       std::printf(", final accuracy %.1f%% of ideal",
@@ -495,28 +512,28 @@ StatusOr<spca::core::PcaModel> RunAlgorithm(Args args,
 /// `fault_meta` (key=value lines describing the fault plan the fit ran
 /// under) is written next to --save-model as a `.meta` side-channel so a
 /// served model's provenance survives the process.
-int WriteModelOutputs(const Args& args, const spca::core::PcaModel& model,
+int WriteModelOutputs(const Options& o, const spca::core::PcaModel& model,
                       const std::string& fault_meta = std::string()) {
-  if (args.Has("--output")) {
-    const Status status = spca::workload::SaveDenseText(
-        model.components, args.Get("--output", ""));
+  if (!o.output.empty()) {
+    const Status status =
+        spca::workload::SaveDenseText(model.components, o.output);
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
       return 1;
     }
-    std::printf("wrote %s\n", args.Get("--output", "").c_str());
+    std::printf("wrote %s\n", o.output.c_str());
   }
-  if (args.Has("--output-bin")) {
-    const Status status = spca::workload::SaveDenseBinary(
-        model.components, args.Get("--output-bin", ""));
+  if (!o.output_bin.empty()) {
+    const Status status =
+        spca::workload::SaveDenseBinary(model.components, o.output_bin);
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
       return 1;
     }
-    std::printf("wrote %s\n", args.Get("--output-bin", "").c_str());
+    std::printf("wrote %s\n", o.output_bin.c_str());
   }
-  if (args.Has("--save-model")) {
-    const std::string path = args.Get("--save-model", "");
+  if (!o.save_model.empty()) {
+    const std::string& path = o.save_model;
     const Status status = spca::serve::SaveModel(model, path);
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -549,33 +566,29 @@ int WriteModelOutputs(const Args& args, const spca::core::PcaModel& model,
 }
 
 int Main(int argc, char** argv) {
-  auto args = ParseArgs(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "error: %s\n%s", args.status().ToString().c_str(),
-                 kUsage);
-    return 2;
-  }
-  if (args->Has("--help") || argc == 1) {
+  auto options = ParseOptions(argc, argv);
+  if (!options.ok()) return spca::FlagError(options.status(), kUsage);
+  const Options& o = options.value();
+  if (o.help || argc == 1) {
     std::fputs(kUsage, stdout);
     return 0;
   }
 
-  if (args->Has("--load-model")) {
+  if (!o.load_model.empty()) {
     // Serving path: no fit, no engine — load the persisted model and run
     // the output/export flags against it.
-    auto model = spca::serve::LoadModel(args->Get("--load-model", ""));
+    auto model = spca::serve::LoadModel(o.load_model);
     if (!model.ok()) {
       std::fprintf(stderr, "error: %s\n", model.status().ToString().c_str());
       return 1;
     }
     std::printf("loaded model %s: %zu x %zu, noise variance %.6g\n",
-                args->Get("--load-model", "").c_str(), model->input_dim(),
+                o.load_model.c_str(), model->input_dim(),
                 model->num_components(), model->noise_variance);
-    return WriteModelOutputs(*args, model.value());
+    return WriteModelOutputs(o, model.value());
   }
 
-  const size_t partitions = args->GetInt("--partitions", 16);
-  auto matrix = LoadInput(*args, partitions);
+  auto matrix = LoadInput(o);
   if (!matrix.ok()) {
     std::fprintf(stderr, "error: %s\n", matrix.status().ToString().c_str());
     return 1;
@@ -586,107 +599,40 @@ int Main(int argc, char** argv) {
                   .c_str());
 
   spca::dist::ClusterSpec spec;
-  spec.num_nodes = static_cast<int>(args->GetInt("--nodes", 8));
-
-  spca::dist::FaultSpec fault_spec;
-  fault_spec.task_failure_probability =
-      args->GetDouble("--fault-rate", args->GetDouble("--failures", 0.0));
-  fault_spec.straggler_probability = args->GetDouble("--straggler-rate", 0.0);
-  fault_spec.straggler_slowdown =
-      args->GetDouble("--straggler-slowdown", fault_spec.straggler_slowdown);
-  fault_spec.max_task_attempts =
-      1 + static_cast<int>(args->GetInt("--max-retries", 3));
-  fault_spec.retry_backoff_sec = args->GetDouble("--retry-backoff", 0.0);
-  fault_spec.seed = static_cast<uint64_t>(
-      args->GetInt("--fault-seed", static_cast<long>(fault_spec.seed)));
-  fault_spec.node_failure_probability =
-      args->GetDouble("--correlated-faults", 0.0);
-  fault_spec.num_workers = static_cast<int>(args->GetInt(
-      "--fault-workers", static_cast<long>(fault_spec.num_workers)));
-  fault_spec.speculation.enabled = args->Has("--speculation");
-  fault_spec.speculation.relaunch_delay_factor = args->GetDouble(
-      "--speculation-delay", fault_spec.speculation.relaunch_delay_factor);
-  fault_spec.speculation.min_slowdown = args->GetDouble(
-      "--speculation-min-slowdown", fault_spec.speculation.min_slowdown);
-  if (fault_spec.task_failure_probability < 0.0 ||
-      fault_spec.task_failure_probability >= 1.0 ||
-      fault_spec.straggler_probability < 0.0 ||
-      fault_spec.straggler_probability > 1.0 ||
-      fault_spec.node_failure_probability < 0.0 ||
-      fault_spec.node_failure_probability >= 1.0) {
-    std::fprintf(stderr,
-                 "error: --fault-rate and --correlated-faults must be in "
-                 "[0, 1) and --straggler-rate in [0, 1]\n");
-    return 2;
-  }
-  if (fault_spec.straggler_slowdown < 1.0 ||
-      fault_spec.max_task_attempts < 1 || fault_spec.retry_backoff_sec < 0.0) {
-    std::fprintf(stderr,
-                 "error: --straggler-slowdown must be >= 1, --max-retries and "
-                 "--retry-backoff non-negative\n");
-    return 2;
-  }
-  if (fault_spec.num_workers < 1 ||
-      fault_spec.speculation.relaunch_delay_factor <= 0.0 ||
-      fault_spec.speculation.min_slowdown <= 1.0) {
-    std::fprintf(stderr,
-                 "error: --fault-workers must be >= 1, --speculation-delay "
-                 "> 0, --speculation-min-slowdown > 1\n");
-    return 2;
-  }
-  const spca::dist::FaultPlan fault_plan(fault_spec);
-  const bool replay_faults_only = args->Has("--replay-faults");
-  if (replay_faults_only && !args->Has("--replay-rows")) {
-    std::fprintf(stderr, "error: --replay-faults requires --replay-rows\n");
-    return 2;
-  }
-
-  const std::string platform = args->Get("--platform", "spark");
-  const spca::dist::EngineMode mode =
-      platform == "mapreduce" ? spca::dist::EngineMode::kMapReduce
-                              : spca::dist::EngineMode::kSpark;
+  spec.num_nodes = o.nodes;
+  const spca::dist::FaultPlan fault_plan(o.fault);
+  const spca::dist::EngineMode mode = o.platform == "mapreduce"
+                                          ? spca::dist::EngineMode::kMapReduce
+                                          : spca::dist::EngineMode::kSpark;
   spca::obs::Registry registry;
-  const long flush_every = args->GetInt(
-      "--flush-every",
-      static_cast<long>(spca::obs::TraceStreamer::kDefaultFlushEveryJobs));
-  if (flush_every <= 0) {
-    std::fprintf(stderr, "error: --flush-every must be positive\n");
-    return 2;
-  }
-  spca::obs::TraceStreamer streamer(&registry,
-                                    static_cast<size_t>(flush_every));
-  if (args->Has("--trace-stream")) {
-    const Status status = streamer.Open(args->Get("--trace-stream", ""));
+  spca::obs::TraceStreamer streamer(&registry, o.flush_every);
+  if (!o.trace_stream.empty()) {
+    const Status status = streamer.Open(o.trace_stream);
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
       return 1;
     }
   }
   spca::dist::Engine engine(spec, mode, &registry);
-  if (fault_plan.active() && !replay_faults_only) {
+  if (fault_plan.active() && !o.replay_faults) {
     engine.SetFaultPlan(fault_plan);
   }
 
   // Input sparsification composes with any algorithm: replace the matrix
   // with its seeded keep/reweight sample before the fit sees it.
-  const double sparsify_keep = args->GetDouble("--sparsify-keep", 0.0);
-  if (args->Has("--sparsify-keep")) {
-    if (!(sparsify_keep > 0.0 && sparsify_keep <= 1.0)) {
-      std::fprintf(stderr, "error: --sparsify-keep must be in (0, 1]\n");
-      return 2;
-    }
+  if (o.sparsify_keep > 0.0) {
     spca::sketch::SparsifierOptions sparsify;
-    sparsify.keep_probability = sparsify_keep;
-    sparsify.seed = static_cast<uint64_t>(args->GetInt("--seed", 1));
+    sparsify.keep_probability = o.sparsify_keep;
+    sparsify.seed = o.seed;
     matrix.value() =
         spca::sketch::Sparsifier(sparsify).Apply(matrix.value(), &registry);
     std::printf("sparsified input: keep %.3g -> %zu stored entries (%s)\n",
-                sparsify_keep, matrix->StoredEntries(),
+                o.sparsify_keep, matrix->StoredEntries(),
                 spca::HumanBytes(static_cast<double>(matrix->ByteSize()))
                     .c_str());
   }
 
-  auto model = RunAlgorithm(*args, &engine, matrix.value());
+  auto model = RunAlgorithm(o, &engine, matrix.value());
   if (!model.ok()) {
     std::fprintf(stderr, "error: %s\n", model.status().ToString().c_str());
     return 1;
@@ -699,7 +645,7 @@ int Main(int argc, char** argv) {
               spec.num_nodes, spca::dist::EngineModeToString(mode));
   std::printf("communication: %s\n", engine.stats().ToString().c_str());
   std::string fault_meta;
-  if (fault_plan.active() && !replay_faults_only) {
+  if (fault_plan.active() && !o.replay_faults) {
     const spca::dist::CommStats& stats = engine.stats();
     auto counter = [&registry](const char* name) -> unsigned long long {
       const spca::obs::Counter* c = registry.FindCounter(name);
@@ -718,16 +664,15 @@ int Main(int argc, char** argv) {
         "(seed %llu, rate %.3g, straggler rate %.3g)\n",
         static_cast<unsigned long long>(stats.task_retries),
         static_cast<unsigned long long>(stats.straggler_tasks),
-        static_cast<unsigned long long>(fault_spec.seed),
-        fault_spec.task_failure_probability,
-        fault_spec.straggler_probability);
-    if (fault_spec.node_failure_probability > 0.0) {
+        static_cast<unsigned long long>(o.fault.seed),
+        o.fault.task_failure_probability, o.fault.straggler_probability);
+    if (o.fault.node_failure_probability > 0.0) {
       std::printf("node losses: %llu tasks killed by correlated failures "
                   "(rate %.3g, %d workers)\n",
-                  node_loss_tasks, fault_spec.node_failure_probability,
-                  fault_spec.num_workers);
+                  node_loss_tasks, o.fault.node_failure_probability,
+                  o.fault.num_workers);
     }
-    if (fault_spec.speculation.enabled) {
+    if (o.fault.speculation.enabled) {
       std::printf("speculation: %llu copies launched, %llu won, "
                   "%llu duplicate flops charged\n",
                   speculation_launched, speculation_copies_won,
@@ -758,18 +703,17 @@ int Main(int argc, char** argv) {
         "speculation_copies_won=%llu\n"
         "speculation_wasted_flops=%llu\n"
         "algorithm=%s\n",
-        static_cast<unsigned long long>(fault_spec.seed),
-        fault_spec.task_failure_probability,
-        fault_spec.straggler_probability, fault_spec.straggler_slowdown,
-        fault_spec.max_task_attempts - 1, fault_spec.retry_backoff_sec,
-        fault_spec.node_failure_probability, fault_spec.num_workers,
-        fault_spec.speculation.enabled ? 1 : 0,
-        fault_spec.speculation.relaunch_delay_factor,
-        fault_spec.speculation.min_slowdown,
+        static_cast<unsigned long long>(o.fault.seed),
+        o.fault.task_failure_probability, o.fault.straggler_probability,
+        o.fault.straggler_slowdown, o.fault.max_task_attempts - 1,
+        o.fault.retry_backoff_sec, o.fault.node_failure_probability,
+        o.fault.num_workers, o.fault.speculation.enabled ? 1 : 0,
+        o.fault.speculation.relaunch_delay_factor,
+        o.fault.speculation.min_slowdown,
         static_cast<unsigned long long>(stats.task_retries),
         static_cast<unsigned long long>(stats.straggler_tasks),
         node_loss_tasks, speculation_launched, speculation_copies_won,
-        speculation_wasted_flops, args->Get("--algorithm", "spca").c_str());
+        speculation_wasted_flops, o.algorithm.c_str());
     if (meta_len < 0 || static_cast<size_t>(meta_len) >= sizeof(meta)) {
       std::fprintf(stderr,
                    "error: fault metadata truncated (%d bytes needed)\n",
@@ -781,22 +725,19 @@ int Main(int argc, char** argv) {
   // Sketch provenance rides in the same .meta sidecar: which sketch solver
   // (or input sparsification) produced the saved model, and with what
   // dials, so a served model's accuracy/cost trade-off is auditable.
-  const std::string algorithm = args->Get("--algorithm", "spca");
-  if (algorithm == "rand_svd" || algorithm == "spca_sparse" ||
-      args->Has("--sparsify-keep")) {
+  if (o.algorithm == "rand_svd" || o.algorithm == "spca_sparse" ||
+      o.sparsify_keep > 0.0) {
     char sketch_meta[512];
     const int sketch_len = std::snprintf(
         sketch_meta, sizeof(sketch_meta),
         "solver=%s\n"
-        "sketch_dim=%ld\n"
-        "power_iters=%ld\n"
+        "sketch_dim=%zu\n"
+        "power_iters=%d\n"
         "l1_threshold=%.17g\n"
         "sparsify_keep=%.17g\n"
-        "seed=%ld\n",
-        algorithm.c_str(), args->GetInt("--sketch-dim", 0),
-        args->GetInt("--power-iters", 1),
-        args->GetDouble("--l1-threshold", 0.1), sparsify_keep,
-        args->GetInt("--seed", 1));
+        "seed=%llu\n",
+        o.algorithm.c_str(), o.sketch_dim, o.power_iters, o.l1_threshold,
+        o.sparsify_keep, static_cast<unsigned long long>(o.seed));
     if (sketch_len < 0 ||
         static_cast<size_t>(sketch_len) >= sizeof(sketch_meta)) {
       std::fprintf(stderr,
@@ -807,19 +748,13 @@ int Main(int argc, char** argv) {
     fault_meta += sketch_meta;
   }
 
-  if (args->Has("--replay-rows")) {
-    auto row_counts = ParseRowCounts(args->Get("--replay-rows", ""));
-    if (!row_counts.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   row_counts.status().ToString().c_str());
-      return 2;
-    }
+  if (!o.replay_rows.empty()) {
     std::printf(
         "\nreplayed at other row counts (cost model; per-row work and data "
         "scaled linearly, driver algebra and broadcasts held fixed%s):\n",
-        replay_faults_only ? "; fault plan injected into each replay" : "");
+        o.replay_faults ? "; fault plan injected into each replay" : "");
     double cursor = engine.SimulatedSeconds();
-    for (const double rows : row_counts.value()) {
+    for (const double rows : o.replay_rows) {
       const double scale = rows / static_cast<double>(matrix->rows());
       char label[48];
       std::snprintf(label, sizeof(label), "%.0frows", rows);
@@ -834,14 +769,14 @@ int Main(int argc, char** argv) {
             return scales;
           },
           &registry, label, cursor,
-          replay_faults_only ? &fault_plan : nullptr);
+          o.replay_faults ? &fault_plan : nullptr);
       cursor += seconds;
       std::printf("  %14.0f rows: %s\n", rows,
                   spca::HumanSeconds(seconds).c_str());
     }
   }
 
-  if (const int rc = WriteModelOutputs(*args, model.value(), fault_meta);
+  if (const int rc = WriteModelOutputs(o, model.value(), fault_meta);
       rc != 0) {
     return rc;
   }
@@ -856,11 +791,11 @@ int Main(int argc, char** argv) {
                 streamer.spans_written(), streamer.flushes(),
                 streamer.path().c_str(), live_spans);
   }
-  if (args->Has("--metrics")) {
+  if (o.metrics) {
     std::printf("\n%s", spca::obs::MetricsTable(registry).c_str());
   }
-  if (args->Has("--trace-out")) {
-    const std::string path = args->Get("--trace-out", "");
+  if (!o.trace_out.empty()) {
+    const std::string& path = o.trace_out;
     const Status status =
         spca::obs::WriteFile(path, spca::obs::ChromeTraceJson(registry));
     if (!status.ok()) {

@@ -22,13 +22,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/flags.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/shard_set.h"
@@ -118,138 +118,66 @@ struct Options {
   bool print_metrics = false;
   std::string trace_stream_path;
   size_t flush_every = 32;
+  bool help = false;
 };
 
-bool ParseOptions(int argc, char** argv, Options* out) {
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    std::string value;
-    bool has_value = false;
-    if (const size_t eq = flag.find('='); eq != std::string::npos) {
-      value = flag.substr(eq + 1);
-      flag = flag.substr(0, eq);
-      has_value = true;
-    }
-    auto need_value = [&]() -> bool {
-      if (has_value) return true;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag.c_str());
-        return false;
-      }
-      value = argv[++i];
-      return true;
-    };
-    if (flag == "--help") {
-      std::fputs(kUsage, stdout);
-      std::exit(0);
-    } else if (flag == "--metrics") {
-      out->print_metrics = true;
-    } else if (flag == "--dense") {
-      out->dense = true;
-    } else if (flag == "--loopback") {
-      out->loopback = true;
-    } else if (flag == "--model") {
-      if (!need_value()) return false;
-      // NAME=PATH when the original argument had two '='s the first split
-      // already consumed; here value may itself be NAME=PATH.
-      std::string name, path;
-      if (const size_t eq = value.find('='); eq != std::string::npos) {
-        name = value.substr(0, eq);
-        path = value.substr(eq + 1);
-      } else {
-        name = "model" + std::to_string(out->models.size());
-        path = value;
-      }
-      out->models.emplace_back(name, path);
-    } else if (flag == "--shards") {
-      if (!need_value()) return false;
-      out->shards = std::strtoul(value.c_str(), nullptr, 10);
-    } else if (flag == "--threads") {
-      if (!need_value()) return false;
-      out->threads = std::strtoul(value.c_str(), nullptr, 10);
-    } else if (flag == "--batch-max") {
-      if (!need_value()) return false;
-      out->batch_max = std::strtoul(value.c_str(), nullptr, 10);
-    } else if (flag == "--queue-cap") {
-      if (!need_value()) return false;
-      out->queue_cap = std::strtoul(value.c_str(), nullptr, 10);
-    } else if (flag == "--timeout-sec") {
-      if (!need_value()) return false;
-      out->timeout_sec = std::atof(value.c_str());
-    } else if (flag == "--listen") {
-      if (!need_value()) return false;
-      out->listen_port = std::atoi(value.c_str());
-    } else if (flag == "--qps") {
-      if (!need_value()) return false;
-      out->qps = std::atof(value.c_str());
-    } else if (flag == "--duration") {
-      if (!need_value()) return false;
-      out->duration_sec = std::atof(value.c_str());
-    } else if (flag == "--concurrency") {
-      if (!need_value()) return false;
-      out->concurrency = std::strtoul(value.c_str(), nullptr, 10);
-    } else if (flag == "--queries") {
-      if (!need_value()) return false;
-      out->num_queries = std::strtoul(value.c_str(), nullptr, 10);
-    } else if (flag == "--nnz") {
-      if (!need_value()) return false;
-      out->nnz = std::atof(value.c_str());
-    } else if (flag == "--tenants") {
-      if (!need_value()) return false;
-      out->tenants = std::strtoul(value.c_str(), nullptr, 10);
-    } else if (flag == "--tenant-zipf") {
-      if (!need_value()) return false;
-      out->tenant_zipf = std::atof(value.c_str());
-    } else if (flag == "--burst-factor") {
-      if (!need_value()) return false;
-      out->burst_factor = std::atof(value.c_str());
-    } else if (flag == "--burst-period") {
-      if (!need_value()) return false;
-      out->burst_period_sec = std::atof(value.c_str());
-    } else if (flag == "--burst-duration") {
-      if (!need_value()) return false;
-      out->burst_duration_sec = std::atof(value.c_str());
-    } else if (flag == "--seed") {
-      if (!need_value()) return false;
-      out->seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (flag == "--trace-stream") {
-      if (!need_value()) return false;
-      out->trace_stream_path = value;
-    } else if (flag == "--flush-every") {
-      if (!need_value()) return false;
-      out->flush_every = std::strtoul(value.c_str(), nullptr, 10);
+Status ParseOptions(int argc, char** argv, Options* out) {
+  std::vector<std::string> models;
+  spca::FlagSet flags;
+  flags.Strings("--model", &models);
+  flags.Int("--shards", &out->shards, size_t{1});
+  flags.Int("--threads", &out->threads, size_t{1});
+  flags.Int("--batch-max", &out->batch_max, size_t{1});
+  flags.Int("--queue-cap", &out->queue_cap);
+  flags.Double("--timeout-sec", &out->timeout_sec);
+  flags.Int("--listen", &out->listen_port, 0);
+  flags.Bool("--loopback", &out->loopback);
+  flags.Double("--qps", &out->qps);
+  flags.Double("--duration", &out->duration_sec);
+  flags.Int("--concurrency", &out->concurrency, size_t{1});
+  flags.Int("--queries", &out->num_queries, size_t{1});
+  flags.Double("--nnz", &out->nnz);
+  flags.Bool("--dense", &out->dense);
+  flags.Int("--tenants", &out->tenants, size_t{1});
+  flags.Double("--tenant-zipf", &out->tenant_zipf);
+  flags.Double("--burst-factor", &out->burst_factor);
+  flags.Double("--burst-period", &out->burst_period_sec);
+  flags.Double("--burst-duration", &out->burst_duration_sec);
+  flags.Int("--seed", &out->seed);
+  flags.Bool("--metrics", &out->print_metrics);
+  flags.String("--trace-stream", &out->trace_stream_path);
+  flags.Int("--flush-every", &out->flush_every, size_t{1});
+  flags.Bool("--help", &out->help);
+  SPCA_RETURN_IF_ERROR(flags.Parse(argc, argv));
+  if (out->help) return Status::Ok();
+  for (const std::string& model : models) {
+    // NAME=PATH names the model; a bare PATH is served as "model<i>".
+    const size_t eq = model.find('=');
+    if (eq == std::string::npos) {
+      out->models.emplace_back("model" + std::to_string(out->models.size()),
+                               model);
     } else {
-      std::fprintf(stderr, "error: unknown flag %s\n%s", flag.c_str(), kUsage);
-      return false;
+      out->models.emplace_back(model.substr(0, eq), model.substr(eq + 1));
     }
   }
   if (out->models.empty()) {
-    std::fprintf(stderr, "error: need at least one --model\n%s", kUsage);
-    return false;
+    return Status::InvalidArgument("need at least one --model");
   }
-  if (out->shards == 0 || out->threads == 0 || out->batch_max == 0 ||
-      out->concurrency == 0 || out->num_queries == 0 || out->tenants == 0 ||
-      out->duration_sec <= 0.0) {
-    std::fprintf(stderr,
-                 "error: --shards/--threads/--batch-max/--concurrency/"
-                 "--queries/--tenants must be positive and --duration > 0\n");
-    return false;
+  if (out->duration_sec <= 0.0) {
+    return Status::InvalidArgument("--duration must be > 0");
   }
   if (out->listen_port > 65535) {
-    std::fprintf(stderr, "error: --listen port out of range\n");
-    return false;
+    return Status::InvalidArgument("--listen port out of range");
   }
   if (out->loopback && out->listen_port < 0) {
-    std::fprintf(stderr, "error: --loopback requires --listen\n");
-    return false;
+    return Status::InvalidArgument("--loopback requires --listen");
   }
   if (!out->trace_stream_path.empty() && out->shards != 1) {
-    std::fprintf(stderr,
-                 "error: --trace-stream supports a single shard (one "
-                 "dispatcher driving the stream)\n");
-    return false;
+    return Status::InvalidArgument(
+        "--trace-stream supports a single shard (one dispatcher driving the "
+        "stream)");
   }
-  return true;
+  return Status::Ok();
 }
 
 struct OutcomeCounts {
@@ -446,7 +374,13 @@ double RunClosedLoopSocket(uint16_t port,
 
 int Main(int argc, char** argv) {
   Options options;
-  if (!ParseOptions(argc, argv, &options)) return 2;
+  if (const Status status = ParseOptions(argc, argv, &options); !status.ok()) {
+    return spca::FlagError(status, kUsage);
+  }
+  if (options.help) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
 
   spca::obs::Registry registry;
   spca::obs::TraceStreamer streamer(&registry, options.flush_every);

@@ -13,14 +13,13 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/flags.h"
 #include "dist/engine.h"
 #include "obs/export.h"
 #include "obs/registry.h"
@@ -122,131 +121,54 @@ struct Options {
   int nodes = 8;
   size_t require_swaps = 0;
   bool print_metrics = false;
+  bool help = false;
 };
 
-bool ParseOptions(int argc, char** argv, Options* out) {
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    std::string value;
-    bool has_value = false;
-    if (const size_t eq = flag.find('='); eq != std::string::npos) {
-      value = flag.substr(eq + 1);
-      flag = flag.substr(0, eq);
-      has_value = true;
-    }
-    auto need_value = [&]() -> bool {
-      if (has_value) return true;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag.c_str());
-        return false;
-      }
-      value = argv[++i];
-      return true;
-    };
-    auto size_flag = [&](const char* name, size_t* slot) -> int {
-      if (flag != name) return 0;
-      if (!need_value()) return -1;
-      *slot = std::strtoul(value.c_str(), nullptr, 10);
-      return 1;
-    };
-    auto double_flag = [&](const char* name, double* slot) -> int {
-      if (flag != name) return 0;
-      if (!need_value()) return -1;
-      *slot = std::atof(value.c_str());
-      return 1;
-    };
-    if (flag == "--help") {
-      std::fputs(kUsage, stdout);
-      std::exit(0);
-    } else if (flag == "--metrics") {
-      out->print_metrics = true;
-    } else if (flag == "--background-publisher") {
-      out->background_publisher = true;
-    } else if (flag == "--solver") {
-      if (!need_value()) return false;
-      out->solver = value;
-    } else if (flag == "--name") {
-      if (!need_value()) return false;
-      out->name = value;
-    } else if (flag == "--spool") {
-      if (!need_value()) return false;
-      out->spool = value;
-    } else if (flag == "--checkpoint-path") {
-      if (!need_value()) return false;
-      out->checkpoint_path = value;
-    } else if (flag == "--seed") {
-      if (!need_value()) return false;
-      out->seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (flag == "--nodes") {
-      if (!need_value()) return false;
-      out->nodes = std::atoi(value.c_str());
-    } else {
-      int matched = 0;
-      struct {
-        const char* name;
-        size_t* slot;
-      } size_flags[] = {
-          {"--dim", &out->dim},
-          {"--rank", &out->rank},
-          {"--batch-rows", &out->batch_rows},
-          {"--batches", &out->batches},
-          {"--partitions", &out->partitions},
-          {"--drift-every", &out->drift_every},
-          {"--components", &out->components},
-          {"--reorth-every", &out->reorth_every},
-          {"--publish-every", &out->publish_every},
-          {"--checkpoint-every-batches", &out->checkpoint_every},
-          {"--serve-concurrency", &out->serve_concurrency},
-          {"--threads", &out->threads},
-          {"--batch-max", &out->batch_max},
-          {"--queue-cap", &out->queue_cap},
-          {"--require-swaps", &out->require_swaps},
-      };
-      struct {
-        const char* name;
-        double* slot;
-      } double_flags[] = {
-          {"--drift-amount", &out->drift_amount},
-          {"--noise", &out->noise},
-          {"--decay", &out->decay},
-          {"--eta0", &out->eta0},
-          {"--tau", &out->tau},
-      };
-      for (const auto& entry : size_flags) {
-        matched = size_flag(entry.name, entry.slot);
-        if (matched != 0) break;
-      }
-      if (matched == 0) {
-        for (const auto& entry : double_flags) {
-          matched = double_flag(entry.name, entry.slot);
-          if (matched != 0) break;
-        }
-      }
-      if (matched < 0) return false;
-      if (matched == 0) {
-        std::fprintf(stderr, "error: unknown flag %s\n%s", flag.c_str(),
-                     kUsage);
-        return false;
-      }
-    }
+Status ParseOptions(int argc, char** argv, Options* out) {
+  spca::FlagSet flags;
+  flags.Int("--dim", &out->dim, size_t{1});
+  flags.Int("--rank", &out->rank, size_t{1});
+  flags.Int("--batch-rows", &out->batch_rows, size_t{1});
+  flags.Int("--batches", &out->batches, size_t{1});
+  flags.Int("--partitions", &out->partitions, size_t{1});
+  flags.Int("--drift-every", &out->drift_every);
+  flags.Double("--drift-amount", &out->drift_amount);
+  flags.Double("--noise", &out->noise);
+  flags.Int("--seed", &out->seed);
+  flags.String("--solver", &out->solver);
+  flags.Int("--components", &out->components);
+  flags.Double("--decay", &out->decay);
+  flags.Double("--eta0", &out->eta0);
+  flags.Double("--tau", &out->tau);
+  flags.Int("--reorth-every", &out->reorth_every);
+  flags.Int("--publish-every", &out->publish_every);
+  flags.String("--name", &out->name);
+  flags.String("--spool", &out->spool);
+  flags.Bool("--background-publisher", &out->background_publisher);
+  flags.Int("--checkpoint-every-batches", &out->checkpoint_every);
+  flags.String("--checkpoint-path", &out->checkpoint_path);
+  flags.Int("--serve-concurrency", &out->serve_concurrency);
+  flags.Int("--threads", &out->threads, size_t{1});
+  flags.Int("--batch-max", &out->batch_max, size_t{1});
+  flags.Int("--queue-cap", &out->queue_cap);
+  flags.Int("--nodes", &out->nodes, 1);
+  flags.Int("--require-swaps", &out->require_swaps);
+  flags.Bool("--metrics", &out->print_metrics);
+  flags.Bool("--help", &out->help);
+  SPCA_RETURN_IF_ERROR(flags.Parse(argc, argv));
+  if (out->help) return Status::Ok();
+  if (out->rank > out->dim) {
+    return Status::InvalidArgument("--rank must be <= --dim");
   }
   if (out->components == 0) out->components = out->rank;
   if (out->solver != "minibatch" && out->solver != "oja") {
-    std::fprintf(stderr, "error: --solver must be minibatch or oja\n");
-    return false;
-  }
-  if (out->dim == 0 || out->rank == 0 || out->batch_rows == 0 ||
-      out->batches == 0 || out->threads == 0 || out->batch_max == 0) {
-    std::fprintf(stderr, "error: sizes must be positive\n");
-    return false;
+    return Status::InvalidArgument("--solver must be minibatch or oja");
   }
   if (out->checkpoint_every > 0 && out->checkpoint_path.empty()) {
-    std::fprintf(stderr,
-                 "error: --checkpoint-every-batches requires "
-                 "--checkpoint-path\n");
-    return false;
+    return Status::InvalidArgument(
+        "--checkpoint-every-batches requires --checkpoint-path");
   }
-  return true;
+  return Status::Ok();
 }
 
 /// Closed-loop query drivers: each keeps one dense projection request
@@ -303,7 +225,13 @@ struct QueryTraffic {
 
 int Main(int argc, char** argv) {
   Options options;
-  if (!ParseOptions(argc, argv, &options)) return 2;
+  if (const Status status = ParseOptions(argc, argv, &options); !status.ok()) {
+    return spca::FlagError(status, kUsage);
+  }
+  if (options.help) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
 
   spca::obs::Registry registry;
   spca::serve::ModelRegistry models(&registry);
