@@ -53,7 +53,7 @@ void Run(obs::Registry* registry) {
     options.max_power_iterations = 6;
     options.target_accuracy_fraction = 2.0;
     options.ideal_error_override = ideal;
-    auto result = baselines::SsvdPca(&engine, options).Fit(dataset.matrix);
+    auto result = baselines::SsvdPca(&engine, options).Solve(dataset.matrix);
     if (result.ok()) {
       PrintSeries("Mahout-PCA", result.value().trace);
     } else {

@@ -91,7 +91,7 @@ void Run(obs::Registry* registry) {
 
   // --- sPCA-MapReduce (cold start) and sPCA-SG.
   struct SpcaRun {
-    core::SpcaResult result;
+    core::SolveResult result;
     std::vector<dist::JobTrace> jobs;
   };
   auto run_spca = [&](bool smart_guess) {
@@ -120,7 +120,7 @@ void Run(obs::Registry* registry) {
   mahout_options.target_accuracy_fraction = 2.0;
   mahout_options.ideal_error_override = ideal;
   auto mahout =
-      baselines::SsvdPca(&mahout_engine, mahout_options).Fit(dataset.matrix);
+      baselines::SsvdPca(&mahout_engine, mahout_options).Solve(dataset.matrix);
   SPCA_CHECK(mahout.ok());
 
   std::printf("--- Replayed at the paper's scale (1.26B rows) ---\n");

@@ -67,7 +67,7 @@ void Run(obs::Registry* registry) {
   mahout_options.target_accuracy_fraction = 0.95;
   mahout_options.ideal_error_override = ideal;
   auto mahout =
-      baselines::SsvdPca(&mahout_engine, mahout_options).Fit(dataset.matrix);
+      baselines::SsvdPca(&mahout_engine, mahout_options).Solve(dataset.matrix);
   SPCA_CHECK(mahout.ok());
 
   const std::vector<double> paper_rows = {1e5, 1e6, 1e7, 1e8, 1.264812931e9};

@@ -63,7 +63,7 @@ JobTable RunMahoutJobs(const dist::DistMatrix& matrix,
   options.max_power_iterations = 1;
   options.target_accuracy_fraction = 2.0;
   options.compute_accuracy_trace = false;
-  auto result = baselines::SsvdPca(&engine, options).Fit(matrix);
+  auto result = baselines::SsvdPca(&engine, options).Solve(matrix);
   SPCA_CHECK(result.ok());
   return Summarize(engine.traces());
 }

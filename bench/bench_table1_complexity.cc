@@ -69,7 +69,7 @@ std::vector<std::pair<std::string, MethodFn>> Methods(
                              registry);
          baselines::CovEigOptions options;
          options.num_components = kComponents;
-         auto result = baselines::CovEigPca(&engine, options).Fit(y);
+         auto result = baselines::CovEigPca(&engine, options).Solve(y);
          SPCA_CHECK(result.ok());
          return FromStats(result.value().stats);
        }},
@@ -79,7 +79,7 @@ std::vector<std::pair<std::string, MethodFn>> Methods(
                              registry);
          baselines::SvdBidiagOptions options;
          options.num_components = kComponents;
-         auto result = baselines::SvdBidiagPca(&engine, options).Fit(y);
+         auto result = baselines::SvdBidiagPca(&engine, options).Solve(y);
          SPCA_CHECK(result.ok());
          return FromStats(result.value().stats);
        }},
@@ -92,7 +92,7 @@ std::vector<std::pair<std::string, MethodFn>> Methods(
          options.max_power_iterations = 1;
          options.target_accuracy_fraction = 2.0;
          options.compute_accuracy_trace = false;
-         auto result = baselines::SsvdPca(&engine, options).Fit(y);
+         auto result = baselines::SsvdPca(&engine, options).Solve(y);
          SPCA_CHECK(result.ok());
          return FromStats(result.value().stats);
        }},
@@ -116,7 +116,7 @@ std::vector<std::pair<std::string, MethodFn>> Methods(
          baselines::LanczosOptions options;
          options.num_components = kComponents;
          options.lanczos_steps = 2 * kComponents;
-         auto result = baselines::LanczosPca(&engine, options).Fit(y);
+         auto result = baselines::LanczosPca(&engine, options).Solve(y);
          SPCA_CHECK(result.ok());
          return FromStats(result.value().stats);
        }},

@@ -2,7 +2,9 @@
 
 #include <climits>
 #include <cstdlib>
+#include <utility>
 
+#include "common/check.h"
 #include "common/flags.h"
 #include "core/reconstruction_error.h"
 #include "obs/export.h"
@@ -32,6 +34,31 @@ dist::FaultPlan g_fault_plan;
 // Applies the bench-wide fault plan to a freshly constructed engine.
 void ApplyBenchFaults(dist::Engine* engine) {
   if (g_fault_plan.active()) engine->SetFaultPlan(g_fault_plan);
+}
+
+// The RunOutcome row of one solve, labelled `algorithm`.
+RunOutcome ToOutcome(std::string algorithm,
+                     StatusOr<core::SolveResult> result) {
+  RunOutcome outcome;
+  outcome.algorithm = std::move(algorithm);
+  if (!result.ok()) {
+    outcome.failure = result.status().code() == StatusCode::kOutOfMemory
+                          ? "Fail (driver OOM)"
+                          : result.status().ToString();
+    return outcome;
+  }
+  core::SolveResult& solve = result.value();
+  outcome.ok = true;
+  outcome.simulated_seconds = solve.stats.simulated_seconds;
+  outcome.wall_seconds = solve.stats.wall_seconds;
+  outcome.iterations = solve.iterations_run;
+  outcome.stats = solve.stats;
+  outcome.driver_bytes = solve.driver_bytes;
+  if (!solve.trace.empty()) {
+    outcome.accuracy_percent = solve.trace.back().accuracy_percent;
+  }
+  outcome.model = std::move(solve.model);
+  return outcome;
 }
 
 }  // namespace
@@ -131,19 +158,19 @@ double DatasetIdealError(const dist::DistMatrix& matrix, size_t d) {
   const auto indices = core::SampleRowIndices(
       matrix.rows(), probe.error_sample_rows, core::kErrorSampleSeed);
   const dist::DistMatrix sample = matrix.SampleRows(indices, 1);
-  return core::ConvergedIdealError(PaperSpec(), matrix, d, sample);
+  auto ideal = core::ConvergedIdealError(PaperSpec(), matrix, d, sample);
+  SPCA_CHECK_MSG(ideal.ok(), "dataset ideal-error fit failed");
+  return ideal.value();
 }
 
 RunOutcome RunSpca(dist::EngineMode mode, const dist::DistMatrix& matrix,
                    size_t d, double target_accuracy, int max_iterations,
                    bool smart_guess, double ideal_error,
                    obs::Registry* registry) {
-  RunOutcome outcome;
-  outcome.algorithm = mode == dist::EngineMode::kMapReduce
-                          ? "sPCA-MapReduce"
-                          : "sPCA-Spark";
-  if (smart_guess) outcome.algorithm = "sPCA-SG";
-
+  const char* algorithm = smart_guess ? "sPCA-SG"
+                          : mode == dist::EngineMode::kMapReduce
+                              ? "sPCA-MapReduce"
+                              : "sPCA-Spark";
   dist::Engine engine(PaperSpec(), mode, registry);
   ApplyBenchFaults(&engine);
   core::SpcaOptions options;
@@ -152,29 +179,16 @@ RunOutcome RunSpca(dist::EngineMode mode, const dist::DistMatrix& matrix,
   options.target_accuracy_fraction = target_accuracy;
   options.smart_guess = smart_guess;
   options.ideal_error_override = ideal_error;
-  auto result = core::Spca(&engine, options).Solve(matrix);
-  if (!result.ok()) {
-    outcome.failure = result.status().ToString();
-    return outcome;
-  }
-  outcome.ok = true;
-  outcome.simulated_seconds = result.value().stats.simulated_seconds;
-  outcome.wall_seconds = result.value().stats.wall_seconds;
-  outcome.iterations = result.value().iterations_run;
-  outcome.stats = result.value().stats;
-  outcome.driver_bytes = engine.peak_driver_memory();
-  if (!result.value().trace.empty()) {
-    outcome.accuracy_percent = result.value().trace.back().accuracy_percent;
-  }
-  outcome.model = std::move(result.value().model);
+  RunOutcome outcome =
+      ToOutcome(algorithm, core::Spca(&engine, options).Solve(matrix));
+  // sPCA's driver footprint is the engine's peak reservation.
+  if (outcome.ok) outcome.driver_bytes = engine.peak_driver_memory();
   return outcome;
 }
 
 RunOutcome RunMahoutPca(const dist::DistMatrix& matrix, size_t d,
                         double target_accuracy, int max_power_iterations,
                         double ideal_error, obs::Registry* registry) {
-  RunOutcome outcome;
-  outcome.algorithm = "Mahout-PCA";
   dist::Engine engine(PaperSpec(), dist::EngineMode::kMapReduce, registry);
   ApplyBenchFaults(&engine);
   baselines::SsvdOptions options;
@@ -182,27 +196,12 @@ RunOutcome RunMahoutPca(const dist::DistMatrix& matrix, size_t d,
   options.max_power_iterations = max_power_iterations;
   options.target_accuracy_fraction = target_accuracy;
   options.ideal_error_override = ideal_error;
-  auto result = baselines::SsvdPca(&engine, options).Fit(matrix);
-  if (!result.ok()) {
-    outcome.failure = result.status().ToString();
-    return outcome;
-  }
-  outcome.ok = true;
-  outcome.simulated_seconds = result.value().stats.simulated_seconds;
-  outcome.wall_seconds = result.value().stats.wall_seconds;
-  outcome.iterations = result.value().iterations_run;
-  outcome.stats = result.value().stats;
-  if (!result.value().trace.empty()) {
-    outcome.accuracy_percent = result.value().trace.back().accuracy_percent;
-  }
-  outcome.model = std::move(result.value().model);
-  return outcome;
+  return ToOutcome("Mahout-PCA",
+                   baselines::SsvdPca(&engine, options).Solve(matrix));
 }
 
 RunOutcome RunMllibPca(const dist::DistMatrix& matrix, size_t d,
                        obs::Registry* registry) {
-  RunOutcome outcome;
-  outcome.algorithm = "MLlib-PCA";
   dist::Engine engine(PaperSpec(), dist::EngineMode::kSpark, registry);
   ApplyBenchFaults(&engine);
   baselines::CovEigOptions options;
@@ -210,19 +209,9 @@ RunOutcome RunMllibPca(const dist::DistMatrix& matrix, size_t d,
   // Keep the stand-in subspace iteration affordable on one machine; the
   // charged simulated cost is the full dense eigendecomposition regardless.
   options.subspace_iterations = 60;
-  auto result = baselines::CovEigPca(&engine, options).Fit(matrix);
-  if (!result.ok()) {
-    outcome.failure = result.status().code() == StatusCode::kOutOfMemory
-                          ? "Fail (driver OOM)"
-                          : result.status().ToString();
-    return outcome;
-  }
-  outcome.ok = true;
-  outcome.simulated_seconds = result.value().stats.simulated_seconds;
-  outcome.wall_seconds = result.value().stats.wall_seconds;
-  outcome.stats = result.value().stats;
-  outcome.driver_bytes = result.value().driver_bytes;
-  outcome.model = std::move(result.value().model);
+  RunOutcome outcome = ToOutcome(
+      "MLlib-PCA", baselines::CovEigPca(&engine, options).Solve(matrix));
+  outcome.iterations = 0;  // no iterative refinement to count
   return outcome;
 }
 

@@ -91,9 +91,9 @@ struct RunOutcome {
   double simulated_seconds = 0.0;
   double wall_seconds = 0.0;
   double accuracy_percent = 0.0;  // 0 when not measured
-  int iterations = 0;
+  int iterations = 0;  // 0 for MLlib's single pass
   dist::CommStats stats;
-  uint64_t driver_bytes = 0;  // CovEig only
+  uint64_t driver_bytes = 0;  // sPCA and MLlib only
   core::PcaModel model;
 };
 

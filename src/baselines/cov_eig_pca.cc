@@ -3,8 +3,8 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "core/jobs.h"
+#include "core/reconstruction_error.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/qr.h"
 
@@ -16,7 +16,8 @@ using dist::TaskContext;
 using linalg::DenseMatrix;
 using linalg::DenseVector;
 
-StatusOr<CovEigResult> CovEigPca::Fit(const DistMatrix& y) const {
+StatusOr<core::SolveResult> CovEigPca::Solve(
+    const DistMatrix& y, const core::FitOptions& fit) const {
   const size_t d = options_.num_components;
   const size_t dim = y.cols();
   const size_t n = y.rows();
@@ -25,9 +26,11 @@ StatusOr<CovEigResult> CovEigPca::Fit(const DistMatrix& y) const {
   }
   if (n < 2) return Status::InvalidArgument("need at least 2 rows");
 
-  CovEigResult result;
-  const auto stats_before = engine_->stats();
-  obs::Span fit_span(engine_->registry(), "mllib.fit", "algorithm");
+  core::SolveResult result;
+  core::AccuracyTracker tracker(engine_);
+  obs::Registry* registry =
+      fit.registry != nullptr ? fit.registry : engine_->registry();
+  obs::Span fit_span(registry, "mllib.fit", "algorithm");
   fit_span.SetAttribute("rows", static_cast<uint64_t>(n));
   fit_span.SetAttribute("cols", static_cast<uint64_t>(dim));
   fit_span.SetAttribute("components", static_cast<uint64_t>(d));
@@ -69,7 +72,6 @@ StatusOr<CovEigResult> CovEigPca::Fit(const DistMatrix& y) const {
   // ---- Real numerics (outside the cost accounting): matrix-free subspace
   // iteration on Cov = Y'Y/n - mean*mean'. Converges to the same dominant
   // eigenvectors the dense eigensolver would return.
-  Stopwatch wall;
   Rng rng(options_.seed);
   DenseMatrix basis = DenseMatrix::GaussianRandom(dim, d, &rng);
   basis = linalg::OrthonormalizeColumns(basis);
@@ -111,9 +113,8 @@ StatusOr<CovEigResult> CovEigPca::Fit(const DistMatrix& y) const {
   }
   result.model.components = std::move(basis);
   result.model.noise_variance = 0.0;
-
-  result.stats = dist::StatsDiff(engine_->stats(), stats_before);
-  result.stats.wall_seconds = wall.ElapsedSeconds();
+  result.iterations_run = 1;
+  tracker.Finish(&result);
   return result;
 }
 

@@ -1,8 +1,10 @@
 #ifndef SPCA_BASELINES_COV_EIG_PCA_H_
 #define SPCA_BASELINES_COV_EIG_PCA_H_
 
+#include <string_view>
+
 #include "common/status.h"
-#include "core/pca_model.h"
+#include "core/solver.h"
 #include "dist/dist_matrix.h"
 #include "dist/engine.h"
 
@@ -23,14 +25,6 @@ struct CovEigOptions {
   double driver_memory_factor = 90.0;
 };
 
-/// Result of a CovEigPca fit.
-struct CovEigResult {
-  core::PcaModel model;
-  dist::CommStats stats;
-  /// Modeled peak driver-resident bytes (Figure 8's y-axis).
-  uint64_t driver_bytes = 0;
-};
-
 /// The covariance-eigendecomposition PCA of Section 2.1 — the algorithm in
 /// MLlib-PCA (Spark) and RScaLAPACK. One distributed pass accumulates the
 /// D x D Gram/covariance matrix on the driver, which then eigendecomposes
@@ -44,12 +38,21 @@ struct CovEigResult {
 /// (what MLlib really does); the numerical result itself is produced with
 /// an equivalent matrix-free subspace iteration so the benchmark suite
 /// stays runnable at large D on one machine.
-class CovEigPca {
+///
+/// One pass, so SolveResult::iterations_run is 1; SolveResult::driver_bytes
+/// is the modeled peak driver-resident bytes (Figure 8's y-axis). Warm
+/// starts in core::FitOptions are ignored.
+class CovEigPca : public core::BatchSolver {
  public:
+  /// `engine` must outlive this object.
   CovEigPca(dist::Engine* engine, const CovEigOptions& options)
       : engine_(engine), options_(options) {}
 
-  StatusOr<CovEigResult> Fit(const dist::DistMatrix& y) const;
+  StatusOr<core::SolveResult> Solve(
+      const dist::DistMatrix& y,
+      const core::FitOptions& fit = {}) const override;
+
+  std::string_view name() const override { return "mllib"; }
 
  private:
   dist::Engine* engine_;

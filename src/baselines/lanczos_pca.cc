@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "common/stopwatch.h"
 #include "core/jobs.h"
+#include "core/reconstruction_error.h"
 #include "linalg/lanczos.h"
 
 namespace spca::baselines {
@@ -83,7 +83,8 @@ class CenteredOperator : public linalg::LinearOperator {
 
 }  // namespace
 
-StatusOr<LanczosResult> LanczosPca::Fit(const DistMatrix& y) const {
+StatusOr<core::SolveResult> LanczosPca::Solve(
+    const DistMatrix& y, const core::FitOptions& fit) const {
   const size_t d = options_.num_components;
   const size_t dim = y.cols();
   if (d == 0 || d > dim) {
@@ -91,15 +92,15 @@ StatusOr<LanczosResult> LanczosPca::Fit(const DistMatrix& y) const {
   }
   if (y.rows() < 2) return Status::InvalidArgument("need at least 2 rows");
 
-  const auto stats_before = engine_->stats();
-  Stopwatch wall;
-
-  obs::Span fit_span(engine_->registry(), "lanczos.fit", "algorithm");
+  core::AccuracyTracker tracker(engine_);
+  obs::Registry* registry =
+      fit.registry != nullptr ? fit.registry : engine_->registry();
+  obs::Span fit_span(registry, "lanczos.fit", "algorithm");
   fit_span.SetAttribute("rows", static_cast<uint64_t>(y.rows()));
   fit_span.SetAttribute("cols", static_cast<uint64_t>(dim));
   fit_span.SetAttribute("components", static_cast<uint64_t>(d));
 
-  LanczosResult result;
+  core::SolveResult result;
   result.model.mean = core::MeanJob(engine_, y);
 
   const size_t steps =
@@ -115,9 +116,8 @@ StatusOr<LanczosResult> LanczosPca::Fit(const DistMatrix& y) const {
   }
   result.model.components = std::move(components);
   result.model.noise_variance = 0.0;
-
-  result.stats = dist::StatsDiff(engine_->stats(), stats_before);
-  result.stats.wall_seconds = wall.ElapsedSeconds();
+  result.iterations_run = 1;
+  tracker.Finish(&result);
   return result;
 }
 

@@ -1,8 +1,10 @@
 #ifndef SPCA_BASELINES_LANCZOS_PCA_H_
 #define SPCA_BASELINES_LANCZOS_PCA_H_
 
+#include <string_view>
+
 #include "common/status.h"
-#include "core/pca_model.h"
+#include "core/solver.h"
 #include "dist/dist_matrix.h"
 #include "dist/engine.h"
 
@@ -16,12 +18,6 @@ struct LanczosOptions {
   uint64_t seed = 5;
 };
 
-/// Result of a LanczosPca fit.
-struct LanczosResult {
-  core::PcaModel model;
-  dist::CommStats stats;
-};
-
 /// SVD-Lanczos PCA (Section 2.2; implemented by Mahout and GraphLab):
 /// Golub–Kahan–Lanczos bidiagonalization where each step multiplies the
 /// *mean-centered* matrix (and its transpose) with a vector. The paper's
@@ -30,12 +26,20 @@ struct LanczosResult {
 /// O(N*D) because Yc is dense even when Y is sparse, giving O(N*D^2)-class
 /// total cost for PCA. (The arithmetic itself is evaluated with mean
 /// propagation so results are exact and the benchmarks stay runnable.)
-class LanczosPca {
+///
+/// One Krylov run, so SolveResult::iterations_run is 1. Warm starts in
+/// core::FitOptions are ignored.
+class LanczosPca : public core::BatchSolver {
  public:
+  /// `engine` must outlive this object.
   LanczosPca(dist::Engine* engine, const LanczosOptions& options)
       : engine_(engine), options_(options) {}
 
-  StatusOr<LanczosResult> Fit(const dist::DistMatrix& y) const;
+  StatusOr<core::SolveResult> Solve(
+      const dist::DistMatrix& y,
+      const core::FitOptions& fit = {}) const override;
+
+  std::string_view name() const override { return "lanczos"; }
 
  private:
   dist::Engine* engine_;

@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "core/jobs.h"
 #include "core/reconstruction_error.h"
 #include "linalg/ops.h"
@@ -165,7 +164,8 @@ StatusOr<DistMatrix> DistributedQr(dist::Engine* engine,
 
 }  // namespace
 
-StatusOr<SsvdResult> SsvdPca::Fit(const DistMatrix& y) const {
+StatusOr<core::SolveResult> SsvdPca::Solve(
+    const DistMatrix& y, const core::FitOptions& fit) const {
   const size_t d = options_.num_components;
   const size_t dim = y.cols();
   const size_t n = y.rows();
@@ -176,33 +176,24 @@ StatusOr<SsvdResult> SsvdPca::Fit(const DistMatrix& y) const {
   const size_t k = std::min(d + options_.oversampling, std::min(n, dim));
   if (k < d) return Status::InvalidArgument("rank larger than the matrix");
 
-  const auto stats_before = engine_->stats();
-  const double sim_before = engine_->SimulatedSeconds();
-  Stopwatch wall;
+  core::AccuracyTracker tracker(
+      engine_, {.compute_trace = options_.compute_accuracy_trace,
+                .target_fraction = options_.target_accuracy_fraction,
+                .sample_rows = options_.error_sample_rows,
+                .ideal_error_override = options_.ideal_error_override,
+                .seed = options_.seed});
 
-  obs::Span fit_span(engine_->registry(), "ssvd.fit", "algorithm");
+  obs::Registry* registry =
+      fit.registry != nullptr ? fit.registry : engine_->registry();
+  obs::Span fit_span(registry, "ssvd.fit", "algorithm");
   fit_span.SetAttribute("rows", static_cast<uint64_t>(n));
   fit_span.SetAttribute("cols", static_cast<uint64_t>(dim));
   fit_span.SetAttribute("components", static_cast<uint64_t>(d));
 
-  SsvdResult result;
+  core::SolveResult result;
   result.model.mean = core::MeanJob(engine_, y);
   const DenseVector& ym = result.model.mean;
-
-  const bool needs_errors = options_.compute_accuracy_trace ||
-                            options_.target_accuracy_fraction <= 1.0;
-  DistMatrix sample;
-  if (needs_errors) {
-    const auto indices = core::SampleRowIndices(
-        n, options_.error_sample_rows, core::kErrorSampleSeed);
-    sample = y.SampleRows(indices, 1);
-    result.ideal_error =
-        options_.ideal_error_override > 0.0
-            ? options_.ideal_error_override
-            : core::ConvergedIdealError(engine_->spec(), y, d, sample,
-                                        options_.ideal_fit_iterations,
-                                        options_.seed);
-  }
+  SPCA_RETURN_IF_ERROR(tracker.Anchor(y, d));
 
   // Random projection (the driver broadcasts Omega inside TimesJob).
   Rng rng(options_.seed);
@@ -213,7 +204,7 @@ StatusOr<SsvdResult> SsvdPca::Fit(const DistMatrix& y) const {
   if (!q.ok()) return q.status();
 
   for (int round = 0;; ++round) {
-    obs::Span round_span(engine_->registry(), "ssvd.power_round", "iteration");
+    obs::Span round_span(registry, "ssvd.power_round", "iteration");
     round_span.SetAttribute("round", static_cast<uint64_t>(round));
     if (round > 0) {
       // One power iteration: Q <- qr(Yc * orth(Yc' * Q)).
@@ -244,30 +235,11 @@ StatusOr<SsvdResult> SsvdPca::Fit(const DistMatrix& y) const {
     result.model.noise_variance = 0.0;
     result.iterations_run = round + 1;
 
-    if (needs_errors) {
-      core::IterationTrace trace;
-      trace.iteration = round + 1;
-      trace.error =
-          core::SampledReconstructionError(sample, result.model.components,
-                                           ym);
-      trace.accuracy_percent =
-          core::AccuracyPercent(trace.error, result.ideal_error);
-      trace.simulated_seconds = engine_->SimulatedSeconds() - sim_before;
-      trace.wall_seconds = wall.ElapsedSeconds();
-      trace.jobs_completed = engine_->traces().size();
-      result.trace.push_back(trace);
-      if (options_.target_accuracy_fraction <= 1.0 &&
-          trace.accuracy_percent >=
-              options_.target_accuracy_fraction * 100.0) {
-        result.reached_target = true;
-        break;
-      }
-    }
+    if (tracker.Record(round + 1, result.model, &round_span)) break;
     if (round >= options_.max_power_iterations) break;
   }
 
-  result.stats = dist::StatsDiff(engine_->stats(), stats_before);
-  result.stats.wall_seconds = wall.ElapsedSeconds();
+  tracker.Finish(&result);
   return result;
 }
 

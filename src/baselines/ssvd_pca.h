@@ -1,11 +1,10 @@
 #ifndef SPCA_BASELINES_SSVD_PCA_H_
 #define SPCA_BASELINES_SSVD_PCA_H_
 
-#include <vector>
+#include <string_view>
 
 #include "common/status.h"
-#include "core/pca_model.h"
-#include "core/spca.h"
+#include "core/solver.h"
 #include "dist/dist_matrix.h"
 #include "dist/engine.h"
 
@@ -33,17 +32,6 @@ struct SsvdOptions {
   /// core::SpcaOptions::ideal_error_override); 0 = compute automatically
   /// via a hidden converged PPCA fit.
   double ideal_error_override = 0.0;
-  int ideal_fit_iterations = 15;
-};
-
-/// Result of an SsvdPca fit. Trace semantics match core::SpcaResult.
-struct SsvdResult {
-  core::PcaModel model;
-  std::vector<core::IterationTrace> trace;
-  double ideal_error = 0.0;
-  int iterations_run = 0;
-  bool reached_target = false;
-  dist::CommStats stats;
 };
 
 /// Stochastic SVD PCA (Section 2.3) — the algorithm behind Mahout-PCA.
@@ -56,12 +44,20 @@ struct SsvdResult {
 /// data: Y0 and Q are N x k *dense* matrices materialized between phases,
 /// and the Bt job's mappers emit k x D dense partials — 961 GB for the
 /// Tweets dataset versus sPCA's 131 MB.
-class SsvdPca {
+///
+/// Each refinement round is one trace point (see core::AccuracyTracker).
+/// Warm starts in core::FitOptions are ignored: the algorithm has none.
+class SsvdPca : public core::BatchSolver {
  public:
+  /// `engine` must outlive this object.
   SsvdPca(dist::Engine* engine, const SsvdOptions& options)
       : engine_(engine), options_(options) {}
 
-  StatusOr<SsvdResult> Fit(const dist::DistMatrix& y) const;
+  StatusOr<core::SolveResult> Solve(
+      const dist::DistMatrix& y,
+      const core::FitOptions& fit = {}) const override;
+
+  std::string_view name() const override { return "mahout"; }
 
  private:
   dist::Engine* engine_;

@@ -3,8 +3,8 @@
 #include <cmath>
 #include <memory>
 
-#include "common/stopwatch.h"
 #include "core/jobs.h"
+#include "core/reconstruction_error.h"
 #include "linalg/ops.h"
 #include "linalg/solve.h"
 #include "linalg/svd.h"
@@ -17,7 +17,8 @@ using dist::TaskContext;
 using linalg::DenseMatrix;
 using linalg::DenseVector;
 
-StatusOr<SvdBidiagResult> SvdBidiagPca::Fit(const DistMatrix& y) const {
+StatusOr<core::SolveResult> SvdBidiagPca::Solve(
+    const DistMatrix& y, const core::FitOptions& /*fit*/) const {
   const size_t d = options_.num_components;
   const size_t dim = y.cols();
   const size_t n = y.rows();
@@ -29,10 +30,8 @@ StatusOr<SvdBidiagResult> SvdBidiagPca::Fit(const DistMatrix& y) const {
         "SVD-Bidiag (thin QR) requires more rows than columns");
   }
 
-  const auto stats_before = engine_->stats();
-  Stopwatch wall;
-
-  SvdBidiagResult result;
+  core::AccuracyTracker tracker(engine_);
+  core::SolveResult result;
   result.model.mean = core::MeanJob(engine_, y);
   const DenseVector& ym = result.model.mean;
 
@@ -41,7 +40,8 @@ StatusOr<SvdBidiagResult> SvdBidiagPca::Fit(const DistMatrix& y) const {
   // sparse inputs stay sparse); R = chol(Gram)'. Charged per the paper's
   // analysis: Householder QR flops and (N + D) * d intermediate bytes.
   auto grams = engine_->RunMap<std::unique_ptr<DenseMatrix>>(
-      "bidiag.qrJob", y, [&](const RowRange& range, TaskContext* ctx) {
+      dist::JobDesc{"bidiag.qrJob"}, y,
+      [&](const RowRange& range, TaskContext* ctx) {
         auto gram = std::make_unique<DenseMatrix>(dim, dim);
         DenseVector dense_row(dim);
         uint64_t flops = 0;
@@ -101,9 +101,8 @@ StatusOr<SvdBidiagResult> SvdBidiagPca::Fit(const DistMatrix& y) const {
   }
   result.model.components = std::move(components);
   result.model.noise_variance = 0.0;
-
-  result.stats = dist::StatsDiff(engine_->stats(), stats_before);
-  result.stats.wall_seconds = wall.ElapsedSeconds();
+  result.iterations_run = 1;
+  tracker.Finish(&result);
   return result;
 }
 

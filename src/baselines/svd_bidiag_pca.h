@@ -1,8 +1,10 @@
 #ifndef SPCA_BASELINES_SVD_BIDIAG_PCA_H_
 #define SPCA_BASELINES_SVD_BIDIAG_PCA_H_
 
+#include <string_view>
+
 #include "common/status.h"
-#include "core/pca_model.h"
+#include "core/solver.h"
 #include "dist/dist_matrix.h"
 #include "dist/engine.h"
 
@@ -11,12 +13,6 @@ namespace spca::baselines {
 /// Options for SvdBidiagPca.
 struct SvdBidiagOptions {
   size_t num_components = 50;
-};
-
-/// Result of an SvdBidiagPca fit.
-struct SvdBidiagResult {
-  core::PcaModel model;
-  dist::CommStats stats;
 };
 
 /// The SVD-Bidiag method of Section 2.2 (Demmel–Kahan; implemented by
@@ -29,12 +25,20 @@ struct SvdBidiagResult {
 /// The distributed QR is realized as Cholesky-QR (R from the D x D Gram);
 /// steps (ii) and (iii) run on the driver using the library's Householder
 /// bidiagonalization and Jacobi SVD.
-class SvdBidiagPca {
+///
+/// One pass, so SolveResult::iterations_run is 1. core::FitOptions is
+/// ignored: no warm start, and no span of its own to route.
+class SvdBidiagPca : public core::BatchSolver {
  public:
+  /// `engine` must outlive this object.
   SvdBidiagPca(dist::Engine* engine, const SvdBidiagOptions& options)
       : engine_(engine), options_(options) {}
 
-  StatusOr<SvdBidiagResult> Fit(const dist::DistMatrix& y) const;
+  StatusOr<core::SolveResult> Solve(
+      const dist::DistMatrix& y,
+      const core::FitOptions& fit = {}) const override;
+
+  std::string_view name() const override { return "bidiag"; }
 
  private:
   dist::Engine* engine_;

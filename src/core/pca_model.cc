@@ -35,7 +35,7 @@ DenseVector PcaModel::ExplainedVariances(dist::Engine* engine,
   // rotation of the principal axes, so per-column sums would come out in
   // no particular order).
   auto partials = engine->RunMap<DenseMatrix>(
-      "explainedVarianceJob", y,
+      dist::JobDesc{"explainedVarianceJob"}, y,
       [&](const dist::RowRange& range, dist::TaskContext* ctx) {
         DenseMatrix moment(d, d);
         DenseVector projected(d);
@@ -79,7 +79,8 @@ DenseMatrix PcaModel::Transform(dist::Engine* engine,
 
   DenseMatrix x(y.rows(), d);
   engine->RunMap<int>(
-      "transform", y, [&](const dist::RowRange& range, dist::TaskContext* ctx) {
+      dist::JobDesc{"transform"}, y,
+      [&](const dist::RowRange& range, dist::TaskContext* ctx) {
         DenseVector projected(d);
         uint64_t flops = 0;
         for (size_t i = range.begin; i < range.end; ++i) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -104,10 +105,10 @@ double IdealReconstructionError(const dist::DistMatrix& sample, size_t d) {
   return SampledReconstructionError(sample, top, mean);
 }
 
-double ConvergedIdealError(const dist::ClusterSpec& spec,
-                           const dist::DistMatrix& y, size_t d,
-                           const dist::DistMatrix& sample, int iterations,
-                           uint64_t seed) {
+StatusOr<double> ConvergedIdealError(const dist::ClusterSpec& spec,
+                                     const dist::DistMatrix& y, size_t d,
+                                     const dist::DistMatrix& sample,
+                                     int iterations, uint64_t seed) {
   dist::Engine shadow(spec, dist::EngineMode::kSpark);
   SpcaOptions options;
   options.num_components = d;
@@ -116,7 +117,7 @@ double ConvergedIdealError(const dist::ClusterSpec& spec,
   options.compute_accuracy_trace = false;   // no nested ideal computation
   options.seed = seed;
   auto fit = Spca(&shadow, options).Solve(y);
-  SPCA_CHECK_MSG(fit.ok(), "converged ideal-error fit failed");
+  if (!fit.ok()) return fit.status();
   return SampledReconstructionError(sample, fit.value().model.components,
                                     fit.value().model.mean);
 }
@@ -125,6 +126,65 @@ double AccuracyPercent(double error, double ideal_error) {
   if (error <= 0.0) return 100.0;
   const double pct = 100.0 * ideal_error / error;
   return std::clamp(pct, 0.0, 100.0);
+}
+
+AccuracyTracker::AccuracyTracker(dist::Engine* engine,
+                                 const AccuracyPolicy& policy)
+    : engine_(engine),
+      policy_(policy),
+      measures_(policy.compute_trace || policy.target_fraction <= 1.0),
+      stats_before_(engine->stats()),
+      first_job_index_(engine->traces().size()) {}
+
+Status AccuracyTracker::Anchor(const dist::DistMatrix& y, size_t d) {
+  if (!measures_) return Status::Ok();
+  sample_ = y.SampleRows(
+      SampleRowIndices(y.rows(), policy_.sample_rows, kErrorSampleSeed), 1);
+  if (policy_.ideal_error_override > 0.0) {
+    ideal_error_ = policy_.ideal_error_override;
+    return Status::Ok();
+  }
+  auto ideal = ConvergedIdealError(engine_->spec(), y, d, sample_,
+                                   policy_.ideal_fit_iterations, policy_.seed);
+  if (!ideal.ok()) return ideal.status();
+  ideal_error_ = ideal.value();
+  return Status::Ok();
+}
+
+bool AccuracyTracker::Record(int iteration, const PcaModel& model,
+                             obs::Span* span) {
+  if (!measures_) return false;
+  IterationTrace trace;
+  trace.iteration = iteration;
+  trace.error =
+      SampledReconstructionError(sample_, model.components, model.mean);
+  trace.accuracy_percent = AccuracyPercent(trace.error, ideal_error_);
+  trace.simulated_seconds =
+      engine_->SimulatedSeconds() - stats_before_.simulated_seconds;
+  trace.wall_seconds = wall_.ElapsedSeconds();
+  trace.ss = model.noise_variance;
+  trace.jobs_completed = engine_->traces().size();
+  trace_.push_back(trace);
+  span->SetAttribute("error", trace.error);
+  span->SetAttribute("accuracy_percent", trace.accuracy_percent);
+  // Written so trace files alone can regenerate the accuracy-vs-time
+  // tables (tools/trace_report) without rerunning the benchmark.
+  span->SetAttribute("sim_seconds", trace.simulated_seconds);
+  span->SetAttribute("wall_seconds", trace.wall_seconds);
+  if (policy_.target_fraction <= 1.0 &&
+      trace.accuracy_percent >= policy_.target_fraction * 100.0) {
+    reached_target_ = true;
+  }
+  return reached_target_;
+}
+
+void AccuracyTracker::Finish(SolveResult* result) {
+  result->trace = std::move(trace_);
+  result->ideal_error = ideal_error_;
+  result->reached_target = reached_target_;
+  result->first_job_index = first_job_index_;
+  result->stats = dist::StatsDiff(engine_->stats(), stats_before_);
+  result->stats.wall_seconds = wall_.ElapsedSeconds();
 }
 
 }  // namespace spca::core

@@ -4,8 +4,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/stopwatch.h"
+#include "core/solver.h"
 #include "dist/cluster_spec.h"
 #include "dist/dist_matrix.h"
+#include "dist/engine.h"
 #include "linalg/dense_matrix.h"
 
 namespace spca::core {
@@ -43,11 +46,12 @@ double IdealReconstructionError(const dist::DistMatrix& sample, size_t d);
 /// iterations"): fits PPCA on `y` for `iterations` EM iterations on a
 /// throwaway engine (same cluster spec, so numerics match; no cost is
 /// charged to the caller's engine) and returns its sampled reconstruction
-/// error on `sample`.
-double ConvergedIdealError(const dist::ClusterSpec& spec,
-                           const dist::DistMatrix& y, size_t d,
-                           const dist::DistMatrix& sample,
-                           int iterations = 15, uint64_t seed = 1);
+/// error on `sample`. Fails with the fit's own status when PPCA cannot fit
+/// `y` (FAILED_PRECONDITION for a constant matrix).
+StatusOr<double> ConvergedIdealError(const dist::ClusterSpec& spec,
+                                     const dist::DistMatrix& y, size_t d,
+                                     const dist::DistMatrix& sample,
+                                     int iterations = 15, uint64_t seed = 1);
 
 /// The paper plots "percentage of the ideal accuracy achieved". Defined
 /// here as 100 * ideal_error / error, clamped to [0, 100]: it reaches 100%
@@ -56,6 +60,61 @@ double ConvergedIdealError(const dist::ClusterSpec& spec,
 /// (which genuinely happens for very sparse binary matrices, where low-rank
 /// reconstructions smear mass over the zero entries).
 double AccuracyPercent(double error, double ideal_error);
+
+/// One batch solve's accuracy settings, copied from the matching fields of
+/// SpcaOptions, sketch::RandSvdOptions or baselines::SsvdOptions (see
+/// SpcaOptions for each).
+struct AccuracyPolicy {
+  bool compute_trace = false;
+  /// Stop once accuracy reaches this fraction of ideal; > 1 never stops.
+  double target_fraction = 2.0;
+  size_t sample_rows = 0;
+  /// The anchor when > 0; else ConvergedIdealError(seed, iterations).
+  double ideal_error_override = 0.0;
+  uint64_t seed = 1;
+  int ideal_fit_iterations = 15;
+};
+
+/// The one home of what a batch solve measures (Section 5 "Performance
+/// Metrics") and of Algorithm 4's STOP_CONDITION. Construction starts the
+/// clock (engine stats, a wall stopwatch, the next job-trace index);
+/// Anchor() draws the error-row sample with kErrorSampleSeed and fixes the
+/// ideal-error anchor; Record() appends one IterationTrace per iteration,
+/// puts error / accuracy_percent / sim_seconds / wall_seconds on the
+/// iteration span and applies the target stop; Finish() fills the
+/// SolveResult. One-pass solvers measure nothing and use only the clock.
+class AccuracyTracker {
+ public:
+  /// `engine` must outlive the tracker.
+  explicit AccuracyTracker(dist::Engine* engine,
+                           const AccuracyPolicy& policy = {});
+
+  /// Draws the sample from `y` and fixes the anchor for `d` components, if
+  /// the policy measures anything. Call after the solver's input checks;
+  /// a failed anchor fit returns its status.
+  Status Anchor(const dist::DistMatrix& y, size_t d);
+
+  /// Measures `model` (read in place) after `iteration`, annotating
+  /// `span`. Returns true once the target is reached: stop iterating.
+  /// Does nothing and returns false when the policy measures nothing.
+  bool Record(int iteration, const PcaModel& model, obs::Span* span);
+
+  /// Moves the trace, ideal_error, reached_target, first_job_index and
+  /// the engine statistics since construction into `result`.
+  void Finish(SolveResult* result);
+
+ private:
+  dist::Engine* engine_;
+  AccuracyPolicy policy_;
+  bool measures_;
+  dist::CommStats stats_before_;
+  Stopwatch wall_;
+  size_t first_job_index_;
+  dist::DistMatrix sample_;
+  double ideal_error_ = 0.0;
+  std::vector<IterationTrace> trace_;
+  bool reached_target_ = false;
+};
 
 }  // namespace spca::core
 

@@ -217,27 +217,6 @@ class BatchSolver : public Solver {
   std::vector<dist::DistMatrix> batches_;
 };
 
-/// Adapts a single-shot fit function (the batch baselines) to the Solver
-/// surface through BatchSolver.
-class FitFnSolver final : public BatchSolver {
- public:
-  using FitFn = std::function<StatusOr<SolveResult>(const dist::DistMatrix&,
-                                                    const FitOptions&)>;
-
-  FitFnSolver(std::string name, FitFn fit)
-      : name_(std::move(name)), fit_(std::move(fit)) {}
-
-  std::string_view name() const override { return name_; }
-  StatusOr<SolveResult> Solve(const dist::DistMatrix& y,
-                              const FitOptions& options) const override {
-    return fit_(y, options);
-  }
-
- private:
-  std::string name_;
-  FitFn fit_;
-};
-
 /// Init + Step + Result in one call — the batch entry point for any solver.
 StatusOr<SolveResult> RunSolver(Solver* solver, const dist::DistMatrix& y,
                                 const FitOptions& options = {});

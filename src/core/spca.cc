@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "core/jobs.h"
 #include "core/reconstruction_error.h"
 
@@ -16,8 +15,8 @@ using dist::DistMatrix;
 using linalg::DenseMatrix;
 using linalg::DenseVector;
 
-StatusOr<SpcaResult> Spca::Solve(const DistMatrix& y,
-                                 const FitOptions& init) const {
+StatusOr<SolveResult> Spca::Solve(const DistMatrix& y,
+                                  const FitOptions& init) const {
   if (options_.num_components == 0) {
     return Status::InvalidArgument("num_components must be positive");
   }
@@ -116,7 +115,7 @@ Status Spca::Restore(const PcaModel& model,
   return Status::Ok();
 }
 
-StatusOr<SpcaResult> Spca::RunEm(
+StatusOr<SolveResult> Spca::RunEm(
     const DistMatrix& y, DenseMatrix initial_components, double initial_ss,
     obs::Registry* registry,
     const std::function<Status(const PcaModel&, const SolverCheckpoint&)>&
@@ -137,9 +136,13 @@ StatusOr<SpcaResult> Spca::RunEm(
       dist::LinearDriverStateBytes(engine_->spec(), dim, d));
   if (!driver_memory.ok()) return driver_memory.status();
 
-  const CommStats stats_before = engine_->stats();
-  const double sim_before = engine_->SimulatedSeconds();
-  Stopwatch wall;
+  AccuracyTracker tracker(
+      engine_, {.compute_trace = options_.compute_accuracy_trace,
+                .target_fraction = options_.target_accuracy_fraction,
+                .sample_rows = options_.error_sample_rows,
+                .ideal_error_override = options_.ideal_error_override,
+                .seed = options_.seed,
+                .ideal_fit_iterations = options_.ideal_fit_iterations});
 
   JobToggles toggles;
   toggles.mean_propagation = options_.mean_propagation;
@@ -147,8 +150,7 @@ StatusOr<SpcaResult> Spca::RunEm(
   toggles.consolidate_jobs = options_.consolidate_jobs;
   toggles.ss3_associativity = options_.ss3_associativity;
 
-  SpcaResult result;
-  result.first_job_index = engine_->traces().size();
+  SolveResult result;
   result.model.components = std::move(initial_components);
   result.model.noise_variance = initial_ss;
 
@@ -161,21 +163,8 @@ StatusOr<SpcaResult> Spca::RunEm(
         "input matrix is constant (zero variance)");
   }
 
-  // Evaluation sample for the stop condition / accuracy trace.
-  const bool needs_errors = options_.compute_accuracy_trace ||
-                            options_.target_accuracy_fraction <= 1.0;
-  DistMatrix sample;
-  if (needs_errors) {
-    const auto indices =
-        SampleRowIndices(n, options_.error_sample_rows, kErrorSampleSeed);
-    sample = y.SampleRows(indices, 1);
-    result.ideal_error =
-        options_.ideal_error_override > 0.0
-            ? options_.ideal_error_override
-            : ConvergedIdealError(engine_->spec(), y, d, sample,
-                                  options_.ideal_fit_iterations,
-                                  options_.seed);
-  }
+  // Evaluation sample and anchor for the stop condition / accuracy trace.
+  SPCA_RETURN_IF_ERROR(tracker.Anchor(y, d));
 
   DenseMatrix& c = result.model.components;
   double& ss = result.model.noise_variance;
@@ -235,36 +224,10 @@ StatusOr<SpcaResult> Spca::RunEm(
       SPCA_RETURN_IF_ERROR(on_checkpoint(result.model, checkpoint));
     }
 
-    if (needs_errors) {
-      IterationTrace trace;
-      trace.iteration = iteration;
-      trace.error = SampledReconstructionError(sample, c, ym);
-      trace.accuracy_percent = AccuracyPercent(trace.error, result.ideal_error);
-      trace.simulated_seconds = engine_->SimulatedSeconds() - sim_before;
-      trace.wall_seconds = wall.ElapsedSeconds();
-      trace.ss = ss;
-      trace.jobs_completed = engine_->traces().size();
-      result.trace.push_back(trace);
-      iter_span.SetAttribute("error", trace.error);
-      iter_span.SetAttribute("accuracy_percent", trace.accuracy_percent);
-      // Written so trace files alone can regenerate the accuracy-vs-time
-      // tables (tools/trace_report) without rerunning the benchmark.
-      registry->SetSpanAttribute(iter_span.id(), "sim_seconds",
-                                 trace.simulated_seconds);
-      registry->SetSpanAttribute(iter_span.id(), "wall_seconds",
-                                 trace.wall_seconds);
-      if (options_.target_accuracy_fraction <= 1.0 &&
-          trace.accuracy_percent >=
-              options_.target_accuracy_fraction * 100.0) {
-        result.reached_target = true;
-        break;
-      }
-    }
+    if (tracker.Record(iteration, result.model, &iter_span)) break;
   }
 
-  CommStats stats_after = engine_->stats();
-  stats_after.wall_seconds = wall.ElapsedSeconds() + stats_before.wall_seconds;
-  result.stats = dist::StatsDiff(stats_after, stats_before);
+  tracker.Finish(&result);
   return result;
 }
 

@@ -15,10 +15,6 @@
 
 namespace spca::core {
 
-/// The outcome of Spca::Solve — the common SolveResult under its historical
-/// name.
-using SpcaResult = SolveResult;
-
 /// sPCA: scalable distributed Probabilistic PCA (the paper's Algorithm 4).
 ///
 /// The driver program runs on a single machine and launches distributed
@@ -57,8 +53,8 @@ class Spca : public BatchSolver {
   /// (fewer columns than components, an all-zero matrix, a warm start of
   /// the wrong shape, ...). `fit` carries the optional warm start and the
   /// optional telemetry registry; the default is a cold start.
-  StatusOr<SpcaResult> Solve(const dist::DistMatrix& y,
-                             const FitOptions& fit = {}) const override;
+  StatusOr<SolveResult> Solve(const dist::DistMatrix& y,
+                              const FitOptions& fit = {}) const override;
 
   std::string_view name() const override {
     return options_.l1_threshold > 0.0 ? "spca_sparse" : "spca";
@@ -82,7 +78,7 @@ class Spca : public BatchSolver {
   /// (possibly empty) is invoked after every iteration with the current
   /// model; the smart-guess pre-fit passes an empty callback so sample
   /// fits are never checkpointed.
-  StatusOr<SpcaResult> RunEm(
+  StatusOr<SolveResult> RunEm(
       const dist::DistMatrix& y, linalg::DenseMatrix initial_components,
       double initial_ss, obs::Registry* registry,
       const std::function<Status(const PcaModel&, const SolverCheckpoint&)>&

@@ -27,7 +27,9 @@ struct SpcaOptions {
   /// error (the paper measures error "only on a random subset of the rows").
   size_t error_sample_rows = 256;
 
-  /// Seed for C/ss initialization and the error-row sample.
+  /// Seed for the initial C and ss, the smart-guess row sample and the
+  /// ideal-error anchor fit. The error-row sample does not use it: every
+  /// solver draws that with kErrorSampleSeed.
   uint64_t seed = 1;
 
   /// Sparse loadings (the `spca_sparse` solver, Zou-Hastie-Tibshirani's

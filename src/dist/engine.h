@@ -141,8 +141,7 @@ class Engine {
   /// Runs `fn(range, ctx)` once per partition of `matrix` and returns the
   /// per-partition results in partition order (deterministic regardless of
   /// thread scheduling). Fn: (const RowRange&, TaskContext*) -> T.
-  /// `job` carries the name/phase/cacheability; a bare string still works
-  /// (JobDesc is implicitly constructible from one).
+  /// `job` carries the name/phase/cacheability.
   ///
   /// Fault injection: when a FaultPlan is active, each task's faults are
   /// drawn on the driver before execution (keyed by job index and task

@@ -2,14 +2,14 @@
 #define SPCA_DIST_JOB_DESC_H_
 
 #include <string>
+#include <utility>
 
 namespace spca::dist {
 
 /// Descriptor of one distributed job submitted to Engine::RunMap. Spans,
 /// JobTraces, per-job metrics, and cost-model replay all key off this one
-/// struct instead of parsing ad-hoc name strings. Implicitly constructible
-/// from a bare name so legacy `RunMap("meanJob", ...)` call sites compile
-/// unchanged.
+/// struct instead of parsing ad-hoc name strings. Call sites spell it out:
+/// `RunMap<T>(dist::JobDesc{"meanJob", "preprocess"}, ...)`.
 struct JobDesc {
   /// Job name as it appears in traces and the paper's per-job analysis
   /// (e.g. "YtXJob", "ssvd.BtJob").
@@ -24,11 +24,8 @@ struct JobDesc {
   /// be re-read every time regardless of platform.
   bool cacheable = true;
 
-  JobDesc(const char* name)  // NOLINT(runtime/explicit)
-      : name(name) {}
-  JobDesc(std::string name)  // NOLINT(runtime/explicit)
-      : name(std::move(name)) {}
-  JobDesc(std::string name, std::string phase, bool cacheable = true)
+  explicit JobDesc(std::string name, std::string phase = "",
+                   bool cacheable = true)
       : name(std::move(name)), phase(std::move(phase)), cacheable(cacheable) {}
 };
 

@@ -120,7 +120,7 @@ StatusOr<KMeansResult> KMeansFit(Engine* engine, const DistMatrix& points,
     }
 
     auto partials = engine->RunMap<std::unique_ptr<LloydPartial>>(
-        "kmeans.assignJob", points,
+        dist::JobDesc{"kmeans.assignJob"}, points,
         [&](const RowRange& range, TaskContext* ctx) {
           auto partial = std::make_unique<LloydPartial>();
           partial->sums = DenseMatrix(k, d);

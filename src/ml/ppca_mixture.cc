@@ -124,7 +124,8 @@ StatusOr<PpcaMixtureResult> FitPpcaMixture(Engine* engine,
 
     // One distributed pass: responsibilities + weighted moments.
     auto partials = engine->RunMap<std::unique_ptr<MixturePartial>>(
-        "mixture.emJob", y, [&](const RowRange& range, TaskContext* ctx) {
+        dist::JobDesc{"mixture.emJob"}, y,
+        [&](const RowRange& range, TaskContext* ctx) {
           auto partial = std::make_unique<MixturePartial>();
           partial->stats.resize(k);
           for (auto& s : partial->stats) {

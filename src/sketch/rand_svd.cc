@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "core/jobs.h"
 #include "core/reconstruction_error.h"
 #include "linalg/eigen_sym.h"
@@ -14,7 +13,6 @@
 
 namespace spca::sketch {
 
-using dist::CommStats;
 using dist::DistMatrix;
 using dist::RowRange;
 using dist::TaskContext;
@@ -80,12 +78,14 @@ StatusOr<core::SolveResult> RandSvdPca::Solve(
       dist::LinearDriverStateBytes(engine_->spec(), dim, k));
   if (!driver_memory.ok()) return driver_memory.status();
 
-  const CommStats stats_before = engine_->stats();
-  const double sim_before = engine_->SimulatedSeconds();
-  Stopwatch wall;
+  core::AccuracyTracker tracker(
+      engine_, {.compute_trace = options_.compute_accuracy_trace,
+                .target_fraction = options_.target_accuracy_fraction,
+                .sample_rows = options_.error_sample_rows,
+                .ideal_error_override = options_.ideal_error_override,
+                .seed = options_.seed});
 
   core::SolveResult result;
-  result.first_job_index = engine_->traces().size();
   result.model.mean = core::MeanJob(engine_, y);
   const DenseVector& ym = result.model.mean;
   const double ss1 = core::FrobeniusNormJob(engine_, y, ym, true);
@@ -94,20 +94,7 @@ StatusOr<core::SolveResult> RandSvdPca::Solve(
         "input matrix is constant (zero variance)");
   }
 
-  const bool needs_errors = options_.compute_accuracy_trace ||
-                            options_.target_accuracy_fraction <= 1.0;
-  DistMatrix sample;
-  if (needs_errors) {
-    const auto indices = core::SampleRowIndices(n, options_.error_sample_rows,
-                                                core::kErrorSampleSeed);
-    sample = y.SampleRows(indices, 1);
-    result.ideal_error =
-        options_.ideal_error_override > 0.0
-            ? options_.ideal_error_override
-            : core::ConvergedIdealError(engine_->spec(), y, d, sample,
-                                        options_.ideal_fit_iterations,
-                                        options_.seed);
-  }
+  SPCA_RETURN_IF_ERROR(tracker.Anchor(y, d));
 
   // Round-1 basis: orth(Omega) on a cold start, the checkpointed Z on a
   // resume (already orthonormal — each round is pure in (Z, Y), so the
@@ -220,38 +207,12 @@ StatusOr<core::SolveResult> RandSvdPca::Solve(
       SPCA_RETURN_IF_ERROR(fit.on_checkpoint(result.model, checkpoint));
     }
 
-    if (needs_errors) {
-      core::IterationTrace trace;
-      trace.iteration = round;
-      trace.error = core::SampledReconstructionError(
-          sample, result.model.components, ym);
-      trace.accuracy_percent =
-          core::AccuracyPercent(trace.error, result.ideal_error);
-      trace.simulated_seconds = engine_->SimulatedSeconds() - sim_before;
-      trace.wall_seconds = wall.ElapsedSeconds();
-      trace.ss = result.model.noise_variance;
-      trace.jobs_completed = engine_->traces().size();
-      result.trace.push_back(trace);
-      round_span.SetAttribute("error", trace.error);
-      round_span.SetAttribute("accuracy_percent", trace.accuracy_percent);
-      registry->SetSpanAttribute(round_span.id(), "sim_seconds",
-                                 trace.simulated_seconds);
-      registry->SetSpanAttribute(round_span.id(), "wall_seconds",
-                                 trace.wall_seconds);
-      if (options_.target_accuracy_fraction <= 1.0 &&
-          trace.accuracy_percent >=
-              options_.target_accuracy_fraction * 100.0) {
-        result.reached_target = true;
-        break;
-      }
-    }
+    if (tracker.Record(round, result.model, &round_span)) break;
 
     z = std::move(z_next);
   }
 
-  CommStats stats_after = engine_->stats();
-  stats_after.wall_seconds = wall.ElapsedSeconds() + stats_before.wall_seconds;
-  result.stats = dist::StatsDiff(stats_after, stats_before);
+  tracker.Finish(&result);
   fit_span.SetAttribute("iterations",
                         static_cast<uint64_t>(result.iterations_run));
   return result;

@@ -27,7 +27,8 @@ struct RandSvdOptions {
   /// sharpens the captured spectrum at the cost of one more distributed
   /// pass over Y.
   int power_iterations = 1;
-  /// Seed for the Gaussian test matrix Omega.
+  /// Seed for the Gaussian test matrix Omega and the ideal-error anchor
+  /// fit.
   uint64_t seed = 1;
   /// Stop once this fraction of the ideal accuracy is reached (> 1
   /// disables the target and runs every round).
@@ -39,8 +40,6 @@ struct RandSvdOptions {
   /// When > 0, skip the converged-ideal-error fit and use this anchor
   /// (benchmarks share one anchor across solvers).
   double ideal_error_override = 0.0;
-  /// EM iterations for the ideal-error anchor fit.
-  int ideal_fit_iterations = 15;
 };
 
 /// Single-pass randomized range-finder PCA (Halko/Martinsson/Tropp via

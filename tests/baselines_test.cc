@@ -62,7 +62,7 @@ TEST(CovEigPcaTest, RecoversExactSubspace) {
   Engine engine = MakeEngine();
   CovEigOptions options;
   options.num_components = 3;
-  auto result = CovEigPca(&engine, options).Fit(planted.y);
+  auto result = CovEigPca(&engine, options).Solve(planted.y);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_LT(test::MaxPrincipalAngle(result.value().model.components,
                                     planted.truth),
@@ -77,7 +77,7 @@ TEST(CovEigPcaTest, FailsWhenCovarianceExceedsDriverMemory) {
   Engine engine(spec, EngineMode::kSpark);
   CovEigOptions options;
   options.num_components = 3;
-  const auto result = CovEigPca(&engine, options).Fit(planted.y);
+  const auto result = CovEigPca(&engine, options).Solve(planted.y);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kOutOfMemory);
 }
@@ -88,7 +88,7 @@ TEST(CovEigPcaTest, CommunicationScalesWithDSquared) {
   auto comm_for_dim = [&](size_t dim) {
     const Planted planted = MakePlanted(120, dim, 3, 52);
     Engine engine = MakeEngine();
-    auto result = CovEigPca(&engine, options).Fit(planted.y);
+    auto result = CovEigPca(&engine, options).Solve(planted.y);
     SPCA_CHECK(result.ok());
     return result.value().stats.result_bytes;
   };
@@ -103,9 +103,9 @@ TEST(CovEigPcaTest, ValidatesArguments) {
   Engine engine = MakeEngine();
   CovEigOptions options;
   options.num_components = 0;
-  EXPECT_FALSE(CovEigPca(&engine, options).Fit(planted.y).ok());
+  EXPECT_FALSE(CovEigPca(&engine, options).Solve(planted.y).ok());
   options.num_components = 11;
-  EXPECT_FALSE(CovEigPca(&engine, options).Fit(planted.y).ok());
+  EXPECT_FALSE(CovEigPca(&engine, options).Solve(planted.y).ok());
 }
 
 // ---- SsvdPca (Mahout-PCA analogue) ----------------------------------------
@@ -118,7 +118,7 @@ TEST(SsvdPcaTest, RecoversSubspaceWithPowerIterations) {
   options.oversampling = 8;
   options.max_power_iterations = 3;
   options.target_accuracy_fraction = 2.0;
-  auto result = SsvdPca(&engine, options).Fit(planted.y);
+  auto result = SsvdPca(&engine, options).Solve(planted.y);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_LT(test::MaxPrincipalAngle(result.value().model.components,
                                     planted.truth),
@@ -134,7 +134,7 @@ TEST(SsvdPcaTest, AccuracyImprovesWithPowerIterations) {
   options.oversampling = 2;  // small oversampling so round 0 is inaccurate
   options.max_power_iterations = 4;
   options.target_accuracy_fraction = 2.0;
-  auto result = SsvdPca(&engine, options).Fit(planted.y);
+  auto result = SsvdPca(&engine, options).Solve(planted.y);
   ASSERT_TRUE(result.ok());
   const auto& trace = result.value().trace;
   ASSERT_GE(trace.size(), 3u);
@@ -150,7 +150,7 @@ TEST(SsvdPcaTest, MaterializesLargeIntermediateData) {
   options.num_components = 3;
   options.max_power_iterations = 1;
   options.target_accuracy_fraction = 2.0;
-  auto result = SsvdPca(&engine, options).Fit(planted.y);
+  auto result = SsvdPca(&engine, options).Solve(planted.y);
   ASSERT_TRUE(result.ok());
   // At least Y0 and Q (N x k doubles each) were materialized.
   const uint64_t nk = 500ull * (3 + options.oversampling) * sizeof(double);
@@ -164,7 +164,7 @@ TEST(SsvdPcaTest, StopsAtTargetAccuracy) {
   options.num_components = 3;
   options.max_power_iterations = 10;
   options.target_accuracy_fraction = 0.9;
-  auto result = SsvdPca(&engine, options).Fit(planted.y);
+  auto result = SsvdPca(&engine, options).Solve(planted.y);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().reached_target);
   EXPECT_LT(result.value().iterations_run, 11);
@@ -177,7 +177,7 @@ TEST(SvdBidiagPcaTest, RecoversExactSubspace) {
   Engine engine = MakeEngine();
   SvdBidiagOptions options;
   options.num_components = 3;
-  auto result = SvdBidiagPca(&engine, options).Fit(planted.y);
+  auto result = SvdBidiagPca(&engine, options).Solve(planted.y);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_LT(test::MaxPrincipalAngle(result.value().model.components,
                                     planted.truth),
@@ -189,7 +189,7 @@ TEST(SvdBidiagPcaTest, RequiresTallMatrix) {
   Engine engine = MakeEngine();
   SvdBidiagOptions options;
   options.num_components = 3;
-  EXPECT_FALSE(SvdBidiagPca(&engine, options).Fit(planted.y).ok());
+  EXPECT_FALSE(SvdBidiagPca(&engine, options).Solve(planted.y).ok());
 }
 
 // ---- LanczosPca -----------------------------------------------------------------
@@ -200,7 +200,7 @@ TEST(LanczosPcaTest, RecoversExactSubspace) {
   LanczosOptions options;
   options.num_components = 3;
   options.lanczos_steps = 12;
-  auto result = LanczosPca(&engine, options).Fit(planted.y);
+  auto result = LanczosPca(&engine, options).Solve(planted.y);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_LT(test::MaxPrincipalAngle(result.value().model.components,
                                     planted.truth),
@@ -220,7 +220,7 @@ TEST(LanczosPcaTest, ChargedAtDenseCostOnSparseInput) {
   LanczosOptions options;
   options.num_components = 4;
   options.lanczos_steps = 8;
-  auto result = LanczosPca(&engine, options).Fit(y);
+  auto result = LanczosPca(&engine, options).Solve(y);
   ASSERT_TRUE(result.ok());
   // >= 2 * N * D flops per Lanczos step pair, for ~8 steps.
   const uint64_t dense_matvec = 2ull * 300 * 200;
@@ -238,7 +238,7 @@ TEST_P(MethodAgreementTest, AllMethodsFindTheSameSubspace) {
 
   CovEigOptions cov_options;
   cov_options.num_components = rank;
-  auto cov = CovEigPca(&engine, cov_options).Fit(planted.y);
+  auto cov = CovEigPca(&engine, cov_options).Solve(planted.y);
   ASSERT_TRUE(cov.ok());
 
   SsvdOptions ssvd_options;
@@ -246,18 +246,18 @@ TEST_P(MethodAgreementTest, AllMethodsFindTheSameSubspace) {
   ssvd_options.max_power_iterations = 3;
   ssvd_options.target_accuracy_fraction = 2.0;
   ssvd_options.compute_accuracy_trace = false;
-  auto ssvd = SsvdPca(&engine, ssvd_options).Fit(planted.y);
+  auto ssvd = SsvdPca(&engine, ssvd_options).Solve(planted.y);
   ASSERT_TRUE(ssvd.ok());
 
   SvdBidiagOptions bidiag_options;
   bidiag_options.num_components = rank;
-  auto bidiag = SvdBidiagPca(&engine, bidiag_options).Fit(planted.y);
+  auto bidiag = SvdBidiagPca(&engine, bidiag_options).Solve(planted.y);
   ASSERT_TRUE(bidiag.ok());
 
   LanczosOptions lanczos_options;
   lanczos_options.num_components = rank;
   lanczos_options.lanczos_steps = 4 * rank;
-  auto lanczos = LanczosPca(&engine, lanczos_options).Fit(planted.y);
+  auto lanczos = LanczosPca(&engine, lanczos_options).Solve(planted.y);
   ASSERT_TRUE(lanczos.ok());
 
   EXPECT_LT(test::MaxPrincipalAngle(cov.value().model.components,

@@ -137,7 +137,7 @@ TEST(EngineTest, RunMapReturnsPartitionOrderedResults) {
   const DistMatrix m = DistMatrix::FromDense(RandomDense(20, 2, 9), 5);
   Engine engine(SimpleSpec(), EngineMode::kSpark);
   auto results = engine.RunMap<size_t>(
-      "test", m,
+      JobDesc{"test"}, m,
       [](const RowRange& range, TaskContext*) { return range.begin; });
   ASSERT_EQ(results.size(), 5u);
   EXPECT_EQ(results[0], 0u);
@@ -148,8 +148,9 @@ TEST(EngineTest, JobLaunchOverheadDiffersByMode) {
   const DistMatrix m = DistMatrix::FromDense(RandomDense(4, 2, 10), 2);
   Engine mr(SimpleSpec(), EngineMode::kMapReduce);
   Engine spark(SimpleSpec(), EngineMode::kSpark);
-  mr.RunMap<int>("noop", m, [](const RowRange&, TaskContext*) { return 0; });
-  spark.RunMap<int>("noop", m,
+  mr.RunMap<int>(
+      JobDesc{"noop"}, m, [](const RowRange&, TaskContext*) { return 0; });
+  spark.RunMap<int>(JobDesc{"noop"}, m,
                     [](const RowRange&, TaskContext*) { return 0; });
   EXPECT_GT(mr.SimulatedSeconds(), 5.0);
   EXPECT_LT(spark.SimulatedSeconds(), 5.0);
@@ -160,20 +161,22 @@ TEST(EngineTest, ComputeTimeUsesAllCores) {
   // 4 equal tasks on 4 cores: compute time == one task's time.
   const DistMatrix m = DistMatrix::FromDense(RandomDense(4, 2, 11), 4);
   Engine engine(SimpleSpec(), EngineMode::kSpark);
-  engine.RunMap<int>("flops", m, [](const RowRange&, TaskContext* ctx) {
-    ctx->CountFlops(1000000000ull);  // 1s at 1 GFLOP/s
-    return 0;
-  });
+  engine.RunMap<int>(
+      JobDesc{"flops"}, m, [](const RowRange&, TaskContext* ctx) {
+        ctx->CountFlops(1000000000ull);  // 1s at 1 GFLOP/s
+        return 0;
+      });
   const auto& trace = engine.traces().back();
   EXPECT_NEAR(trace.compute_sec, 1.0, 1e-9);
 
   // The same total flops in 1 task: 4x the compute time.
   const DistMatrix single = DistMatrix::FromDense(RandomDense(4, 2, 11), 1);
   Engine engine2(SimpleSpec(), EngineMode::kSpark);
-  engine2.RunMap<int>("flops", single, [](const RowRange&, TaskContext* ctx) {
-    ctx->CountFlops(4000000000ull);
-    return 0;
-  });
+  engine2.RunMap<int>(
+      JobDesc{"flops"}, single, [](const RowRange&, TaskContext* ctx) {
+        ctx->CountFlops(4000000000ull);
+        return 0;
+      });
   EXPECT_NEAR(engine2.traces().back().compute_sec, 4.0, 1e-9);
 }
 
@@ -181,10 +184,11 @@ TEST(EngineTest, IntermediateDataCostsMoreOnMapReduce) {
   const DistMatrix m = DistMatrix::FromDense(RandomDense(4, 2, 12), 2);
   auto run = [&](EngineMode mode) {
     Engine engine(SimpleSpec(), mode);
-    engine.RunMap<int>("emit", m, [](const RowRange&, TaskContext* ctx) {
-      ctx->EmitIntermediate(100000000ull);  // 100 MB per task
-      return 0;
-    });
+    engine.RunMap<int>(
+        JobDesc{"emit"}, m, [](const RowRange&, TaskContext* ctx) {
+          ctx->EmitIntermediate(100000000ull);  // 100 MB per task
+          return 0;
+        });
     return engine.traces().back().data_sec;
   };
   const double mr_sec = run(EngineMode::kMapReduce);
@@ -197,9 +201,9 @@ TEST(EngineTest, SparkCachesInputMapReduceRereads) {
   auto data_secs = [&](EngineMode mode) {
     Engine engine(SimpleSpec(), mode);
     auto noop = [](const RowRange&, TaskContext*) { return 0; };
-    engine.RunMap<int>("first", m, noop);
+    engine.RunMap<int>(JobDesc{"first"}, m, noop);
     const double first = engine.traces()[0].data_sec;
-    engine.RunMap<int>("second", m, noop);
+    engine.RunMap<int>(JobDesc{"second"}, m, noop);
     const double second = engine.traces()[1].data_sec;
     return std::make_pair(first, second);
   };
@@ -241,7 +245,7 @@ TEST(EngineTest, DriverMemoryBudget) {
 TEST(EngineTest, ResetStatsClearsEverything) {
   const DistMatrix m = DistMatrix::FromDense(RandomDense(4, 2, 14), 2);
   Engine engine(SimpleSpec(), EngineMode::kSpark);
-  engine.RunMap<int>("job", m, [](const RowRange&, TaskContext* ctx) {
+  engine.RunMap<int>(JobDesc{"job"}, m, [](const RowRange&, TaskContext* ctx) {
     ctx->CountFlops(100);
     return 0;
   });
@@ -275,7 +279,7 @@ TEST(EngineTest, FailureInjectionChargesRetries) {
     Engine engine(SimpleSpec(), EngineMode::kSpark);
     engine.SetFaultPlan(FaultPlan(fault_spec));
     auto results = engine.RunMap<double>(
-        "flaky", m, [](const RowRange& range, TaskContext* ctx) {
+        JobDesc{"flaky"}, m, [](const RowRange& range, TaskContext* ctx) {
           ctx->CountFlops(100000000ull);
           return static_cast<double>(range.begin);
         });
@@ -302,10 +306,11 @@ TEST(EngineTest, FailureAttemptsRespectCap) {
   fault_spec.max_task_attempts = 3;
   Engine engine(SimpleSpec(), EngineMode::kSpark);
   engine.SetFaultPlan(FaultPlan(fault_spec));
-  engine.RunMap<int>("doomed", m, [](const RowRange&, TaskContext* ctx) {
-    ctx->CountFlops(1000);
-    return 0;
-  });
+  engine.RunMap<int>(
+      JobDesc{"doomed"}, m, [](const RowRange&, TaskContext* ctx) {
+        ctx->CountFlops(1000);
+        return 0;
+      });
   // Each task charged exactly max_task_attempts executions.
   EXPECT_EQ(engine.traces().back().task_retries, 8u * 2u);
   EXPECT_EQ(engine.stats().task_flops, 8u * 3u * 1000u);
@@ -316,12 +321,13 @@ TEST(EngineTest, ReplayAtUnitScaleMatchesOriginal) {
   // reproduce the originally charged simulated seconds exactly.
   const DistMatrix m = DistMatrix::FromDense(RandomDense(64, 8, 18), 8);
   Engine engine(SimpleSpec(), EngineMode::kMapReduce);
-  engine.RunMap<int>("job", m, [](const RowRange& range, TaskContext* ctx) {
-    ctx->CountFlops(12345678ull * (range.partition_index + 1));
-    ctx->EmitIntermediate(1000000);
-    ctx->EmitResult(5000);
-    return 0;
-  });
+  engine.RunMap<int>(
+      JobDesc{"job"}, m, [](const RowRange& range, TaskContext* ctx) {
+        ctx->CountFlops(12345678ull * (range.partition_index + 1));
+        ctx->EmitIntermediate(1000000);
+        ctx->EmitResult(5000);
+        return 0;
+      });
   const auto& trace = engine.traces().back();
   const double replayed = ReplayJobSeconds(trace, SimpleSpec(),
                                            EngineMode::kMapReduce, {});
@@ -331,7 +337,7 @@ TEST(EngineTest, ReplayAtUnitScaleMatchesOriginal) {
 TEST(EngineTest, ReplayScalesBehaveLinearly) {
   const DistMatrix m = DistMatrix::FromDense(RandomDense(64, 8, 19), 8);
   Engine engine(SimpleSpec(), EngineMode::kSpark);
-  engine.RunMap<int>("job", m, [](const RowRange&, TaskContext* ctx) {
+  engine.RunMap<int>(JobDesc{"job"}, m, [](const RowRange&, TaskContext* ctx) {
     ctx->CountFlops(50000000ull);
     ctx->EmitIntermediate(2000000);
     return 0;
@@ -357,10 +363,11 @@ TEST(EngineTest, MoreCoresReduceSimulatedComputeTime) {
     ClusterSpec spec = SimpleSpec();
     spec.num_nodes = nodes;
     Engine engine(spec, EngineMode::kSpark);
-    engine.RunMap<int>("flops", m, [](const RowRange&, TaskContext* ctx) {
-      ctx->CountFlops(500000000ull);
-      return 0;
-    });
+    engine.RunMap<int>(
+        JobDesc{"flops"}, m, [](const RowRange&, TaskContext* ctx) {
+          ctx->CountFlops(500000000ull);
+          return 0;
+        });
     return engine.traces().back().compute_sec;
   };
   const double two_nodes = sim_for_cores(2);    // 4 cores

@@ -199,7 +199,7 @@ TEST(FaultChaosTest, FitIsBitIdenticalUnderRandomizedFaultPlans) {
       *stragglers =
           CounterValue(*engine.registry(), "engine.stragglers.tasks");
     }
-    return std::pair<core::SpcaResult, double>(std::move(result.value()),
+    return std::pair<core::SolveResult, double>(std::move(result.value()),
                                                engine.SimulatedSeconds());
   };
 
@@ -318,7 +318,7 @@ TEST(FaultChaosTest, EngineReallyReExecutesFailedAttempts) {
   std::vector<std::atomic<int>> invocations(matrix.num_partitions());
   for (auto& i : invocations) i.store(0, std::memory_order_relaxed);
   const auto results = engine.RunMap<uint64_t>(
-      "reexec_probe", matrix,
+      dist::JobDesc{"reexec_probe"}, matrix,
       [&](const dist::RowRange& range, TaskContext* ctx) -> uint64_t {
         invocations[range.partition_index].fetch_add(
             1, std::memory_order_relaxed);
@@ -380,7 +380,7 @@ TEST(FaultChaosTest, ReplayWithFaultsMatchesLiveFaultedRun) {
   auto run_jobs = [&](Engine* engine) {
     for (int job = 0; job < 6; ++job) {
       engine->RunMap<int>(
-          "uniform_job", matrix,
+          dist::JobDesc{"uniform_job"}, matrix,
           [&](const dist::RowRange&, TaskContext* ctx) -> int {
             ctx->CountFlops(5000);
             ctx->EmitIntermediate(256);
@@ -441,7 +441,7 @@ TEST(FaultChaosTest, SimTimeMonotoneInFailureRate) {
     engine.SetLocalWorkers(2);
     if (rate > 0.0) engine.SetFaultPlan(FaultPlan(spec));
     for (int job = 0; job < 4; ++job) {
-      engine.RunMap<int>("mono_job", matrix,
+      engine.RunMap<int>(dist::JobDesc{"mono_job"}, matrix,
                          [&](const dist::RowRange&, TaskContext* ctx) -> int {
                            ctx->CountFlops(20000);
                            ctx->EmitResult(128);

@@ -625,7 +625,7 @@ TEST(ObsEngineTest, PersistentPoolRecordsSpawnSavings) {
   Engine engine(dist::ClusterSpec{}, EngineMode::kSpark);
   engine.SetLocalWorkers(4);  // force the pooled path on any machine
   auto run_once = [&] {
-    engine.RunMap<int>("noop", y, [](const RowRange&, TaskContext*) {
+    engine.RunMap<int>(JobDesc{"noop"}, y, [](const RowRange&, TaskContext*) {
       return 0;
     });
   };
@@ -680,8 +680,8 @@ TEST(ObsEngineTest, UncacheableJobAlwaysChargesInput) {
   ASSERT_EQ(engine.traces().size(), 2u);
   EXPECT_GT(engine.traces()[0].charged_input_bytes, 0.0);
   EXPECT_GT(engine.traces()[1].charged_input_bytes, 0.0);
-  engine.RunMap<int>("cachedJob", y, noop);
-  engine.RunMap<int>("cachedJob", y, noop);
+  engine.RunMap<int>(JobDesc{"cachedJob"}, y, noop);
+  engine.RunMap<int>(JobDesc{"cachedJob"}, y, noop);
   EXPECT_GT(engine.traces()[2].charged_input_bytes, 0.0);  // first touch
   EXPECT_EQ(engine.traces()[3].charged_input_bytes, 0.0);  // cached
 }

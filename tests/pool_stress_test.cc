@@ -147,7 +147,7 @@ TEST(PoolStress, ConcurrentSnapshotsDuringFaultRetries) {
   constexpr size_t kJobs = 60;
   for (size_t job = 0; job < kJobs; ++job) {
     const auto partials = engine.RunMap<uint64_t>(
-        "retry_stress", matrix,
+        dist::JobDesc{"retry_stress"}, matrix,
         [&](const dist::RowRange& range, TaskContext* ctx) -> uint64_t {
           ctx->CountFlops(500);
           return range.end - range.begin;
@@ -209,7 +209,7 @@ TEST(PoolStress, ConcurrentStatsSnapshotsDuringJobs) {
   uint64_t expected_sum = 0;
   for (size_t job = 0; job < kJobs; ++job) {
     const auto partials = engine.RunMap<uint64_t>(
-        "stress_job", matrix, [&](const dist::RowRange& range,
+        dist::JobDesc{"stress_job"}, matrix, [&](const dist::RowRange& range,
                                   TaskContext* ctx) -> uint64_t {
           ctx->CountFlops(kFlopsPerTask);
           uint64_t rows = 0;

@@ -157,7 +157,7 @@ TEST(CorrelatedFaultTest, FitIsBitIdenticalUnderRandomizedCorrelatedPlans) {
       *node_losses =
           CounterValue(*engine.registry(), "engine.faults.node_loss_tasks");
     }
-    return std::pair<core::SpcaResult, double>(std::move(result.value()),
+    return std::pair<core::SolveResult, double>(std::move(result.value()),
                                                engine.SimulatedSeconds());
   };
 
@@ -236,7 +236,7 @@ TEST(SpeculationTest, ReplayMatchesLiveSpeculativeRun) {
   auto run_jobs = [&](Engine* engine) {
     for (int job = 0; job < 6; ++job) {
       engine->RunMap<int>(
-          "uniform_job", matrix,
+          dist::JobDesc{"uniform_job"}, matrix,
           [&](const dist::RowRange&, TaskContext* ctx) -> int {
             ctx->CountFlops(5000);
             ctx->EmitIntermediate(256);
@@ -301,7 +301,7 @@ TEST(SpeculationTest, SpeculationStrictlyReducesSimTimeOnStragglers) {
     engine.SetFaultPlan(FaultPlan(spec));
     for (int job = 0; job < 4; ++job) {
       const auto results = engine.RunMap<uint64_t>(
-          "straggly_job", matrix,
+          dist::JobDesc{"straggly_job"}, matrix,
           [&](const dist::RowRange& range, TaskContext* ctx) -> uint64_t {
             ctx->CountFlops(40000);
             ctx->EmitResult(64);
@@ -345,7 +345,7 @@ TEST(SpeculationTest, DuplicatesReallyRunAndCommitExactlyOnce) {
   std::vector<std::atomic<int>> invocations(matrix.num_partitions());
   for (auto& i : invocations) i.store(0, std::memory_order_relaxed);
   const auto results = engine.RunMap<uint64_t>(
-      "spec_probe", matrix,
+      dist::JobDesc{"spec_probe"}, matrix,
       [&](const dist::RowRange& range, TaskContext* ctx) -> uint64_t {
         invocations[range.partition_index].fetch_add(
             1, std::memory_order_relaxed);
@@ -677,7 +677,7 @@ TEST(ElasticResizeTest, MidRunResizeKeepsResultsBitIdentical) {
   engine.SetLocalWorkers(2);
   auto run_job = [&] {
     return engine.RunMap<uint64_t>(
-        "resize_probe", matrix,
+        dist::JobDesc{"resize_probe"}, matrix,
         [&](const dist::RowRange& range, TaskContext* ctx) -> uint64_t {
           ctx->CountFlops(20000);
           ctx->EmitResult(64);

@@ -214,7 +214,7 @@ TEST(SolverCoverageTest, CovEigConvergesAndIsFaultOblivious) {
       [&](Engine* engine) {
         baselines::CovEigOptions options;
         options.num_components = 3;
-        auto result = baselines::CovEigPca(engine, options).Fit(y);
+        auto result = baselines::CovEigPca(engine, options).Solve(y);
         EXPECT_TRUE(result.ok()) << result.status().ToString();
         return std::move(result.value().model);
       },
@@ -235,7 +235,7 @@ TEST(SolverCoverageTest, SsvdConvergesAndIsFaultOblivious) {
         options.target_accuracy_fraction = 2.0;
         options.ideal_error_override = 1.0;
         options.compute_accuracy_trace = false;
-        auto result = baselines::SsvdPca(engine, options).Fit(y);
+        auto result = baselines::SsvdPca(engine, options).Solve(y);
         EXPECT_TRUE(result.ok()) << result.status().ToString();
         return std::move(result.value().model);
       },
@@ -252,7 +252,7 @@ TEST(SolverCoverageTest, LanczosConvergesAndIsFaultOblivious) {
       [&](Engine* engine) {
         baselines::LanczosOptions options;
         options.num_components = 3;
-        auto result = baselines::LanczosPca(engine, options).Fit(y);
+        auto result = baselines::LanczosPca(engine, options).Solve(y);
         EXPECT_TRUE(result.ok()) << result.status().ToString();
         return std::move(result.value().model);
       },
@@ -268,7 +268,7 @@ TEST(SolverCoverageTest, SvdBidiagConvergesAndIsFaultOblivious) {
       [&](Engine* engine) {
         baselines::SvdBidiagOptions options;
         options.num_components = 3;
-        auto result = baselines::SvdBidiagPca(engine, options).Fit(y);
+        auto result = baselines::SvdBidiagPca(engine, options).Solve(y);
         EXPECT_TRUE(result.ok()) << result.status().ToString();
         return std::move(result.value().model);
       },
@@ -286,18 +286,18 @@ TEST(SolverCoverageTest, BaselineShapesAndEdgeCasesUnderRunApi) {
   // Degenerate component counts fail cleanly even with faults active.
   baselines::LanczosOptions lanczos;
   lanczos.num_components = 0;
-  EXPECT_FALSE(baselines::LanczosPca(&engine, lanczos).Fit(y).ok());
+  EXPECT_FALSE(baselines::LanczosPca(&engine, lanczos).Solve(y).ok());
   lanczos.num_components = 11;  // > cols
-  EXPECT_FALSE(baselines::LanczosPca(&engine, lanczos).Fit(y).ok());
+  EXPECT_FALSE(baselines::LanczosPca(&engine, lanczos).Solve(y).ok());
 
   baselines::CovEigOptions cov;
   cov.num_components = 0;
-  EXPECT_FALSE(baselines::CovEigPca(&engine, cov).Fit(y).ok());
+  EXPECT_FALSE(baselines::CovEigPca(&engine, cov).Solve(y).ok());
 
   // A valid fit on the same faulted engine produces the right shapes and
   // leaves its telemetry in the caller's registry.
   cov.num_components = 2;
-  auto result = baselines::CovEigPca(&engine, cov).Fit(y);
+  auto result = baselines::CovEigPca(&engine, cov).Solve(y);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().model.components.rows(), 10u);
   EXPECT_EQ(result.value().model.components.cols(), 2u);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "baselines/ssvd_pca.h"
@@ -11,6 +12,8 @@
 #include "core/reconstruction_error.h"
 #include "core/spca.h"
 #include "dist/engine.h"
+#include "obs/registry.h"
+#include "sketch/rand_svd.h"
 #include "workload/synthetic.h"
 
 namespace spca::core {
@@ -170,11 +173,87 @@ TEST(SpcaEdgeTest, FaultInjectionDoesNotChangeResults) {
 }
 
 TEST(SpcaEdgeTest, SsvdSharesTheSameErrorSample) {
-  // Both algorithms must sample the same evaluation rows (fixed seed), so
-  // their accuracy traces are comparable.
-  const auto spca_rows = SampleRowIndices(1000, 64, kErrorSampleSeed);
-  const auto again = SampleRowIndices(1000, 64, kErrorSampleSeed);
-  EXPECT_EQ(spca_rows, again);
+  // sPCA, rand_svd and ssvd must measure their error on the same rows
+  // (kErrorSampleSeed), so their accuracy traces are comparable, and each
+  // must annotate every iteration span with its accuracy.
+  const DistMatrix y = SmallData(300, 12, 12);
+  constexpr size_t kSampleRows = 64;
+  constexpr double kIdealError = 0.5;
+  const DistMatrix sample = y.SampleRows(
+      SampleRowIndices(y.rows(), kSampleRows, kErrorSampleSeed), 1);
+
+  SpcaOptions spca_options = QuietOptions(3, 3);
+  spca_options.compute_accuracy_trace = true;
+  spca_options.error_sample_rows = kSampleRows;
+  spca_options.ideal_error_override = kIdealError;
+  sketch::RandSvdOptions rand_options;
+  rand_options.num_components = 3;
+  rand_options.error_sample_rows = kSampleRows;
+  rand_options.ideal_error_override = kIdealError;
+  baselines::SsvdOptions ssvd_options;
+  ssvd_options.num_components = 3;
+  ssvd_options.max_power_iterations = 2;
+  ssvd_options.target_accuracy_fraction = 2.0;
+  ssvd_options.error_sample_rows = kSampleRows;
+  ssvd_options.ideal_error_override = kIdealError;
+
+  Engine engine(dist::ClusterSpec{}, EngineMode::kSpark);
+  const Spca spca(&engine, spca_options);
+  const sketch::RandSvdPca rand_svd(&engine, rand_options);
+  const baselines::SsvdPca ssvd(&engine, ssvd_options);
+  const std::pair<const BatchSolver*, std::string> solvers[] = {
+      {&spca, "spca.em_iteration"},
+      {&rand_svd, "randsvd.power_round"},
+      {&ssvd, "ssvd.power_round"}};
+  for (const auto& [solver, iteration_span] : solvers) {
+    SCOPED_TRACE(std::string(solver->name()));
+    obs::Registry registry;
+    FitOptions fit;
+    fit.registry = &registry;
+    auto result = solver->Solve(y, fit);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const SolveResult& solve = result.value();
+    ASSERT_FALSE(solve.trace.empty());
+    EXPECT_EQ(solve.trace.back().error,
+              SampledReconstructionError(sample, solve.model.components,
+                                         solve.model.mean));
+    size_t spans = 0;
+    for (const obs::SpanRecord& span : registry.spans()) {
+      if (span.name != iteration_span) continue;
+      ++spans;
+      EXPECT_NE(span.FindAttribute("accuracy_percent"), nullptr);
+    }
+    EXPECT_EQ(spans, solve.trace.size());
+  }
+}
+
+TEST(SpcaEdgeTest, ConstantInputFailsCleanlyInEveryAccuracySolver) {
+  // A constant matrix has no variance to fit, nor an ideal-error anchor.
+  // Each solver that measures accuracy must say so with a status, with
+  // its accuracy options at their defaults.
+  DenseMatrix constant(40, 6);
+  for (size_t i = 0; i < constant.rows(); ++i) {
+    for (size_t j = 0; j < constant.cols(); ++j) constant(i, j) = 2.5;
+  }
+  const DistMatrix y = DistMatrix::FromDense(std::move(constant), 3);
+  Engine engine(dist::ClusterSpec{}, EngineMode::kSpark);
+
+  SpcaOptions spca_options;
+  spca_options.num_components = 2;
+  sketch::RandSvdOptions rand_options;
+  rand_options.num_components = 2;
+  baselines::SsvdOptions ssvd_options;
+  ssvd_options.num_components = 2;
+  const Spca spca(&engine, spca_options);
+  const sketch::RandSvdPca rand_svd(&engine, rand_options);
+  const baselines::SsvdPca ssvd(&engine, ssvd_options);
+  const BatchSolver* solvers[] = {&spca, &rand_svd, &ssvd};
+  for (const BatchSolver* solver : solvers) {
+    auto result = solver->Solve(y, {});
+    ASSERT_FALSE(result.ok()) << solver->name();
+    EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition)
+        << solver->name() << ": " << result.status().ToString();
+  }
 }
 
 TEST(SpcaEdgeTest, SsvdIdealOverrideAndTraceSemantics) {
@@ -185,7 +264,7 @@ TEST(SpcaEdgeTest, SsvdIdealOverrideAndTraceSemantics) {
   options.max_power_iterations = 2;
   options.target_accuracy_fraction = 2.0;
   options.ideal_error_override = 0.5;
-  auto result = baselines::SsvdPca(&engine, options).Fit(y);
+  auto result = baselines::SsvdPca(&engine, options).Solve(y);
   ASSERT_TRUE(result.ok());
   EXPECT_DOUBLE_EQ(result.value().ideal_error, 0.5);
   EXPECT_EQ(result.value().trace.size(), 3u);  // rounds 0, 1, 2

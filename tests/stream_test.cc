@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/baseline_solvers.h"
 #include "baselines/ssvd_pca.h"
 #include "core/solver.h"
 #include "core/spca.h"
@@ -369,13 +368,13 @@ TEST(SolverApiTest, BatchSolverAdapterMatchesDirectBaselineFit) {
   options.seed = 5;
 
   Engine e1(dist::ClusterSpec{}, EngineMode::kSpark);
-  auto direct = baselines::SsvdPca(&e1, options).Fit(y);
+  auto direct = baselines::SsvdPca(&e1, options).Solve(y);
   ASSERT_TRUE(direct.ok());
 
   Engine e2(dist::ClusterSpec{}, EngineMode::kSpark);
-  auto solver = baselines::MakeSsvdSolver(&e2, options);
-  EXPECT_EQ(solver->name(), "mahout");
-  auto adapted = core::RunSolver(solver.get(), y);
+  baselines::SsvdPca ssvd(&e2, options);
+  EXPECT_EQ(ssvd.name(), "mahout");
+  auto adapted = core::RunSolver(&ssvd, y);
   ASSERT_TRUE(adapted.ok());
   ExpectModelsBitIdentical(direct->model, adapted->model);
   EXPECT_EQ(direct->iterations_run, adapted->iterations_run);

@@ -1,6 +1,6 @@
 // Verifies the trace_report pipeline's core promise: the accuracy-vs-time
 // table regenerated from a trace *file* alone equals, byte for byte, what
-// the in-memory SpcaResult trace would print — through both trace formats
+// the in-memory SolveResult trace would print — through both trace formats
 // (Chrome --trace-out JSON and streamed --trace-stream JSON-lines,
 // including mid-run flushes that drain spans out of the registry).
 
@@ -49,7 +49,7 @@ core::SpcaOptions TestOptions() {
 // The rows a benchmark prints from the in-memory result — the byte-exact
 // reference AccuracyTimeReport must reproduce from the file.
 std::string ExpectedReport(uint64_t fit_span_id, const DistMatrix& matrix,
-                           const core::SpcaResult& result) {
+                           const core::SolveResult& result) {
   char line[160];
   std::snprintf(line, sizeof(line),
                 "spca.fit #%llu rows=%zu cols=%zu components=4 "

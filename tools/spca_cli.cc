@@ -20,7 +20,10 @@
 #include <string>
 #include <vector>
 
-#include "baselines/baseline_solvers.h"
+#include "baselines/cov_eig_pca.h"
+#include "baselines/lanczos_pca.h"
+#include "baselines/ssvd_pca.h"
+#include "baselines/svd_bidiag_pca.h"
 #include "common/flags.h"
 #include "common/format.h"
 #include "core/solver.h"
@@ -363,7 +366,8 @@ StatusOr<std::unique_ptr<spca::core::Solver>> MakeSolver(
     spca::baselines::CovEigOptions options;
     options.num_components = o.components;
     options.seed = o.seed;
-    return spca::baselines::MakeCovEigSolver(engine, options);
+    return std::unique_ptr<spca::core::Solver>(
+        std::make_unique<spca::baselines::CovEigPca>(engine, options));
   }
   if (o.algorithm == "mahout") {
     spca::baselines::SsvdOptions options;
@@ -371,18 +375,21 @@ StatusOr<std::unique_ptr<spca::core::Solver>> MakeSolver(
     options.max_power_iterations = o.iterations;
     options.target_accuracy_fraction = o.target;
     options.seed = o.seed;
-    return spca::baselines::MakeSsvdSolver(engine, options);
+    return std::unique_ptr<spca::core::Solver>(
+        std::make_unique<spca::baselines::SsvdPca>(engine, options));
   }
   if (o.algorithm == "lanczos") {
     spca::baselines::LanczosOptions options;
     options.num_components = o.components;
     options.seed = o.seed;
-    return spca::baselines::MakeLanczosSolver(engine, options);
+    return std::unique_ptr<spca::core::Solver>(
+        std::make_unique<spca::baselines::LanczosPca>(engine, options));
   }
   if (o.algorithm == "bidiag") {
     spca::baselines::SvdBidiagOptions options;
     options.num_components = o.components;
-    return spca::baselines::MakeSvdBidiagSolver(engine, options);
+    return std::unique_ptr<spca::core::Solver>(
+        std::make_unique<spca::baselines::SvdBidiagPca>(engine, options));
   }
   if (o.algorithm == "rand_svd") {
     spca::sketch::RandSvdOptions options;
