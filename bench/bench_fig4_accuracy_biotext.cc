@@ -38,6 +38,7 @@ void Run(obs::Registry* registry) {
     options.max_iterations = 10;
     options.target_accuracy_fraction = 2.0;  // trace all iterations
     options.ideal_error_override = ideal;
+    options.driver_moments = false;  // Algorithm 4's job sequence
     auto result = core::Spca(&engine, options).Solve(dataset.matrix);
     if (result.ok()) {
       PrintSeries("sPCA-MapReduce", result.value().trace);

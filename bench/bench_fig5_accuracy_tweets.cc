@@ -104,6 +104,7 @@ void Run(obs::Registry* registry) {
     options.smart_guess_rows = 2000;
     options.smart_guess_iterations = 8;
     options.ideal_error_override = ideal;
+    options.driver_moments = false;  // Algorithm 4's job sequence
     auto result = core::Spca(&engine, options).Solve(dataset.matrix);
     SPCA_CHECK(result.ok());
     return SpcaRun{std::move(result.value()), engine.traces()};

@@ -56,6 +56,7 @@ void Run(obs::Registry* registry) {
   spca_options.max_iterations = 10;
   spca_options.target_accuracy_fraction = 0.95;
   spca_options.ideal_error_override = ideal;
+  spca_options.driver_moments = false;  // Algorithm 4's job sequence
   auto spca = core::Spca(&spca_engine, spca_options).Solve(dataset.matrix);
   SPCA_CHECK(spca.ok());
 

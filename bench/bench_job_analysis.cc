@@ -50,6 +50,7 @@ JobTable RunSpcaJobs(const dist::DistMatrix& matrix,
   options.max_iterations = 5;
   options.target_accuracy_fraction = 2.0;
   options.compute_accuracy_trace = false;
+  options.driver_moments = false;  // Algorithm 4's job sequence
   auto result = core::Spca(&engine, options).Solve(matrix);
   SPCA_CHECK(result.ok());
   return Summarize(engine.traces());

@@ -310,6 +310,7 @@ int Main(int argc, char** argv) {
     sparse_options.error_sample_rows = 1000;
     sparse_options.ideal_error_override = ideal_b;
     sparse_options.seed = options.seed;
+    sparse_options.driver_moments = false;  // Algorithm 4's job sequence
     auto result = spca::core::Spca(&engine, sparse_options).Solve(matrix_b);
     SketchRun run = FromResult("spca_sparse", result, matrix_b, sample_b,
                                d_b, ideal_b);

@@ -105,6 +105,7 @@ std::vector<std::pair<std::string, MethodFn>> Methods(
          options.max_iterations = 3;
          options.target_accuracy_fraction = 2.0;
          options.compute_accuracy_trace = false;
+         options.driver_moments = false;  // Algorithm 4's job sequence
          auto result = core::Spca(&engine, options).Solve(y);
          SPCA_CHECK(result.ok());
          return FromStats(result.value().stats);

@@ -9,7 +9,10 @@
 //
 // Paper shape: every optimized operation is orders of magnitude faster;
 // mean propagation is the largest win, then intermediate-data
-// minimization, then the Frobenius norm.
+// minimization, then the Frobenius norm. The first three columns run
+// Algorithm 4's jobs (driver_moments off). A fourth column, beyond the
+// paper, measures SpcaOptions::driver_moments: YtXJob + ss3Job against
+// the one YtXJob whose YtX yields XtX and ss3 on the driver.
 
 #include <cstdio>
 
@@ -31,6 +34,7 @@ using linalg::DenseVector;
 
 struct Inputs {
   DenseVector ym;
+  DenseMatrix c;
   DenseMatrix cm;
   DenseVector xm;
 };
@@ -39,12 +43,12 @@ Inputs PrepareInputs(Engine* engine, const DistMatrix& y, size_t d) {
   Inputs inputs;
   inputs.ym = core::MeanJob(engine, y);
   Rng rng(33);
-  const DenseMatrix c = DenseMatrix::GaussianRandom(y.cols(), d, &rng);
-  DenseMatrix m = linalg::TransposeMultiply(c, c);
+  inputs.c = DenseMatrix::GaussianRandom(y.cols(), d, &rng);
+  DenseMatrix m = linalg::TransposeMultiply(inputs.c, inputs.c);
   m.AddScaledIdentity(0.5);
   auto minv = linalg::Inverse(m);
   SPCA_CHECK(minv.ok());
-  inputs.cm = linalg::Multiply(c, minv.value());
+  inputs.cm = linalg::Multiply(inputs.c, minv.value());
   inputs.xm = linalg::RowTimesMatrix(inputs.ym, inputs.cm);
   return inputs;
 }
@@ -101,7 +105,8 @@ void Run(obs::Registry* registry) {
   // --- Mean propagation: the YtX job with sparse+propagated vs densified
   // rows.
   JobToggles optimized;
-  JobToggles no_mean_prop;
+  optimized.driver_moments = false;  // Algorithm 4's jobs
+  JobToggles no_mean_prop = optimized;
   no_mean_prop.mean_propagation = false;
   const CellTiming mean_prop_on = Timed(&engine, [&] {
     core::YtXJob(&engine, dataset.matrix, inputs.ym, inputs.xm, inputs.cm,
@@ -118,7 +123,7 @@ void Run(obs::Registry* registry) {
     core::YtXJob(&engine, dataset.matrix, inputs.ym, inputs.xm, inputs.cm,
                  nullptr, optimized);
   });
-  JobToggles no_minimize;
+  JobToggles no_minimize = optimized;
   no_minimize.minimize_intermediate_data = false;
   const CellTiming minimize_off = Timed(&engine, [&] {
     const DenseMatrix x = core::MaterializeXJob(
@@ -138,36 +143,57 @@ void Run(obs::Registry* registry) {
                            /*efficient=*/false);
   });
 
+  // --- Driver moments: Algorithm 4's YtXJob (with the per-row XtX update)
+  // then ss3Job, vs one YtXJob whose YtX yields XtX and ss3 on the driver.
+  // Like every cell, only the distributed jobs are timed; the driver side
+  // adds 2 * D * d^2 + 2 * D * d flops.
+  JobToggles driver_moments;
+  const CellTiming driver_moments_on = Timed(&engine, [&] {
+    const core::YtXResult stats =
+        core::YtXJob(&engine, dataset.matrix, inputs.ym, inputs.xm, inputs.cm,
+                     nullptr, driver_moments);
+    core::Ss3FromYtX(&engine, inputs.c, stats.ytx);
+  });
+  const CellTiming driver_moments_off = Timed(&engine, [&] {
+    core::YtXJob(&engine, dataset.matrix, inputs.ym, inputs.xm, inputs.cm,
+                 nullptr, optimized);
+    core::Ss3Job(&engine, dataset.matrix, inputs.ym, inputs.xm, inputs.cm,
+                 inputs.c, nullptr, optimized);
+  });
+
   std::printf("Measured at %zu rows (operation seconds, launch excluded):\n",
               dataset.matrix.rows());
-  std::printf("%-12s %14s %16s %12s\n", "", "Mean Prop.", "Intermed. Data",
-              "Frobenius");
-  std::printf("%-12s %14.3f %16.3f %12.4f\n", "W/ Opt.",
+  std::printf("%-12s %14s %16s %12s %16s\n", "", "Mean Prop.",
+              "Intermed. Data", "Frobenius", "Driver Moments");
+  std::printf("%-12s %14.3f %16.3f %12.4f %16.3f\n", "W/ Opt.",
               mean_prop_on.measured, minimize_on.measured,
-              frobenius_on.measured);
-  std::printf("%-12s %14.3f %16.3f %12.4f\n", "W/O Opt.",
+              frobenius_on.measured, driver_moments_on.measured);
+  std::printf("%-12s %14.3f %16.3f %12.4f %16.3f\n", "W/O Opt.",
               mean_prop_off.measured, minimize_off.measured,
-              frobenius_off.measured);
-  std::printf("%-12s %13.0fx %15.0fx %11.0fx\n", "Speedup",
+              frobenius_off.measured, driver_moments_off.measured);
+  std::printf("%-12s %13.0fx %15.0fx %11.0fx %15.1fx\n", "Speedup",
               mean_prop_off.measured / std::max(1e-9, mean_prop_on.measured),
               minimize_off.measured / std::max(1e-9, minimize_on.measured),
-              frobenius_off.measured /
-                  std::max(1e-9, frobenius_on.measured));
+              frobenius_off.measured / std::max(1e-9, frobenius_on.measured),
+              driver_moments_off.measured /
+                  std::max(1e-9, driver_moments_on.measured));
 
   std::printf("\nReplayed at the paper's 1.26B rows:\n");
-  std::printf("%-12s %14.0f %16.0f %12.1f\n", "W/ Opt.",
+  std::printf("%-12s %14.0f %16.0f %12.1f %16.0f\n", "W/ Opt.",
               mean_prop_on.paper_scale, minimize_on.paper_scale,
-              frobenius_on.paper_scale);
-  std::printf("%-12s %14.0f %16.0f %12.1f\n", "W/O Opt.",
+              frobenius_on.paper_scale, driver_moments_on.paper_scale);
+  std::printf("%-12s %14.0f %16.0f %12.1f %16.0f\n", "W/O Opt.",
               mean_prop_off.paper_scale, minimize_off.paper_scale,
-              frobenius_off.paper_scale);
-  std::printf("%-12s %13.0fx %15.1fx %11.0fx\n", "Speedup",
+              frobenius_off.paper_scale, driver_moments_off.paper_scale);
+  std::printf("%-12s %13.0fx %15.1fx %11.0fx %15.1fx\n", "Speedup",
               mean_prop_off.paper_scale /
                   std::max(1e-9, mean_prop_on.paper_scale),
               minimize_off.paper_scale /
                   std::max(1e-9, minimize_on.paper_scale),
               frobenius_off.paper_scale /
-                  std::max(1e-9, frobenius_on.paper_scale));
+                  std::max(1e-9, frobenius_on.paper_scale),
+              driver_moments_off.paper_scale /
+                  std::max(1e-9, driver_moments_on.paper_scale));
   std::printf(
       "\nExpected shape (paper, Tweets 100K rows): mean propagation is the "
       "biggest win (2 s vs 5,400 s), then intermediate-data minimization "

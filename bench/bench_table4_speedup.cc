@@ -37,6 +37,7 @@ void Run(obs::Registry* registry) {
   options.max_iterations = 10;
   options.target_accuracy_fraction = 2.0;  // fixed work across runs
   options.compute_accuracy_trace = false;
+  options.driver_moments = false;  // Algorithm 4's job sequence
   auto result = core::Spca(&engine, options).Solve(dataset.matrix);
   SPCA_CHECK(result.ok());
 

@@ -179,6 +179,7 @@ RunOutcome RunSpca(dist::EngineMode mode, const dist::DistMatrix& matrix,
   options.target_accuracy_fraction = target_accuracy;
   options.smart_guess = smart_guess;
   options.ideal_error_override = ideal_error;
+  options.driver_moments = false;  // Algorithm 4's job sequence
   RunOutcome outcome =
       ToOutcome(algorithm, core::Spca(&engine, options).Solve(matrix));
   // sPCA's driver footprint is the engine's peak reservation.
@@ -209,10 +210,8 @@ RunOutcome RunMllibPca(const dist::DistMatrix& matrix, size_t d,
   // Keep the stand-in subspace iteration affordable on one machine; the
   // charged simulated cost is the full dense eigendecomposition regardless.
   options.subspace_iterations = 60;
-  RunOutcome outcome = ToOutcome(
-      "MLlib-PCA", baselines::CovEigPca(&engine, options).Solve(matrix));
-  outcome.iterations = 0;  // no iterative refinement to count
-  return outcome;
+  return ToOutcome("MLlib-PCA",
+                   baselines::CovEigPca(&engine, options).Solve(matrix));
 }
 
 std::string SizeLabel(size_t rows, size_t cols) {

@@ -102,7 +102,8 @@ struct RunOutcome {
 /// accuracy against the same reference.
 double DatasetIdealError(const dist::DistMatrix& matrix, size_t d);
 
-/// Runs sPCA (the paper's algorithm) on the given engine mode; stops at
+/// Runs sPCA as the paper's Algorithm 4 (SpcaOptions::driver_moments off,
+/// so ss3Job runs every iteration) on the given engine mode; stops at
 /// `target_accuracy` of ideal (<=1.0) or after `max_iterations`.
 /// `ideal_error` > 0 supplies the shared accuracy anchor. A non-null
 /// `registry` collects the run's metrics and spans (each Run* helper

@@ -280,12 +280,17 @@ YtXResult YtXJob(Engine* engine, const DistMatrix& y, const DenseVector& ym,
         });
   };
 
+  // With driver_moments, XtX = CM' * YtX costs the driver 2 * D * d^2
+  // flops against the tasks' N * d^2 for the per-row update, so the driver
+  // takes it over only on inputs of at least 2 * D rows; shorter ones (a
+  // stream mini-batch) keep the update in the one pass.
+  const bool driver_xtx = toggles.driver_moments && y.rows() >= 2 * dim;
+  const bool one_job = toggles.driver_moments || toggles.consolidate_jobs;
   std::vector<std::unique_ptr<YtXPartial>> xtx_partials;
   std::vector<std::unique_ptr<YtXPartial>> ytx_partials;
-  if (toggles.consolidate_jobs) {
-    auto partials = run(dist::JobDesc{"YtXJob", "em_iteration"},
-                        /*want_xtx=*/true, /*want_ytx=*/true);
-    for (auto& p : partials) ytx_partials.push_back(std::move(p));
+  if (one_job) {
+    ytx_partials = run(dist::JobDesc{"YtXJob", "em_iteration"},
+                       /*want_xtx=*/!driver_xtx, /*want_ytx=*/true);
   } else {
     // Unconsolidated: XtX and YtX as two distributed jobs, each generating
     // (or re-reading) X independently (Figure 2 before consolidation).
@@ -296,12 +301,13 @@ YtXResult YtXJob(Engine* engine, const DistMatrix& y, const DenseVector& ym,
   }
 
   YtXResult result;
-  result.xtx = DenseMatrix(d, d);
   result.ytx = DenseMatrix(dim, d);
   DenseVector xc_sum(d);
-  const auto& xtx_source =
-      toggles.consolidate_jobs ? ytx_partials : xtx_partials;
-  for (const auto& p : xtx_source) result.xtx.Add(p->xtx);
+  if (!driver_xtx) {
+    result.xtx = DenseMatrix(d, d);
+    const auto& xtx_source = one_job ? ytx_partials : xtx_partials;
+    for (const auto& p : xtx_source) result.xtx.Add(p->xtx);
+  }
   for (const auto& p : ytx_partials) {
     result.ytx.Add(p->ytx);
     xc_sum.Add(p->xc_sum);
@@ -317,7 +323,21 @@ YtXResult YtXJob(Engine* engine, const DistMatrix& y, const DenseVector& ym,
     }
     engine->CountDriverFlops(2ull * dim * d);
   }
-  engine->CountDriverFlops(ytx_partials.size() * (dim * d + d * d));
+  const size_t merged_xtx = driver_xtx ? 0 : d * d;
+  engine->CountDriverFlops(ytx_partials.size() * (dim * d + merged_xtx));
+  if (driver_xtx) {
+    // Every X row is Yc_i * CM, so X'X = CM' * (Yc'X). Averaging the two
+    // triangles makes the d x d result exactly symmetric.
+    result.xtx = linalg::TransposeMultiply(cm, result.ytx);
+    for (size_t a = 0; a < d; ++a) {
+      for (size_t b = a + 1; b < d; ++b) {
+        const double average = 0.5 * (result.xtx(a, b) + result.xtx(b, a));
+        result.xtx(a, b) = average;
+        result.xtx(b, a) = average;
+      }
+    }
+    engine->CountDriverFlops(2ull * dim * d * d);
+  }
   return result;
 }
 
@@ -403,6 +423,19 @@ double Ss3Job(Engine* engine, const DistMatrix& y, const DenseVector& ym,
   return ss3;
 }
 
+double Ss3FromYtX(Engine* engine, const DenseMatrix& c,
+                  const DenseMatrix& ytx) {
+  SPCA_CHECK_EQ(c.rows(), ytx.rows());
+  SPCA_CHECK_EQ(c.cols(), ytx.cols());
+  const size_t d = c.cols();
+  double ss3 = 0.0;
+  for (size_t k = 0; k < c.rows(); ++k) {
+    ss3 = linalg::kernels::DotRow(c.RowPtr(k), ytx.RowPtr(k), d, ss3);
+  }
+  engine->CountDriverFlops(2ull * c.rows() * d);
+  return ss3;
+}
+
 StatusOr<EStep> PrepareEStep(Engine* engine, const DenseMatrix& c, double ss,
                              const DenseVector& ym) {
   const size_t dim = c.rows();
@@ -463,12 +496,13 @@ uint64_t ThresholdLoadings(DenseMatrix* c, double threshold) {
 }  // namespace
 
 StatusOr<MStep> SolveMStep(Engine* engine, const EStep& e_step,
-                           YtXResult stats, double l1_threshold) {
+                           const YtXResult& stats, double l1_threshold) {
   const size_t dim = stats.ytx.rows();
   const size_t d = stats.ytx.cols();
   // XtX += ss * M^-1 (line 10), then C' = YtX / XtX (line 11).
-  stats.xtx.AddScaled(e_step.ss, e_step.m_inverse);
-  auto c_new = linalg::SolveRight(stats.ytx, stats.xtx);
+  DenseMatrix xtx = stats.xtx;
+  xtx.AddScaled(e_step.ss, e_step.m_inverse);
+  auto c_new = linalg::SolveRight(stats.ytx, xtx);
   if (!c_new.ok()) return c_new.status();
   engine->CountDriverFlops(2ull * d * d * d + 2ull * dim * d * d);
 
@@ -485,7 +519,7 @@ StatusOr<MStep> SolveMStep(Engine* engine, const EStep& e_step,
   // ss2 = trace(XtX * C'' * C') (line 12).
   const DenseMatrix ctc = linalg::TransposeMultiply(m_step.c, m_step.c);
   for (size_t a = 0; a < d; ++a) {
-    for (size_t b = 0; b < d; ++b) m_step.ss2 += stats.xtx(a, b) * ctc(b, a);
+    for (size_t b = 0; b < d; ++b) m_step.ss2 += xtx(a, b) * ctc(b, a);
   }
   engine->CountDriverFlops(2ull * dim * d * d + 2ull * d * d);
   return m_step;

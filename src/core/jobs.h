@@ -23,6 +23,7 @@ struct JobToggles {
   bool minimize_intermediate_data = true;
   bool consolidate_jobs = true;
   bool ss3_associativity = true;
+  bool driver_moments = true;
 };
 
 /// Distributed column-mean job (Algorithm 4 line 3): per-partition column
@@ -58,7 +59,11 @@ struct YtXResult {
 /// YtX in one pass, generating each row of X on demand from the broadcast
 /// CM (unless `materialized_x` is non-null, in which case rows of X are
 /// read from it — the unoptimized path). With consolidate_jobs off, XtX
-/// and YtX run as two separate distributed jobs.
+/// and YtX run as two separate distributed jobs. With driver_moments on,
+/// they always run as one job (consolidate_jobs is moot), and on inputs of
+/// at least 2 * D rows that job accumulates only YtX and the driver
+/// derives XtX = CM' * YtX (every X row is Yc_i * CM), symmetrised; on
+/// shorter inputs that product costs more than the per-row update it saves.
 YtXResult YtXJob(dist::Engine* engine, const dist::DistMatrix& y,
                  const linalg::DenseVector& ym, const linalg::DenseVector& xm,
                  const linalg::DenseMatrix& cm,
@@ -74,11 +79,20 @@ double Ss3Job(dist::Engine* engine, const dist::DistMatrix& y,
               const linalg::DenseMatrix* materialized_x,
               const JobToggles& toggles);
 
+/// The same ss3 without a pass over Y: sum_n X_n * C' * Yc_n' equals
+/// <C, Yc'X>_F, so it follows from the `ytx` YtXJob returned for the X the
+/// sum is over. Runs on the driver (2 * D * d flops).
+double Ss3FromYtX(dist::Engine* engine, const linalg::DenseMatrix& c,
+                  const linalg::DenseMatrix& ytx);
+
 // ---- Driver algebra of one EM iteration --------------------------------
 // PrepareEStep (Algorithm 4 lines 6-8), YtXJob (line 9), SolveMStep (lines
-// 10-12), Ss3Job on the new C (line 13), MStep::NoiseVariance (line 14):
+// 10-12), ss3 on the new C (line 13), MStep::NoiseVariance (line 14):
 // core::Spca and the mini-batch EM streaming solver both run exactly this
-// sequence. Each step charges its own driver flops from the shapes (D, d).
+// sequence. With driver_moments off, line 13 is Ss3Job — Algorithm 4
+// literally, two passes over Y per iteration. With it on (the default),
+// line 13 is Ss3FromYtX and YtXJob is the iteration's only pass. Each step
+// charges its own driver flops from the shapes (D, d).
 
 /// The E-step's driver-side inputs (Algorithm 4 lines 6-8).
 struct EStep {
@@ -100,17 +114,18 @@ struct MStep {
   double ss2 = 0.0;           // trace(XtX * C'' * C')
   uint64_t nnz_loadings = 0;  // left non-zero by the soft-threshold, if run
 
-  /// The noise-variance update (line 14) once Ss3Job has run on `c` over
+  /// The noise-variance update (line 14) once ss3 is known for `c` over
   /// `rows` rows: (ss1 + ss2 - 2 * ss3) / rows / D, floored at 1e-12.
   double NoiseVariance(double ss1, double ss3, double rows) const;
 };
 
-/// Solves the M-step from YtXJob's statistics. With `l1_threshold` > 0 the
-/// lasso prox (SoftThreshold on every loading except each column's
+/// Solves the M-step from YtXJob's statistics; only the d x d XtX is
+/// copied, so the caller keeps `stats.ytx` for ss3. With `l1_threshold` > 0
+/// the lasso prox (SoftThreshold on every loading except each column's
 /// largest, so no component collapses) sparsifies C' before ss2; at 0 it
 /// is skipped entirely.
 StatusOr<MStep> SolveMStep(dist::Engine* engine, const EStep& e_step,
-                           YtXResult stats, double l1_threshold);
+                           const YtXResult& stats, double l1_threshold);
 
 /// The soft-threshold operator: sign(x) * max(|x| - threshold, 0).
 double SoftThreshold(double value, double threshold);

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "core/spca.h"
 #include "dist/engine.h"
+#include "linalg/kernels.h"
 #include "linalg/ops.h"
 #include "linalg/qr.h"
 #include "linalg/svd.h"
@@ -61,11 +62,11 @@ double SampledReconstructionError(const dist::DistMatrix& sample,
   for (size_t i = 0; i < sample.rows(); ++i) {
     sample.RowTimesMatrix(i, basis, &projected);
     projected.Subtract(mean_projection);
-    // Reconstruction (dense row): mean + projected * B'.
+    // Reconstruction (dense row): mean + projected * B'. DotRow adds left
+    // to right after `init` under scalar dispatch, like the plain loop.
     for (size_t k = 0; k < dim; ++k) {
-      double value = mean[k];
-      for (size_t j = 0; j < d; ++j) value += basis(k, j) * projected[j];
-      reconstructed[k] = value;
+      reconstructed[k] = linalg::kernels::DotRow(
+          basis.RowPtr(k), projected.data(), d, mean[k]);
     }
     // 1-norm of (row - reconstruction) without materializing the dense row:
     // stored entries contribute |v - rec|, absent entries |0 - rec|.

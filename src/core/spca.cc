@@ -149,6 +149,7 @@ StatusOr<SolveResult> Spca::RunEm(
   toggles.minimize_intermediate_data = options_.minimize_intermediate_data;
   toggles.consolidate_jobs = options_.consolidate_jobs;
   toggles.ss3_associativity = options_.ss3_associativity;
+  toggles.driver_moments = options_.driver_moments;
 
   SolveResult result;
   result.model.components = std::move(initial_components);
@@ -192,14 +193,15 @@ StatusOr<SolveResult> Spca::RunEm(
     }
 
     // Distributed YtXJob (line 9), then the driver's M-step (lines 10-12).
-    YtXResult ytx_result = YtXJob(engine_, y, ym, xm, cm, x_ptr, toggles);
-    auto m_step = SolveMStep(engine_, *e_step, std::move(ytx_result),
-                             options_.l1_threshold);
+    const YtXResult stats = YtXJob(engine_, y, ym, xm, cm, x_ptr, toggles);
+    auto m_step = SolveMStep(engine_, *e_step, stats, options_.l1_threshold);
     if (!m_step.ok()) return m_step.status();
 
-    // Distributed ss3 job (line 13), then the variance update (line 14).
+    // ss3 on the new C (line 13), then the variance update (line 14).
     const double ss3 =
-        Ss3Job(engine_, y, ym, xm, cm, m_step->c, x_ptr, toggles);
+        toggles.driver_moments
+            ? Ss3FromYtX(engine_, m_step->c, stats.ytx)
+            : Ss3Job(engine_, y, ym, xm, cm, m_step->c, x_ptr, toggles);
     ss = m_step->NoiseVariance(ss1, ss3, static_cast<double>(n));
     c = std::move(m_step->c);
     result.iterations_run = iteration;

@@ -18,10 +18,12 @@ namespace spca::core {
 /// sPCA: scalable distributed Probabilistic PCA (the paper's Algorithm 4).
 ///
 /// The driver program runs on a single machine and launches distributed
-/// jobs for the three operations that touch the full data — the mean job,
-/// the Frobenius-norm job, and the per-iteration consolidated YtX job and
-/// ss3 job — exactly the decomposition of Figure 3. All other algebra is
-/// d x d or D x d and executes on the driver.
+/// jobs for the operations that touch the full data — the mean job, the
+/// Frobenius-norm job, and the per-iteration consolidated YtX job. With
+/// SpcaOptions::driver_moments off, every iteration also runs the ss3 job,
+/// exactly the decomposition of Figure 3; on (the default), ss3 comes
+/// from YtX on the driver, and so does XtX on inputs of at least 2 * D
+/// rows. All other algebra is d x d or D x d and executes on the driver.
 ///
 /// Typical use:
 ///   dist::Engine engine(spec, dist::EngineMode::kSpark);

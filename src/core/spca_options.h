@@ -8,9 +8,12 @@ namespace spca::core {
 
 /// Configuration for Spca::Solve. The optimization toggles exist so the
 /// effect of each design decision can be measured in isolation (the paper's
-/// Section 5.4 / Table 3); production use leaves them all enabled. With
-/// every toggle disabled, the algorithm degenerates to the naive
-/// distributed PPCA of Algorithm 1 / Figure 1.
+/// Section 5.4 / Table 3); production use leaves them all enabled. One EM
+/// iteration is PrepareEStep, YtXJob, SolveMStep, ss3 and the variance
+/// update (core/jobs.h); driver_moments decides whether ss3 is a second
+/// job (Algorithm 4) or driver algebra on YtXJob's result. With every
+/// toggle disabled, the algorithm degenerates to the naive distributed
+/// PPCA of Algorithm 1 / Figure 1.
 struct SpcaOptions {
   /// Number of principal components d (the paper evaluates with d = 50).
   size_t num_components = 50;
@@ -62,6 +65,18 @@ struct SpcaOptions {
   /// §4.1 Associativity in ss3: compute X_i * (C' * Y_i') instead of
   /// (X_i * C') * Y_i'. Disabled: the inefficient left-to-right order.
   bool ss3_associativity = true;
+
+  /// One pass over Y per EM iteration (beyond the paper): the driver
+  /// derives ss3 = <C', Yc'X>_F from YtXJob's Yc'X, so the iteration runs
+  /// one job instead of YtXJob + ss3Job. On inputs of at least 2 * D rows
+  /// the driver also derives XtX = CM' * Yc'X, so no task pays the per-row
+  /// d x d XtX update (below that the update is the cheaper of the two and
+  /// stays in the job). The result equals Algorithm 4's to rounding, not
+  /// bit for bit. With it on, consolidate_jobs and ss3_associativity shape
+  /// nothing (there is no XtX job to fold and no ss3 job to order) and are
+  /// ignored. Disabled: Algorithm 4 literally, which the paper's figure and
+  /// table benches select to reproduce its job sequence and costs.
+  bool driver_moments = true;
 
   // ---- Smart-guess initialization (sPCA-SG, Section 5.2) ---------------
 

@@ -86,34 +86,54 @@ std::map<std::string, PhaseTotals> CollectPhaseTotals(
   return phases;
 }
 
+/// The solvers whose iteration spans carry accuracy_percent and
+/// sim_seconds (written by core::AccuracyTracker), and the attribute that
+/// orders each one's iterations.
+struct AccuracyTracedSolver {
+  std::string_view fit;
+  std::string_view iteration;
+  std::string_view order;
+};
+
+constexpr AccuracyTracedSolver kAccuracyTracedSolvers[] = {
+    {"spca.fit", "spca.em_iteration", "iteration"},
+    {"randsvd.fit", "randsvd.power_round", "round"},
+    {"ssvd.fit", "ssvd.power_round", "round"},
+};
+
 }  // namespace
 
 std::string AccuracyTimeReport(const ParsedTrace& trace) {
   std::string out;
-  for (const ParsedSpan* fit : trace.SpansNamed("spca.fit")) {
-    // Collect this fit's iterations; a trace may hold several fits (the
-    // Figure 5 benchmark runs three solvers against one registry).
+  // Fits in trace order; a trace may hold several fits, of one solver or
+  // of several (the Figure 5 benchmark runs three against one registry).
+  for (const ParsedSpan& fit : trace.spans) {
+    const AccuracyTracedSolver* solver = nullptr;
+    for (const AccuracyTracedSolver& candidate : kAccuracyTracedSolvers) {
+      if (fit.name == candidate.fit) solver = &candidate;
+    }
+    if (solver == nullptr) continue;
     std::vector<const ParsedSpan*> iterations;
-    for (const ParsedSpan* child : trace.ChildrenOf(fit->id)) {
-      if (child->name != "spca.em_iteration") continue;
+    for (const ParsedSpan* child : trace.ChildrenOf(fit.id)) {
+      if (child->name != solver->iteration) continue;
       if (child->FindAttribute("accuracy_percent") == nullptr) continue;
       iterations.push_back(child);
     }
     std::sort(iterations.begin(), iterations.end(),
-              [](const ParsedSpan* a, const ParsedSpan* b) {
-                return a->AttributeNumberOr("iteration", 0) <
-                       b->AttributeNumberOr("iteration", 0);
+              [solver](const ParsedSpan* a, const ParsedSpan* b) {
+                return a->AttributeNumberOr(solver->order, 0) <
+                       b->AttributeNumberOr(solver->order, 0);
               });
     if (iterations.empty()) continue;
 
     char line[160];
     std::snprintf(line, sizeof(line),
-                  "spca.fit #%llu rows=%.0f cols=%.0f components=%.0f "
+                  "%s #%llu rows=%.0f cols=%.0f components=%.0f "
                   "(time_s, accuracy_%%):\n",
-                  static_cast<unsigned long long>(fit->id),
-                  fit->AttributeNumberOr("rows", 0),
-                  fit->AttributeNumberOr("cols", 0),
-                  fit->AttributeNumberOr("components", 0));
+                  fit.name.c_str(), static_cast<unsigned long long>(fit.id),
+                  fit.AttributeNumberOr("rows", 0),
+                  fit.AttributeNumberOr("cols", 0),
+                  fit.AttributeNumberOr("components", 0));
     out += line;
     for (const ParsedSpan* iter : iterations) {
       // Byte-identical to the PrintSeries rows in bench_fig4/bench_fig5.
@@ -124,7 +144,8 @@ std::string AccuracyTimeReport(const ParsedTrace& trace) {
     }
   }
   if (out.empty()) {
-    out = "no spca.fit spans with accuracy-traced iterations in this file\n";
+    out = "no spca.fit, randsvd.fit or ssvd.fit spans with accuracy-traced "
+          "iterations in this file\n";
   }
   return out;
 }

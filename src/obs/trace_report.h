@@ -10,8 +10,9 @@
 namespace spca::obs {
 
 /// Regenerates the Figure 4/5 accuracy-versus-time table from a trace file
-/// alone: for every `spca.fit` span, its `spca.em_iteration` children are
-/// listed in iteration order as
+/// alone: for every `spca.fit`, `randsvd.fit` or `ssvd.fit` span, in trace
+/// order and headed by its name, its `spca.em_iteration` (or
+/// `*.power_round`) children are listed in iteration (round) order as
 ///   "  %10.1f  %6.2f\n"  <- (sim_seconds, accuracy_percent)
 /// — the exact row format bench_fig4/bench_fig5 print, so a run captured
 /// with --trace-out or --trace-stream reproduces the benchmark table

@@ -265,9 +265,9 @@ Status MiniBatchEmSolver::Update(const DistMatrix& batch) {
   if (!e_step.ok()) return e_step.status();
   const DenseMatrix& cm = e_step->cm;
   const DenseVector& xm = e_step->xm;
-  core::JobToggles toggles;  // all optimizations on for stream batches
-  core::YtXResult ytx =
-      core::YtXJob(engine_, batch, mean_, xm, cm, nullptr, toggles);
+  // Default toggles: every optimization on for stream batches.
+  core::YtXResult ytx = core::YtXJob(engine_, batch, mean_, xm, cm, nullptr,
+                                     core::JobToggles{});
 
   // Blend per-row-averaged sufficient statistics (stochastic EM).
   const double rho = BlendRho(steps_, options_.decay);
@@ -285,12 +285,12 @@ Status MiniBatchEmSolver::Update(const DistMatrix& batch) {
   blended.xtx.AddScaled(b, s_xtx_);
   blended.ytx = DenseMatrix(dim_, d);
   blended.ytx.AddScaled(b, s_ytx_);
-  auto m_step = core::SolveMStep(engine_, *e_step, std::move(blended),
+  auto m_step = core::SolveMStep(engine_, *e_step, blended,
                                  /*l1_threshold=*/0.0);
   if (!m_step.ok()) return m_step.status();
 
-  const double ss3_b = core::Ss3Job(engine_, batch, mean_, xm, cm, m_step->c,
-                                    nullptr, toggles);
+  // ss3 sums over this batch's rows, so it reads the batch's own YtX.
+  const double ss3_b = core::Ss3FromYtX(engine_, m_step->c, ytx.ytx);
   s_ss3_ = (1.0 - rho) * s_ss3_ + rho * ss3_b / b;
 
   ss_ = m_step->NoiseVariance(b * s_ss1_, b * s_ss3_, b);

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/rng.h"
 #include "core/jobs.h"
@@ -164,6 +166,117 @@ TEST_P(JobsPropertySweep, PerfectBasisMeansZeroError) {
   const DenseMatrix eye = DenseMatrix::Identity(c.matrix.cols());
   const double error = SampledReconstructionError(c.matrix, eye, c.mean);
   EXPECT_NEAR(error, 0.0, 1e-9);
+}
+
+// ---- Driver moments ----------------------------------------------------
+
+/// Rows of planted rank `rank`: Y = U * V with sparse rows of V, so whole
+/// columns are zero and sparse storage really skips entries. At least
+/// 2 * D rows, so YtXJob's driver-side XtX runs.
+DistMatrix PlantedRankMatrix(uint64_t seed, size_t rank, bool sparse_storage,
+                             DenseVector* mean) {
+  Rng rng(seed);
+  const size_t cols = 8 + rng.NextUint64Below(12);
+  const size_t rows = 2 * cols + rng.NextUint64Below(30);
+  const DenseMatrix u = DenseMatrix::GaussianRandom(rows, rank, &rng);
+  DenseMatrix v(rank, cols);
+  for (size_t r = 0; r < rank; ++r) {
+    for (size_t j = 0; j < cols; ++j) {
+      if (rng.NextDouble() < 0.6) v(r, j) = rng.NextGaussian();
+    }
+  }
+  DenseMatrix dense = linalg::Multiply(u, v);
+  *mean = linalg::ColumnMeans(dense);
+  const size_t partitions = 1 + rng.NextUint64Below(5);
+  return sparse_storage ? DistMatrix::FromSparse(
+                              SparseMatrix::FromDense(dense), partitions)
+                        : DistMatrix::FromDense(std::move(dense), partitions);
+}
+
+double RelativeFrobenius(const DenseMatrix& actual,
+                         const DenseMatrix& expected) {
+  DenseMatrix diff = actual;
+  diff.AddScaled(-1.0, expected);
+  return std::sqrt(diff.FrobeniusNorm2() / expected.FrobeniusNorm2());
+}
+
+/// On every engine mode, with mean propagation on and off and with X
+/// generated on demand or materialised: the driver's XtX = CM' * YtX is
+/// exactly symmetric and within 1e-12 relative of the job-side XtX (below
+/// 2 * D rows, where the job keeps the per-row update, bit-identical), YtX
+/// is bit-identical, and <C', YtX> is within 1e-12 relative of Ss3Job on
+/// the M-step's C'.
+void ExpectDriverMomentsMatchJobs(const DistMatrix& y, const DenseVector& ym,
+                                  size_t d, uint64_t seed) {
+  Rng rng(seed);
+  const DenseMatrix c = DenseMatrix::GaussianRandom(y.cols(), d, &rng);
+  for (const EngineMode mode : {EngineMode::kSpark, EngineMode::kMapReduce}) {
+    for (const bool mean_propagation : {true, false}) {
+      for (const bool materialize : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << dist::EngineModeToString(mode)
+                     << " mean_propagation=" << mean_propagation
+                     << " materialize=" << materialize << " d=" << d);
+        Engine engine(dist::ClusterSpec{}, mode);
+        auto e_step = PrepareEStep(&engine, c, 0.3, ym);
+        ASSERT_TRUE(e_step.ok());
+        JobToggles job;
+        job.driver_moments = false;
+        job.mean_propagation = mean_propagation;
+        job.minimize_intermediate_data = !materialize;
+        JobToggles driver = job;
+        driver.driver_moments = true;
+
+        DenseMatrix x;
+        const DenseMatrix* x_ptr = nullptr;
+        if (materialize) {
+          x = MaterializeXJob(&engine, y, ym, e_step->xm, e_step->cm, job);
+          x_ptr = &x;
+        }
+        const YtXResult job_stats =
+            YtXJob(&engine, y, ym, e_step->xm, e_step->cm, x_ptr, job);
+        const YtXResult driver_stats =
+            YtXJob(&engine, y, ym, e_step->xm, e_step->cm, x_ptr, driver);
+
+        EXPECT_EQ(driver_stats.ytx.MaxAbsDiff(job_stats.ytx), 0.0);
+        EXPECT_LE(RelativeFrobenius(driver_stats.xtx, job_stats.xtx), 1e-12);
+        if (y.rows() < 2 * y.cols()) {
+          EXPECT_EQ(driver_stats.xtx.MaxAbsDiff(job_stats.xtx), 0.0);
+        }
+        for (size_t a = 0; a < d; ++a) {
+          for (size_t b = 0; b < d; ++b) {
+            EXPECT_EQ(driver_stats.xtx(a, b), driver_stats.xtx(b, a));
+          }
+        }
+
+        auto m_step = SolveMStep(&engine, *e_step, job_stats, 0.0);
+        ASSERT_TRUE(m_step.ok());
+        const double job_ss3 = Ss3Job(&engine, y, ym, e_step->xm, e_step->cm,
+                                      m_step->c, x_ptr, job);
+        const double driver_ss3 =
+            Ss3FromYtX(&engine, m_step->c, driver_stats.ytx);
+        EXPECT_LE(std::fabs(driver_ss3 - job_ss3), 1e-12 * std::fabs(job_ss3));
+      }
+    }
+  }
+}
+
+TEST_P(JobsPropertySweep, DriverMomentsMatchJobMoments) {
+  // MakeCase's shapes fall on both sides of 2 * D rows, so both ways of
+  // getting XtX run.
+  const RandomCase c = MakeCase(seed() + 600, sparse_storage());
+  Rng rng(seed() + 601);
+  const size_t d =
+      1 + rng.NextUint64Below(std::min<size_t>(4, c.matrix.cols()));
+  ExpectDriverMomentsMatchJobs(c.matrix, c.mean, d, seed() + 602);
+}
+
+TEST_P(JobsPropertySweep, DriverMomentsMatchJobMomentsBelowFullRank) {
+  // d above the planted rank: X = Yc * CM is rank-deficient.
+  DenseVector mean;
+  const DistMatrix y =
+      PlantedRankMatrix(seed() + 700, /*rank=*/2, sparse_storage(), &mean);
+  ExpectDriverMomentsMatchJobs(y, mean, /*d=*/4, seed() + 701);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "dist/engine.h"
 #include "linalg/ops.h"
@@ -115,6 +117,7 @@ class JobsToggleTest : public ::testing::TestWithParam<int> {
     toggles.minimize_intermediate_data = (mask & 2) != 0;
     toggles.consolidate_jobs = (mask & 4) != 0;
     toggles.ss3_associativity = (mask & 8) != 0;
+    toggles.driver_moments = (mask & 16) != 0;
     return toggles;
   }
 };
@@ -144,12 +147,24 @@ TEST_P(JobsToggleTest, YtXAndSs3MatchReference) {
   EXPECT_LT(result.ytx.MaxAbsDiff(ref.ytx), 1e-9);
 
   const double ss3 =
-      Ss3Job(&engine, f.y, f.ym, ref.xm, ref.cm, c2, x_ptr, toggles);
+      toggles.driver_moments
+          ? Ss3FromYtX(&engine, c2, result.ytx)
+          : Ss3Job(&engine, f.y, f.ym, ref.xm, ref.cm, c2, x_ptr, toggles);
   EXPECT_NEAR(ss3, ref.ss3, 1e-8);
 }
 
+// Every combination with driver_moments off. With it on, consolidate_jobs
+// and ss3_associativity are ignored, so that half varies only the two
+// toggles still live.
+std::vector<int> ToggleMasks() {
+  std::vector<int> masks;
+  for (int mask = 0; mask < 16; ++mask) masks.push_back(mask);
+  for (int live = 0; live < 4; ++live) masks.push_back(16 | live);
+  return masks;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllToggleCombinations, JobsToggleTest,
-                         ::testing::Range(0, 16));
+                         ::testing::ValuesIn(ToggleMasks()));
 
 TEST(JobsTest, ConsolidationReducesJobCount) {
   const Fixture f = MakeFixture(15, 6, 44, 3);
@@ -158,8 +173,11 @@ TEST(JobsTest, ConsolidationReducesJobCount) {
   const double ss = 0.5;
   const Reference ref = ComputeReference(f, c, ss, c);
 
+  // Consolidation shapes Algorithm 4's job-side XtX; driver moments have
+  // no XtX job to fold.
   JobToggles consolidated;
-  JobToggles split;
+  consolidated.driver_moments = false;
+  JobToggles split = consolidated;
   split.consolidate_jobs = false;
 
   Engine e1 = MakeEngine();
@@ -168,6 +186,54 @@ TEST(JobsTest, ConsolidationReducesJobCount) {
   YtXJob(&e2, f.y, f.ym, ref.xm, ref.cm, nullptr, split);
   EXPECT_EQ(e1.stats().jobs_launched + 1, e2.stats().jobs_launched);
   EXPECT_GT(e2.SimulatedSeconds(), e1.SimulatedSeconds());
+}
+
+TEST(JobsTest, DriverMomentsDropThePerRowXtXWork) {
+  // Same single job, but no task pays the d x d update per row, no
+  // partial ships a d x d XtX, and the driver pays 2 * D * d^2 instead.
+  const Fixture f = MakeFixture(40, 12, 49, 3);
+  Rng rng(6);
+  const DenseMatrix c = DenseMatrix::GaussianRandom(12, 4, &rng);
+  const Reference ref = ComputeReference(f, c, 0.3, c);
+
+  JobToggles algorithm4;
+  algorithm4.driver_moments = false;
+  JobToggles driver;
+
+  Engine e1 = MakeEngine();
+  YtXJob(&e1, f.y, f.ym, ref.xm, ref.cm, nullptr, algorithm4);
+  Engine e2 = MakeEngine();
+  YtXJob(&e2, f.y, f.ym, ref.xm, ref.cm, nullptr, driver);
+  EXPECT_EQ(e1.stats().jobs_launched, e2.stats().jobs_launched);
+  EXPECT_EQ(e1.stats().task_flops - e2.stats().task_flops, 40u * 2 * 4 * 4);
+  EXPECT_LT(e2.stats().ShippedBytes(), e1.stats().ShippedBytes());
+  EXPECT_GT(e2.stats().driver_flops, e1.stats().driver_flops);
+}
+
+TEST(JobsTest, DriverMomentsKeepThePerRowXtXBelowTwiceDRows) {
+  // On fewer than 2 * D rows the driver product would cost more than the
+  // per-row update, so the one job is Algorithm 4's consolidated YtXJob,
+  // bit for bit and cost for cost.
+  const Fixture f = MakeFixture(23, 12, 50, 3);
+  Rng rng(7);
+  const DenseMatrix c = DenseMatrix::GaussianRandom(12, 4, &rng);
+  const Reference ref = ComputeReference(f, c, 0.3, c);
+
+  JobToggles algorithm4;
+  algorithm4.driver_moments = false;
+
+  Engine e1 = MakeEngine();
+  const YtXResult r1 =
+      YtXJob(&e1, f.y, f.ym, ref.xm, ref.cm, nullptr, algorithm4);
+  Engine e2 = MakeEngine();
+  const YtXResult r2 =
+      YtXJob(&e2, f.y, f.ym, ref.xm, ref.cm, nullptr, JobToggles{});
+  EXPECT_EQ(r2.xtx.MaxAbsDiff(r1.xtx), 0.0);
+  EXPECT_EQ(r2.ytx.MaxAbsDiff(r1.ytx), 0.0);
+  EXPECT_EQ(e2.stats().jobs_launched, e1.stats().jobs_launched);
+  EXPECT_EQ(e2.stats().task_flops, e1.stats().task_flops);
+  EXPECT_EQ(e2.stats().driver_flops, e1.stats().driver_flops);
+  EXPECT_EQ(e2.stats().ShippedBytes(), e1.stats().ShippedBytes());
 }
 
 TEST(JobsTest, MinimizingIntermediateDataEliminatesXMaterialization) {

@@ -622,13 +622,7 @@ void ExpectMatchesGolden(const std::string& dump, const char* file) {
   }
 }
 
-// Fit results on seeded workloads against the golden dumped from the
-// pre-kernel scalar implementation. Covers sparse + dense storage, both
-// engine modes, and both the optimized and the naive (toggles-off) job
-// paths — i.e. every rewritten inner loop. Under scalar dispatch the
-// comparison is byte-for-byte; under SIMD dispatch it is the 1e-12
-// relative tolerance tier.
-TEST(KernelsTest, FitMatchesPreKernelGolden) {
+core::SpcaOptions GoldenFitOptions() {
   core::SpcaOptions options;
   options.num_components = 6;
   options.max_iterations = 4;
@@ -636,16 +630,42 @@ TEST(KernelsTest, FitMatchesPreKernelGolden) {
   options.error_sample_rows = 64;
   options.seed = 17;
   options.ideal_error_override = 1.0;  // skip the hidden converged fit
+  return options;
+}
+
+dist::DistMatrix GoldenSparseInput() {
+  workload::BagOfWordsConfig config;
+  config.rows = 300;
+  config.vocab = 120;
+  config.words_per_row = 8.0;
+  config.seed = 5;
+  return dist::DistMatrix::FromSparse(workload::GenerateBagOfWords(config),
+                                      7);
+}
+
+dist::DistMatrix GoldenDenseInput() {
+  workload::LowRankConfig config;
+  config.rows = 200;
+  config.cols = 37;  // non-multiple-of-4 width
+  config.rank = 4;
+  config.seed = 23;
+  return dist::DistMatrix::FromDense(workload::GenerateLowRank(config), 5);
+}
+
+// Fit results on seeded workloads against the golden dumped from the
+// pre-kernel scalar implementation. Covers sparse + dense storage, both
+// engine modes, and both the optimized and the naive (toggles-off) job
+// paths — i.e. every rewritten inner loop. Under scalar dispatch the
+// comparison is byte-for-byte; under SIMD dispatch it is the 1e-12
+// relative tolerance tier. Pins Algorithm 4's job sequence, so
+// driver_moments is off.
+TEST(KernelsTest, FitMatchesPreKernelGolden) {
+  core::SpcaOptions options = GoldenFitOptions();
+  options.driver_moments = false;
 
   std::string dump;
   {
-    workload::BagOfWordsConfig config;
-    config.rows = 300;
-    config.vocab = 120;
-    config.words_per_row = 8.0;
-    config.seed = 5;
-    const auto y =
-        dist::DistMatrix::FromSparse(workload::GenerateBagOfWords(config), 7);
+    const auto y = GoldenSparseInput();
     RunFitCase(&dump, "sparse_optimized", y, options,
                dist::EngineMode::kSpark);
     if (HasFatalFailure()) return;
@@ -661,13 +681,7 @@ TEST(KernelsTest, FitMatchesPreKernelGolden) {
     if (HasFatalFailure()) return;
   }
   {
-    workload::LowRankConfig config;
-    config.rows = 200;
-    config.cols = 37;  // non-multiple-of-4 width
-    config.rank = 4;
-    config.seed = 23;
-    const auto y =
-        dist::DistMatrix::FromDense(workload::GenerateLowRank(config), 5);
+    const auto y = GoldenDenseInput();
     RunFitCase(&dump, "dense_optimized", y, options,
                dist::EngineMode::kSpark);
     if (HasFatalFailure()) return;
@@ -688,7 +702,7 @@ TEST(KernelsTest, FitMatchesPreKernelGolden) {
 // platform, four sweeps each.
 void RunSparseFitCase(std::string* out, const char* tag,
                       const dist::DistMatrix& y, double l1_threshold,
-                      dist::EngineMode mode) {
+                      dist::EngineMode mode, bool driver_moments) {
   core::SpcaOptions options;
   options.num_components = 4;
   options.max_iterations = 4;
@@ -697,28 +711,52 @@ void RunSparseFitCase(std::string* out, const char* tag,
   options.error_sample_rows = 64;
   options.seed = 29;
   options.ideal_error_override = 1.0;  // skip the hidden converged fit
+  options.driver_moments = driver_moments;
   RunFitCase(out, tag, y, options, mode);
 }
 
-TEST(KernelsTest, SparseFitMatchesGolden) {
-  std::string dump;
+dist::DistMatrix GoldenSparseSignal(uint64_t seed, size_t partitions) {
   workload::SparseSignalConfig config;
   config.rows = 240;
   config.cols = 30;
   config.active_per_component = 6;
-  config.seed = 41;
-  RunSparseFitCase(&dump, "sparse_signal_spark",
-                   dist::DistMatrix::FromDense(
-                       workload::GenerateSparseSignal(config), 5),
-                   0.05, dist::EngineMode::kSpark);
+  config.seed = seed;
+  return dist::DistMatrix::FromDense(workload::GenerateSparseSignal(config),
+                                     partitions);
+}
+
+// Pins Algorithm 4's job sequence, so driver_moments is off.
+TEST(KernelsTest, SparseFitMatchesGolden) {
+  std::string dump;
+  RunSparseFitCase(&dump, "sparse_signal_spark", GoldenSparseSignal(41, 5),
+                   0.05, dist::EngineMode::kSpark, /*driver_moments=*/false);
   if (HasFatalFailure()) return;
-  config.seed = 43;
   RunSparseFitCase(&dump, "sparse_signal_mapreduce",
-                   dist::DistMatrix::FromDense(
-                       workload::GenerateSparseSignal(config), 4),
-                   0.1, dist::EngineMode::kMapReduce);
+                   GoldenSparseSignal(43, 4), 0.1,
+                   dist::EngineMode::kMapReduce, /*driver_moments=*/false);
   if (HasFatalFailure()) return;
   ExpectMatchesGolden(dump, "sparse_fit_bits.golden");
+}
+
+// The default path (SpcaOptions::driver_moments: XtX and ss3 from YtX on
+// the driver, one job per iteration) on the inputs of the two goldens
+// above: sparse and dense storage on Spark, and one sparse-loadings case
+// on MapReduce.
+TEST(KernelsTest, DriverMomentsFitMatchesGolden) {
+  const core::SpcaOptions options = GoldenFitOptions();
+  ASSERT_TRUE(options.driver_moments);
+  std::string dump;
+  RunFitCase(&dump, "sparse_driver_moments", GoldenSparseInput(), options,
+             dist::EngineMode::kSpark);
+  if (HasFatalFailure()) return;
+  RunFitCase(&dump, "dense_driver_moments", GoldenDenseInput(), options,
+             dist::EngineMode::kSpark);
+  if (HasFatalFailure()) return;
+  RunSparseFitCase(&dump, "l1_driver_moments_mapreduce",
+                   GoldenSparseSignal(43, 4), 0.1,
+                   dist::EngineMode::kMapReduce, /*driver_moments=*/true);
+  if (HasFatalFailure()) return;
+  ExpectMatchesGolden(dump, "driver_moments_fit_bits.golden");
 }
 
 }  // namespace

@@ -166,6 +166,7 @@ TEST(ReplayIdentityProperty, UnitScaleReplayMatchesAccountedCost) {
     options.consolidate_jobs = rng.NextUint64Below(2) == 0;
     options.efficient_frobenius = rng.NextUint64Below(2) == 0;
     options.ss3_associativity = rng.NextUint64Below(2) == 0;
+    options.driver_moments = rng.NextUint64Below(2) == 0;
     options.seed = rng.NextUint64();
 
     Engine engine(spec, mode);

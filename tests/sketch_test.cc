@@ -174,11 +174,11 @@ TEST(RandSvdTest, ShipsFewerBytesAndJobsThanEmSolverOnSameInput) {
       RandSvdPca(&sketch_engine, FastRandSvdOptions(6, 1)).Solve(matrix);
   ASSERT_TRUE(sketched.ok()) << sketched.status().ToString();
 
-  // Two consolidated rounds versus the paper's ten EM sweeps of meanJob +
-  // normJob + YtXJob + ss3Job: the sketch side must win on both crossover
-  // axes. (Each rand_svd round ships a wider D x k partial than an EM
-  // sweep's D x d ones — its advantage is needing far fewer rounds, which
-  // bench_sketch pins at matched target accuracy.)
+  // Two consolidated rounds versus meanJob + FnormJob and ten EM sweeps of
+  // one YtXJob each (the default driver_moments path): the sketch side
+  // must win on both crossover axes. (Each rand_svd round ships a wider
+  // D x k partial than an EM sweep's D x d ones — its advantage is needing
+  // far fewer rounds, which bench_sketch pins at matched target accuracy.)
   EXPECT_LT(sketched->stats.jobs_launched, em->stats.jobs_launched);
   EXPECT_LT(sketched->stats.ShippedBytes(), em->stats.ShippedBytes());
 }

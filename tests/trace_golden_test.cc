@@ -7,7 +7,7 @@
 //
 // To update after an intentional instrumentation change:
 //   SPCA_REGENERATE_GOLDEN=1 ./trace_golden_test
-// and commit the rewritten tests/golden/spca_trace_schema.golden.
+// and commit the rewritten tests/golden/spca_trace_schema*.golden files.
 
 #include <gtest/gtest.h>
 
@@ -50,18 +50,16 @@ std::string SchemaOf(const ParsedTrace& trace) {
   return out;
 }
 
-TEST(TraceGolden, FitSpanSchemaMatchesGolden) {
+DistMatrix GoldenInput() {
   workload::BagOfWordsConfig config;
   config.rows = 240;
   config.vocab = 60;
   config.words_per_row = 5;
   config.seed = 5;
-  const DistMatrix matrix =
-      DistMatrix::FromSparse(workload::GenerateBagOfWords(config), 3);
+  return DistMatrix::FromSparse(workload::GenerateBagOfWords(config), 3);
+}
 
-  Engine engine(dist::ClusterSpec{}, EngineMode::kSpark);
-  engine.SetLocalWorkers(1);  // fully deterministic span creation order
-
+core::SpcaOptions GoldenOptions() {
   core::SpcaOptions options;
   options.num_components = 3;
   options.max_iterations = 2;
@@ -69,7 +67,16 @@ TEST(TraceGolden, FitSpanSchemaMatchesGolden) {
   options.compute_accuracy_trace = true;
   options.ideal_error_override = 1.0;  // skip the hidden anchor fit
   options.seed = 7;
-  auto fit = core::Spca(&engine, options).Solve(matrix);
+  return options;
+}
+
+// The plain schema of one fit of GoldenInput() with `options`, compared
+// against (or, with SPCA_REGENERATE_GOLDEN set, written to) `file`.
+void ExpectFitSchemaMatchesGolden(const core::SpcaOptions& options,
+                                  const char* file) {
+  Engine engine(dist::ClusterSpec{}, EngineMode::kSpark);
+  engine.SetLocalWorkers(1);  // fully deterministic span creation order
+  auto fit = core::Spca(&engine, options).Solve(GoldenInput());
   ASSERT_TRUE(fit.ok()) << fit.status().ToString();
 
   auto parsed = obs::ParseTrace(obs::ChromeTraceJson(*engine.registry()));
@@ -78,7 +85,7 @@ TEST(TraceGolden, FitSpanSchemaMatchesGolden) {
   ASSERT_FALSE(schema.empty());
 
   const std::string golden_path =
-      std::string(SPCA_TEST_SRCDIR) + "/golden/spca_trace_schema.golden";
+      std::string(SPCA_TEST_SRCDIR) + "/golden/" + file;
   if (std::getenv("SPCA_REGENERATE_GOLDEN") != nullptr) {
     std::ofstream out(golden_path, std::ios::binary);
     ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
@@ -93,8 +100,23 @@ TEST(TraceGolden, FitSpanSchemaMatchesGolden) {
   std::ostringstream golden;
   golden << in.rdbuf();
   EXPECT_EQ(schema, golden.str())
-      << "trace schema drifted from the checked-in golden; if the change "
-         "is intentional, regenerate with SPCA_REGENERATE_GOLDEN=1";
+      << file << ": trace schema drifted from the checked-in golden; if the "
+         "change is intentional, regenerate with SPCA_REGENERATE_GOLDEN=1";
+}
+
+// Algorithm 4's job sequence: YtXJob and ss3Job in every iteration.
+TEST(TraceGolden, FitSpanSchemaMatchesGolden) {
+  core::SpcaOptions options = GoldenOptions();
+  options.driver_moments = false;
+  ExpectFitSchemaMatchesGolden(options, "spca_trace_schema.golden");
+}
+
+// The default fit: one YtXJob per iteration and no ss3Job.
+TEST(TraceGolden, DefaultFitSpanSchemaMatchesGolden) {
+  const core::SpcaOptions options = GoldenOptions();
+  ASSERT_TRUE(options.driver_moments);
+  ExpectFitSchemaMatchesGolden(options,
+                               "spca_trace_schema_driver_moments.golden");
 }
 
 // Same fit with a deterministic FaultPlan active: the schema additionally
@@ -103,14 +125,6 @@ TEST(TraceGolden, FitSpanSchemaMatchesGolden) {
 // breaks the golden. Regenerate tests/golden/spca_trace_schema_faulted.golden
 // with SPCA_REGENERATE_GOLDEN=1 after intentional changes.
 TEST(TraceGolden, FaultedFitSpanSchemaMatchesGolden) {
-  workload::BagOfWordsConfig config;
-  config.rows = 240;
-  config.vocab = 60;
-  config.words_per_row = 5;
-  config.seed = 5;
-  const DistMatrix matrix =
-      DistMatrix::FromSparse(workload::GenerateBagOfWords(config), 3);
-
   Engine engine(dist::ClusterSpec{}, EngineMode::kSpark);
   engine.SetLocalWorkers(1);
   dist::FaultSpec fault_spec;
@@ -120,14 +134,9 @@ TEST(TraceGolden, FaultedFitSpanSchemaMatchesGolden) {
   fault_spec.retry_backoff_sec = 0.25;
   engine.SetFaultPlan(dist::FaultPlan(fault_spec));
 
-  core::SpcaOptions options;
-  options.num_components = 3;
-  options.max_iterations = 2;
-  options.target_accuracy_fraction = 2.0;
-  options.compute_accuracy_trace = true;
-  options.ideal_error_override = 1.0;
-  options.seed = 7;
-  auto fit = core::Spca(&engine, options).Solve(matrix);
+  core::SpcaOptions options = GoldenOptions();
+  options.driver_moments = false;  // Algorithm 4's job sequence
+  auto fit = core::Spca(&engine, options).Solve(GoldenInput());
   ASSERT_TRUE(fit.ok()) << fit.status().ToString();
 
   auto parsed = obs::ParseTrace(obs::ChromeTraceJson(*engine.registry()));

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/spca.h"
@@ -157,6 +158,48 @@ TEST(TraceReport, PhaseBreakdownDiffFlagsRegressions) {
   const obs::PhaseDiffResult reverse =
       obs::PhaseBreakdownDiff(parsed_b.value(), parsed_a.value());
   EXPECT_GT(reverse.max_relative_delta, 0.0);
+}
+
+// Every solver whose iterations carry accuracy gets a table, in trace
+// order and headed by its own fit span's name: sketch fits order their
+// power rounds by "round", sPCA by "iteration".
+TEST(TraceReport, AccuracyTableCoversEveryAccuracyTracedSolver) {
+  obs::ParsedTrace trace;
+  auto add = [&trace](uint64_t id, uint64_t parent, const char* name,
+                      std::vector<obs::Attribute> attributes) {
+    obs::ParsedSpan span;
+    span.id = id;
+    span.parent_id = parent;
+    span.name = name;
+    span.attributes = std::move(attributes);
+    trace.spans.push_back(span);
+  };
+  auto point = [](const char* order, double index, double sim_seconds,
+                  double accuracy) {
+    return std::vector<obs::Attribute>{{order, index},
+                                       {"sim_seconds", sim_seconds},
+                                       {"accuracy_percent", accuracy}};
+  };
+  const std::vector<obs::Attribute> shape = {
+      {"rows", 100.0}, {"cols", 20.0}, {"components", 3.0}};
+  add(1, 0, "ssvd.fit", shape);
+  add(2, 1, "ssvd.power_round", point("round", 1, 2.0, 90.0));
+  add(3, 1, "ssvd.power_round", point("round", 0, 1.0, 80.0));
+  add(4, 0, "randsvd.fit", shape);
+  add(5, 4, "randsvd.power_round", point("round", 1, 0.5, 97.5));
+  add(6, 4, "randsvd.power_round", {});  // no accuracy: skipped
+  add(7, 0, "spca.fit", shape);
+  add(8, 7, "spca.em_iteration", point("iteration", 1, 3.0, 50.0));
+
+  EXPECT_EQ(obs::AccuracyTimeReport(trace),
+            "ssvd.fit #1 rows=100 cols=20 components=3 (time_s, accuracy_%):\n"
+            "         1.0   80.00\n"
+            "         2.0   90.00\n"
+            "randsvd.fit #4 rows=100 cols=20 components=3 "
+            "(time_s, accuracy_%):\n"
+            "         0.5   97.50\n"
+            "spca.fit #7 rows=100 cols=20 components=3 (time_s, accuracy_%):\n"
+            "         3.0   50.00\n");
 }
 
 // The flame graph is an exact text rendering — pin it down byte for byte
