@@ -104,6 +104,83 @@ void BM_KernelSparseRowDense(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelSparseRowDense)->Arg(10)->Arg(100);
 
+// Tweets-shaped rows: ~10 stored entries each over a Zipf vocabulary.
+SparseMatrix TweetsRows(size_t rows, size_t dim) {
+  workload::BagOfWordsConfig config;
+  config.rows = rows;
+  config.vocab = dim;
+  config.words_per_row = 10.0;
+  config.zipf_exponent = 1.1;
+  config.num_topics = 25;
+  config.seed = 32;
+  return workload::GenerateBagOfWords(config);
+}
+
+// One YtX-pass row (Algorithm 5 with mean propagation) against a
+// D = 2000 by d broadcast CM and YtX partial, cycling through the rows of
+// a tweets-shaped corpus (~10 stored entries per row) so the gathered CM
+// rows and the scattered partial rows move as they do inside a task. The
+// naive side is the composite of dispatched kernels that the fused kernel
+// replaced: the sparse row product into a zeroed x, the centring, the Xc
+// sum and one AxpyRow per stored entry.
+struct ProjectScatterCase {
+  static constexpr size_t kDim = 2000;
+  explicit ProjectScatterCase(size_t d)
+      : cm(Random(kDim, d, 31)),
+        xm(d),
+        x(d),
+        xsum(d),
+        ytx(kDim, d),
+        rows(TweetsRows(4096, kDim)) {
+    Rng rng(33);
+    for (size_t j = 0; j < d; ++j) xm[j] = rng.NextGaussian();
+  }
+  SparseRowView NextRow() {
+    next = next + 1 == rows.rows() ? 0 : next + 1;
+    return rows.Row(next);
+  }
+
+  DenseMatrix cm;
+  DenseVector xm, x, xsum;
+  DenseMatrix ytx;
+  SparseMatrix rows;
+  size_t next = 0;
+};
+
+void BM_NaiveSparseRowProjectScatter(benchmark::State& state) {
+  const size_t d = static_cast<size_t>(state.range(0));
+  ProjectScatterCase c(d);
+  for (auto _ : state) {
+    const SparseRowView row = c.NextRow();
+    c.x.SetZero();
+    kernels::SparseRowGemv(row.begin(), row.nnz(), c.cm.data(),
+                           c.cm.row_stride(), d, c.x.data());
+    c.x.Subtract(c.xm);
+    c.xsum.Add(c.x);
+    for (const auto& e : row) {
+      kernels::AxpyRow(e.value, c.x.data(), d, c.ytx.RowPtr(e.index));
+    }
+    benchmark::DoNotOptimize(c.ytx.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NaiveSparseRowProjectScatter)->Arg(50);
+
+void BM_KernelSparseRowProjectScatter(benchmark::State& state) {
+  const size_t d = static_cast<size_t>(state.range(0));
+  ProjectScatterCase c(d);
+  for (auto _ : state) {
+    const SparseRowView row = c.NextRow();
+    kernels::SparseRowProjectScatter(row.begin(), row.nnz(), c.cm.data(),
+                                     c.cm.row_stride(), c.xm.data(), d,
+                                     c.x.data(), c.xsum.data(), c.ytx.data(),
+                                     c.ytx.row_stride());
+    benchmark::DoNotOptimize(c.ytx.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KernelSparseRowProjectScatter)->Arg(50);
+
 void BM_NaiveRank1Update(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
   Rng rng(22);

@@ -196,16 +196,31 @@ YtXPartial RunYtXPartition(const DistMatrix& y, const RowRange& range,
 
   DenseVector x_row(d);
   DenseVector dense_scratch(toggles.mean_propagation ? 0 : dim);
+  // Sparse rows with generated X take the fused kernel (X_i, the Xc sum
+  // and the outer product below in one pass).
+  const bool fused = want_ytx && toggles.mean_propagation && y.is_sparse() &&
+                     materialized_x == nullptr;
   uint64_t flops = 0;
   for (size_t i = range.begin; i < range.end; ++i) {
-    if (materialized_x != nullptr) {
-      std::memcpy(x_row.data(), materialized_x->RowPtr(i),
-                  d * sizeof(double));
+    if (fused) {
+      const linalg::SparseRowView row = y.sparse().Row(i);
+      for (const auto& e : row) touched[e.index] = 1;
+      linalg::kernels::SparseRowProjectScatter(
+          row.begin(), row.nnz(), cm.data(), cm.row_stride(), xm.data(), d,
+          x_row.data(), partial.xc_sum.data(), partial.ytx.data(),
+          partial.ytx.row_stride());
+      // ComputeXRow's 2*nnz*d + d plus the outer product's 2*nnz*d.
+      flops += 4ull * row.nnz() * d + d;
     } else {
-      flops += ComputeXRow(y, i, cm, ym, xm, toggles.mean_propagation,
-                           &dense_scratch, &x_row);
+      if (materialized_x != nullptr) {
+        std::memcpy(x_row.data(), materialized_x->RowPtr(i),
+                    d * sizeof(double));
+      } else {
+        flops += ComputeXRow(y, i, cm, ym, xm, toggles.mean_propagation,
+                             &dense_scratch, &x_row);
+      }
+      partial.xc_sum.Add(x_row);
     }
-    partial.xc_sum.Add(x_row);
     if (want_xtx) {
       // Upper triangle only; mirrored once after the row loop. The flop
       // count stays the cost model's full 2*d*d — the model charges the
@@ -214,7 +229,7 @@ YtXPartial RunYtXPartition(const DistMatrix& y, const RowRange& range,
                                       partial.xtx.row_stride());
       flops += 2ull * d * d;
     }
-    if (want_ytx) {
+    if (want_ytx && !fused) {
       if (toggles.mean_propagation) {
         // Sparse outer product Y_i' (x) x_row; the -Ym (x) sum(Xc) term is
         // applied once on the driver.

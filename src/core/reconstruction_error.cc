@@ -57,17 +57,20 @@ double SampledReconstructionError(const dist::DistMatrix& sample,
 
   double error_norm = 0.0;
   double data_norm = 0.0;
+  const DenseMatrix basis_t = basis.Transpose();
   DenseVector projected(d);
   DenseVector reconstructed(dim);
   for (size_t i = 0; i < sample.rows(); ++i) {
     sample.RowTimesMatrix(i, basis, &projected);
     projected.Subtract(mean_projection);
-    // Reconstruction (dense row): mean + projected * B'. DotRow adds left
-    // to right after `init` under scalar dispatch, like the plain loop.
-    for (size_t k = 0; k < dim; ++k) {
-      reconstructed[k] = linalg::kernels::DotRow(
-          basis.RowPtr(k), projected.data(), d, mean[k]);
-    }
+    // Reconstruction (dense row): mean + projected * B', one row product
+    // over the contiguous rows of B'. Under scalar dispatch each element
+    // adds its products left to right after mean[k], like one dot product
+    // per entry would; the zero products RowGemm skips could only change
+    // the sign of a zero, which the 1-norm below does not see.
+    std::copy(mean.data(), mean.data() + dim, reconstructed.data());
+    linalg::kernels::RowGemm(projected.data(), d, basis_t.data(),
+                             basis_t.row_stride(), dim, reconstructed.data());
     // 1-norm of (row - reconstruction) without materializing the dense row:
     // stored entries contribute |v - rec|, absent entries |0 - rec|.
     double absent = 0.0;

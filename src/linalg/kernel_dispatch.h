@@ -68,6 +68,11 @@ bool IsaAvailable(Isa isa);
   void SparseRowGemv(const SparseEntry* entries, size_t nnz,                 \
                      const double* b, size_t b_stride, size_t d,             \
                      double* out);                                           \
+  void SparseRowProjectScatter(const SparseEntry* entries, size_t nnz,       \
+                               const double* cm, size_t cm_stride,           \
+                               const double* xm, size_t d, double* x,        \
+                               double* xsum, double* out,                    \
+                               size_t out_stride);                           \
   void RowGemm(const double* a_row, size_t k, const double* b,               \
                size_t b_stride, size_t n, double* c_row);
 

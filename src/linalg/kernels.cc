@@ -24,6 +24,10 @@ struct KernelTable {
   void (*sym_rank1_update)(const double*, size_t, double*, size_t);
   void (*sparse_row_gemv)(const SparseEntry*, size_t, const double*, size_t,
                           size_t, double*);
+  void (*sparse_row_project_scatter)(const SparseEntry*, size_t,
+                                     const double*, size_t, const double*,
+                                     size_t, double*, double*, double*,
+                                     size_t);
   void (*row_gemm)(const double*, size_t, const double*, size_t, size_t,
                    double*);
 };
@@ -31,14 +35,14 @@ struct KernelTable {
 constexpr KernelTable kScalarTable = {
     Isa::kScalar,       scalar::AxpyRow,       scalar::AddRow,
     scalar::DotRow,     scalar::Rank1Update,   scalar::SymRank1Update,
-    scalar::SparseRowGemv, scalar::RowGemm,
+    scalar::SparseRowGemv, scalar::SparseRowProjectScatter, scalar::RowGemm,
 };
 
 #if defined(SPCA_KERNELS_HAVE_AVX2)
 constexpr KernelTable kAvx2Table = {
     Isa::kAvx2,       avx2::AxpyRow,       avx2::AddRow,
     avx2::DotRow,     avx2::Rank1Update,   avx2::SymRank1Update,
-    avx2::SparseRowGemv, avx2::RowGemm,
+    avx2::SparseRowGemv, avx2::SparseRowProjectScatter, avx2::RowGemm,
 };
 #endif
 
@@ -46,7 +50,7 @@ constexpr KernelTable kAvx2Table = {
 constexpr KernelTable kNeonTable = {
     Isa::kNeon,       neon::AxpyRow,       neon::AddRow,
     neon::DotRow,     neon::Rank1Update,   neon::SymRank1Update,
-    neon::SparseRowGemv, neon::RowGemm,
+    neon::SparseRowGemv, neon::SparseRowProjectScatter, neon::RowGemm,
 };
 #endif
 
@@ -185,6 +189,14 @@ void SymMirrorLower(double* out, size_t d, size_t stride) {
 void SparseRowGemv(const SparseEntry* entries, size_t nnz, const double* b,
                    size_t b_stride, size_t d, double* out) {
   Table().sparse_row_gemv(entries, nnz, b, b_stride, d, out);
+}
+
+void SparseRowProjectScatter(const SparseEntry* entries, size_t nnz,
+                             const double* cm, size_t cm_stride,
+                             const double* xm, size_t d, double* x,
+                             double* xsum, double* out, size_t out_stride) {
+  Table().sparse_row_project_scatter(entries, nnz, cm, cm_stride, xm, d, x,
+                                     xsum, out, out_stride);
 }
 
 void RowGemm(const double* a_row, size_t k, const double* b, size_t b_stride,

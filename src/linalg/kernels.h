@@ -32,14 +32,14 @@ namespace spca::linalg::kernels {
 // bit-identity properties (replay == live, batched == row-at-a-time,
 // checkpoint/resume) hold on every ISA.
 //
-// Buffer contract (SparseRowGemv / RowGemm only): the matrix argument
-// `b` must have at least 32 READABLE bytes past its last element — the
-// SIMD tail vector of the final column stripe over-reads (never writes)
-// up to 3 doubles beyond a logical row end and discards the surplus
-// lanes with a masked store. AlignedDoubleBuffer (every DenseMatrix /
-// DenseVector) provides this via zeroed allocator tail padding; callers
-// handing in raw arrays must provide the slack themselves. See
-// common/aligned.h and DESIGN.md par.8.
+// Buffer contract (SparseRowGemv / RowGemm, and SparseRowProjectScatter's
+// `cm`): the matrix argument `b` must have at least 32 READABLE bytes past
+// its last element — the SIMD tail vector of the final column stripe
+// over-reads (never writes) up to 3 doubles beyond a logical row end and
+// discards the surplus lanes with a masked store. AlignedDoubleBuffer
+// (every DenseMatrix / DenseVector) provides this via zeroed allocator
+// tail padding; callers handing in raw arrays must provide the slack
+// themselves. See common/aligned.h and DESIGN.md par.8.
 
 /// out[j] += v * b[j] for j in [0, n). The axpy at the heart of every
 /// row-times-matrix product and outer-product accumulation.
@@ -86,6 +86,22 @@ void SymMirrorLower(double* out, size_t d, size_t stride);
 /// hardware prefetcher).
 void SparseRowGemv(const SparseEntry* entries, size_t nnz, const double* b,
                    size_t b_stride, size_t d, double* out);
+
+/// One row of the YtX pass with mean propagation (Algorithm 5), fused:
+///   x     = sum_k entries[k].value * cm(entries[k].index, :) - xm
+///   xsum += x
+///   out(entries[k].index, :) += entries[k].value * x   for every entry k
+/// over d columns, with cm and out row-major of strides cm_stride and
+/// out_stride; x is returned for the caller's XtX update. The scalar
+/// variant is the composite it replaces, in the same order (SparseRowGemv
+/// into a zeroed x, x -= xm, AddRow into xsum, one AxpyRow per entry), so
+/// it is exact tier; the SIMD variants keep SparseRowGemv's accumulation
+/// chains. `cm` carries SparseRowGemv's over-read contract; no byte of
+/// x, xsum or out past column d - 1 is written.
+void SparseRowProjectScatter(const SparseEntry* entries, size_t nnz,
+                             const double* cm, size_t cm_stride,
+                             const double* xm, size_t d, double* x,
+                             double* xsum, double* out, size_t out_stride);
 
 /// c_row[j] += sum_k a_row[k] * b(k, j): one output row of C = A * B with
 /// b row-major of stride b_stride. The scalar path skips zero a_row[k]

@@ -269,23 +269,23 @@ SPCA_STRIPE_INLINE void RowGemmStripe(const double* SPCA_RESTRICT a_row,
 // predict: prefetch the FULL stripe width of the row kPrefetchAhead
 // entries out (~a cache-line per 8 doubles), far enough to cover L3
 // latency at ~10 cycles of FMA work per entry.
+//
+// Zero-init + fold-in-at-store, for the same register-promotion reason
+// as RowGemmStripe. The tail vector is likewise a plain over-reading
+// load (tail-padding contract): a gathered row is any row of b including
+// the last, so without the padding every iteration would need a masked
+// load — there is no "last iteration" to peel.
 template <int NV, bool kHasRem>
-SPCA_STRIPE_INLINE void SparseGemvStripe(
-    const SparseEntry* SPCA_RESTRICT entries, size_t nnz,
-    const double* SPCA_RESTRICT b, size_t b_stride,
-    double* SPCA_RESTRICT out, size_t rem) {
+SPCA_STRIPE_INLINE void GatherStripe(const SparseEntry* SPCA_RESTRICT entries,
+                                     size_t nnz, const double* SPCA_RESTRICT b,
+                                     size_t b_stride, __m256d (&acc)[NV],
+                                     __m256d& accr) {
   static_assert(NV >= 1 && NV <= 12, "more than 12 vectors cannot stay "
                                      "register-resident");
   constexpr size_t kPrefetchAhead = 6;
   constexpr int kPrefetchSpan = NV * 32 + (kHasRem ? 32 : 0);
-  // Zero-init + fold-in-at-store, for the same register-promotion reason
-  // as RowGemmStripe. The tail vector is likewise a plain over-reading
-  // load (tail-padding contract): a gathered row is any row of b
-  // including the last, so without the padding every iteration would
-  // need a masked load — there is no "last iteration" to peel.
-  __m256d acc[NV];
   for (int v = 0; v < NV; ++v) acc[v] = _mm256_setzero_pd();
-  __m256d accr = _mm256_setzero_pd();
+  accr = _mm256_setzero_pd();
   for (size_t k = 0; k < nnz; ++k) {
     if (k + kPrefetchAhead < nnz) {
       const char* next = reinterpret_cast<const char*>(
@@ -303,6 +303,16 @@ SPCA_STRIPE_INLINE void SparseGemvStripe(
       accr = _mm256_fmadd_pd(vv, _mm256_loadu_pd(row + 4 * NV), accr);
     }
   }
+}
+
+template <int NV, bool kHasRem>
+SPCA_STRIPE_INLINE void SparseGemvStripe(
+    const SparseEntry* SPCA_RESTRICT entries, size_t nnz,
+    const double* SPCA_RESTRICT b, size_t b_stride,
+    double* SPCA_RESTRICT out, size_t rem) {
+  __m256d acc[NV];
+  __m256d accr;
+  GatherStripe<NV, kHasRem>(entries, nnz, b, b_stride, acc, accr);
   for (int v = 0; v < NV; ++v) {
     _mm256_storeu_pd(out + 4 * v,
                      _mm256_add_pd(_mm256_loadu_pd(out + 4 * v), acc[v]));
@@ -354,10 +364,10 @@ SPCA_STRIPE_INLINE void RowGemmStripeNarrow(const double* SPCA_RESTRICT a_row,
 
 // Narrow sparse counterpart: four gathered rows in flight per iteration
 // (memory-level parallelism for the random accesses) plus prefetch.
-SPCA_STRIPE_INLINE void SparseGemvStripeNarrow(
+// Returns the stripe's sum, (a0 + a1) + (a2 + a3).
+SPCA_STRIPE_INLINE __m256d GatherNarrow(
     const SparseEntry* SPCA_RESTRICT entries, size_t nnz,
-    const double* SPCA_RESTRICT b, size_t b_stride,
-    double* SPCA_RESTRICT out) {
+    const double* SPCA_RESTRICT b, size_t b_stride) {
   constexpr size_t kPrefetchAhead = 8;
   __m256d a0 = _mm256_setzero_pd();
   __m256d a1 = _mm256_setzero_pd();
@@ -388,9 +398,28 @@ SPCA_STRIPE_INLINE void SparseGemvStripeNarrow(
     a0 = _mm256_fmadd_pd(_mm256_set1_pd(entries[k].value),
                          _mm256_loadu_pd(b + entries[k].index * b_stride), a0);
   }
-  const __m256d sum = _mm256_add_pd(_mm256_add_pd(a0, a1),
-                                    _mm256_add_pd(a2, a3));
-  _mm256_storeu_pd(out, _mm256_add_pd(_mm256_loadu_pd(out), sum));
+  return _mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3));
+}
+
+// The d < 4 column of the sparse product: two entry-unrolled accumulator
+// chains (a single chain would be FMA-latency-bound through the gathered
+// loads). Returns acc0 + acc1.
+inline double GatherColumn(const SparseEntry* entries, size_t nnz,
+                           const double* b, size_t b_stride, size_t j) {
+  double acc0 = 0.0;
+  double acc1 = 0.0;
+  size_t k = 0;
+  for (; k + 2 <= nnz; k += 2) {
+    acc0 = __builtin_fma(entries[k].value, b[entries[k].index * b_stride + j],
+                         acc0);
+    acc1 = __builtin_fma(entries[k + 1].value,
+                         b[entries[k + 1].index * b_stride + j], acc1);
+  }
+  for (; k < nnz; ++k) {
+    acc0 = __builtin_fma(entries[k].value, b[entries[k].index * b_stride + j],
+                         acc0);
+  }
+  return acc0 + acc1;
 }
 
 // The common stripe plan for both products: full 48-column stripes, then
@@ -424,7 +453,8 @@ void SparseRowGemv(const SparseEntry* entries, size_t nnz, const double* b,
     SparseGemvStripe<4, false>(entries, nnz, b + j, b_stride, out + j, 0);
   }
   for (; j + 4 <= plan.prefix; j += 4) {
-    SparseGemvStripeNarrow(entries, nnz, b + j, b_stride, out + j);
+    const __m256d sum = GatherNarrow(entries, nnz, b + j, b_stride);
+    _mm256_storeu_pd(out + j, _mm256_add_pd(_mm256_loadu_pd(out + j), sum));
   }
   switch (plan.final_nv) {
     case 12:
@@ -440,24 +470,141 @@ void SparseRowGemv(const SparseEntry* entries, size_t nnz, const double* b,
       break;
   }
   if (full == 0) {
-    // d < 4: no whole vector at all. Two entry-unrolled accumulator
-    // chains per column — a single chain would be FMA-latency-bound
-    // through the gathered loads.
+    // d < 4: no whole vector at all.
+    for (; j < d; ++j) out[j] += GatherColumn(entries, nnz, b, b_stride, j);
+  }
+}
+
+namespace {
+
+// The second half of one SparseRowProjectScatter stripe, on the gathered
+// sums: x = (0 + acc) - xm (SparseRowGemv's sum into a zeroed x, then the
+// centring, so signed zeros match the composite), xsum += x, and then
+// out(entries[k].index, :) += entries[k].value * x with x still in
+// registers — the same fused multiply-add per element as AxpyRow. Lanes
+// of the tail vector past `rem` hold over-read data and are never stored.
+// The scattered rows are prefetched kPrefetchAhead entries out; issuing
+// those prefetches during the gather instead (next to the ones for b)
+// measured ~10% slower per row at d = 50.
+template <int NV, bool kHasRem>
+SPCA_STRIPE_INLINE void CenterAndScatter(
+    __m256d (&acc)[NV], __m256d accr, const SparseEntry* SPCA_RESTRICT entries,
+    size_t nnz, const double* SPCA_RESTRICT xm, double* SPCA_RESTRICT x,
+    double* SPCA_RESTRICT xsum, double* SPCA_RESTRICT out, size_t out_stride,
+    size_t rem) {
+  const __m256d zero = _mm256_setzero_pd();
+  for (int v = 0; v < NV; ++v) {
+    acc[v] = _mm256_sub_pd(_mm256_add_pd(zero, acc[v]),
+                           _mm256_loadu_pd(xm + 4 * v));
+    _mm256_storeu_pd(x + 4 * v, acc[v]);
+    _mm256_storeu_pd(xsum + 4 * v,
+                     _mm256_add_pd(_mm256_loadu_pd(xsum + 4 * v), acc[v]));
+  }
+  [[maybe_unused]] __m256i mask;
+  if constexpr (kHasRem) {
+    mask = TailMask(rem);
+    accr = _mm256_sub_pd(_mm256_add_pd(zero, accr),
+                         _mm256_maskload_pd(xm + 4 * NV, mask));
+    _mm256_maskstore_pd(x + 4 * NV, mask, accr);
+    _mm256_maskstore_pd(
+        xsum + 4 * NV, mask,
+        _mm256_add_pd(_mm256_maskload_pd(xsum + 4 * NV, mask), accr));
+  } else {
+    (void)accr;
+    (void)rem;
+  }
+  constexpr size_t kPrefetchAhead = 4;
+  constexpr int kPrefetchSpan = NV * 32 + (kHasRem ? 32 : 0);
+  for (size_t k = 0; k < nnz; ++k) {
+    if (k + kPrefetchAhead < nnz) {
+      const char* next = reinterpret_cast<const char*>(
+          out + entries[k + kPrefetchAhead].index * out_stride);
+      for (int off = 0; off <= kPrefetchSpan; off += 64) {
+        _mm_prefetch(next + off, _MM_HINT_T0);
+      }
+    }
+    const __m256d vv = _mm256_set1_pd(entries[k].value);
+    double* row = out + entries[k].index * out_stride;
+    for (int v = 0; v < NV; ++v) {
+      _mm256_storeu_pd(
+          row + 4 * v,
+          _mm256_fmadd_pd(vv, acc[v], _mm256_loadu_pd(row + 4 * v)));
+    }
+    if constexpr (kHasRem) {
+      _mm256_maskstore_pd(
+          row + 4 * NV, mask,
+          _mm256_fmadd_pd(vv, accr, _mm256_maskload_pd(row + 4 * NV, mask)));
+    }
+  }
+}
+
+template <int NV, bool kHasRem>
+SPCA_STRIPE_INLINE void ProjectScatterStripe(
+    const SparseEntry* entries, size_t nnz, const double* cm, size_t cm_stride,
+    const double* xm, double* x, double* xsum, double* out, size_t out_stride,
+    size_t rem) {
+  __m256d acc[NV];
+  __m256d accr;
+  GatherStripe<NV, kHasRem>(entries, nnz, cm, cm_stride, acc, accr);
+  CenterAndScatter<NV, kHasRem>(acc, accr, entries, nnz, xm, x, xsum, out,
+                                out_stride, rem);
+}
+
+}  // namespace
+
+void SparseRowProjectScatter(const SparseEntry* entries, size_t nnz,
+                             const double* cm, size_t cm_stride,
+                             const double* xm, size_t d, double* x,
+                             double* xsum, double* out, size_t out_stride) {
+  // SparseRowGemv's stripe plan and accumulation chains; each stripe is
+  // centred and scattered before the next one is gathered, so a d <= 51
+  // row (d = 50 in every headline workload) is one pass over the entries
+  // for the gather and one for the scatter.
+  const size_t rem = d % 4;
+  const size_t full = d - rem;
+  const StripePlan plan = PlanStripes(full, rem);
+  size_t j = 0;
+  for (; j + 48 <= plan.prefix; j += 48) {
+    ProjectScatterStripe<12, false>(entries, nnz, cm + j, cm_stride, xm + j,
+                                    x + j, xsum + j, out + j, out_stride, 0);
+  }
+  for (; j + 16 <= plan.prefix; j += 16) {
+    ProjectScatterStripe<4, false>(entries, nnz, cm + j, cm_stride, xm + j,
+                                   x + j, xsum + j, out + j, out_stride, 0);
+  }
+  for (; j + 4 <= plan.prefix; j += 4) {
+    __m256d acc[1] = {GatherNarrow(entries, nnz, cm + j, cm_stride)};
+    CenterAndScatter<1, false>(acc, acc[0], entries, nnz, xm + j, x + j,
+                               xsum + j, out + j, out_stride, 0);
+  }
+  switch (plan.final_nv) {
+    case 12:
+      ProjectScatterStripe<12, true>(entries, nnz, cm + j, cm_stride, xm + j,
+                                     x + j, xsum + j, out + j, out_stride,
+                                     rem);
+      break;
+    case 4:
+      ProjectScatterStripe<4, true>(entries, nnz, cm + j, cm_stride, xm + j,
+                                    x + j, xsum + j, out + j, out_stride, rem);
+      break;
+    case 1:
+      ProjectScatterStripe<1, true>(entries, nnz, cm + j, cm_stride, xm + j,
+                                    x + j, xsum + j, out + j, out_stride, rem);
+      break;
+    default:
+      break;
+  }
+  if (full == 0) {
+    // d < 4: scalar columns, in the composite's order.
     for (; j < d; ++j) {
-      double acc0 = 0.0;
-      double acc1 = 0.0;
-      size_t k = 0;
-      for (; k + 2 <= nnz; k += 2) {
-        acc0 = __builtin_fma(entries[k].value,
-                             b[entries[k].index * b_stride + j], acc0);
-        acc1 = __builtin_fma(entries[k + 1].value,
-                             b[entries[k + 1].index * b_stride + j], acc1);
+      x[j] = (0.0 + GatherColumn(entries, nnz, cm, cm_stride, j)) - xm[j];
+      xsum[j] += x[j];
+    }
+    for (size_t k = 0; k < nnz; ++k) {
+      double* row = out + entries[k].index * out_stride;
+      for (size_t c = 0; c < d; ++c) {
+        row[c] = __builtin_fma(entries[k].value, x[c], row[c]);
       }
-      for (; k < nnz; ++k) {
-        acc0 = __builtin_fma(entries[k].value,
-                             b[entries[k].index * b_stride + j], acc0);
-      }
-      out[j] += acc0 + acc1;
     }
   }
 }

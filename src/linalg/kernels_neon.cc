@@ -140,6 +140,20 @@ void SparseRowGemv(const SparseEntry* entries, size_t nnz, const double* b,
   }
 }
 
+void SparseRowProjectScatter(const SparseEntry* entries, size_t nnz,
+                             const double* cm, size_t cm_stride,
+                             const double* xm, size_t d, double* x,
+                             double* xsum, double* out, size_t out_stride) {
+  // Composed from the NEON kernels above, in the scalar composite's order.
+  for (size_t j = 0; j < d; ++j) x[j] = 0.0;
+  SparseRowGemv(entries, nnz, cm, cm_stride, d, x);
+  for (size_t j = 0; j < d; ++j) x[j] -= xm[j];
+  AddRow(x, d, xsum);
+  for (size_t k = 0; k < nnz; ++k) {
+    AxpyRowImpl(entries[k].value, x, d, out + entries[k].index * out_stride);
+  }
+}
+
 void RowGemm(const double* a_row, size_t k, const double* b, size_t b_stride,
              size_t n, double* c_row) {
   constexpr size_t kKBlock = 64;

@@ -129,6 +129,22 @@ void SparseRowGemv(const SparseEntry* entries, size_t nnz, const double* b,
   }
 }
 
+void SparseRowProjectScatter(const SparseEntry* entries, size_t nnz,
+                             const double* cm, size_t cm_stride,
+                             const double* xm, size_t d, double* x,
+                             double* xsum, double* out, size_t out_stride) {
+  // The composite the fused kernel replaced, step for step: x starts at
+  // +0.0 (so signed zeros come out the same), then the row product, the
+  // centring, the running sum and one axpy per stored entry.
+  for (size_t j = 0; j < d; ++j) x[j] = 0.0;
+  SparseRowGemv(entries, nnz, cm, cm_stride, d, x);
+  for (size_t j = 0; j < d; ++j) x[j] -= xm[j];
+  AddRow(x, d, xsum);
+  for (size_t k = 0; k < nnz; ++k) {
+    AxpyRow(entries[k].value, x, d, out + entries[k].index * out_stride);
+  }
+}
+
 void RowGemm(const double* a_row, size_t k, const double* b, size_t b_stride,
              size_t n, double* c_row) {
   for (size_t kk = 0; kk < k; ++kk) {

@@ -16,10 +16,16 @@ struct QrResult {
 /// Householder QR (thin). Fails if n < m.
 StatusOr<QrResult> QrDecompose(const DenseMatrix& a);
 
-/// In-place Gram–Schmidt orthonormalization of the *columns* of A (with
-/// re-orthogonalization for stability). Returns the orthonormalized matrix.
-/// Rank-deficient columns are replaced with zeros. Used for orthonormalizing
-/// the principal-component basis C before computing reconstruction error.
+/// A column of OrthonormalizeColumns counts as dependent on the columns
+/// before it when its residual norm after projection is at most this
+/// fraction of its norm before projection.
+inline constexpr double kRankTolerance = 1e-12;
+
+/// Gram–Schmidt orthonormalization of the *columns* of A (two passes of
+/// modified Gram–Schmidt). Returns the orthonormalized matrix. Columns that
+/// fail the kRankTolerance test, and all-zero columns, are replaced with
+/// zeros. Used for orthonormalizing the principal-component basis C before
+/// computing reconstruction error.
 DenseMatrix OrthonormalizeColumns(const DenseMatrix& a);
 
 }  // namespace spca::linalg

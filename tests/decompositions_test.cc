@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "linalg/eigen_sym.h"
@@ -158,6 +161,98 @@ TEST(QrTest, OrthonormalizeHandlesRankDeficiency) {
   double col1_norm = 0;
   for (size_t i = 0; i < 4; ++i) col1_norm += q(i, 1) * q(i, 1);
   EXPECT_NEAR(col1_norm, 0.0, 1e-12);
+}
+
+// Two-pass modified Gram–Schmidt down the columns of a row-major matrix:
+// the column-strided loops OrthonormalizeColumns runs on contiguous rows,
+// with the same relative rank test.
+DenseMatrix ColumnStridedMgs2(const DenseMatrix& a) {
+  const size_t n = a.rows();
+  const size_t m = a.cols();
+  DenseMatrix q = a;
+  for (size_t j = 0; j < m; ++j) {
+    double before = 0.0;
+    for (size_t i = 0; i < n; ++i) before += q(i, j) * q(i, j);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t k = 0; k < j; ++k) {
+        double dot = 0.0;
+        for (size_t i = 0; i < n; ++i) dot += q(i, k) * q(i, j);
+        for (size_t i = 0; i < n; ++i) q(i, j) -= dot * q(i, k);
+      }
+    }
+    double norm = 0.0;
+    for (size_t i = 0; i < n; ++i) norm += q(i, j) * q(i, j);
+    norm = std::sqrt(norm);
+    if (norm <= kRankTolerance * std::sqrt(before)) {
+      for (size_t i = 0; i < n; ++i) q(i, j) = 0.0;
+    } else {
+      for (size_t i = 0; i < n; ++i) q(i, j) /= norm;
+    }
+  }
+  return q;
+}
+
+void ExpectSameBits(const DenseMatrix& actual, const DenseMatrix& expected,
+                    const std::string& context) {
+  ASSERT_EQ(actual.rows(), expected.rows()) << context;
+  ASSERT_EQ(actual.cols(), expected.cols()) << context;
+  for (size_t i = 0; i < actual.rows(); ++i) {
+    ASSERT_EQ(std::memcmp(actual.RowPtr(i), expected.RowPtr(i),
+                          actual.cols() * sizeof(double)),
+              0)
+        << context << " row " << i;
+  }
+}
+
+TEST(QrTest, OrthonormalizeColumnsMatchesColumnStridedMgs2Bitwise) {
+  Rng rng(41);
+  struct Case {
+    const char* name;
+    DenseMatrix a;
+  };
+  std::vector<Case> cases;
+  cases.push_back(
+      {"random 2000x50", DenseMatrix::GaussianRandom(2000, 50, &rng)});
+  cases.push_back({"random 7x3", DenseMatrix::GaussianRandom(7, 3, &rng)});
+  DenseMatrix duplicate = DenseMatrix::GaussianRandom(60, 5, &rng);
+  for (size_t i = 0; i < 60; ++i) duplicate(i, 3) = -3.0 * duplicate(i, 1);
+  cases.push_back({"duplicate column", duplicate});
+  DenseMatrix zero_column = DenseMatrix::GaussianRandom(40, 4, &rng);
+  for (size_t i = 0; i < 40; ++i) zero_column(i, 0) = 0.0;
+  cases.push_back({"zero column", zero_column});
+  cases.push_back({"wider than tall", DenseMatrix::GaussianRandom(4, 9, &rng)});
+  cases.push_back({"empty", DenseMatrix(0, 3)});
+  for (const Case& c : cases) {
+    ExpectSameBits(OrthonormalizeColumns(c.a), ColumnStridedMgs2(c.a), c.name);
+  }
+}
+
+// The rank test compares each residual with the column's own norm, so a
+// duplicate column is dropped at every scale and genuine columns survive.
+TEST(QrTest, OrthonormalizeRankTestIsScaleFree) {
+  Rng rng(42);
+  const DenseMatrix base = DenseMatrix::GaussianRandom(200, 3, &rng);
+  for (double scale : {1e-14, 1.0, 1e6, 1e9}) {
+    DenseMatrix a = base;
+    for (size_t i = 0; i < 200; ++i) {
+      a(i, 0) *= scale;
+      a(i, 1) = 2.0 * a(i, 0);
+      a(i, 2) *= scale;
+    }
+    const DenseMatrix q = OrthonormalizeColumns(a);
+    for (size_t i = 0; i < 200; ++i) {
+      ASSERT_EQ(q(i, 1), 0.0) << "scale " << scale << " row " << i;
+    }
+    double n0 = 0.0, n2 = 0.0, cross = 0.0;
+    for (size_t i = 0; i < 200; ++i) {
+      n0 += q(i, 0) * q(i, 0);
+      n2 += q(i, 2) * q(i, 2);
+      cross += q(i, 0) * q(i, 2);
+    }
+    EXPECT_NEAR(n0, 1.0, 1e-12) << "scale " << scale;
+    EXPECT_NEAR(n2, 1.0, 1e-12) << "scale " << scale;
+    EXPECT_NEAR(cross, 0.0, 1e-12) << "scale " << scale;
+  }
 }
 
 // ---- SVD ----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -234,6 +235,40 @@ TEST(JobsTest, DriverMomentsKeepThePerRowXtXBelowTwiceDRows) {
   EXPECT_EQ(e2.stats().task_flops, e1.stats().task_flops);
   EXPECT_EQ(e2.stats().driver_flops, e1.stats().driver_flops);
   EXPECT_EQ(e2.stats().ShippedBytes(), e1.stats().ShippedBytes());
+}
+
+TEST(JobsTest, FusedYtXRowChargesTheFlopsAndBytesOfItsSteps) {
+  // Sparse rows with generated X run as one fused kernel; the cost model
+  // still charges each step it fuses (X_i = Y_i*CM - Xm: 2*nnz*d + d, the
+  // outer product: 2*nnz*d, the per-row XtX below 2*D rows: 2*d*d) and
+  // ships only the touched YtX rows of each partition.
+  for (const size_t rows : {23u, 40u}) {
+    const Fixture f = MakeFixture(rows, 12, 51, 3);
+    Rng rng(8);
+    const size_t d = 4;
+    const DenseMatrix c = DenseMatrix::GaussianRandom(12, d, &rng);
+    const Reference ref = ComputeReference(f, c, 0.3, c);
+    const bool per_row_xtx = rows < 2 * 12;
+
+    uint64_t flops = 0;
+    uint64_t bytes = 0;
+    for (const dist::RowRange& range : f.y.partitions()) {
+      std::vector<bool> touched(12, false);
+      for (size_t i = range.begin; i < range.end; ++i) {
+        flops += 4 * f.y.RowNnz(i) * d + d + (per_row_xtx ? 2 * d * d : 0);
+        f.y.ForEachEntry(i, [&](size_t k, double) { touched[k] = true; });
+      }
+      for (bool t : touched) {
+        bytes += t ? d * (sizeof(double) + sizeof(uint32_t)) : 0;
+      }
+      bytes += d * sizeof(double) + (per_row_xtx ? d * d * sizeof(double) : 0);
+    }
+
+    Engine engine = MakeEngine();
+    YtXJob(&engine, f.y, f.ym, ref.xm, ref.cm, nullptr, JobToggles{});
+    EXPECT_EQ(engine.stats().task_flops, flops) << rows << " rows";
+    EXPECT_EQ(engine.stats().result_bytes, bytes) << rows << " rows";
+  }
 }
 
 TEST(JobsTest, MinimizingIntermediateDataEliminatesXMaterialization) {

@@ -34,9 +34,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/reconstruction_error.h"
 #include "core/spca.h"
 #include "dist/engine.h"
 #include "linalg/dense_matrix.h"
+#include "linalg/qr.h"
 #include "linalg/sparse_matrix.h"
 #include "workload/synthetic.h"
 
@@ -302,6 +304,10 @@ struct IsaKernels {
                           size_t, double*);
   void (*row_gemm)(const double*, size_t, const double*, size_t, size_t,
                    double*);
+  void (*sparse_row_project_scatter)(const SparseEntry*, size_t,
+                                     const double*, size_t, const double*,
+                                     size_t, double*, double*, double*,
+                                     size_t);
 };
 
 std::vector<IsaKernels> RunnableSimdVariants() {
@@ -312,7 +318,8 @@ std::vector<IsaKernels> RunnableSimdVariants() {
                         kernels::avx2::AddRow, kernels::avx2::DotRow,
                         kernels::avx2::Rank1Update,
                         kernels::avx2::SymRank1Update,
-                        kernels::avx2::SparseRowGemv, kernels::avx2::RowGemm});
+                        kernels::avx2::SparseRowGemv, kernels::avx2::RowGemm,
+                        kernels::avx2::SparseRowProjectScatter});
   }
 #endif
 #if defined(SPCA_KERNELS_HAVE_NEON)
@@ -321,7 +328,8 @@ std::vector<IsaKernels> RunnableSimdVariants() {
                         kernels::neon::AddRow, kernels::neon::DotRow,
                         kernels::neon::Rank1Update,
                         kernels::neon::SymRank1Update,
-                        kernels::neon::SparseRowGemv, kernels::neon::RowGemm});
+                        kernels::neon::SparseRowGemv, kernels::neon::RowGemm,
+                        kernels::neon::SparseRowProjectScatter});
   }
 #endif
   return variants;
@@ -489,6 +497,181 @@ TEST(SimdVsScalarTest, RowGemm) {
   }
 }
 
+// ---- SparseRowProjectScatter --------------------------------------------
+// The fused YtX row against the composite it replaced, on ~100 shapes:
+// widths around every stripe boundary (and the d = 50 headline), 0-40
+// stored entries, and row strides wider than d whose slack columns — like
+// x and xsum past d — hold sentinels that must survive bit for bit.
+
+struct ProjectScatterCase {
+  size_t dim = 0;
+  size_t d = 0;
+  size_t cm_stride = 0;
+  size_t out_stride = 0;
+  std::vector<SparseEntry> entries;
+  std::vector<double> cm, xm;
+  std::vector<double> x, xsum, out;  // initial contents, sentinels included
+
+  std::string Name() const {
+    return "d=" + std::to_string(d) + " nnz=" +
+           std::to_string(entries.size()) + " cm_stride=" +
+           std::to_string(cm_stride) + " out_stride=" +
+           std::to_string(out_stride);
+  }
+};
+
+ProjectScatterCase MakeProjectScatterCase(size_t trial, Rng* rng) {
+  static constexpr size_t kWidths[] = {1,  2,  3,  4,  5,  13, 47,
+                                       48, 49, 50, 51, 52, 64, 100};
+  constexpr size_t kWidthCount = sizeof(kWidths) / sizeof(kWidths[0]);
+  ProjectScatterCase c;
+  c.d = kWidths[trial % kWidthCount];
+  c.dim = 41 + rng->NextUint64() % 80;
+  c.cm_stride = c.d + (trial % 3 == 0 ? 0 : 1 + rng->NextUint64() % 6);
+  c.out_stride = c.d + (trial % 4 == 0 ? 0 : 1 + rng->NextUint64() % 6);
+  const size_t nnz = trial % 9 == 0 ? 0 : 1 + rng->NextUint64() % 40;
+  for (size_t k = 0; k < c.dim && c.entries.size() < nnz; ++k) {
+    if (rng->NextDouble() < static_cast<double>(nnz) / c.dim) {
+      c.entries.push_back({static_cast<uint32_t>(k),
+                           trial % 13 == 0 ? 0.0 : rng->NextGaussian()});
+    }
+  }
+  c.cm = RandomGemmMatrix(c.dim * c.cm_stride, rng, 0.1);
+  c.xm = RandomValues(c.d, rng, ZeroFractionFor(trial));
+  c.x = RandomValues(c.d + 4, rng, 0.0);
+  c.xsum = RandomValues(c.d + 4, rng, 0.0);
+  c.out = RandomValues(c.dim * c.out_stride, rng, 0.0);
+  return c;
+}
+
+struct ProjectScatterResult {
+  std::vector<double> x, xsum, out;
+};
+
+ProjectScatterResult RunProjectScatter(
+    const ProjectScatterCase& c,
+    void (*fn)(const SparseEntry*, size_t, const double*, size_t,
+               const double*, size_t, double*, double*, double*, size_t)) {
+  ProjectScatterResult r{c.x, c.xsum, c.out};
+  fn(c.entries.data(), c.entries.size(), c.cm.data(), c.cm_stride,
+     c.xm.data(), c.d, r.x.data(), r.xsum.data(), r.out.data(), c.out_stride);
+  return r;
+}
+
+// The per-row steps the YtX pass ran before the fused kernel, built from
+// one ISA's kernels: the sparse row product into a zeroed x, x -= xm,
+// xsum += x, one AxpyRow per stored entry.
+ProjectScatterResult RunComposite(const ProjectScatterCase& c,
+                                  const IsaKernels& k) {
+  ProjectScatterResult r{c.x, c.xsum, c.out};
+  for (size_t j = 0; j < c.d; ++j) r.x[j] = 0.0;
+  k.sparse_row_gemv(c.entries.data(), c.entries.size(), c.cm.data(),
+                    c.cm_stride, c.d, r.x.data());
+  for (size_t j = 0; j < c.d; ++j) r.x[j] -= c.xm[j];
+  for (size_t j = 0; j < c.d; ++j) r.xsum[j] += r.x[j];
+  for (const auto& e : c.entries) {
+    k.axpy_row(e.value, r.x.data(), c.d, r.out.data() + e.index * c.out_stride);
+  }
+  return r;
+}
+
+void ExpectSameBits(const std::vector<double>& actual,
+                    const std::vector<double>& expected,
+                    const std::string& context) {
+  ASSERT_EQ(actual.size(), expected.size()) << context;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&actual[i], &expected[i], sizeof(double)), 0)
+        << context << " element " << i << ": " << actual[i] << " vs "
+        << expected[i];
+  }
+}
+
+// Every double outside x[0, d), xsum[0, d) and the d leading columns of
+// the rows the entries name keeps its bits.
+void ExpectOnlyNamedRowsWritten(const ProjectScatterCase& c,
+                                const ProjectScatterResult& r,
+                                const std::string& context) {
+  for (size_t j = c.d; j < c.d + 4; ++j) {
+    ASSERT_EQ(std::memcmp(&r.x[j], &c.x[j], sizeof(double)), 0)
+        << context << " x slack " << j;
+    ASSERT_EQ(std::memcmp(&r.xsum[j], &c.xsum[j], sizeof(double)), 0)
+        << context << " xsum slack " << j;
+  }
+  std::vector<bool> named(c.dim, false);
+  for (const auto& e : c.entries) named[e.index] = true;
+  for (size_t i = 0; i < c.dim; ++i) {
+    const size_t first = named[i] ? c.d : 0;
+    for (size_t j = first; j < c.out_stride; ++j) {
+      const size_t at = i * c.out_stride + j;
+      ASSERT_EQ(std::memcmp(&r.out[at], &c.out[at], sizeof(double)), 0)
+          << context << " out(" << i << ", " << j << ")";
+    }
+  }
+}
+
+IsaKernels ScalarKernels() {
+  return {Isa::kScalar, kernels::scalar::AxpyRow, kernels::scalar::AddRow,
+          kernels::scalar::DotRow, kernels::scalar::Rank1Update,
+          kernels::scalar::SymRank1Update, kernels::scalar::SparseRowGemv,
+          kernels::scalar::RowGemm, kernels::scalar::SparseRowProjectScatter};
+}
+
+TEST(KernelsTest, SparseRowProjectScatterScalarIsTheComposite) {
+  Rng rng(108);
+  const bool exact = DispatchIsExact();
+  for (size_t trial = 0; trial < 112; ++trial) {
+    const ProjectScatterCase c = MakeProjectScatterCase(trial, &rng);
+    const ProjectScatterResult composite = RunComposite(c, ScalarKernels());
+    const ProjectScatterResult fused =
+        RunProjectScatter(c, kernels::scalar::SparseRowProjectScatter);
+    ExpectSameBits(fused.x, composite.x, "scalar x " + c.Name());
+    ExpectSameBits(fused.xsum, composite.xsum, "scalar xsum " + c.Name());
+    ExpectSameBits(fused.out, composite.out, "scalar out " + c.Name());
+    ExpectOnlyNamedRowsWritten(c, fused, "scalar " + c.Name());
+
+    const ProjectScatterResult dispatched =
+        RunProjectScatter(c, kernels::SparseRowProjectScatter);
+    ExpectRowNear(dispatched.x, composite.x, exact, "dispatched x " + c.Name());
+    ExpectRowNear(dispatched.xsum, composite.xsum, exact,
+                  "dispatched xsum " + c.Name());
+    ExpectRowNear(dispatched.out, composite.out, exact,
+                  "dispatched out " + c.Name());
+  }
+}
+
+// Each SIMD variant is the tolerance tier against scalar, and also exactly
+// its own ISA's composite (the same accumulation chains and the same fused
+// multiply-add per scattered element), which is what keeps a fit's bits
+// unchanged by the fusion on every ISA.
+TEST(SimdVsScalarTest, SparseRowProjectScatter) {
+  const auto variants = RunnableSimdVariants();
+  SPCA_SKIP_WITHOUT_SIMD(variants);
+  for (const auto& v : variants) {
+    Rng rng(208);
+    const std::string isa = kernels::IsaName(v.isa);
+    for (size_t trial = 0; trial < 112; ++trial) {
+      const ProjectScatterCase c = MakeProjectScatterCase(trial, &rng);
+      const ProjectScatterResult simd =
+          RunProjectScatter(c, v.sparse_row_project_scatter);
+      const ProjectScatterResult ref =
+          RunProjectScatter(c, kernels::scalar::SparseRowProjectScatter);
+      ExpectRowNear(simd.x, ref.x, /*exact=*/false, isa + " x " + c.Name());
+      ExpectRowNear(simd.xsum, ref.xsum, /*exact=*/false,
+                    isa + " xsum " + c.Name());
+      ExpectRowNear(simd.out, ref.out, /*exact=*/false,
+                    isa + " out " + c.Name());
+      ExpectOnlyNamedRowsWritten(c, simd, isa + " " + c.Name());
+
+      const ProjectScatterResult composite = RunComposite(c, v);
+      ExpectSameBits(simd.x, composite.x, isa + " composite x " + c.Name());
+      ExpectSameBits(simd.xsum, composite.xsum,
+                     isa + " composite xsum " + c.Name());
+      ExpectSameBits(simd.out, composite.out,
+                     isa + " composite out " + c.Name());
+    }
+  }
+}
+
 // ---- Dispatch layer ----------------------------------------------------
 
 TEST(KernelDispatchTest, DispatchedIsaIsAvailableAndStable) {
@@ -520,6 +703,75 @@ TEST(KernelDispatchTest, HonorsEnvOverride) {
   } else {
     EXPECT_EQ(kernels::DispatchedIsa(), Isa::kScalar)
         << "unavailable override must fall back to scalar";
+  }
+}
+
+// ---- Error sample -------------------------------------------------------
+
+// SampledReconstructionError as it was before it reconstructed each row
+// with one RowGemm over B': one DotRow per output entry, over the rows of
+// the orthonormalized basis, each starting from the mean.
+double PerEntryDotRowError(const dist::DistMatrix& sample,
+                           const DenseMatrix& components,
+                           const DenseVector& mean) {
+  const DenseMatrix basis = OrthonormalizeColumns(components);
+  const size_t d = basis.cols();
+  const size_t dim = sample.cols();
+  DenseVector mean_projection(d);
+  for (size_t k = 0; k < dim; ++k) {
+    const double m = mean[k];
+    if (m == 0.0) continue;
+    for (size_t j = 0; j < d; ++j) mean_projection[j] += m * basis(k, j);
+  }
+  double error_norm = 0.0;
+  double data_norm = 0.0;
+  DenseVector projected(d);
+  DenseVector reconstructed(dim);
+  for (size_t i = 0; i < sample.rows(); ++i) {
+    sample.RowTimesMatrix(i, basis, &projected);
+    projected.Subtract(mean_projection);
+    for (size_t k = 0; k < dim; ++k) {
+      reconstructed[k] =
+          kernels::DotRow(basis.RowPtr(k), projected.data(), d, mean[k]);
+    }
+    double absent = 0.0;
+    for (size_t k = 0; k < dim; ++k) absent += std::fabs(reconstructed[k]);
+    double present = 0.0;
+    double row_norm = 0.0;
+    sample.ForEachEntry(i, [&](size_t k, double v) {
+      present += std::fabs(v - reconstructed[k]) - std::fabs(reconstructed[k]);
+      row_norm += std::fabs(v);
+    });
+    error_norm += absent + present;
+    data_norm += row_norm;
+  }
+  return data_norm == 0.0 ? 0.0 : error_norm / data_norm;
+}
+
+// Bit for bit under scalar dispatch (the forced-scalar leg), 1e-12
+// relative under SIMD dispatch.
+TEST(KernelsTest, SampledReconstructionErrorMatchesPerEntryDotRows) {
+  Rng rng(109);
+  workload::BagOfWordsConfig tweets;
+  tweets.rows = 300;
+  tweets.vocab = 400;
+  tweets.words_per_row = 10.0;
+  tweets.seed = 110;
+  const dist::DistMatrix sparse =
+      dist::DistMatrix::FromSparse(workload::GenerateBagOfWords(tweets), 2);
+  const dist::DistMatrix dense = dist::DistMatrix::FromDense(
+      DenseMatrix::GaussianRandom(120, 37, &rng), 2);
+  for (const dist::DistMatrix* sample : {&sparse, &dense}) {
+    for (size_t d : {1u, 7u, 50u}) {
+      const DenseMatrix components =
+          DenseMatrix::GaussianRandom(sample->cols(), d, &rng);
+      const DenseVector mean = sample->ColumnMeans();
+      ExpectNearTier(
+          core::SampledReconstructionError(*sample, components, mean),
+          PerEntryDotRowError(*sample, components, mean), DispatchIsExact(),
+          std::string(sample->is_sparse() ? "sparse" : "dense") +
+              " d=" + std::to_string(d));
+    }
   }
 }
 

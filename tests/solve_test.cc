@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "common/rng.h"
 #include "linalg/ops.h"
 
@@ -90,6 +93,53 @@ TEST(SolveTest, SolveRightShapeChecks) {
   DenseMatrix square(3, 3);
   DenseMatrix wrong(4, 2);
   EXPECT_FALSE(SolveRight(wrong, square).ok());
+}
+
+// SolveRight substitutes rows of B against one factorization of A'. It
+// must give the bits of the route it replaced, SolveLu(A', B')', for row
+// counts on both sides of its four-row interleave.
+TEST(SolveTest, SolveRightMatchesTransposedSolveLuBitwise) {
+  Rng rng(15);
+  // A whose transpose needs row swaps while it is factored.
+  DenseMatrix pivoting(6, 6);
+  for (size_t i = 0; i < 6; ++i) {
+    for (size_t j = 0; j < 6; ++j) pivoting(i, j) = 0.01 * rng.NextGaussian();
+    pivoting(i, (i + 1) % 6) = 1.0 + static_cast<double>(i);
+  }
+  const std::vector<DenseMatrix> as = {
+      RandomSpd(5, &rng), DenseMatrix::GaussianRandom(50, 50, &rng), pivoting};
+  for (const DenseMatrix& a : as) {
+    for (size_t rows : {0, 1, 3, 4, 5, 7, 2001}) {
+      const DenseMatrix b = DenseMatrix::GaussianRandom(rows, a.rows(), &rng);
+      auto x = SolveRight(b, a);
+      auto xt = SolveLu(a.Transpose(), b.Transpose());
+      ASSERT_TRUE(x.ok());
+      ASSERT_TRUE(xt.ok());
+      const DenseMatrix expected = xt.value().Transpose();
+      ASSERT_EQ(x.value().rows(), rows);
+      ASSERT_EQ(x.value().cols(), a.rows());
+      for (size_t r = 0; r < rows; ++r) {
+        ASSERT_EQ(std::memcmp(x.value().RowPtr(r), expected.RowPtr(r),
+                              a.rows() * sizeof(double)),
+                  0)
+            << a.rows() << "x" << a.rows() << " A, " << rows << " rows, row "
+            << r;
+      }
+    }
+  }
+}
+
+TEST(SolveTest, SolveRightRejectsSingular) {
+  DenseMatrix a(3, 3);
+  a(0, 0) = 1.0;
+  a(0, 1) = 2.0;
+  a(1, 0) = 2.0;  // row 1 = 2 * row 0
+  a(1, 1) = 4.0;
+  a(2, 2) = 1.0;
+  Rng rng(16);
+  auto x = SolveRight(DenseMatrix::GaussianRandom(5, 3, &rng), a);
+  ASSERT_FALSE(x.ok());
+  EXPECT_EQ(x.status().code(), StatusCode::kFailedPrecondition);
 }
 
 class SolveSizeSweep : public ::testing::TestWithParam<int> {};

@@ -2,10 +2,10 @@
 # Kernel-layer perf regression gate. Runs the naive-vs-kernel micro
 # benchmark pairs in bench_micro_linalg twice — once under the runtime
 # dispatcher's native ISA pick and once forced to the scalar kernels via
-# SPCA_KERNEL_ISA=scalar — plus a fixed end-to-end sPCA workload, and
-# emits BENCH_kernels.json (schema spca.bench_kernels.v2) recording the
-# dispatched ISA, per-ISA ns/op for every pair, the speedups, and the
-# per-iteration wall_seconds from the spca.em_iteration spans.
+# SPCA_KERNEL_ISA=scalar — and emits BENCH_kernels.json (schema
+# spca.bench_kernels.v2) recording the dispatched ISA, per-ISA ns/op for
+# every pair and the speedups. End-to-end fit time is measured by the
+# repository benchmark (perfbench, workload fit_tweets), not here.
 #
 # The headline gate scales with the dispatched ISA:
 #   - SIMD dispatch (avx2/neon): the d=50 sparse row product, the d=50
@@ -34,8 +34,7 @@ fi
 
 MICRO_JSON="$(mktemp)"
 SCALAR_JSON="$(mktemp)"
-TRACE_JSON="$(mktemp)"
-trap 'rm -f "$MICRO_JSON" "$SCALAR_JSON" "$TRACE_JSON"' EXIT
+trap 'rm -f "$MICRO_JSON" "$SCALAR_JSON"' EXIT
 
 measure_and_gate() {
   # Native dispatch: naive references plus dispatched kernels. The bench
@@ -53,17 +52,11 @@ measure_and_gate() {
     --benchmark_min_time=0.2 \
     --benchmark_format=json >"$SCALAR_JSON"
 
-  # Fixed end-to-end workload: the tweets-shaped sparse fit the verify
-  # drive uses, with wall_seconds read off the spca.em_iteration spans.
-  "$BUILD_DIR/tools/spca_cli" --generate=tweets --rows=2000 --cols=300 \
-    --components=10 --iterations=3 --target=2.0 \
-    --trace-out="$TRACE_JSON" >/dev/null
-
-  python3 - "$MICRO_JSON" "$SCALAR_JSON" "$TRACE_JSON" "$OUT" <<'EOF'
+  python3 - "$MICRO_JSON" "$SCALAR_JSON" "$OUT" <<'EOF'
 import json
 import sys
 
-micro_path, scalar_path, trace_path, out_path = sys.argv[1:5]
+micro_path, scalar_path, out_path = sys.argv[1:4]
 
 
 def bench_times(path):
@@ -98,13 +91,6 @@ for name, ns in sorted(bench_ns.items()):
         "speedup": round(ns / bench_ns[kernel_name], 3),
     }
 
-trace = json.load(open(trace_path))
-iters = [
-    e["args"]["wall_seconds"]
-    for e in trace.get("traceEvents", [])
-    if e.get("name") == "spca.em_iteration" and "wall_seconds" in e.get("args", {})
-]
-
 # Headline gates (see header comment): 4x on the hot d=50 shapes under
 # SIMD dispatch with a 1.5x floor on the store-bound small-d rank-1
 # update; the original 2x gate when dispatch resolved to scalar.
@@ -126,17 +112,10 @@ result = {
     "workload": {
         "micro": "bench_micro_linalg --benchmark_filter=Naive|Kernel"
                  " (plus a SPCA_KERNEL_ISA=scalar kernel-only pass)",
-        "end_to_end": ("spca_cli --generate=tweets --rows=2000 --cols=300 "
-                       "--components=10 --iterations=3 --target=2.0"),
     },
     "kernel_pairs": pairs,
     "headline_speedups": headline,
     "headline_gates": gates,
-    "end_to_end": {
-        "em_iterations": len(iters),
-        "wall_seconds_per_iteration": [round(w, 6) for w in iters],
-        "wall_seconds_total": round(sum(iters), 6),
-    },
 }
 
 with open(out_path, "w") as f:
