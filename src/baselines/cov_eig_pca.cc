@@ -6,6 +6,7 @@
 #include "core/jobs.h"
 #include "core/reconstruction_error.h"
 #include "linalg/dense_matrix.h"
+#include "linalg/ops.h"
 #include "linalg/qr.h"
 
 namespace spca::baselines {
@@ -89,12 +90,7 @@ StatusOr<core::SolveResult> CovEigPca::Solve(
       y.AddRowOuterProduct(i, scratch, &next);
     }
     next.Scale(1.0 / static_cast<double>(n));
-    DenseVector mean_proj(d);
-    for (size_t k = 0; k < dim; ++k) {
-      const double m = mean[k];
-      if (m == 0.0) continue;
-      for (size_t j = 0; j < d; ++j) mean_proj[j] += m * basis(k, j);
-    }
+    const DenseVector mean_proj = linalg::TransposeMultiplyVector(basis, mean);
     for (size_t k = 0; k < dim; ++k) {
       const double m = mean[k];
       if (m == 0.0) continue;

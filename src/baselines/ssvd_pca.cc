@@ -32,12 +32,8 @@ DistMatrix TimesJob(dist::Engine* engine, const DistMatrix& y,
   const size_t k = b.cols();
   const size_t dim = y.cols();
   engine->Broadcast(b.ByteSize() + ym.size() * sizeof(double));
-  DenseVector mean_proj(k);  // Ym' * B, computed on the driver
-  for (size_t r = 0; r < dim; ++r) {
-    const double m = ym[r];
-    if (m == 0.0) continue;
-    for (size_t j = 0; j < k; ++j) mean_proj[j] += m * b(r, j);
-  }
+  // Ym' * B, computed on the driver.
+  const DenseVector mean_proj = linalg::TransposeMultiplyVector(b, ym);
   engine->CountDriverFlops(2ull * dim * k);
 
   DenseMatrix result(y.rows(), k);

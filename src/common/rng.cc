@@ -74,8 +74,6 @@ double Rng::NextGaussian(double mean, double stddev) {
   return mean + stddev * NextGaussian();
 }
 
-Rng Rng::Fork() { return Rng(NextUint64()); }
-
 ZipfSampler::ZipfSampler(size_t n, double s) {
   SPCA_CHECK_GT(n, 0u);
   cdf_.resize(n);

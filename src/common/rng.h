@@ -33,10 +33,6 @@ class Rng {
   /// Normal sample with the given mean and standard deviation.
   double NextGaussian(double mean, double stddev);
 
-  /// Creates a derived generator whose stream is independent of (but
-  /// deterministically dependent on) this one. Useful for per-partition RNGs.
-  Rng Fork();
-
  private:
   uint64_t state_[4];
   bool has_cached_gaussian_ = false;

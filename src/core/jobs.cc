@@ -48,32 +48,27 @@ uint64_t ComputeXRow(const DistMatrix& y, size_t i, const DenseMatrix& cm,
   return 2ull * dim * d + dim;
 }
 
-/// Bytes one partition's YtX/XtX partial results occupy on the wire. On
-/// Spark with sparse input, only the indices of the touched rows of the
-/// YtX partial are passed to the accumulator (Section 4.2); the MapReduce
-/// stateful combiner writes the full dense partial (Section 4.1).
+/// Bytes one partition's YtX partial occupies on the wire. On Spark with
+/// sparse input, only the indices of the touched rows of the partial are
+/// passed to the accumulator (Section 4.2); the MapReduce stateful
+/// combiner writes the full dense partial (Section 4.1).
 uint64_t PartialResultBytes(const Engine& engine, const DistMatrix& y,
                             bool mean_propagation, size_t touched_rows,
-                            size_t d, bool include_xtx) {
-  const size_t dim = y.cols();
-  uint64_t ytx_bytes;
+                            size_t d) {
   if (engine.mode() == EngineMode::kSpark && y.is_sparse() &&
       mean_propagation) {
-    ytx_bytes = touched_rows * d * (sizeof(double) + sizeof(uint32_t));
-  } else {
-    ytx_bytes = dim * d * sizeof(double);
+    return touched_rows * d * (sizeof(double) + sizeof(uint32_t));
   }
-  const uint64_t xtx_bytes = include_xtx ? d * d * sizeof(double) : 0;
-  return ytx_bytes + xtx_bytes;
+  return y.cols() * d * sizeof(double);
 }
 
 }  // namespace
 
-DenseVector MeanJob(Engine* engine, const DistMatrix& y) {
+DenseVector ColumnSumJob(Engine* engine, const DistMatrix& y,
+                         const dist::JobDesc& job) {
   const size_t dim = y.cols();
   auto partials = engine->RunMap<DenseVector>(
-      dist::JobDesc{"meanJob", "preprocess"}, y,
-      [&](const RowRange& range, TaskContext* ctx) {
+      job, y, [&](const RowRange& range, TaskContext* ctx) {
         DenseVector sums(dim);
         uint64_t entries = 0;
         for (size_t i = range.begin; i < range.end; ++i) {
@@ -84,10 +79,17 @@ DenseVector MeanJob(Engine* engine, const DistMatrix& y) {
         engine->EmitPartial(ctx, dim * sizeof(double));
         return sums;
       });
-  DenseVector mean(dim);
-  for (const auto& partial : partials) mean.Add(partial);
+  DenseVector total(dim);
+  for (const auto& partial : partials) total.Add(partial);
+  return total;
+}
+
+DenseVector MeanJob(Engine* engine, const DistMatrix& y) {
+  const size_t dim = y.cols();
+  DenseVector mean =
+      ColumnSumJob(engine, y, dist::JobDesc{"meanJob", "preprocess"});
   if (y.rows() > 0) mean.Scale(1.0 / static_cast<double>(y.rows()));
-  engine->CountDriverFlops(partials.size() * dim + dim);
+  engine->CountDriverFlops(y.num_partitions() * dim + dim);
   return mean;
 }
 
@@ -285,8 +287,7 @@ YtXResult YtXJob(Engine* engine, const DistMatrix& y, const DenseVector& ym,
           uint64_t bytes = 0;
           if (want_ytx) {
             bytes += PartialResultBytes(*engine, y, toggles.mean_propagation,
-                                        partial->touched_rows, d,
-                                        /*include_xtx=*/false);
+                                        partial->touched_rows, d);
           }
           if (want_xtx) bytes += d * d * sizeof(double);
           bytes += d * sizeof(double);  // xc_sum
@@ -463,12 +464,7 @@ StatusOr<EStep> PrepareEStep(Engine* engine, const DenseMatrix& c, double ss,
   if (!m_inverse.ok()) return m_inverse.status();
   e_step.m_inverse = std::move(m_inverse).value();
   e_step.cm = linalg::Multiply(c, e_step.m_inverse);  // D x d
-  e_step.xm = DenseVector(d);
-  for (size_t k = 0; k < dim; ++k) {
-    const double mk = ym[k];
-    if (mk == 0.0) continue;
-    for (size_t j = 0; j < d; ++j) e_step.xm[j] += mk * e_step.cm(k, j);
-  }
+  e_step.xm = linalg::TransposeMultiplyVector(e_step.cm, ym);
   engine->CountDriverFlops(2ull * dim * d * d +  // C'C
                            2ull * d * d * d +    // inverse
                            2ull * dim * d * d +  // C * M^-1

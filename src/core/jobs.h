@@ -26,8 +26,15 @@ struct JobToggles {
   bool driver_moments = true;
 };
 
-/// Distributed column-mean job (Algorithm 4 line 3): per-partition column
-/// sums reduced on the driver.
+/// Distributed column-sum job: per-partition column sums of the stored
+/// entries, added up on the driver in partition order. Charges the tasks'
+/// flops and partial bytes; the caller charges the driver's reduction.
+linalg::DenseVector ColumnSumJob(dist::Engine* engine,
+                                 const dist::DistMatrix& y,
+                                 const dist::JobDesc& job);
+
+/// Distributed column-mean job (Algorithm 4 line 3): ColumnSumJob scaled
+/// by 1/N on the driver.
 linalg::DenseVector MeanJob(dist::Engine* engine,
                             const dist::DistMatrix& y);
 

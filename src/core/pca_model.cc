@@ -3,7 +3,6 @@
 #include "linalg/eigen_sym.h"
 #include "linalg/ops.h"
 #include "linalg/qr.h"
-#include "linalg/svd.h"
 
 namespace spca::core {
 
@@ -21,12 +20,8 @@ DenseVector PcaModel::ExplainedVariances(dist::Engine* engine,
   const size_t d = num_components();
 
   // mean' * B, so each row's projection can use mean propagation.
-  DenseVector mean_projection(d);
-  for (size_t k = 0; k < mean.size(); ++k) {
-    const double m = mean[k];
-    if (m == 0.0) continue;
-    for (size_t j = 0; j < d; ++j) mean_projection[j] += m * basis(k, j);
-  }
+  const DenseVector mean_projection =
+      linalg::TransposeMultiplyVector(basis, mean);
   engine->Broadcast(basis.ByteSize() + mean.size() * sizeof(double));
 
   // Accumulate the d x d second-moment matrix of the centered projections;
@@ -69,12 +64,8 @@ DenseMatrix PcaModel::Transform(dist::Engine* engine,
   const size_t d = num_components();
   // mean' * B, subtracted from every projected row (mean propagation: the
   // input rows stay sparse).
-  DenseVector mean_projection(d);
-  for (size_t k = 0; k < mean.size(); ++k) {
-    const double m = mean[k];
-    if (m == 0.0) continue;
-    for (size_t j = 0; j < d; ++j) mean_projection[j] += m * basis(k, j);
-  }
+  const DenseVector mean_projection =
+      linalg::TransposeMultiplyVector(basis, mean);
   engine->Broadcast(basis.ByteSize() + mean.size() * sizeof(double));
 
   DenseMatrix x(y.rows(), d);

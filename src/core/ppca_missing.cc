@@ -54,12 +54,8 @@ StatusOr<MissingValueResult> FitWithMissing(
     // Re-impute missing entries from the model reconstruction.
     const DenseMatrix basis = result.model.OrthonormalBasis();
     const size_t d = basis.cols();
-    DenseVector mean_projection(d);
-    for (size_t k = 0; k < dim; ++k) {
-      for (size_t j = 0; j < d; ++j) {
-        mean_projection[j] += result.model.mean[k] * basis(k, j);
-      }
-    }
+    const DenseVector mean_projection =
+        linalg::TransposeMultiplyVector(basis, result.model.mean);
     double delta2 = 0.0;
     size_t missing_count = 0;
     DenseVector projected(d);

@@ -11,7 +11,6 @@
 #include "linalg/kernels.h"
 #include "linalg/ops.h"
 #include "linalg/qr.h"
-#include "linalg/svd.h"
 
 namespace spca::core {
 
@@ -48,12 +47,8 @@ double SampledReconstructionError(const dist::DistMatrix& sample,
   const size_t dim = sample.cols();
 
   // mean' * B (so each row's projection uses mean propagation).
-  DenseVector mean_projection(d);
-  for (size_t k = 0; k < dim; ++k) {
-    const double m = mean[k];
-    if (m == 0.0) continue;
-    for (size_t j = 0; j < d; ++j) mean_projection[j] += m * basis(k, j);
-  }
+  const DenseVector mean_projection =
+      linalg::TransposeMultiplyVector(basis, mean);
 
   double error_norm = 0.0;
   double data_norm = 0.0;
@@ -86,27 +81,6 @@ double SampledReconstructionError(const dist::DistMatrix& sample,
   }
   if (data_norm == 0.0) return 0.0;
   return error_norm / data_norm;
-}
-
-double IdealReconstructionError(const dist::DistMatrix& sample, size_t d) {
-  const size_t n = sample.rows();
-  const size_t dim = sample.cols();
-  SPCA_CHECK_GT(n, 0u);
-
-  // Materialize the (small) sample densely and mean-center it.
-  DenseMatrix dense = sample.ToDenseSlice(0, n);
-  const DenseVector mean = linalg::ColumnMeans(dense);
-  DenseMatrix centered = linalg::MeanCenter(dense, mean);
-
-  // Exact top-d right singular vectors via the Gram trick (n is small).
-  auto svd = linalg::SvdWideViaGram(centered);
-  SPCA_CHECK(svd.ok());
-  const size_t k = std::min(d, svd.value().v.cols());
-  DenseMatrix top(dim, k);
-  for (size_t j = 0; j < k; ++j) {
-    for (size_t i = 0; i < dim; ++i) top(i, j) = svd.value().v(i, j);
-  }
-  return SampledReconstructionError(sample, top, mean);
 }
 
 StatusOr<double> ConvergedIdealError(const dist::ClusterSpec& spec,

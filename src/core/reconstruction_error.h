@@ -34,13 +34,6 @@ double SampledReconstructionError(const dist::DistMatrix& sample,
                                   const linalg::DenseMatrix& components,
                                   const linalg::DenseVector& mean);
 
-/// The rank-d truncated-SVD reconstruction error of the (mean-centered)
-/// sample itself — a quick lower-bound-style reference computed via the
-/// Gram trick. Note this is *not* the paper's accuracy anchor: under the
-/// 1-norm a full-data model can beat the sample's own L2-optimal basis;
-/// use ConvergedIdealError for the paper's metric.
-double IdealReconstructionError(const dist::DistMatrix& sample, size_t d);
-
 /// The paper's ideal-accuracy anchor (Section 5: "the ideal accuracy that
 /// can be achieved with 50 principal components after a large number of
 /// iterations"): fits PPCA on `y` for `iterations` EM iterations on a

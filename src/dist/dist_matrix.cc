@@ -114,14 +114,6 @@ double DistMatrix::RowSquaredNorm(size_t i) const {
   return linalg::kernels::DotRow(row, row, cols_);
 }
 
-double DistMatrix::RowSum(size_t i) const {
-  if (is_sparse()) return sparse_->Row(i).Sum();
-  const auto row = dense_->Row(i);
-  double sum = 0.0;
-  for (double v : row) sum += v;
-  return sum;
-}
-
 DenseVector DistMatrix::ColumnMeans() const {
   return is_sparse() ? sparse_->ColumnMeans() : linalg::ColumnMeans(*dense_);
 }

@@ -84,9 +84,6 @@ class DistMatrix {
   /// Sum of squares of stored entries of row i.
   double RowSquaredNorm(size_t i) const;
 
-  /// Sum of stored entries of row i.
-  double RowSum(size_t i) const;
-
   /// Calls fn(column_index, value) for each *stored* entry of row i.
   template <typename Fn>
   void ForEachEntry(size_t i, Fn&& fn) const {

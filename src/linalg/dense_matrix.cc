@@ -44,12 +44,6 @@ double DenseVector::SquaredNorm() const {
 
 double DenseVector::Norm2() const { return std::sqrt(SquaredNorm()); }
 
-double DenseVector::Norm1() const {
-  double sum = 0.0;
-  for (double v : data_) sum += std::fabs(v);
-  return sum;
-}
-
 DenseMatrix DenseMatrix::Identity(size_t n) {
   DenseMatrix m(n, n);
   for (size_t i = 0; i < n; ++i) m(i, i) = 1.0;
@@ -114,12 +108,6 @@ double DenseMatrix::Trace() const {
 double DenseMatrix::FrobeniusNorm2() const {
   double sum = 0.0;
   for (double v : data_) sum += v * v;
-  return sum;
-}
-
-double DenseMatrix::EntrywiseNorm1() const {
-  double sum = 0.0;
-  for (double v : data_) sum += std::fabs(v);
   return sum;
 }
 

@@ -51,8 +51,6 @@ class DenseVector {
   double SquaredNorm() const;
   /// Euclidean norm.
   double Norm2() const;
-  /// Sum of absolute values (1-norm).
-  double Norm1() const;
 
  private:
   AlignedDoubleBuffer data_;
@@ -128,8 +126,6 @@ class DenseMatrix {
   double Trace() const;
   /// Square of the Frobenius norm.
   double FrobeniusNorm2() const;
-  /// Entry-wise 1-norm (sum of absolute values).
-  double EntrywiseNorm1() const;
   /// Copy of row i as a vector.
   DenseVector RowVector(size_t i) const;
   /// Copy of column j as a vector.

@@ -4,10 +4,11 @@
 
 namespace spca::linalg {
 
-// Every routine here is a thin loop over the contiguous-row micro-kernels
-// in linalg/kernels.h. The kernels unroll only across output columns and
-// keep reductions as single sequential chains, so each function produces
-// bit-identical results to the scalar triple loops it replaced.
+// Every routine here but TransposeMultiplyVector is a thin loop over the
+// contiguous-row micro-kernels in linalg/kernels.h. The kernels unroll
+// only across output columns and keep reductions as single sequential
+// chains, so each function produces bit-identical results to the scalar
+// triple loops it replaced.
 
 DenseMatrix Multiply(const DenseMatrix& a, const DenseMatrix& b) {
   SPCA_CHECK_EQ(a.cols(), b.rows());
@@ -56,11 +57,14 @@ DenseVector MultiplyVector(const DenseMatrix& a, const DenseVector& x) {
 DenseVector TransposeMultiplyVector(const DenseMatrix& a,
                                     const DenseVector& x) {
   SPCA_CHECK_EQ(a.rows(), x.size());
+  // A plain multiply-then-add loop, not the dispatched AxpyRow (whose AVX2
+  // variant fuses the two), so every ISA gets the same bits.
   DenseVector y(a.cols());
-  for (size_t i = 0; i < a.rows(); ++i) {
-    const double xi = x[i];
-    if (xi == 0.0) continue;
-    kernels::AxpyRow(xi, a.RowPtr(i), a.cols(), y.data());
+  for (size_t k = 0; k < a.rows(); ++k) {
+    const double xk = x[k];
+    if (xk == 0.0) continue;
+    const double* a_row = a.RowPtr(k);
+    for (size_t j = 0; j < a.cols(); ++j) y[j] += xk * a_row[j];
   }
   return y;
 }
@@ -88,26 +92,6 @@ void AddOuterProduct(const DenseVector& a, const DenseVector& b,
   SPCA_CHECK_EQ(out->cols(), b.size());
   kernels::Rank1Update(a.data(), a.size(), b.data(), b.size(), out->data(),
                        out->row_stride());
-}
-
-void AddSparseOuterProduct(const SparseRowView& row, const DenseVector& b,
-                           DenseMatrix* out) {
-  SPCA_CHECK_EQ(out->rows(), row.dim());
-  SPCA_CHECK_EQ(out->cols(), b.size());
-  for (const auto& e : row) {
-    kernels::AxpyRow(e.value, b.data(), b.size(), out->RowPtr(e.index));
-  }
-}
-
-DenseMatrix SparseTimesDense(const SparseMatrix& y, const DenseMatrix& b) {
-  SPCA_CHECK_EQ(y.cols(), b.rows());
-  DenseMatrix c(y.rows(), b.cols());
-  for (size_t i = 0; i < y.rows(); ++i) {
-    const auto row = y.Row(i);
-    kernels::SparseRowGemv(row.begin(), row.nnz(), b.data(), b.row_stride(),
-                           b.cols(), c.RowPtr(i));
-  }
-  return c;
 }
 
 DenseMatrix MeanCenter(const DenseMatrix& a, const DenseVector& mean) {

@@ -19,7 +19,9 @@ DenseMatrix MultiplyTranspose(const DenseMatrix& a, const DenseMatrix& b);
 /// y = A * x. Shapes: (n x m) * (m) -> (n).
 DenseVector MultiplyVector(const DenseMatrix& a, const DenseVector& x);
 
-/// y = A' * x = (x' * A)'. Shapes: (n x m)' * (n) -> (m).
+/// y = A' * x = (x' * A)'. Shapes: (n x m)' * (n) -> (m). The driver's
+/// mean'·B (mean propagation's row offset): rows of A whose x_k is zero
+/// are skipped, the rest add x_k * A_k in row order.
 DenseVector TransposeMultiplyVector(const DenseMatrix& a,
                                     const DenseVector& x);
 
@@ -38,18 +40,9 @@ DenseVector SparseRowTimesMatrix(const SparseRowView& row,
 void AddOuterProduct(const DenseVector& a, const DenseVector& b,
                      DenseMatrix* out);
 
-/// out += y_i' * b where y_i is sparse (column vector of dim D) and b is a
-/// dense row (1 x d): touches only nnz(y_i) rows of out. The sparse
-/// accumulator update from the paper's Spark YtXJob (Section 4.2).
-void AddSparseOuterProduct(const SparseRowView& row, const DenseVector& b,
-                           DenseMatrix* out);
-
-/// C = Y * B for a sparse Y (N x D) and dense B (D x m): row-wise sparse
-/// products.
-DenseMatrix SparseTimesDense(const SparseMatrix& y, const DenseMatrix& b);
-
-/// Returns A with each row mean-centered: A_i - mean (a dense result; the
-/// *unoptimized* eager mean-centering path used for ablations).
+/// Returns A with each row mean-centered: A_i - mean (a dense result, the
+/// eager centering that mean propagation avoids; tests use it as the
+/// reference for the mean-propagated jobs).
 DenseMatrix MeanCenter(const DenseMatrix& a, const DenseVector& mean);
 
 /// Per-column means of a dense matrix.

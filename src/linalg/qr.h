@@ -1,20 +1,9 @@
 #ifndef SPCA_LINALG_QR_H_
 #define SPCA_LINALG_QR_H_
 
-#include "common/status.h"
 #include "linalg/dense_matrix.h"
 
 namespace spca::linalg {
-
-/// Thin QR decomposition A = Q * R for A (n x m), n >= m: Q is (n x m) with
-/// orthonormal columns, R is (m x m) upper triangular.
-struct QrResult {
-  DenseMatrix q;
-  DenseMatrix r;
-};
-
-/// Householder QR (thin). Fails if n < m.
-StatusOr<QrResult> QrDecompose(const DenseMatrix& a);
 
 /// A column of OrthonormalizeColumns counts as dependent on the columns
 /// before it when its residual norm after projection is at most this

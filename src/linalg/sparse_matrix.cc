@@ -11,22 +11,9 @@ double SparseRowView::Dot(const DenseVector& dense) const {
   return sum;
 }
 
-double SparseRowView::DotColumn(const DenseMatrix& dense, size_t j) const {
-  SPCA_CHECK_EQ(dim_, dense.rows());
-  double sum = 0.0;
-  for (const auto& e : entries_) sum += e.value * dense(e.index, j);
-  return sum;
-}
-
 double SparseRowView::SquaredNorm() const {
   double sum = 0.0;
   for (const auto& e : entries_) sum += e.value * e.value;
-  return sum;
-}
-
-double SparseRowView::Sum() const {
-  double sum = 0.0;
-  for (const auto& e : entries_) sum += e.value;
   return sum;
 }
 

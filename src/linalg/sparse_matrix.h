@@ -38,12 +38,8 @@ class SparseRowView {
 
   /// Dot product with a dense vector of size dim().
   double Dot(const DenseVector& dense) const;
-  /// Dot product with column j of a dense matrix with dim() rows.
-  double DotColumn(const DenseMatrix& dense, size_t j) const;
   /// Sum of squared values of the stored entries.
   double SquaredNorm() const;
-  /// Sum of the stored values.
-  double Sum() const;
 
  private:
   std::span<const SparseEntry> entries_;

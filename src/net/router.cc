@@ -40,43 +40,14 @@ uint64_t ConsistentHashRouter::PointHash(const std::string& node,
 
 void ConsistentHashRouter::AddNode(const std::string& node) {
   SPCA_CHECK(!node.empty());
-  bool inserted_any = false;
   for (size_t r = 0; r < vnodes_; ++r) {
-    const uint64_t point = PointHash(node, r);
-    auto it = ring_.find(point);
-    if (it == ring_.end()) {
-      ring_.emplace(point, node);
-      inserted_any = true;
-    } else if (node < it->second) {
+    const auto [it, inserted] = ring_.emplace(PointHash(node, r), node);
+    if (!inserted && node < it->second) {
       // A 64-bit point collision between two nodes: deterministically keep
       // the smaller name so ring contents are independent of add order.
       it->second = node;
-      inserted_any = true;
-    } else if (it->second == node) {
-      inserted_any = true;  // idempotent re-add
     }
   }
-  if (inserted_any) {
-    // Recount rather than flag-track: re-adding an existing node must not
-    // double-count it.
-    std::map<std::string, bool> seen;
-    for (const auto& [point, name] : ring_) seen[name] = true;
-    nodes_ = seen.size();
-  }
-}
-
-bool ConsistentHashRouter::RemoveNode(const std::string& node) {
-  bool removed = false;
-  for (auto it = ring_.begin(); it != ring_.end();) {
-    if (it->second == node) {
-      it = ring_.erase(it);
-      removed = true;
-    } else {
-      ++it;
-    }
-  }
-  if (removed) --nodes_;
-  return removed;
 }
 
 const std::string& ConsistentHashRouter::Route(std::string_view key) const {

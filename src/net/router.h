@@ -5,7 +5,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace spca::net {
 
@@ -18,7 +17,8 @@ namespace spca::net {
 /// The consistent-hashing invariants the property test pins down:
 ///   - adding or removing a *key* (a model) never changes any other key's
 ///     route — routing is a pure function of (seed, nodes, key);
-///   - removing a node only re-routes keys that mapped to it;
+///   - a ring without some node routes every key that the full ring does
+///     not send to that node exactly as the full ring does;
 ///   - adding a node to n existing ones re-routes roughly 1/(n+1) of the
 ///     keys (bounded well below a full reshuffle), and never moves a key
 ///     between two surviving nodes.
@@ -30,8 +30,6 @@ class ConsistentHashRouter {
 
   /// Adds a node (idempotent). Node names must be non-empty.
   void AddNode(const std::string& node);
-  /// Removes a node; false when it was not present.
-  bool RemoveNode(const std::string& node);
 
   /// The node `key` routes to. Must not be called on an empty ring.
   const std::string& Route(std::string_view key) const;
@@ -42,15 +40,11 @@ class ConsistentHashRouter {
                                         size_t vnodes = 64);
   size_t RouteToShard(std::string_view key) const;
 
-  size_t num_nodes() const { return nodes_; }
-  size_t ring_size() const { return ring_.size(); }
-
  private:
   uint64_t PointHash(const std::string& node, size_t replica) const;
 
   uint64_t seed_;
   size_t vnodes_;
-  size_t nodes_ = 0;
   /// hash -> node name. Collisions resolve to the lexicographically
   /// smaller node (deterministic no matter the insertion order).
   std::map<uint64_t, std::string> ring_;

@@ -59,23 +59,9 @@ Status ShardSet::InstallModel(const std::string& name, core::PcaModel model) {
   return RouteShard(name)->models->Install(name, std::move(model));
 }
 
-bool ShardSet::RemoveModel(const std::string& name) {
-  return RouteShard(name)->models->Remove(name);
-}
-
 std::shared_ptr<const serve::Projector> ShardSet::GetModel(
     const std::string& model) const {
   return shards_[router_.RouteToShard(model)]->models->Get(model);
-}
-
-std::vector<std::string> ShardSet::ModelNames() const {
-  std::vector<std::string> names;
-  for (const auto& shard : shards_) {
-    const std::vector<std::string> shard_names = shard->models->Names();
-    names.insert(names.end(), shard_names.begin(), shard_names.end());
-  }
-  std::sort(names.begin(), names.end());
-  return names;
 }
 
 std::future<serve::ProjectionResponse> ShardSet::Submit(

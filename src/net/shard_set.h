@@ -59,8 +59,6 @@ class ShardSet {
   Status LoadModel(const std::string& name, const std::string& path);
   /// Installs an in-memory model on its owning shard.
   Status InstallModel(const std::string& name, core::PcaModel model);
-  /// Removes a model from its owning shard; false when absent.
-  bool RemoveModel(const std::string& name);
 
   /// The shard index `model` routes to.
   size_t ShardOf(std::string_view model) const;
@@ -68,8 +66,6 @@ class ShardSet {
   /// when absent).
   std::shared_ptr<const serve::Projector> GetModel(
       const std::string& model) const;
-  /// Sorted names across all shards.
-  std::vector<std::string> ModelNames() const;
 
   /// Routes by request.model and submits to the owning shard.
   std::future<serve::ProjectionResponse> Submit(

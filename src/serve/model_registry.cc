@@ -52,16 +52,6 @@ void ModelRegistry::Swap(const std::string& name,
   }
 }
 
-bool ModelRegistry::Remove(const std::string& name) {
-  std::shared_ptr<const Projector> removed;  // destroyed outside the lock
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  auto it = models_.find(name);
-  if (it == models_.end()) return false;
-  removed = std::move(it->second.projector);
-  models_.erase(it);
-  return true;
-}
-
 std::shared_ptr<const Projector> ModelRegistry::Get(
     const std::string& name) const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
@@ -88,17 +78,6 @@ void ModelRegistry::RefreshAgeMetrics() const {
     metrics_->gauge("serve.model_age_seconds." + name)
         ->Set(std::max(0.0, now - entry.installed_sec));
   }
-}
-
-std::vector<std::string> ModelRegistry::Names() const {
-  std::vector<std::string> names;
-  {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    names.reserve(models_.size());
-    for (const auto& [name, _] : models_) names.push_back(name);
-  }
-  std::sort(names.begin(), names.end());
-  return names;
 }
 
 size_t ModelRegistry::size() const {

@@ -8,7 +8,6 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/status.h"
 #include "core/pca_model.h"
@@ -30,11 +29,11 @@ struct ModelInfo {
 
 /// Named, hot-swappable collection of servable models. Readers take an
 /// atomic snapshot — a shared_ptr<const Projector> — and keep using it for
-/// the duration of a batch even if the name is swapped or removed
-/// concurrently; the old projector is freed when the last in-flight batch
-/// drops its reference. Writers (Load/Install/Remove) exclude each other
-/// and readers only for the duration of the map update, never while the
-/// replacement projector's factor is being computed.
+/// the duration of a batch even if the name is swapped concurrently; the
+/// old projector is freed when the last in-flight batch drops its
+/// reference. Writers (Load/Install) exclude each other and readers only
+/// for the duration of the map update, never while the replacement
+/// projector's factor is being computed.
 class ModelRegistry {
  public:
   /// `metrics` may be null; when set, serve.model_loads / serve.model_swaps
@@ -58,10 +57,6 @@ class ModelRegistry {
   /// Installs an in-memory model under `name` (same swap semantics).
   Status Install(const std::string& name, core::PcaModel model);
 
-  /// Removes `name`. Returns false when it was not present. In-flight
-  /// batches holding a snapshot keep serving from it.
-  bool Remove(const std::string& name);
-
   /// Snapshot of the projector for `name`, or nullptr when absent.
   std::shared_ptr<const Projector> Get(const std::string& name) const;
 
@@ -71,9 +66,6 @@ class ModelRegistry {
   /// Re-publishes serve.model_age_seconds.<name> gauges from the current
   /// clock; a no-op without a metrics registry.
   void RefreshAgeMetrics() const;
-
-  /// Sorted names of the currently installed models.
-  std::vector<std::string> Names() const;
 
   size_t size() const;
 

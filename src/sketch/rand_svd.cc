@@ -118,12 +118,8 @@ StatusOr<core::SolveResult> RandSvdPca::Solve(
     // into a local D x k accumulator, so only (D*k + k) doubles per task
     // ever ship — never the N x k projection Mahout's ssvd materializes.
     engine_->Broadcast(z.ByteSize() + ym.size() * sizeof(double));
-    DenseVector mean_proj(k);  // Ym' * Z, computed on the driver
-    for (size_t r = 0; r < dim; ++r) {
-      const double m = ym[r];
-      if (m == 0.0) continue;
-      for (size_t j = 0; j < k; ++j) mean_proj[j] += m * z(r, j);
-    }
+    // Ym' * Z, computed on the driver.
+    const DenseVector mean_proj = linalg::TransposeMultiplyVector(z, ym);
     engine_->CountDriverFlops(2ull * dim * k);
 
     const char* phase = round == 1 ? "projection" : "power_iteration";

@@ -15,7 +15,6 @@
 namespace spca::stream {
 
 using dist::DistMatrix;
-using dist::Engine;
 using dist::EngineMode;
 using dist::RowRange;
 using dist::TaskContext;
@@ -23,30 +22,6 @@ using linalg::DenseMatrix;
 using linalg::DenseVector;
 
 namespace {
-
-/// Distributed per-batch column-sum job. Unlike core::MeanJob it returns
-/// raw sums, so the driver can fold them into the running stream mean
-/// exactly (mean = sum of all batch sums / rows seen).
-DenseVector StreamSumJob(Engine* engine, const DistMatrix& batch) {
-  const size_t dim = batch.cols();
-  auto partials = engine->RunMap<DenseVector>(
-      dist::JobDesc{"stream.sumJob", "stream"}, batch,
-      [&](const RowRange& range, TaskContext* ctx) {
-        DenseVector sums(dim);
-        uint64_t entries = 0;
-        for (size_t i = range.begin; i < range.end; ++i) {
-          batch.ForEachEntry(i, [&](size_t k, double v) { sums[k] += v; });
-          entries += batch.RowNnz(i);
-        }
-        ctx->CountFlops(entries);
-        engine->EmitPartial(ctx, dim * sizeof(double));
-        return sums;
-      });
-  DenseVector total(dim);
-  for (const auto& partial : partials) total.Add(partial);
-  engine->CountDriverFlops(partials.size() * dim);
-  return total;
-}
 
 double BlendRho(size_t steps_done, double decay) {
   if (steps_done == 0) return 1.0;
@@ -130,8 +105,12 @@ Status StreamSolver::Step(const DistMatrix& batch) {
   step_span.SetAttribute("batch_rows", static_cast<uint64_t>(batch.rows()));
   Stopwatch step_wall;
 
-  // Running exact mean from per-batch column sums.
-  mean_sum_.Add(StreamSumJob(engine_, batch));
+  // Running exact mean from per-batch column sums (raw sums, not
+  // core::MeanJob's means, so the fold is exact: mean = sum of all batch
+  // sums / rows seen).
+  mean_sum_.Add(core::ColumnSumJob(engine_, batch,
+                                   dist::JobDesc{"stream.sumJob", "stream"}));
+  engine_->CountDriverFlops(batch.num_partitions() * dim_);
   rows_seen_ += batch.rows();
   mean_ = mean_sum_;
   mean_.Scale(1.0 / static_cast<double>(rows_seen_));

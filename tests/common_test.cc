@@ -132,16 +132,6 @@ TEST(RngTest, GaussianWithParams) {
   EXPECT_NEAR(sum / n, 5.0, 0.05);
 }
 
-TEST(RngTest, ForkIsIndependentButDeterministic) {
-  Rng a(55);
-  Rng fork1 = a.Fork();
-  Rng b(55);
-  Rng fork2 = b.Fork();
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(fork1.NextUint64(), fork2.NextUint64());
-  }
-}
-
 TEST(ZipfSamplerTest, RankZeroMostPopular) {
   Rng rng(13);
   ZipfSampler zipf(100, 1.0);

@@ -123,25 +123,6 @@ TEST(EigenSymTest, TridiagonalHandlesRepeatedEigenvalues) {
 
 // ---- QR -----------------------------------------------------------------
 
-TEST(QrTest, ThinQrReconstructs) {
-  Rng rng(22);
-  const DenseMatrix a = DenseMatrix::GaussianRandom(10, 4, &rng);
-  auto qr = QrDecompose(a);
-  ASSERT_TRUE(qr.ok());
-  EXPECT_TRUE(IsOrthonormalColumns(qr.value().q, 1e-10));
-  const DenseMatrix reconstructed = Multiply(qr.value().q, qr.value().r);
-  EXPECT_LT(reconstructed.MaxAbsDiff(a), 1e-10);
-  // R upper triangular.
-  for (size_t i = 0; i < 4; ++i) {
-    for (size_t j = 0; j < i; ++j) EXPECT_DOUBLE_EQ(qr.value().r(i, j), 0.0);
-  }
-}
-
-TEST(QrTest, RejectsWideMatrix) {
-  DenseMatrix wide(3, 5);
-  EXPECT_FALSE(QrDecompose(wide).ok());
-}
-
 TEST(QrTest, OrthonormalizeColumnsProperty) {
   Rng rng(23);
   const DenseMatrix a = DenseMatrix::GaussianRandom(12, 5, &rng);

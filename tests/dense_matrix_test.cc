@@ -16,7 +16,6 @@ TEST(DenseVectorTest, BasicOps) {
   EXPECT_DOUBLE_EQ(a.Dot(b), 1.0 * 4 - 2 * 5 + 3 * 6);
   EXPECT_DOUBLE_EQ(a.SquaredNorm(), 14.0);
   EXPECT_DOUBLE_EQ(a.Norm2(), std::sqrt(14.0));
-  EXPECT_DOUBLE_EQ(b.Norm1(), 15.0);
 
   a.Add(b);
   EXPECT_DOUBLE_EQ(a[0], 5.0);
@@ -105,7 +104,6 @@ TEST(DenseMatrixTest, NormsAndTrace) {
   m(1, 0) = 1;
   m(1, 1) = 2;
   EXPECT_DOUBLE_EQ(m.FrobeniusNorm2(), 9 + 16 + 1 + 4);
-  EXPECT_DOUBLE_EQ(m.EntrywiseNorm1(), 10.0);
   EXPECT_DOUBLE_EQ(m.Trace(), 5.0);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/sparse_matrix.h"
@@ -68,6 +70,39 @@ TEST(OpsTest, MatrixVectorProducts) {
   }
 }
 
+// Every mean-propagation site (the E-step's Xm, the error sample, Transform,
+// the baselines' and sketch's mean'·B) computes mean'·B through
+// TransposeMultiplyVector. Its bits must be the plain multiply-then-add
+// loop's on every kernel ISA: AVX2's AxpyRow fuses the two and rounds
+// differently.
+TEST(OpsTest, TransposeMultiplyVectorIsThePlainMeanProjectionLoop) {
+  Rng rng(7);
+  for (const size_t d : {1, 3, 4, 5, 13, 50}) {
+    const size_t dim = 41;
+    const DenseMatrix b = RandomMatrix(dim, d, &rng);
+    DenseVector mean(dim);
+    for (size_t k = 0; k < dim; ++k) {
+      // Every third entry zero; the rest Gaussian, so about half negative.
+      mean[k] = k % 3 == 0 ? 0.0 : rng.NextGaussian();
+    }
+    DenseVector expected(d);
+    for (size_t k = 0; k < dim; ++k) {
+      const double m = mean[k];
+      if (m == 0.0) continue;
+      for (size_t j = 0; j < d; ++j) expected[j] += m * b(k, j);
+    }
+    const DenseVector actual = TransposeMultiplyVector(b, mean);
+    ASSERT_EQ(actual.size(), d);
+    for (size_t j = 0; j < d; ++j) {
+      EXPECT_EQ(std::memcmp(actual.data() + j, expected.data() + j,
+                            sizeof(double)),
+                0)
+          << "d = " << d << ", j = " << j << ": " << actual[j] << " vs "
+          << expected[j];
+    }
+  }
+}
+
 TEST(OpsTest, RowTimesMatrixMatchesMultiply) {
   Rng rng(4);
   const DenseMatrix b = RandomMatrix(5, 3, &rng);
@@ -103,27 +138,6 @@ TEST(OpsTest, OuterProducts) {
   EXPECT_DOUBLE_EQ(out(1, 2), 10.0);
   AddOuterProduct(a, b, &out);
   EXPECT_DOUBLE_EQ(out(1, 2), 20.0);
-
-  const SparseVector sv({{0, 2.0}}, 2);
-  DenseMatrix sparse_out(2, 3);
-  AddSparseOuterProduct(sv.View(), b, &sparse_out);
-  EXPECT_DOUBLE_EQ(sparse_out(0, 1), 8.0);
-  EXPECT_DOUBLE_EQ(sparse_out(1, 1), 0.0);
-}
-
-TEST(OpsTest, SparseTimesDenseMatchesDenseMultiply) {
-  Rng rng(6);
-  DenseMatrix dense_a(8, 6);
-  for (size_t i = 0; i < 8; ++i) {
-    for (size_t j = 0; j < 6; ++j) {
-      if (rng.NextDouble() < 0.4) dense_a(i, j) = rng.NextGaussian();
-    }
-  }
-  const SparseMatrix sparse_a = SparseMatrix::FromDense(dense_a);
-  const DenseMatrix b = RandomMatrix(6, 3, &rng);
-  const DenseMatrix via_sparse = SparseTimesDense(sparse_a, b);
-  const DenseMatrix via_dense = Multiply(dense_a, b);
-  EXPECT_LT(via_sparse.MaxAbsDiff(via_dense), 1e-12);
 }
 
 TEST(OpsTest, MeanCenterAndColumnMeans) {

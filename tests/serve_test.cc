@@ -266,7 +266,7 @@ TEST(ProjectorTest, QueryFlopsAccounting) {
 
 // ---- Registry ------------------------------------------------------------
 
-TEST(ModelRegistryTest, LoadGetRemove) {
+TEST(ModelRegistryTest, LoadThenGet) {
   const std::string path = TempPath("registry.spcm");
   ASSERT_TRUE(SaveModel(TestModel(), path).ok());
 
@@ -276,12 +276,8 @@ TEST(ModelRegistryTest, LoadGetRemove) {
   ASSERT_TRUE(registry.Load("m", path).ok());
   ASSERT_NE(registry.Get("m"), nullptr);
   EXPECT_EQ(registry.Get("m")->input_dim(), 20u);
-  EXPECT_EQ(registry.Names(), std::vector<std::string>{"m"});
+  EXPECT_EQ(registry.size(), 1u);
   EXPECT_EQ(metrics.FindCounter("serve.model_loads")->AsUint64(), 1u);
-
-  EXPECT_TRUE(registry.Remove("m"));
-  EXPECT_FALSE(registry.Remove("m"));
-  EXPECT_EQ(registry.Get("m"), nullptr);
 }
 
 TEST(ModelRegistryTest, FailedLoadKeepsServingOldModel) {

@@ -60,12 +60,7 @@ TEST(SparseRowViewTest, DotProducts) {
   const DenseVector v(std::vector<double>{2.0, 3.0, 4.0});
   EXPECT_DOUBLE_EQ(m.Row(0).Dot(v), 1.0 * 2 + 2.0 * 4);
   EXPECT_DOUBLE_EQ(m.Row(1).Dot(v), 0.0);
-  DenseMatrix dense(3, 2);
-  dense(0, 1) = 5.0;
-  dense(2, 1) = 7.0;
-  EXPECT_DOUBLE_EQ(m.Row(0).DotColumn(dense, 1), 1.0 * 5 + 2.0 * 7);
   EXPECT_DOUBLE_EQ(m.Row(0).SquaredNorm(), 5.0);
-  EXPECT_DOUBLE_EQ(m.Row(0).Sum(), 3.0);
 }
 
 TEST(SparseVectorTest, FromDenseFiltersZeros) {

@@ -3,9 +3,15 @@
 # benchmark pairs in bench_micro_linalg twice — once under the runtime
 # dispatcher's native ISA pick and once forced to the scalar kernels via
 # SPCA_KERNEL_ISA=scalar — and emits BENCH_kernels.json (schema
-# spca.bench_kernels.v2) recording the dispatched ISA, per-ISA ns/op for
+# spca.bench_kernels.v3) recording the dispatched ISA, per-ISA ns/op for
 # every pair and the speedups. End-to-end fit time is measured by the
 # repository benchmark (perfbench, workload fit_tweets), not here.
+#
+# Each benchmark runs REPETITIONS times, its repetitions randomly
+# interleaved with the other benchmarks' so that a slow phase of a shared
+# host is spread over both sides of every pair. The JSON records the
+# median ns/op of each side with its quartiles ([25th, 75th percentile])
+# and the repetition count; speedups and gates use the medians.
 #
 # The headline gate scales with the dispatched ISA:
 #   - SIMD dispatch (avx2/neon): the d=50 sparse row product, the d=50
@@ -24,6 +30,7 @@ set -euo pipefail
 BUILD_DIR="${1:-build}"
 OUT="${2:-BENCH_kernels.json}"
 ATTEMPTS="${BENCH_KERNELS_ATTEMPTS:-2}"
+REPETITIONS=5
 cd "$(dirname "$0")/.."
 
 if [[ ! -x "$BUILD_DIR/bench/bench_micro_linalg" ]]; then
@@ -43,6 +50,8 @@ measure_and_gate() {
   "$BUILD_DIR/bench/bench_micro_linalg" \
     --benchmark_filter='Naive|Kernel' \
     --benchmark_min_time=0.2 \
+    --benchmark_repetitions="$REPETITIONS" \
+    --benchmark_enable_random_interleaving=true \
     --benchmark_format=json >"$MICRO_JSON"
 
   # Forced-scalar leg: kernel side only (the naive loops don't dispatch),
@@ -50,22 +59,32 @@ measure_and_gate() {
   SPCA_KERNEL_ISA=scalar "$BUILD_DIR/bench/bench_micro_linalg" \
     --benchmark_filter='Kernel' \
     --benchmark_min_time=0.2 \
+    --benchmark_repetitions="$REPETITIONS" \
+    --benchmark_enable_random_interleaving=true \
     --benchmark_format=json >"$SCALAR_JSON"
 
-  python3 - "$MICRO_JSON" "$SCALAR_JSON" "$OUT" <<'EOF'
+  python3 - "$MICRO_JSON" "$SCALAR_JSON" "$OUT" "$REPETITIONS" <<'EOF'
 import json
+import statistics
 import sys
 
 micro_path, scalar_path, out_path = sys.argv[1:4]
+repetitions = int(sys.argv[4])
 
 
 def bench_times(path):
+    """name -> (median, [q1, q3]) over the repetitions, in ns."""
     doc = json.load(open(path))
-    times = {}
+    runs = {}
     for b in doc.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
             continue
-        times[b["name"]] = b["real_time"]  # already ns (time_unit default)
+        # real_time is already ns (time_unit default).
+        runs.setdefault(b["name"], []).append(b["real_time"])
+    times = {}
+    for name, ns in runs.items():
+        q1, median, q3 = statistics.quantiles(ns, n=4, method="inclusive")
+        times[name] = (round(median, 2), [round(q1, 2), round(q3, 2)])
     return doc, times
 
 
@@ -75,20 +94,23 @@ _, scalar_ns = bench_times(scalar_path)
 isa = micro.get("context", {}).get("spca_kernel_isa", "unknown")
 
 pairs = {}
-for name, ns in sorted(bench_ns.items()):
+for name, (naive, naive_iqr) in sorted(bench_ns.items()):
     if not name.startswith("BM_Naive"):
         continue
     kernel_name = name.replace("BM_Naive", "BM_Kernel", 1)
     if kernel_name not in bench_ns:
         continue
     shape = name.removeprefix("BM_Naive")
-    per_isa = {isa: round(bench_ns[kernel_name], 2)}
+    per_isa = {isa: bench_ns[kernel_name][0]}
+    per_isa_iqr = {isa: bench_ns[kernel_name][1]}
     if kernel_name in scalar_ns and isa != "scalar":
-        per_isa["scalar"] = round(scalar_ns[kernel_name], 2)
+        per_isa["scalar"], per_isa_iqr["scalar"] = scalar_ns[kernel_name]
     pairs[shape] = {
-        "naive_ns_per_op": round(ns, 2),
+        "naive_ns_per_op": naive,
+        "naive_ns_iqr": naive_iqr,
         "kernel_ns_per_op": per_isa,
-        "speedup": round(ns / bench_ns[kernel_name], 3),
+        "kernel_ns_iqr": per_isa_iqr,
+        "speedup": round(naive / per_isa[isa], 3),
     }
 
 # Headline gates (see header comment): 4x on the hot d=50 shapes under
@@ -107,12 +129,15 @@ else:
 headline = {k: pairs[k]["speedup"] for k in gates if k in pairs}
 
 result = {
-    "schema": "spca.bench_kernels.v2",
+    "schema": "spca.bench_kernels.v3",
     "dispatched_isa": isa,
     "workload": {
         "micro": "bench_micro_linalg --benchmark_filter=Naive|Kernel"
                  " (plus a SPCA_KERNEL_ISA=scalar kernel-only pass)",
     },
+    "repetitions": repetitions,
+    "statistic": "ns_per_op = median of the repetitions;"
+                 " ns_iqr = [25th, 75th percentile]",
     "kernel_pairs": pairs,
     "headline_speedups": headline,
     "headline_gates": gates,
@@ -122,12 +147,16 @@ with open(out_path, "w") as f:
     json.dump(result, f, indent=2)
     f.write("\n")
 
-print(f"wrote {out_path} (dispatched ISA: {isa})")
+print(f"wrote {out_path} (dispatched ISA: {isa}; medians of "
+      f"{repetitions} repetitions, [25th-75th percentile])")
 for k, v in pairs.items():
-    per_isa = "  ".join(f"{i} {ns:>9.1f} ns" for i, ns in
-                        v["kernel_ns_per_op"].items())
-    print(f"  {k:28s} naive {v['naive_ns_per_op']:>10.1f} ns  "
-          f"{per_isa}  {v['speedup']:.2f}x")
+    per_isa = "  ".join(
+        f"{i} {ns:>9.1f} [{v['kernel_ns_iqr'][i][0]:.1f}-"
+        f"{v['kernel_ns_iqr'][i][1]:.1f}] ns"
+        for i, ns in v["kernel_ns_per_op"].items())
+    lo, hi = v["naive_ns_iqr"]
+    print(f"  {k:28s} naive {v['naive_ns_per_op']:>10.1f} [{lo:.1f}-{hi:.1f}]"
+          f" ns  {per_isa}  {v['speedup']:.2f}x")
 missing = [k for k in gates if k not in pairs]
 low = {k: (headline[k], gates[k]) for k in headline if headline[k] < gates[k]}
 if missing:
