@@ -54,8 +54,10 @@ std::vector<std::pair<double, double>> ReplaySeries(
          jobs[j].name == "qrQJob")) {
       scales.intermediate_bytes = row_scale;
     }
-    job_seconds.push_back(dist::ReplayJobSeconds(
-        jobs[j], dist::ClusterSpec{}, dist::EngineMode::kMapReduce, scales));
+    job_seconds.push_back(
+        dist::ReplayJobCost(jobs[j], dist::ClusterSpec{},
+                            dist::EngineMode::kMapReduce, scales)
+            .Total());
   }
   std::vector<double> cumulative(jobs.size() + 1, 0.0);
   for (size_t j = 0; j < jobs.size(); ++j) {

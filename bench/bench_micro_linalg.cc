@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <vector>
 
 #include "common/rng.h"
@@ -80,27 +81,42 @@ SparseVector MakeSparseRow(size_t dim, size_t nnz, uint64_t seed) {
 
 // ---- Naive-vs-kernel pairs (state.range(0) = nnz or d) -----------------
 
+// Input of the SparseRowDense pair: one 16000 x 50 (6.4 MB) matrix and one
+// row per nnz, built once per process. Both sides gather from the same
+// memory, so their ratio measures the loops rather than where each side's
+// own copy of the matrix happened to land.
+constexpr size_t kSparseRowDenseDim = 16000;
+
+const DenseMatrix& SparseRowDenseMatrix() {
+  static const DenseMatrix b = Random(kSparseRowDenseDim, 50, 7);
+  return b;
+}
+
+const SparseVector& SparseRowDenseRow(size_t nnz) {
+  static std::map<size_t, SparseVector> rows;
+  return rows.emplace(nnz, MakeSparseRow(kSparseRowDenseDim, nnz, 21))
+      .first->second;
+}
+
 void BM_NaiveSparseRowDense(benchmark::State& state) {
   const size_t nnz = static_cast<size_t>(state.range(0));
-  const size_t dim = 16000, d = 50;
-  const DenseMatrix b = Random(dim, d, 7);
-  const SparseVector row = MakeSparseRow(dim, nnz, 21);
+  const DenseMatrix& b = SparseRowDenseMatrix();
+  const SparseVector& row = SparseRowDenseRow(nnz);
   for (auto _ : state) {
     benchmark::DoNotOptimize(NaiveSparseRowTimesMatrix(row.View(), b));
   }
-  state.SetItemsProcessed(state.iterations() * nnz * d);
+  state.SetItemsProcessed(state.iterations() * nnz * b.cols());
 }
 BENCHMARK(BM_NaiveSparseRowDense)->Arg(10)->Arg(100);
 
 void BM_KernelSparseRowDense(benchmark::State& state) {
   const size_t nnz = static_cast<size_t>(state.range(0));
-  const size_t dim = 16000, d = 50;
-  const DenseMatrix b = Random(dim, d, 7);
-  const SparseVector row = MakeSparseRow(dim, nnz, 21);
+  const DenseMatrix& b = SparseRowDenseMatrix();
+  const SparseVector& row = SparseRowDenseRow(nnz);
   for (auto _ : state) {
     benchmark::DoNotOptimize(SparseRowTimesMatrix(row.View(), b));
   }
-  state.SetItemsProcessed(state.iterations() * nnz * d);
+  state.SetItemsProcessed(state.iterations() * nnz * b.cols());
 }
 BENCHMARK(BM_KernelSparseRowDense)->Arg(10)->Arg(100);
 
@@ -355,7 +371,7 @@ BENCHMARK(BM_SvdWideViaGram)->Arg(2000)->Arg(8000);
 }  // namespace spca::linalg
 
 // Custom main instead of BENCHMARK_MAIN(): records which kernel ISA the
-// runtime dispatcher resolved to (scalar / avx2 / neon) in the benchmark
+// runtime dispatcher resolved to (scalar / avx2) in the benchmark
 // context, so JSON output is self-describing. tools/bench_kernels.sh
 // reads it to label per-ISA timings in BENCH_kernels.json (schema v2)
 // and to pick the right speedup gate.

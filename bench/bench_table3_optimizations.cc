@@ -84,8 +84,8 @@ CellTiming Timed(Engine* engine, Fn&& body) {
     // Only the materialized X (the XJob's output) grows with the rows.
     scales.intermediate_bytes = trace.name == "XJob" ? kPaperRowScale : 1.0;
     timing.paper_scale +=
-        dist::ReplayJobSeconds(trace, engine->spec(), engine->mode(),
-                               scales) -
+        dist::ReplayJobCost(trace, engine->spec(), engine->mode(), scales)
+            .Total() -
         engine->spec().job_launch_sec(engine->mode());
   }
   return timing;

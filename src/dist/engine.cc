@@ -146,32 +146,14 @@ WorkerPool* Engine::EnsureWorkerPool(size_t num_threads) {
     pool_ = std::make_unique<WorkerPool>(num_threads);
     registry_->gauge("engine.pool.threads")
         ->Set(static_cast<double>(pool_->num_threads()));
-  } else if (pool_->num_threads() != num_threads) {
-    // Elastic resize: local execution threads track the cluster's worker
-    // count between jobs (never mid-job — RunMap calls this before
-    // dispatching any task).
-    pool_->Resize(num_threads);
-    registry_->gauge("engine.pool.threads")
-        ->Set(static_cast<double>(pool_->num_threads()));
-    registry_->counter("engine.pool.resizes")->Increment();
   } else {
+    SPCA_CHECK_EQ(pool_->num_threads(), num_threads);
     // Reusing the persistent pool saves one thread spawn+join per worker
     // that the per-job-thread engine used to pay.
     registry_->gauge("engine.pool.spawns_avoided")
         ->Add(static_cast<double>(pool_->num_threads()));
   }
   return pool_.get();
-}
-
-void Engine::ResizeCluster(int num_nodes, int cores_per_node) {
-  SPCA_CHECK_GE(num_nodes, 1);
-  spec_.num_nodes = num_nodes;
-  if (cores_per_node > 0) spec_.cores_per_node = cores_per_node;
-  registry_->counter("engine.cluster.resizes")->Increment();
-  registry_->gauge("engine.cluster.nodes")
-      ->Set(static_cast<double>(spec_.num_nodes));
-  registry_->gauge("engine.cluster.cores")
-      ->Set(static_cast<double>(spec_.total_cores()));
 }
 
 // The ComputeJobCost cost model lives in dist/replay.cc so FinishJob and

@@ -80,9 +80,9 @@ class DriverReservation {
 uint64_t LinearDriverStateBytes(const ClusterSpec& spec, size_t dim,
                                 size_t width);
 
-// JobTrace, ReplayScales, and the replay entry points (ReplayJobSeconds,
-// ReplayJob, ReplayRun) live in dist/replay.h, alongside the ComputeJobCost
-// cost model FinishJob shares with them.
+// JobTrace, ReplayScales, and the replay entry points (ReplayJobCost,
+// ReplayJobCostWithFaults, ReplayRun) live in dist/replay.h, alongside the
+// ComputeJobCost cost model FinishJob shares with them.
 
 /// The distributed-execution engine: runs map jobs over the partitions of a
 /// DistMatrix, really executing the task functions in this process (so all
@@ -105,7 +105,7 @@ class Engine {
  public:
   /// `registry`, when non-null, must outlive the engine. Fault injection
   /// is off until SetFaultPlan installs a plan. The spec needs at least
-  /// one node of at least one core, the same bound ResizeCluster keeps.
+  /// one node of at least one core.
   explicit Engine(const ClusterSpec& spec, EngineMode mode,
                   obs::Registry* registry = nullptr)
       : spec_(spec),
@@ -235,19 +235,10 @@ class Engine {
 
   /// Overrides how many local threads execute tasks (0 = use the hardware
   /// concurrency). 1 forces fully deterministic inline execution; tests use
-  /// >1 to exercise the worker pool on single-core machines. May be called
-  /// between jobs: an existing pool is re-sized before the next job runs.
+  /// >1 to exercise the worker pool on single-core machines. A setting
+  /// made before the first pooled job: the pool is sized once, and a later
+  /// call that changes its size fails a CHECK at the next pooled job.
   void SetLocalWorkers(size_t n) { local_workers_ = n; }
-
-  /// Elastic resize of the simulated cluster between jobs: workers
-  /// join/leave, and every subsequent job's cost is derived under the new
-  /// shape (FinishJob reads the live spec). `cores_per_node` <= 0 keeps
-  /// the current per-node core count. Results are unaffected — only
-  /// accounted cost changes — and the resize is recorded in the
-  /// engine.cluster.* metrics. Replaying a resized run under a single
-  /// ClusterSpec is approximate by construction; replay the job ranges
-  /// under their own specs for exact numbers.
-  void ResizeCluster(int num_nodes, int cores_per_node = 0);
 
   /// Installs the fault-injection plan every subsequent job consults.
   /// Call before the first job for a reproducible fault schedule (draws
@@ -260,8 +251,8 @@ class Engine {
   friend class DriverReservation;
   void ReleaseDriverMemory(uint64_t bytes);
 
-  /// Lazily creates the persistent worker pool and records the spawn /
-  /// reuse bookkeeping (engine.pool.* metrics).
+  /// Lazily creates the persistent worker pool of `num_threads` workers
+  /// and records the spawn / reuse bookkeeping (engine.pool.* metrics).
   WorkerPool* EnsureWorkerPool(size_t num_threads);
 
   /// Converts per-task accounting (including `faults` — the retry and
@@ -272,7 +263,7 @@ class Engine {
                  const std::vector<TaskFault>& faults, double wall_seconds,
                  obs::Span* span);
 
-  ClusterSpec spec_;
+  const ClusterSpec spec_;
   EngineMode mode_;
   obs::Registry owned_registry_;
   obs::Registry* registry_;

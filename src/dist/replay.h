@@ -31,12 +31,10 @@ struct JobTrace {
   std::vector<uint64_t> task_flops;
   /// Per-task *charged* intermediate/result bytes (each task's emitted
   /// bytes times one-plus-its-recorded-extra-attempts; sums equal
-  /// stats.intermediate_bytes / stats.result_bytes). With these recorded,
-  /// ReplayJobCostWithFaults re-ships each retried task's own bytes
-  /// instead of the per-job average — exact for jobs whose tasks emit
-  /// non-uniformly (e.g. ragged final partitions). Empty in traces built
-  /// by hand or recorded before these fields existed; replay then falls
-  /// back to the average.
+  /// stats.intermediate_bytes / stats.result_bytes), one entry per task.
+  /// ReplayJobCostWithFaults re-ships each retried task's own bytes from
+  /// these — exact for jobs whose tasks emit non-uniformly (e.g. ragged
+  /// final partitions).
   std::vector<uint64_t> task_intermediate_bytes;
   std::vector<uint64_t> task_result_bytes;
   /// Number of re-executed task attempts injected by the failure model.
@@ -111,40 +109,18 @@ JobCost ReplayJobCost(const JobTrace& trace, const ClusterSpec& spec,
 /// deterministic per-task draws (keyed by `job_index`, matching the
 /// engine's own job numbering) to the recorded job — failed attempts
 /// re-pay each task's recorded compute and re-ship that task's recorded
-/// intermediate/result bytes (the per-job average when the trace predates
-/// per-task byte recording), stragglers slow their task, and retry
+/// intermediate/result bytes, stragglers slow their task, and retry
 /// backoff is added to launch. Meant for injecting hypothetical faults
 /// into a *clean* recorded run ("what does a 2% failure rate cost at a
 /// billion rows"); injecting into an already-faulted trace charges the
-/// recorded and the injected faults both. With per-task bytes present
-/// this reproduces exactly what a live run under the same plan would
-/// charge, uniform task outputs or not.
+/// recorded and the injected faults both. Reproduces exactly what a live
+/// run under the same plan would charge, uniform task outputs or not.
+/// The trace must carry per-task bytes for every task (CHECKed when
+/// `plan` is active), as every engine-recorded trace does.
 JobCost ReplayJobCostWithFaults(const JobTrace& trace,
                                 const ClusterSpec& spec, EngineMode mode,
                                 const ReplayScales& scales,
                                 const FaultPlan& plan, uint64_t job_index);
-
-/// ReplayJobCost(...).Total() — the historical scalar entry point.
-double ReplayJobSeconds(const JobTrace& trace, const ClusterSpec& spec,
-                        EngineMode mode, const ReplayScales& scales);
-
-/// ReplayJobSeconds plus observability: when `registry` is non-null, emits
-/// a synthetic `replay.<name>` span on the simulated-time track starting at
-/// `sim_start_sec` (under `parent_span_id`, or the innermost open span when
-/// 0), carrying the scale multipliers as attributes and the same
-/// launch/compute/data child spans a live job gets — so a billion-row
-/// extrapolation is inspectable in chrome://tracing exactly like the run it
-/// was replayed from. Fires the registry's job-completion hook, so a
-/// streaming exporter drains replayed spans at its usual cadence. Returns
-/// the job's replayed seconds. A non-null `fault_plan` injects that plan's
-/// faults (see ReplayJobCostWithFaults); the span then carries fault.*
-/// attributes describing the injected recovery overhead.
-double ReplayJob(const JobTrace& trace, const ClusterSpec& spec,
-                 EngineMode mode, const ReplayScales& scales,
-                 obs::Registry* registry, double sim_start_sec,
-                 uint64_t parent_span_id = 0,
-                 const FaultPlan* fault_plan = nullptr,
-                 uint64_t job_index = 0);
 
 /// Chooses the scale multipliers for one recorded job (jobs differ: e.g.
 /// reduce-side intermediate data may not grow with the row count).
@@ -155,7 +131,11 @@ using ReplayScalesFn = std::function<ReplayScales(const JobTrace&)>;
 /// one copy per node) — and returns its total simulated seconds. When
 /// `registry` is non-null the sweep is emitted as a `replay.<label>` span
 /// tree on the simulated-time track starting at `sim_start_sec`, with one
-/// ReplayJob span per job and a final `replay.driver` span for the tail.
+/// `replay.<job name>` span per job (carrying the scale multipliers, and
+/// fault.* attributes when injecting, over the same launch/compute/data
+/// children a live job gets) and a final `replay.driver` span for the
+/// tail. Each job span fires the registry's job-completion hook, so a
+/// streaming exporter drains replayed spans at its usual cadence.
 /// A non-null `fault_plan` injects that plan's faults into every replayed
 /// job, numbering jobs by their position in `traces` — the same numbering
 /// a live engine would use — so a replayed sweep answers what a given

@@ -20,29 +20,6 @@ WorkerPool::~WorkerPool() {
   for (auto& thread : threads_) thread.join();
 }
 
-void WorkerPool::Resize(size_t num_threads) {
-  num_threads = std::max<size_t>(1, num_threads);
-  if (num_threads == threads_.size()) return;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& thread : threads_) thread.join();
-  threads_.clear();
-  {
-    // New workers start with seen_generation = 0; the persistent
-    // generation_ counter plus the fn_ != nullptr guard in WorkerLoop keeps
-    // them parked until the next Run().
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = false;
-  }
-  threads_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
 void WorkerPool::Run(size_t num_tasks, const std::function<void(size_t)>& fn) {
   if (num_tasks == 0) return;
   std::unique_lock<std::mutex> lock(mutex_);

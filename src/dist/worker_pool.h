@@ -28,12 +28,6 @@ class WorkerPool {
 
   size_t num_threads() const { return threads_.size(); }
 
-  /// Changes the pool to `num_threads` workers (at least 1), joining the
-  /// old threads and spawning fresh ones. Supports elastic resize of the
-  /// simulated cluster between jobs. Must be called from the driver thread
-  /// with no Run() in flight; a no-op when the size already matches.
-  void Resize(size_t num_threads);
-
   /// Runs `fn(task)` for every task in [0, num_tasks), distributing tasks
   /// across the pool in claim order, and blocks until all have finished.
   ///

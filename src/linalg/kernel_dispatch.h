@@ -7,8 +7,8 @@
 
 // Runtime ISA dispatch for the linalg/kernels.h micro-kernels.
 //
-// Every kernel exists in up to three variants, each in its own
-// translation unit compiled with the matching target flags:
+// Every kernel exists in up to two variants, each in its own translation
+// unit compiled with the matching target flags:
 //
 //   kernels::scalar::*   portable C++, always compiled. Bit-identical to
 //                        the pre-SIMD kernel layer (and therefore to the
@@ -20,18 +20,20 @@
 //                        multiply-add and multi-accumulator reductions,
 //                        so results can differ from scalar in the last
 //                        ulps (see the two golden tiers in kernels.h).
-//   kernels::neon::*     NEON (aarch64), same numerical caveats as AVX2.
+//
+// Every other platform (aarch64 included) runs the scalar tier.
 //
 // The public kernels in kernels.h forward through a function-pointer
 // table resolved exactly once per process:
 //
-//   1. If SPCA_KERNEL_ISA=scalar|avx2|neon is set in the environment and
-//      that ISA is compiled in and supported by the host, it is used
-//      (the forced-scalar test/CI legs rely on this). An unavailable
-//      request falls back to scalar with a one-time stderr warning —
-//      never to an illegal instruction.
+//   1. If SPCA_KERNEL_ISA=scalar|avx2 is set in the environment and that
+//      ISA is compiled in and supported by the host, it is used (the
+//      forced-scalar test/CI legs rely on this). An unavailable request
+//      falls back to scalar with a one-time stderr warning — never to an
+//      illegal instruction. An unknown value warns once and dispatches
+//      as if unset.
 //   2. Otherwise the best ISA the host supports wins: avx2 (CPUID check
-//      for AVX2 *and* FMA) > neon > scalar.
+//      for AVX2 *and* FMA) > scalar.
 //
 // Resolution is per-process, so any two computations in one process run
 // on the same ISA — cross-run bit-identity properties (replay == live,
@@ -39,13 +41,13 @@
 
 namespace spca::linalg::kernels {
 
-enum class Isa { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+enum class Isa { kScalar = 0, kAvx2 = 1 };
 
 /// The ISA the function-pointer table resolved to (resolves on first
 /// call). Stable for the lifetime of the process.
 Isa DispatchedIsa();
 
-/// "scalar", "avx2", or "neon".
+/// "scalar" or "avx2".
 const char* IsaName(Isa isa);
 const char* DispatchedIsaName();
 
@@ -84,12 +86,6 @@ SPCA_KERNEL_SIGNATURES
 namespace avx2 {
 SPCA_KERNEL_SIGNATURES
 }  // namespace avx2
-#endif
-
-#if defined(SPCA_KERNELS_HAVE_NEON)
-namespace neon {
-SPCA_KERNEL_SIGNATURES
-}  // namespace neon
 #endif
 
 #undef SPCA_KERNEL_SIGNATURES

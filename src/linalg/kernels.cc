@@ -1,10 +1,10 @@
 #include "linalg/kernels.h"
 
 // Runtime ISA dispatch for the micro-kernels. The per-ISA variants live
-// in their own translation units (kernels_scalar.cc, kernels_avx2.cc,
-// kernels_neon.cc) compiled with the matching target flags; this TU owns
-// the one-time resolution of a function-pointer table and the thin public
-// forwarding shims. See kernel_dispatch.h for the resolution rules
+// in their own translation units (kernels_scalar.cc, kernels_avx2.cc)
+// compiled with the matching target flags; this TU owns the one-time
+// resolution of a function-pointer table and the thin public forwarding
+// shims. See kernel_dispatch.h for the resolution rules
 // (SPCA_KERNEL_ISA env override, then best host-supported ISA).
 
 #include <cstdio>
@@ -46,14 +46,6 @@ constexpr KernelTable kAvx2Table = {
 };
 #endif
 
-#if defined(SPCA_KERNELS_HAVE_NEON)
-constexpr KernelTable kNeonTable = {
-    Isa::kNeon,       neon::AxpyRow,       neon::AddRow,
-    neon::DotRow,     neon::Rank1Update,   neon::SymRank1Update,
-    neon::SparseRowGemv, neon::SparseRowProjectScatter, neon::RowGemm,
-};
-#endif
-
 const KernelTable* TableFor(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
@@ -61,10 +53,6 @@ const KernelTable* TableFor(Isa isa) {
 #if defined(SPCA_KERNELS_HAVE_AVX2)
     case Isa::kAvx2:
       return &kAvx2Table;
-#endif
-#if defined(SPCA_KERNELS_HAVE_NEON)
-    case Isa::kNeon:
-      return &kNeonTable;
 #endif
     default:
       return nullptr;
@@ -79,9 +67,6 @@ Isa BestSupportedIsa() {
     return Isa::kAvx2;
   }
 #endif
-#if defined(SPCA_KERNELS_HAVE_NEON)
-  return Isa::kNeon;  // baseline on aarch64
-#endif
   return Isa::kScalar;
 }
 
@@ -95,13 +80,11 @@ const KernelTable* Resolve() {
       requested = Isa::kScalar;
     } else if (std::strcmp(env, "avx2") == 0) {
       requested = Isa::kAvx2;
-    } else if (std::strcmp(env, "neon") == 0) {
-      requested = Isa::kNeon;
     } else {
       known = false;
       std::fprintf(stderr,
-                   "spca: unknown SPCA_KERNEL_ISA='%s' (want scalar|avx2|"
-                   "neon); dispatching %s\n",
+                   "spca: unknown SPCA_KERNEL_ISA='%s' (want scalar|avx2); "
+                   "dispatching %s\n",
                    env, IsaName(choice));
     }
     if (known) {
@@ -136,8 +119,6 @@ const char* IsaName(Isa isa) {
       return "scalar";
     case Isa::kAvx2:
       return "avx2";
-    case Isa::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -150,9 +131,6 @@ bool IsaAvailable(Isa isa) {
   if (isa == Isa::kAvx2) {
     return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   }
-#endif
-#if defined(SPCA_KERNELS_HAVE_NEON)
-  if (isa == Isa::kNeon) return true;
 #endif
   return false;
 }

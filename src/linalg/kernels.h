@@ -12,7 +12,7 @@ namespace spca::linalg::kernels {
 // EM inner loops (Section 3.3's in-memory multiplication and the XtX / YtX
 // accumulations). All kernels operate on contiguous double* rows obtained
 // via DenseMatrix::RowPtr() and dispatch at runtime to the widest ISA the
-// host supports (scalar / AVX2+FMA / NEON; see kernel_dispatch.h, and the
+// host supports (scalar / AVX2+FMA; see kernel_dispatch.h, and the
 // SPCA_KERNEL_ISA env override).
 //
 // Numerics come in two tiers:
@@ -22,7 +22,7 @@ namespace spca::linalg::kernels {
 //    of the original scalar loops, so everything downstream is
 //    bit-identical to the pre-kernel-layer implementation
 //    (tests/golden/fit_bits.golden, compared bit-for-bit).
-//  - Tolerance tier (AVX2/NEON dispatch): fused multiply-adds round once
+//  - Tolerance tier (AVX2 dispatch): fused multiply-adds round once
 //    instead of twice and reductions run multiple accumulators, so
 //    results agree with the scalar twins to ~1e-12 relative (enforced
 //    per kernel by kernels_test's SIMD-vs-scalar property suites, and

@@ -79,9 +79,6 @@ class ShardSet {
   void KickAll();
 
   size_t num_shards() const { return shards_.size(); }
-  serve::ProjectionService* shard_service(size_t shard) {
-    return shards_[shard]->service.get();
-  }
   serve::ModelRegistry* shard_models(size_t shard) {
     return shards_[shard]->models.get();
   }

@@ -10,7 +10,7 @@ namespace spca::obs {
 /// Records which kernel ISA tier this process dispatched to (see
 /// linalg/kernel_dispatch.h) into `registry`:
 ///
-///   kernel.isa_id        = numeric tier (0 scalar, 1 avx2, 2 neon)
+///   kernel.isa_id        = numeric tier (0 scalar, 1 avx2)
 ///   kernel.isa.<name>    = 1
 ///
 /// Dispatch is resolved once per process, so recording is idempotent —

@@ -143,14 +143,6 @@ void ProjectionService::Enqueue(Pending pending, bool notify) {
   Resolve(&pending, std::move(response));
 }
 
-void ProjectionService::ResizePool(size_t num_threads) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    resize_threads_ = std::max<size_t>(1, num_threads);
-  }
-  queue_cv_.notify_one();
-}
-
 size_t ProjectionService::queue_depth() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return queue_.size();
@@ -159,33 +151,17 @@ size_t ProjectionService::queue_depth() const {
 void ProjectionService::DispatchLoop() {
   for (;;) {
     std::deque<Pending> batch;
-    size_t resize_to = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      queue_cv_.wait(lock, [this] {
-        return stopping_ || !queue_.empty() || resize_threads_ != 0;
-      });
+      queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (stopping_) return;  // Stop() resolves the remainder as kShutdown
-      resize_to = resize_threads_;
-      resize_threads_ = 0;
       const size_t take = std::min(queue_.size(), options_.batch_max);
       for (size_t i = 0; i < take; ++i) {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
     }
-    // The dispatcher is the only thread that ever calls pool_.Run, so
-    // resizing between batches is exactly the pool's contract ("driver
-    // thread, no Run in flight").
-    if (resize_to != 0 && resize_to != pool_.num_threads()) {
-      pool_.Resize(resize_to);
-      if (options_.metrics != nullptr) {
-        options_.metrics->counter("serve.pool_resizes")->Add(1);
-        options_.metrics->gauge("serve.pool_threads")
-            ->Set(static_cast<double>(resize_to));
-      }
-    }
-    if (!batch.empty()) ExecuteBatch(&batch);
+    ExecuteBatch(&batch);
   }
 }
 

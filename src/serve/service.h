@@ -134,12 +134,6 @@ class ProjectionService {
   /// Wakes the dispatcher; pairs with defer_notify submits.
   void Kick();
 
-  /// Requests the dispatcher resize its worker pool to `num_threads`
-  /// (at least 1) between batches — in-flight batches finish on the old
-  /// pool. Returns immediately; the resize lands before the next batch
-  /// executes. Safe to call concurrently with Submit from any thread.
-  void ResizePool(size_t num_threads);
-
   size_t queue_depth() const;
   const ServiceOptions& options() const { return options_; }
 
@@ -198,7 +192,6 @@ class ProjectionService {
   mutable std::mutex mutex_;
   std::condition_variable queue_cv_;
   std::deque<Pending> queue_;
-  size_t resize_threads_ = 0;  // pending ResizePool request; 0 = none
   bool started_ = false;
   bool stopping_ = false;
   std::thread dispatcher_;

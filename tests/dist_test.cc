@@ -328,8 +328,8 @@ TEST(EngineTest, ReplayAtUnitScaleMatchesOriginal) {
         return 0;
       });
   const auto& trace = engine.traces().back();
-  const double replayed = ReplayJobSeconds(trace, SimpleSpec(),
-                                           EngineMode::kMapReduce, {});
+  const double replayed =
+      ReplayJobCost(trace, SimpleSpec(), EngineMode::kMapReduce, {}).Total();
   EXPECT_NEAR(replayed, trace.stats.simulated_seconds, 1e-12);
 }
 
@@ -347,10 +347,10 @@ TEST(EngineTest, ReplayScalesBehaveLinearly) {
   scaled.flops = 10.0;
   scaled.intermediate_bytes = 10.0;
   scaled.input_bytes = 10.0;
-  const double base = ReplayJobSeconds(trace, SimpleSpec(),
-                                       EngineMode::kSpark, unit);
-  const double big = ReplayJobSeconds(trace, SimpleSpec(),
-                                      EngineMode::kSpark, scaled);
+  const double base =
+      ReplayJobCost(trace, SimpleSpec(), EngineMode::kSpark, unit).Total();
+  const double big =
+      ReplayJobCost(trace, SimpleSpec(), EngineMode::kSpark, scaled).Total();
   const double launch = SimpleSpec().spark_stage_launch_sec;
   // Everything except the launch overhead scales by 10.
   EXPECT_NEAR(big - launch, 10.0 * (base - launch), 1e-9);

@@ -610,12 +610,12 @@ TEST(LoopbackIdentity, SocketMatchesInProcessBitForBit) {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos: concurrent socket clients across shards while models hot-swap and
-// shard pools resize mid-stream. Runs under TSan in the chaos CI shard;
-// the invariant is no data race, no lost response, every response OK.
+// Chaos: concurrent socket clients across shards while models hot-swap
+// mid-stream. Runs under TSan in the chaos CI shard; the invariant is no
+// data race, no lost response, every response OK.
 // ---------------------------------------------------------------------------
 
-TEST(NetChaos, ClientsVsHotSwapsVsPoolResizes) {
+TEST(NetChaos, ClientsVsHotSwaps) {
   constexpr size_t kDim = 32;
   constexpr size_t kShards = 3;
   constexpr size_t kClients = 3;
@@ -698,19 +698,9 @@ TEST(NetChaos, ClientsVsHotSwapsVsPoolResizes) {
     }
   });
 
-  std::thread resizer([&] {
-    size_t step = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      shards.shard_service(step % kShards)->ResizePool(1 + step % 3);
-      ++step;
-      std::this_thread::sleep_for(std::chrono::milliseconds(3));
-    }
-  });
-
   for (auto& thread : clients) thread.join();
   stop = true;
   swapper.join();
-  resizer.join();
   server.Stop();
   shards.Stop();
 

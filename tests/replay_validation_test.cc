@@ -101,8 +101,10 @@ TEST_P(ReplayValidation, ScaledReplayMatchesRealScaledRun) {
       dist::ReplayScales scales;
       scales.flops = static_cast<double>(copies);
       scales.input_bytes = static_cast<double>(copies);
-      const double replayed = dist::ReplayJobSeconds(
-          small_engine.traces()[j], dist::ClusterSpec{}, mode, scales);
+      const double replayed =
+          dist::ReplayJobCost(small_engine.traces()[j], dist::ClusterSpec{},
+                              mode, scales)
+              .Total();
       const double real =
           large_engine.traces()[j].stats.simulated_seconds;
       // Tight agreement: per-row flops are exactly linear here; the only
@@ -181,13 +183,12 @@ TEST(ReplayIdentityProperty, UnitScaleReplayMatchesAccountedCost) {
       EXPECT_NEAR(cost.launch_sec, trace.launch_sec, 1e-9);
       EXPECT_NEAR(cost.compute_sec, trace.compute_sec, 1e-9);
       EXPECT_NEAR(cost.data_sec, trace.data_sec, 1e-9);
-      const double replayed = dist::ReplayJobSeconds(trace, spec, mode, unit);
-      EXPECT_NEAR(replayed,
+      EXPECT_NEAR(cost.Total(),
                   trace.launch_sec + trace.compute_sec + trace.data_sec,
                   1e-9)
           << "job " << trace.name << " mode "
           << dist::EngineModeToString(mode);
-      EXPECT_NEAR(replayed, trace.stats.simulated_seconds, 1e-9);
+      EXPECT_NEAR(cost.Total(), trace.stats.simulated_seconds, 1e-9);
       ++jobs_checked;
     }
     ++cases;
@@ -199,8 +200,7 @@ TEST(ReplayIdentityProperty, UnitScaleReplayMatchesAccountedCost) {
 // Per-task byte replay: a hand-built trace with ragged task outputs,
 // replayed with injected faults, must charge each retried task's *own*
 // bytes — derived here independently from the public FaultPlan/
-// ChargedTaskFlops/ComputeJobCost pieces — and must differ from the
-// per-job-average fallback used for traces without per-task bytes.
+// ChargedTaskFlops/ComputeJobCost pieces.
 TEST(FaultReplayPerTaskBytes, InjectedRetriesReshipEachTasksOwnBytes) {
   dist::JobTrace trace;
   trace.name = "ragged";
@@ -257,25 +257,15 @@ TEST(FaultReplayPerTaskBytes, InjectedRetriesReshipEachTasksOwnBytes) {
     EXPECT_NEAR(got.launch_sec, expected.launch_sec, 1e-12);
     EXPECT_NEAR(got.compute_sec, expected.compute_sec, 1e-12);
     EXPECT_NEAR(got.data_sec, expected.data_sec, 1e-12);
-
-    // Strip the per-task vectors: the fallback re-ships the per-job
-    // average per retry, which is *not* exact for these ragged outputs.
-    dist::JobTrace averaged = trace;
-    averaged.task_intermediate_bytes.clear();
-    averaged.task_result_bytes.clear();
-    const dist::JobCost fallback = dist::ReplayJobCostWithFaults(
-        averaged, spec, mode, unit, plan, job_index);
-    EXPECT_NEAR(fallback.compute_sec, expected.compute_sec, 1e-12);
-    EXPECT_NE(fallback.data_sec, got.data_sec);
   }
 }
 
 // End-to-end exactness: injecting a fault plan into a *clean* recorded run
 // must reproduce, job for job, the simulated cost of a live run recorded
 // under that same plan — including jobs whose tasks emit non-uniform byte
-// counts (this is what per-task byte recording buys; the average fallback
-// is only exact for uniform outputs). Also pins the recording invariant:
-// the per-task byte vectors sum to the job's charged totals.
+// counts (this is what per-task byte recording buys). Also pins the
+// recording invariant: the per-task byte vectors sum to the job's charged
+// totals.
 TEST(FaultReplayPerTaskBytes, CleanTraceReplayMatchesLiveFaultedRun) {
   workload::BagOfWordsConfig config;
   config.rows = 150;  // 7 partitions -> ragged final partition
@@ -422,8 +412,7 @@ TEST(SketchReplayIdentity, UnitScaleReplayMatchesAccountedCost) {
         EXPECT_NEAR(cost.launch_sec, trace.launch_sec, 1e-9);
         EXPECT_NEAR(cost.compute_sec, trace.compute_sec, 1e-9);
         EXPECT_NEAR(cost.data_sec, trace.data_sec, 1e-9);
-        EXPECT_NEAR(dist::ReplayJobSeconds(trace, spec, mode, unit),
-                    trace.stats.simulated_seconds, 1e-9)
+        EXPECT_NEAR(cost.Total(), trace.stats.simulated_seconds, 1e-9)
             << "job " << trace.name << " mode "
             << dist::EngineModeToString(mode);
 

@@ -1,6 +1,6 @@
-// Resilience chaos suite: correlated node failures, speculative execution,
-// checkpoint/restart, and elastic resize (ISSUE 7's tentpole), written to
-// run under both TSan and ASan in the chaos CI shard.
+// Resilience chaos suite: correlated node failures, speculative execution
+// and checkpoint/restart, written to run under both TSan and ASan in the
+// chaos CI shard.
 //
 // The headline properties:
 //   * randomized correlated FaultPlans never change numerical results —
@@ -28,7 +28,6 @@
 #include "dist/engine.h"
 #include "dist/fault.h"
 #include "dist/replay.h"
-#include "dist/worker_pool.h"
 #include "linalg/dense_matrix.h"
 #include "obs/registry.h"
 #include "serve/model_io.h"
@@ -50,7 +49,6 @@ using dist::FaultSpec;
 using dist::JobTrace;
 using dist::TaskContext;
 using dist::TaskFault;
-using dist::WorkerPool;
 using linalg::DenseMatrix;
 
 DenseMatrix RandomDense(size_t rows, size_t cols, uint64_t seed) {
@@ -662,76 +660,6 @@ TEST(CheckpointRestartTest, RestoreRejectsMismatchedOrMissingState) {
   EXPECT_FALSE(
       serve::SaveCheckpoint(snapshot.value(), state.value(), bad_path).ok());
   EXPECT_FALSE(serve::LoadCheckpoint(bad_path).ok());
-}
-
-// ---- Elastic resize ------------------------------------------------------
-
-// Mid-run cluster resizes change only the cost model, never the numbers:
-// the same job re-run after ResizeCluster returns identical results, the
-// resize counters/gauges track the change, and the worker pool really
-// re-sizes between jobs.
-TEST(ElasticResizeTest, MidRunResizeKeepsResultsBitIdentical) {
-  const DistMatrix matrix = DistMatrix::FromDense(RandomDense(96, 8, 29), 8);
-
-  Engine engine(ClusterSpec{}, EngineMode::kSpark);
-  engine.SetLocalWorkers(2);
-  auto run_job = [&] {
-    return engine.RunMap<uint64_t>(
-        dist::JobDesc{"resize_probe"}, matrix,
-        [&](const dist::RowRange& range, TaskContext* ctx) -> uint64_t {
-          ctx->CountFlops(20000);
-          ctx->EmitResult(64);
-          uint64_t sum = 0;
-          for (size_t r = range.begin; r < range.end; ++r) sum += r;
-          return sum;
-        });
-  };
-
-  const auto before = run_job();
-  const double sim_before = engine.SimulatedSeconds();
-
-  engine.ResizeCluster(16, 4);
-  engine.SetLocalWorkers(4);
-  const auto after = run_job();
-  const double sim_after = engine.SimulatedSeconds() - sim_before;
-
-  EXPECT_EQ(before, after);
-  EXPECT_EQ(engine.spec().num_nodes, 16);
-  EXPECT_EQ(engine.spec().cores_per_node, 4);
-  EXPECT_EQ(CounterValue(*engine.registry(), "engine.cluster.resizes"), 1u);
-  EXPECT_GE(CounterValue(*engine.registry(), "engine.pool.resizes"), 1u);
-  // The second job ran on a 64-core cluster just like the first (16x4 vs
-  // 8x8): same core count, same per-job cost.
-  EXPECT_GT(sim_after, 0.0);
-
-  // Shrink to a single fat node: fewer cores must not change results.
-  engine.ResizeCluster(1, 8);
-  engine.SetLocalWorkers(1);
-  const auto shrunk = run_job();
-  EXPECT_EQ(before, shrunk);
-  EXPECT_EQ(CounterValue(*engine.registry(), "engine.cluster.resizes"), 2u);
-}
-
-// WorkerPool::Resize joins and respawns without losing tasks: exactly-once
-// commitment holds across interleaved resizes.
-TEST(ElasticResizeTest, PoolResizePreservesExactlyOnceCommitment) {
-  WorkerPool pool(2);
-  Rng rng(777);
-  for (int round = 0; round < 20; ++round) {
-    pool.Resize(1 + rng.NextUint64Below(6));
-    const size_t num_tasks = 1 + rng.NextUint64Below(64);
-    std::vector<std::atomic<int>> finals(num_tasks);
-    for (auto& f : finals) f.store(0, std::memory_order_relaxed);
-    pool.RunAttempts(
-        num_tasks, [&](size_t) { return 2; },
-        [&](size_t task, int /*attempt*/, bool is_final) {
-          if (is_final) finals[task].fetch_add(1, std::memory_order_relaxed);
-        });
-    for (size_t t = 0; t < num_tasks; ++t) {
-      ASSERT_EQ(finals[t].load(std::memory_order_relaxed), 1)
-          << "round " << round << " task " << t;
-    }
-  }
 }
 
 }  // namespace

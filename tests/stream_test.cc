@@ -546,8 +546,10 @@ TEST(StreamReplayTest, StreamJobsReplayExactlyAtUnitScale) {
   size_t stream_jobs = 0;
   for (const auto& trace : engine.traces()) {
     if (trace.name.rfind("stream.", 0) == 0) ++stream_jobs;
-    const double replayed = dist::ReplayJobSeconds(
-        trace, dist::ClusterSpec{}, EngineMode::kSpark, dist::ReplayScales{});
+    const double replayed = dist::ReplayJobCost(trace, dist::ClusterSpec{},
+                                                EngineMode::kSpark,
+                                                dist::ReplayScales{})
+                                .Total();
     EXPECT_NEAR(replayed, trace.stats.simulated_seconds,
                 1e-9 * trace.stats.simulated_seconds + 1e-12)
         << trace.name;

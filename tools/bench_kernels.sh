@@ -14,7 +14,7 @@
 # and the repetition count; speedups and gates use the medians.
 #
 # The headline gate scales with the dispatched ISA:
-#   - SIMD dispatch (avx2/neon): the d=50 sparse row product, the d=50
+#   - SIMD dispatch (avx2): the d=50 sparse row product, the d=50
 #     XtX rank-1 update, and the dense row-GEMM must hold >= 4x over the
 #     pre-kernel naive loops, and the small-d (d=10) rank-1 update must
 #     hold >= 1.5x (it is store-bound, not FMA-bound, at that size).
