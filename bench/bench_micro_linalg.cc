@@ -6,13 +6,18 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/reconstruction_error.h"
+#include "dist/dist_matrix.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/kernels.h"
 #include "linalg/ops.h"
+#include "linalg/qr.h"
 #include "linalg/solve.h"
 #include "linalg/svd.h"
 #include "workload/synthetic.h"
@@ -196,6 +201,71 @@ void BM_KernelSparseRowProjectScatter(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_KernelSparseRowProjectScatter)->Arg(50);
+
+// The accuracy metric's error sample (Section 5): 256 tweets-shaped rows
+// at D = 2000 against a Gaussian d = 50 basis C and the sample's mean. The
+// naive side is the projector core::SampledReconstructionError ran before
+// it went through C's Gram matrix: the two-pass MGS basis B, one RowGemm
+// over B' per row and the absent-entry 1-norm in one chain. The kernel
+// side is the library call, C'C formed inside it.
+struct ErrorSampleCase {
+  static constexpr size_t kComponents = 50;
+  explicit ErrorSampleCase(size_t dim)
+      : sample(dist::DistMatrix::FromSparse(TweetsRows(256, dim), 1)),
+        components(Random(dim, kComponents, 35)),
+        mean(sample.ColumnMeans()) {}
+
+  dist::DistMatrix sample;
+  DenseMatrix components;
+  DenseVector mean;
+};
+
+double NaiveErrorSample(const ErrorSampleCase& c) {
+  const DenseMatrix basis = OrthonormalizeColumns(c.components);
+  const size_t d = basis.cols();
+  const size_t dim = c.sample.cols();
+  const DenseVector mean_projection = TransposeMultiplyVector(basis, c.mean);
+  const DenseMatrix basis_t = basis.Transpose();
+  DenseVector projected(d);
+  DenseVector reconstructed(dim);
+  double error_norm = 0.0;
+  double data_norm = 0.0;
+  for (size_t i = 0; i < c.sample.rows(); ++i) {
+    c.sample.RowTimesMatrix(i, basis, &projected);
+    projected.Subtract(mean_projection);
+    std::copy(c.mean.data(), c.mean.data() + dim, reconstructed.data());
+    kernels::RowGemm(projected.data(), d, basis_t.data(),
+                     basis_t.row_stride(), dim, reconstructed.data());
+    double absent = 0.0;
+    for (size_t k = 0; k < dim; ++k) absent += std::fabs(reconstructed[k]);
+    double present = 0.0;
+    double row_norm = 0.0;
+    c.sample.ForEachEntry(i, [&](size_t k, double v) {
+      present += std::fabs(v - reconstructed[k]) - std::fabs(reconstructed[k]);
+      row_norm += std::fabs(v);
+    });
+    error_norm += absent + present;
+    data_norm += row_norm;
+  }
+  return error_norm / data_norm;
+}
+
+void BM_NaiveErrorSample(benchmark::State& state) {
+  const ErrorSampleCase c(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(NaiveErrorSample(c));
+  state.SetItemsProcessed(state.iterations() * c.sample.rows());
+}
+BENCHMARK(BM_NaiveErrorSample)->Arg(2000);
+
+void BM_KernelErrorSample(benchmark::State& state) {
+  const ErrorSampleCase c(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::SampledReconstructionError(c.sample, c.components, c.mean));
+  }
+  state.SetItemsProcessed(state.iterations() * c.sample.rows());
+}
+BENCHMARK(BM_KernelErrorSample)->Arg(2000);
 
 void BM_NaiveRank1Update(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));

@@ -174,6 +174,9 @@ DenseMatrix MaterializeXJob(Engine* engine, const DistMatrix& y,
 
 namespace {
 
+/// Rows of the D x d YtX result that YtXJob's merge finishes at a time.
+constexpr size_t kMergeBlockRows = 16;
+
 /// Shared per-partition pass accumulating XtX and/or YtX partials.
 struct YtXPartial {
   DenseMatrix ytx;      // D x d (empty if YtX not requested)
@@ -324,21 +327,28 @@ YtXResult YtXJob(Engine* engine, const DistMatrix& y, const DenseVector& ym,
     const auto& xtx_source = one_job ? ytx_partials : xtx_partials;
     for (const auto& p : xtx_source) result.xtx.Add(p->xtx);
   }
-  for (const auto& p : ytx_partials) {
-    result.ytx.Add(p->ytx);
-    xc_sum.Add(p->xc_sum);
-  }
-  if (toggles.mean_propagation) {
+  for (const auto& p : ytx_partials) xc_sum.Add(p->xc_sum);
+  // The partials are added one block of kMergeBlockRows result rows at a
+  // time, so the block stays in cache across all P partials rather than
+  // the D x d result being swept P times. Each entry still adds the
+  // partials in task order, then its mean-propagation term.
+  for (size_t begin = 0; begin < dim; begin += kMergeBlockRows) {
+    const size_t end = std::min(dim, begin + kMergeBlockRows);
+    double* block = result.ytx.RowPtr(begin);
+    for (const auto& p : ytx_partials) {
+      linalg::kernels::AddRow(p->ytx.RowPtr(begin), (end - begin) * d, block);
+    }
+    if (!toggles.mean_propagation) continue;
     // YtX = sum_i Y_i' (x) Xc_i  -  Ym (x) sum_i Xc_i  (mean propagation).
     // AxpyRow with -m: (-m)*s and then adding is bit-identical to
     // subtracting m*s (IEEE negation is exact).
-    for (size_t k = 0; k < dim; ++k) {
+    for (size_t k = begin; k < end; ++k) {
       const double m = ym[k];
       if (m == 0.0) continue;
       linalg::kernels::AxpyRow(-m, xc_sum.data(), d, result.ytx.RowPtr(k));
     }
-    engine->CountDriverFlops(2ull * dim * d);
   }
+  if (toggles.mean_propagation) engine->CountDriverFlops(2ull * dim * d);
   const size_t merged_xtx = driver_xtx ? 0 : d * d;
   engine->CountDriverFlops(ytx_partials.size() * (dim * d + merged_xtx));
   if (driver_xtx) {
@@ -452,19 +462,25 @@ double Ss3FromYtX(Engine* engine, const DenseMatrix& c,
   return ss3;
 }
 
-StatusOr<EStep> PrepareEStep(Engine* engine, const DenseMatrix& c, double ss,
+StatusOr<EStep> PrepareEStep(Engine* engine, const DenseMatrix& c,
+                             const DenseMatrix& ctc, double ss,
                              const DenseVector& ym) {
   const size_t dim = c.rows();
   const size_t d = c.cols();
+  SPCA_CHECK_EQ(ctc.rows(), d);
+  SPCA_CHECK_EQ(ctc.cols(), d);
   EStep e_step;
   e_step.ss = ss;
-  DenseMatrix m = linalg::TransposeMultiply(c, c);  // d x d
+  DenseMatrix m = ctc;  // d x d
   m.AddScaledIdentity(ss);
   auto m_inverse = linalg::Inverse(m);
   if (!m_inverse.ok()) return m_inverse.status();
   e_step.m_inverse = std::move(m_inverse).value();
   e_step.cm = linalg::Multiply(c, e_step.m_inverse);  // D x d
   e_step.xm = linalg::TransposeMultiplyVector(e_step.cm, ym);
+  // C'C is charged although the caller formed it: Algorithm 4 forms it
+  // here and again for ss2 (line 12), and the cost model charges the
+  // algorithm, not this implementation's reuse.
   engine->CountDriverFlops(2ull * dim * d * d +  // C'C
                            2ull * d * d * d +    // inverse
                            2ull * dim * d * d +  // C * M^-1
@@ -528,9 +544,9 @@ StatusOr<MStep> SolveMStep(Engine* engine, const EStep& e_step,
   }
 
   // ss2 = trace(XtX * C'' * C') (line 12).
-  const DenseMatrix ctc = linalg::TransposeMultiply(m_step.c, m_step.c);
+  m_step.ctc = linalg::TransposeMultiply(m_step.c, m_step.c);
   for (size_t a = 0; a < d; ++a) {
-    for (size_t b = 0; b < d; ++b) m_step.ss2 += xtx(a, b) * ctc(b, a);
+    for (size_t b = 0; b < d; ++b) m_step.ss2 += xtx(a, b) * m_step.ctc(b, a);
   }
   engine->CountDriverFlops(2ull * dim * d * d + 2ull * d * d);
   return m_step;

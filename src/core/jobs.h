@@ -109,15 +109,18 @@ struct EStep {
   linalg::DenseVector xm;         // Ym' * CM, the mean term of every X row
 };
 
-/// Builds the E-step inputs for components `c` (D x d), noise variance
-/// `ss` and column mean `ym`. Fails when M is singular.
+/// Builds the E-step inputs for components `c` (D x d), its C'C `ctc`
+/// (linalg::TransposeMultiply(c, c); the previous MStep::ctc), noise
+/// variance `ss` and column mean `ym`. Fails when M is singular.
 StatusOr<EStep> PrepareEStep(dist::Engine* engine,
-                             const linalg::DenseMatrix& c, double ss,
+                             const linalg::DenseMatrix& c,
+                             const linalg::DenseMatrix& ctc, double ss,
                              const linalg::DenseVector& ym);
 
 /// The M-step's new model (Algorithm 4 lines 10-12).
 struct MStep {
   linalg::DenseMatrix c;      // C' = YtX / (XtX + ss * M^-1) (D x d)
+  linalg::DenseMatrix ctc;    // C''C' (d x d), for ss2 and the next E-step
   double ss2 = 0.0;           // trace(XtX * C'' * C')
   uint64_t nnz_loadings = 0;  // left non-zero by the soft-threshold, if run
 
@@ -130,7 +133,7 @@ struct MStep {
 /// copied, so the caller keeps `stats.ytx` for ss3. With `l1_threshold` > 0
 /// the lasso prox (SoftThreshold on every loading except each column's
 /// largest, so no component collapses) sparsifies C' before ss2; at 0 it
-/// is skipped entirely.
+/// is skipped entirely. MStep::ctc is formed on the final C'.
 StatusOr<MStep> SolveMStep(dist::Engine* engine, const EStep& e_step,
                            const YtXResult& stats, double l1_threshold);
 

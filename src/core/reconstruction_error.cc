@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -11,6 +12,7 @@
 #include "linalg/kernels.h"
 #include "linalg/ops.h"
 #include "linalg/qr.h"
+#include "linalg/solve.h"
 
 namespace spca::core {
 
@@ -38,15 +40,63 @@ std::vector<size_t> SampleRowIndices(size_t total_rows, size_t count,
   return sample;
 }
 
-double SampledReconstructionError(const dist::DistMatrix& sample,
-                                  const DenseMatrix& components,
-                                  const DenseVector& mean) {
-  SPCA_CHECK_EQ(sample.cols(), components.rows());
-  const DenseMatrix basis = linalg::OrthonormalizeColumns(components);
+namespace {
+
+/// The Gram route hands the error sample over to MGS2 when (max L_ii /
+/// min L_ii)^2 of G's Cholesky factor L exceeds this. That ratio is a lower
+/// bound on cond(G), and the route's relative error grows like cond(G)
+/// times the machine epsilon.
+constexpr double kGramConditionBound = 1e8;
+
+/// Whether the Cholesky factor `l` of G = C'C is finite and conditioned
+/// well enough for the Gram route.
+bool GramRouteHolds(const DenseMatrix& l) {
+  double max_diag = 0.0;
+  double min_diag = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < l.rows(); ++i) {
+    for (size_t j = 0; j <= i; ++j) {
+      if (!std::isfinite(l(i, j))) return false;
+    }
+    max_diag = std::max(max_diag, l(i, i));
+    min_diag = std::min(min_diag, l(i, i));
+  }
+  const double ratio = max_diag / min_diag;
+  return ratio * ratio <= kGramConditionBound;
+}
+
+/// sum_k |v[k]| over [0, n) in four interleaved partial sums, so the adds
+/// do not run as one chain of n dependent steps.
+double AbsSum(const double* v, size_t n) {
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    s0 += std::fabs(v[k]);
+    s1 += std::fabs(v[k + 1]);
+    s2 += std::fabs(v[k + 2]);
+    s3 += std::fabs(v[k + 3]);
+  }
+  for (; k < n; ++k) s0 += std::fabs(v[k]);
+  return (s0 + s1) + (s2 + s3);
+}
+
+/// Sample rows rebuilt together, and the columns of basis' they share at
+/// a time: a d x kBlockCols slice of basis' stays in L1 across the block's
+/// rows, where a whole row product would stream all of basis' from L2 for
+/// every row. kBlockCols is the widest AVX2 RowGemm stripe.
+constexpr size_t kBlockRows = 16;
+constexpr size_t kBlockCols = 48;
+
+/// The relative 1-norm error when each sample row Y_i is rebuilt as
+///   mean + ((Y_i - mean) * basis * middle) * basis',
+/// with middle = I when null: G^-1 for the Gram route, where basis = C;
+/// nothing for MGS2, where basis is orthonormal.
+double ProjectionError(const dist::DistMatrix& sample,
+                       const DenseMatrix& basis, const DenseMatrix* middle,
+                       const DenseVector& mean) {
   const size_t d = basis.cols();
   const size_t dim = sample.cols();
 
-  // mean' * B (so each row's projection uses mean propagation).
+  // mean' * basis (so each row's projection uses mean propagation).
   const DenseVector mean_projection =
       linalg::TransposeMultiplyVector(basis, mean);
 
@@ -54,33 +104,89 @@ double SampledReconstructionError(const dist::DistMatrix& sample,
   double data_norm = 0.0;
   const DenseMatrix basis_t = basis.Transpose();
   DenseVector projected(d);
-  DenseVector reconstructed(dim);
-  for (size_t i = 0; i < sample.rows(); ++i) {
-    sample.RowTimesMatrix(i, basis, &projected);
-    projected.Subtract(mean_projection);
-    // Reconstruction (dense row): mean + projected * B', one row product
-    // over the contiguous rows of B'. Under scalar dispatch each element
-    // adds its products left to right after mean[k], like one dot product
-    // per entry would; the zero products RowGemm skips could only change
-    // the sign of a zero, which the 1-norm below does not see.
-    std::copy(mean.data(), mean.data() + dim, reconstructed.data());
-    linalg::kernels::RowGemm(projected.data(), d, basis_t.data(),
-                             basis_t.row_stride(), dim, reconstructed.data());
-    // 1-norm of (row - reconstruction) without materializing the dense row:
-    // stored entries contribute |v - rec|, absent entries |0 - rec|.
-    double absent = 0.0;
-    for (size_t k = 0; k < dim; ++k) absent += std::fabs(reconstructed[k]);
-    double present = 0.0;
-    double row_norm = 0.0;
-    sample.ForEachEntry(i, [&](size_t k, double v) {
-      present += std::fabs(v - reconstructed[k]) - std::fabs(reconstructed[k]);
-      row_norm += std::fabs(v);
-    });
-    error_norm += absent + present;
-    data_norm += row_norm;
+  DenseMatrix coefficients(kBlockRows, d);
+  DenseMatrix reconstructed(kBlockRows, dim);
+  for (size_t first = 0; first < sample.rows(); first += kBlockRows) {
+    const size_t rows = std::min(kBlockRows, sample.rows() - first);
+    for (size_t r = 0; r < rows; ++r) {
+      sample.RowTimesMatrix(first + r, basis, &projected);
+      projected.Subtract(mean_projection);
+      double* z = coefficients.RowPtr(r);
+      if (middle != nullptr) {
+        std::fill(z, z + d, 0.0);
+        linalg::kernels::RowGemm(projected.data(), d, middle->data(),
+                                 middle->row_stride(), d, z);
+      } else {
+        std::copy(projected.data(), projected.data() + d, z);
+      }
+      std::copy(mean.data(), mean.data() + dim, reconstructed.RowPtr(r));
+    }
+    // Reconstruction (dense rows): mean + z * basis', row products over the
+    // contiguous rows of basis', one column slice at a time. Under scalar
+    // dispatch each entry adds its d products left to right after mean[k];
+    // the zero products RowGemm skips could only change the sign of a
+    // zero, which the 1-norm below does not see.
+    for (size_t col = 0; col < dim; col += kBlockCols) {
+      const size_t width = std::min(kBlockCols, dim - col);
+      for (size_t r = 0; r < rows; ++r) {
+        linalg::kernels::RowGemm(coefficients.RowPtr(r), d,
+                                 basis_t.data() + col, basis_t.row_stride(),
+                                 width, reconstructed.RowPtr(r) + col);
+      }
+    }
+    // 1-norm of (row - reconstruction) without materializing the dense
+    // rows: stored entries contribute |v - rec|, absent entries |0 - rec|.
+    for (size_t r = 0; r < rows; ++r) {
+      const double* rec = reconstructed.RowPtr(r);
+      const double absent = AbsSum(rec, dim);
+      double present = 0.0;
+      double row_norm = 0.0;
+      sample.ForEachEntry(first + r, [&](size_t k, double v) {
+        present += std::fabs(v - rec[k]) - std::fabs(rec[k]);
+        row_norm += std::fabs(v);
+      });
+      error_norm += absent + present;
+      data_norm += row_norm;
+    }
   }
   if (data_norm == 0.0) return 0.0;
   return error_norm / data_norm;
+}
+
+/// SampledReconstructionError with `gram` = C'C of `components` handed
+/// in, or formed here when null. The projector C * G^-1 * C' needs no
+/// orthonormal basis; MGS2 builds one only when G's factor fails the
+/// GramRouteHolds test (C rank-deficient, nearly so, or not finite).
+double ErrorThroughGram(const dist::DistMatrix& sample,
+                        const DenseMatrix& components,
+                        const DenseVector& mean, const DenseMatrix* gram) {
+  SPCA_CHECK_EQ(sample.cols(), components.rows());
+  DenseMatrix own_gram;
+  if (gram == nullptr) {
+    own_gram = linalg::TransposeMultiply(components, components);
+    gram = &own_gram;
+  }
+  SPCA_CHECK_EQ(gram->rows(), components.cols());
+  const auto factor = linalg::CholeskyFactor(*gram);
+  if (factor.ok() && GramRouteHolds(factor.value())) {
+    // One d x d inverse per call: solving through the factor row by row
+    // would put two serial triangular chains in every sample row.
+    const auto inverse = linalg::SolveSpd(
+        *gram, DenseMatrix::Identity(components.cols()));
+    if (inverse.ok()) {
+      return ProjectionError(sample, components, &inverse.value(), mean);
+    }
+  }
+  return ProjectionError(sample, linalg::OrthonormalizeColumns(components),
+                         nullptr, mean);
+}
+
+}  // namespace
+
+double SampledReconstructionError(const dist::DistMatrix& sample,
+                                  const DenseMatrix& components,
+                                  const DenseVector& mean) {
+  return ErrorThroughGram(sample, components, mean, /*gram=*/nullptr);
 }
 
 StatusOr<double> ConvergedIdealError(const dist::ClusterSpec& spec,
@@ -118,6 +224,20 @@ Status AccuracyTracker::Anchor(const dist::DistMatrix& y, size_t d) {
   if (!measures_) return Status::Ok();
   sample_ = y.SampleRows(
       SampleRowIndices(y.rows(), policy_.sample_rows, kErrorSampleSeed), 1);
+  // The error is relative to ||Yr||_1, and SampledReconstructionError
+  // reads 0 (100 % accuracy) when there is nothing to divide by.
+  if (sample_.rows() == 0) {
+    return Status::InvalidArgument("the error sample has no rows");
+  }
+  double sample_norm = 0.0;
+  for (size_t i = 0; i < sample_.rows(); ++i) {
+    sample_.ForEachEntry(
+        i, [&](size_t, double v) { sample_norm += std::fabs(v); });
+  }
+  if (sample_norm == 0.0) {
+    return Status::FailedPrecondition(
+        "the error sample's rows hold no non-zero value");
+  }
   if (policy_.ideal_error_override > 0.0) {
     ideal_error_ = policy_.ideal_error_override;
     return Status::Ok();
@@ -130,12 +250,12 @@ Status AccuracyTracker::Anchor(const dist::DistMatrix& y, size_t d) {
 }
 
 bool AccuracyTracker::Record(int iteration, const PcaModel& model,
-                             obs::Span* span) {
+                             obs::Span* span, const DenseMatrix* gram) {
   if (!measures_) return false;
   IterationTrace trace;
   trace.iteration = iteration;
   trace.error =
-      SampledReconstructionError(sample_, model.components, model.mean);
+      ErrorThroughGram(sample_, model.components, model.mean, gram);
   trace.accuracy_percent = AccuracyPercent(trace.error, ideal_error_);
   trace.simulated_seconds =
       engine_->SimulatedSeconds() - stats_before_.simulated_seconds;

@@ -27,9 +27,13 @@ std::vector<size_t> SampleRowIndices(size_t total_rows, size_t count,
 /// The paper's accuracy metric on a (small) sampled matrix:
 ///   e = ||Yr - Xr * B'||_1 / ||Yr||_1,
 /// computed row by row so the dense reconstruction is never materialized.
-/// `components` is the (not necessarily orthonormal) D x d basis C; the
-/// reconstruction uses the orthonormalized basis B and the model mean:
-/// Xr = (Yr - mean) * B, reconstruction = mean + Xr * B'.
+/// `components` is the (not necessarily orthonormal) D x d basis C, and
+/// the reconstruction is the model mean plus the orthogonal projection of
+/// Yr - mean onto span(C): mean + (Yr - mean) * C * G^-1 * C' through the
+/// Gram matrix G = C'C. When G's Cholesky factor fails, is not finite or
+/// puts cond(G) above about 1e8, the projector is B * B' with B the
+/// two-pass MGS orthonormalization of C instead. Returns 0 when ||Yr||_1
+/// is 0 (AccuracyTracker refuses such a sample).
 double SampledReconstructionError(const dist::DistMatrix& sample,
                                   const linalg::DenseMatrix& components,
                                   const linalg::DenseVector& mean);
@@ -83,14 +87,20 @@ class AccuracyTracker {
                            const AccuracyPolicy& policy = {});
 
   /// Draws the sample from `y` and fixes the anchor for `d` components, if
-  /// the policy measures anything. Call after the solver's input checks;
-  /// a failed anchor fit returns its status.
+  /// the policy measures anything. Call after the solver's input checks.
+  /// An empty sample is INVALID_ARGUMENT, a sample whose rows hold no
+  /// non-zero value FAILED_PRECONDITION (no error is relative to a zero
+  /// norm); a failed anchor fit returns its status.
   Status Anchor(const dist::DistMatrix& y, size_t d);
 
   /// Measures `model` (read in place) after `iteration`, annotating
-  /// `span`. Returns true once the target is reached: stop iterating.
-  /// Does nothing and returns false when the policy measures nothing.
-  bool Record(int iteration, const PcaModel& model, obs::Span* span);
+  /// `span`. `gram`, when given, is linalg::TransposeMultiply of
+  /// model.components with itself (the M-step's C'C), which the error
+  /// sample then does not form again. Returns true once the target is
+  /// reached: stop iterating. Does nothing and returns false when the
+  /// policy measures nothing.
+  bool Record(int iteration, const PcaModel& model, obs::Span* span,
+              const linalg::DenseMatrix* gram = nullptr);
 
   /// Moves the trace, ideal_error, reached_target, first_job_index and
   /// the engine statistics since construction into `result`.

@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "core/jobs.h"
 #include "core/reconstruction_error.h"
+#include "linalg/ops.h"
 
 namespace spca::core {
 
@@ -170,6 +171,9 @@ StatusOr<SolveResult> Spca::RunEm(
   DenseMatrix& c = result.model.components;
   double& ss = result.model.noise_variance;
   const DenseVector& ym = result.model.mean;
+  // C'C of the current C: formed here for the first iteration, then taken
+  // from each M-step by the next E-step and by the error sample.
+  DenseMatrix ctc = linalg::TransposeMultiply(c, c);
 
   for (int iteration = 1; iteration <= options_.max_iterations; ++iteration) {
     obs::Span iter_span(registry, "spca.em_iteration", "iteration");
@@ -177,7 +181,7 @@ StatusOr<SolveResult> Spca::RunEm(
     registry->counter("spca.em_iterations")->Increment();
 
     // Driver-side small algebra (Algorithm 4 lines 6-8).
-    auto e_step = PrepareEStep(engine_, c, ss, ym);
+    auto e_step = PrepareEStep(engine_, c, ctc, ss, ym);
     if (!e_step.ok()) return e_step.status();
     const DenseMatrix& cm = e_step->cm;
     const DenseVector& xm = e_step->xm;
@@ -204,6 +208,7 @@ StatusOr<SolveResult> Spca::RunEm(
             : Ss3Job(engine_, y, ym, xm, cm, m_step->c, x_ptr, toggles);
     ss = m_step->NoiseVariance(ss1, ss3, static_cast<double>(n));
     c = std::move(m_step->c);
+    ctc = std::move(m_step->ctc);
     result.iterations_run = iteration;
     iter_span.SetAttribute("ss", ss);
     if (options_.l1_threshold > 0.0) {
@@ -226,7 +231,7 @@ StatusOr<SolveResult> Spca::RunEm(
       SPCA_RETURN_IF_ERROR(on_checkpoint(result.model, checkpoint));
     }
 
-    if (tracker.Record(iteration, result.model, &iter_span)) break;
+    if (tracker.Record(iteration, result.model, &iter_span, &ctc)) break;
   }
 
   tracker.Finish(&result);

@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "core/jobs.h"
 #include "linalg/kernels.h"
+#include "linalg/ops.h"
 #include "linalg/qr.h"
 
 namespace spca::stream {
@@ -240,7 +241,8 @@ Status MiniBatchEmSolver::Update(const DistMatrix& batch) {
   const double ss1_b =
       core::FrobeniusNormJob(engine_, batch, mean_, /*efficient=*/true);
   // The batch EM iteration's E-step, on the current batch.
-  auto e_step = core::PrepareEStep(engine_, c_, ss_, mean_);
+  auto e_step = core::PrepareEStep(
+      engine_, c_, linalg::TransposeMultiply(c_, c_), ss_, mean_);
   if (!e_step.ok()) return e_step.status();
   const DenseMatrix& cm = e_step->cm;
   const DenseVector& xm = e_step->xm;

@@ -13,6 +13,7 @@
 #include "core/reconstruction_error.h"
 #include "dist/engine.h"
 #include "linalg/ops.h"
+#include "linalg/qr.h"
 #include "linalg/solve.h"
 
 namespace spca::core {
@@ -168,6 +169,81 @@ TEST_P(JobsPropertySweep, PerfectBasisMeansZeroError) {
   EXPECT_NEAR(error, 0.0, 1e-9);
 }
 
+/// The error of rebuilding every row of `c` as mean + (Y_i - mean) * B * B'
+/// with B the MGS2 orthonormalization of `basis`, from dense products.
+double DenseMgs2Error(const RandomCase& c, const DenseMatrix& basis) {
+  const DenseMatrix b = linalg::OrthonormalizeColumns(basis);
+  const DenseMatrix rebuilt =
+      linalg::MultiplyTranspose(linalg::Multiply(c.centered, b), b);
+  double error = 0.0;
+  double norm = 0.0;
+  for (size_t i = 0; i < c.dense.rows(); ++i) {
+    for (size_t j = 0; j < c.dense.cols(); ++j) {
+      error += std::fabs(c.dense(i, j) - (c.mean[j] + rebuilt(i, j)));
+      norm += std::fabs(c.dense(i, j));
+    }
+  }
+  return norm == 0.0 ? 0.0 : error / norm;
+}
+
+TEST_P(JobsPropertySweep, ReconstructionErrorDependsOnlyOnTheSpan) {
+  // The error projects onto span(C): C -> C * R for an invertible R
+  // leaves it unchanged, and it equals the orthonormal projector's.
+  const RandomCase c = MakeCase(seed() + 800, sparse_storage());
+  Rng rng(seed() + 801);
+  const size_t dim = c.matrix.cols();
+  const size_t d = 1 + rng.NextUint64Below(std::min<size_t>(dim - 1, 5));
+  const DenseMatrix basis = DenseMatrix::GaussianRandom(dim, d, &rng);
+  // R = (I + 0.3 * N(0, 1) / sqrt(d)) * diag(s) with s in [0.5, 2].
+  DenseMatrix r = DenseMatrix::Identity(d);
+  for (size_t a = 0; a < d; ++a) {
+    for (size_t b = 0; b < d; ++b) {
+      r(a, b) += 0.3 * rng.NextGaussian() / std::sqrt(static_cast<double>(d));
+    }
+  }
+  for (size_t b = 0; b < d; ++b) {
+    const double scale = 0.5 + 1.5 * rng.NextDouble();
+    for (size_t a = 0; a < d; ++a) r(a, b) *= scale;
+  }
+  const double error = SampledReconstructionError(c.matrix, basis, c.mean);
+  const double mixed = SampledReconstructionError(
+      c.matrix, linalg::Multiply(basis, r), c.mean);
+  EXPECT_NEAR(mixed, error, 1e-12 * std::max(1.0, error));
+  EXPECT_NEAR(error, DenseMgs2Error(c, basis), 1e-12 * std::max(1.0, error));
+}
+
+TEST_P(JobsPropertySweep, ReconstructionErrorFallsBackToMgs2) {
+  // Where C'C has no usable Cholesky factor the error takes the MGS2
+  // projector, so it still matches the orthonormal reference: more
+  // components than columns, a duplicated column, a zero column, and two
+  // columns 1e-9 apart.
+  const RandomCase c = MakeCase(seed() + 900, sparse_storage());
+  Rng rng(seed() + 901);
+  const size_t dim = c.matrix.cols();
+  const size_t d = 2 + rng.NextUint64Below(std::min<size_t>(dim - 2, 4));
+  const DenseMatrix base = DenseMatrix::GaussianRandom(dim, d, &rng);
+  const DenseMatrix wide = DenseMatrix::GaussianRandom(dim, dim + 2, &rng);
+  DenseMatrix duplicated = base;
+  DenseMatrix zero_column = base;
+  DenseMatrix near_duplicate = base;
+  for (size_t k = 0; k < dim; ++k) {
+    duplicated(k, 1) = base(k, 0);
+    zero_column(k, d - 1) = 0.0;
+    near_duplicate(k, 1) = base(k, 0) + 1e-9 * rng.NextGaussian();
+  }
+  const std::pair<const char*, const DenseMatrix*> cases[] = {
+      {"d > D", &wide},
+      {"duplicated column", &duplicated},
+      {"zero column", &zero_column},
+      {"columns 1e-9 apart", &near_duplicate}};
+  for (const auto& [name, basis] : cases) {
+    const double reference = DenseMgs2Error(c, *basis);
+    EXPECT_NEAR(SampledReconstructionError(c.matrix, *basis, c.mean),
+                reference, 1e-12 * std::max(1.0, reference))
+        << name;
+  }
+}
+
 // ---- Driver moments ----------------------------------------------------
 
 /// Rows of planted rank `rank`: Y = U * V with sparse rows of V, so whole
@@ -218,7 +294,8 @@ void ExpectDriverMomentsMatchJobs(const DistMatrix& y, const DenseVector& ym,
                      << " mean_propagation=" << mean_propagation
                      << " materialize=" << materialize << " d=" << d);
         Engine engine(dist::ClusterSpec{}, mode);
-        auto e_step = PrepareEStep(&engine, c, 0.3, ym);
+        auto e_step =
+            PrepareEStep(&engine, c, linalg::TransposeMultiply(c, c), 0.3, ym);
         ASSERT_TRUE(e_step.ok());
         JobToggles job;
         job.driver_moments = false;

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "dist/engine.h"
 #include "linalg/ops.h"
@@ -269,6 +273,75 @@ TEST(JobsTest, FusedYtXRowChargesTheFlopsAndBytesOfItsSteps) {
     EXPECT_EQ(engine.stats().task_flops, flops) << rows << " rows";
     EXPECT_EQ(engine.stats().result_bytes, bytes) << rows << " rows";
   }
+}
+
+bool SameBits(const DenseMatrix& a, const DenseMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+/// One E-step, YtXJob and M-step on `f` from components `c`.
+MStep OneMStep(const Fixture& f, const DenseMatrix& c, double l1_threshold) {
+  Engine engine = MakeEngine();
+  auto e_step =
+      PrepareEStep(&engine, c, linalg::TransposeMultiply(c, c), 0.3, f.ym);
+  SPCA_CHECK(e_step.ok());
+  const YtXResult stats = YtXJob(&engine, f.y, f.ym, e_step->xm, e_step->cm,
+                                 nullptr, JobToggles{});
+  auto m_step = SolveMStep(&engine, *e_step, stats, l1_threshold);
+  SPCA_CHECK(m_step.ok());
+  return std::move(m_step).value();
+}
+
+TEST(JobsTest, MStepKeepsTheCtCOfItsFinalLoadings) {
+  // MStep::ctc is the same product of the returned C as a fresh
+  // TransposeMultiply, also after the soft-threshold has zeroed loadings.
+  const Fixture f = MakeFixture(40, 12, 52, 3);
+  Rng rng(9);
+  const DenseMatrix c = DenseMatrix::GaussianRandom(12, 4, &rng);
+  const MStep dense = OneMStep(f, c, 0.0);
+  EXPECT_TRUE(SameBits(dense.ctc, linalg::TransposeMultiply(dense.c, dense.c)));
+  double mean_magnitude = 0.0;
+  for (size_t i = 0; i < dense.c.rows(); ++i) {
+    for (size_t j = 0; j < dense.c.cols(); ++j) {
+      mean_magnitude += std::fabs(dense.c(i, j));
+    }
+  }
+  mean_magnitude /= static_cast<double>(dense.c.rows() * dense.c.cols());
+  const MStep sparse = OneMStep(f, c, mean_magnitude);
+  ASSERT_LT(sparse.nnz_loadings, 12u * 4u);
+  EXPECT_TRUE(
+      SameBits(sparse.ctc, linalg::TransposeMultiply(sparse.c, sparse.c)));
+  EXPECT_FALSE(SameBits(sparse.ctc, dense.ctc));
+}
+
+TEST(JobsTest, PrepareEStepOnTheMStepsCtCMatchesItsOwnProduct) {
+  // The E-step after an M-step takes that M-step's C'C instead of forming
+  // it again: M^-1, CM and Xm keep their bits, and the driver is still
+  // charged for C'C (Algorithm 4 line 6 forms it).
+  const Fixture f = MakeFixture(40, 12, 53, 3);
+  Rng rng(10);
+  const size_t dim = 12;
+  const size_t d = 4;
+  const MStep m_step =
+      OneMStep(f, DenseMatrix::GaussianRandom(dim, d, &rng), 0.0);
+
+  Engine handed = MakeEngine();
+  Engine formed = MakeEngine();
+  auto a = PrepareEStep(&handed, m_step.c, m_step.ctc, 0.2, f.ym);
+  auto b = PrepareEStep(&formed, m_step.c,
+                        linalg::TransposeMultiply(m_step.c, m_step.c), 0.2,
+                        f.ym);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_TRUE(SameBits(a->m_inverse, b->m_inverse));
+  EXPECT_TRUE(SameBits(a->cm, b->cm));
+  ASSERT_EQ(a->xm.size(), b->xm.size());
+  EXPECT_EQ(std::memcmp(a->xm.data(), b->xm.data(), d * sizeof(double)), 0);
+  EXPECT_EQ(handed.stats().driver_flops, formed.stats().driver_flops);
+  EXPECT_EQ(handed.stats().driver_flops,
+            2 * dim * d * d + 2 * d * d * d + 2 * dim * d * d + 2 * dim * d);
 }
 
 TEST(JobsTest, MinimizingIntermediateDataEliminatesXMaterialization) {

@@ -23,12 +23,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -39,6 +41,7 @@
 #include "dist/engine.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/qr.h"
+#include "linalg/solve.h"
 #include "linalg/sparse_matrix.h"
 #include "workload/synthetic.h"
 
@@ -701,9 +704,10 @@ TEST(KernelDispatchTest, HonorsEnvOverride) {
 
 // ---- Error sample -------------------------------------------------------
 
-// SampledReconstructionError as it was before it reconstructed each row
-// with one RowGemm over B': one DotRow per output entry, over the rows of
-// the orthonormalized basis, each starting from the mean.
+// SampledReconstructionError's MGS2 projector as it was before it
+// reconstructed each row with one RowGemm over B': one DotRow per output
+// entry, over the rows of the orthonormalized basis, each starting from
+// the mean, and the absent-entry 1-norm in one chain.
 double PerEntryDotRowError(const dist::DistMatrix& sample,
                            const DenseMatrix& components,
                            const DenseVector& mean) {
@@ -741,9 +745,118 @@ double PerEntryDotRowError(const dist::DistMatrix& sample,
   return data_norm == 0.0 ? 0.0 : error_norm / data_norm;
 }
 
-// Bit for bit under scalar dispatch (the forced-scalar leg), 1e-12
-// relative under SIMD dispatch.
-TEST(KernelsTest, SampledReconstructionErrorMatchesPerEntryDotRows) {
+// The projector's row loop in plain loops, each entry summed in the
+// scalar kernels' order: u = Y_i * basis - mean' * basis, z = u * middle
+// (skipped when null), reconstruction = mean + z * basis', and the
+// absent-entry 1-norm in four interleaved partial sums.
+double PlainLoopProjectionError(const dist::DistMatrix& sample,
+                                const DenseMatrix& basis,
+                                const DenseMatrix* middle,
+                                const DenseVector& mean) {
+  const size_t d = basis.cols();
+  const size_t dim = sample.cols();
+  DenseVector mean_projection(d);
+  for (size_t k = 0; k < dim; ++k) {
+    const double m = mean[k];
+    if (m == 0.0) continue;
+    for (size_t j = 0; j < d; ++j) mean_projection[j] += m * basis(k, j);
+  }
+  double error_norm = 0.0;
+  double data_norm = 0.0;
+  std::vector<double> u(d);
+  std::vector<double> z(d);
+  std::vector<double> reconstructed(dim);
+  for (size_t i = 0; i < sample.rows(); ++i) {
+    std::fill(u.begin(), u.end(), 0.0);
+    sample.ForEachEntry(i, [&](size_t k, double v) {
+      if (v == 0.0) return;
+      for (size_t j = 0; j < d; ++j) u[j] += v * basis(k, j);
+    });
+    for (size_t j = 0; j < d; ++j) u[j] -= mean_projection[j];
+    z = u;
+    if (middle != nullptr) {
+      for (size_t j = 0; j < d; ++j) {
+        double sum = 0.0;
+        for (size_t k = 0; k < d; ++k) {
+          if (u[k] != 0.0) sum += u[k] * (*middle)(k, j);
+        }
+        z[j] = sum;
+      }
+    }
+    for (size_t k = 0; k < dim; ++k) {
+      double sum = mean[k];
+      for (size_t j = 0; j < d; ++j) {
+        if (z[j] != 0.0) sum += z[j] * basis(k, j);
+      }
+      reconstructed[k] = sum;
+    }
+    double partial[4] = {0.0, 0.0, 0.0, 0.0};
+    size_t k = 0;
+    for (; k + 4 <= dim; k += 4) {
+      for (size_t lane = 0; lane < 4; ++lane) {
+        partial[lane] += std::fabs(reconstructed[k + lane]);
+      }
+    }
+    for (; k < dim; ++k) partial[0] += std::fabs(reconstructed[k]);
+    const double absent = (partial[0] + partial[1]) + (partial[2] + partial[3]);
+    double present = 0.0;
+    double row_norm = 0.0;
+    sample.ForEachEntry(i, [&](size_t k, double v) {
+      present += std::fabs(v - reconstructed[k]) - std::fabs(reconstructed[k]);
+      row_norm += std::fabs(v);
+    });
+    error_norm += absent + present;
+    data_norm += row_norm;
+  }
+  return data_norm == 0.0 ? 0.0 : error_norm / data_norm;
+}
+
+// SampledReconstructionError's projector in plain loops: G = C'C summed
+// row by row as TransposeMultiply does, G^-1 from SolveSpd, and the basis
+// C with middle G^-1; or, where G's Cholesky factor fails, is not finite
+// or has (max L_ii / min L_ii)^2 above 1e8, the MGS2 basis alone.
+double PlainLoopGramError(const dist::DistMatrix& sample,
+                          const DenseMatrix& components,
+                          const DenseVector& mean) {
+  const size_t d = components.cols();
+  DenseMatrix gram(d, d);
+  for (size_t r = 0; r < components.rows(); ++r) {
+    for (size_t a = 0; a < d; ++a) {
+      const double ca = components(r, a);
+      if (ca == 0.0) continue;
+      for (size_t b = 0; b < d; ++b) gram(a, b) += ca * components(r, b);
+    }
+  }
+  const auto factor = CholeskyFactor(gram);
+  bool gram_route = factor.ok();
+  if (gram_route) {
+    const DenseMatrix& l = factor.value();
+    double max_diag = 0.0;
+    double min_diag = std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i < d; ++i) {
+      for (size_t j = 0; j <= i; ++j) {
+        gram_route = gram_route && std::isfinite(l(i, j));
+      }
+      max_diag = std::max(max_diag, l(i, i));
+      min_diag = std::min(min_diag, l(i, i));
+    }
+    const double ratio = max_diag / min_diag;
+    gram_route = gram_route && ratio * ratio <= 1e8;
+  }
+  if (!gram_route) {
+    return PlainLoopProjectionError(sample, OrthonormalizeColumns(components),
+                                    nullptr, mean);
+  }
+  const DenseMatrix inverse =
+      SolveSpd(gram, DenseMatrix::Identity(d)).value();
+  return PlainLoopProjectionError(sample, components, &inverse, mean);
+}
+
+// Bit for bit with the plain-loop Gram projector under scalar dispatch
+// (the forced-scalar leg), 1e-12 relative under SIMD dispatch; within
+// 1e-12 relative of the MGS2 per-entry projector it replaced on both legs.
+// The dense d = 50 case has d > D, so it runs the MGS2 fallback.
+TEST(KernelsTest, SampledReconstructionErrorMatchesPlainLoopGramProjector) {
   Rng rng(109);
   workload::BagOfWordsConfig tweets;
   tweets.rows = 300;
@@ -759,11 +872,15 @@ TEST(KernelsTest, SampledReconstructionErrorMatchesPerEntryDotRows) {
       const DenseMatrix components =
           DenseMatrix::GaussianRandom(sample->cols(), d, &rng);
       const DenseVector mean = sample->ColumnMeans();
-      ExpectNearTier(
-          core::SampledReconstructionError(*sample, components, mean),
-          PerEntryDotRowError(*sample, components, mean), DispatchIsExact(),
+      const std::string context =
           std::string(sample->is_sparse() ? "sparse" : "dense") +
-              " d=" + std::to_string(d));
+          " d=" + std::to_string(d);
+      const double error =
+          core::SampledReconstructionError(*sample, components, mean);
+      ExpectNearTier(error, PlainLoopGramError(*sample, components, mean),
+                     DispatchIsExact(), context);
+      ExpectNearTier(error, PerEntryDotRowError(*sample, components, mean),
+                     /*exact=*/false, context + " vs MGS2");
     }
   }
 }

@@ -256,6 +256,62 @@ TEST(SpcaEdgeTest, ConstantInputFailsCleanlyInEveryAccuracySolver) {
   }
 }
 
+TEST(SpcaEdgeTest, EmptyOrZeroErrorSampleFailsInEveryAccuracySolver) {
+  // The error is relative to ||Yr||_1, so a sample with no rows, or whose
+  // rows hold no non-zero value, has no error to report. Each solver that
+  // measures accuracy must say so with a status instead of reading 100 %,
+  // with the anchor fitted or given.
+  constexpr size_t kRows = 60;
+  constexpr size_t kSampleRows = 5;
+  workload::LowRankConfig config;
+  config.rows = kRows;
+  config.cols = 8;
+  config.rank = 3;
+  config.noise_stddev = 0.05;
+  config.seed = 13;
+  DenseMatrix values = workload::GenerateLowRank(config);
+  for (size_t i : SampleRowIndices(kRows, kSampleRows, kErrorSampleSeed)) {
+    for (size_t j = 0; j < values.cols(); ++j) values(i, j) = 0.0;
+  }
+  const DistMatrix zero_sampled = DistMatrix::FromDense(std::move(values), 3);
+  const DistMatrix y = SmallData(kRows, 8, 13);
+  Engine engine(dist::ClusterSpec{}, EngineMode::kSpark);
+
+  const std::pair<size_t, StatusCode> cases[] = {
+      {0, StatusCode::kInvalidArgument},
+      {kSampleRows, StatusCode::kFailedPrecondition}};
+  for (const auto& [sample_rows, code] : cases) {
+    const DistMatrix& input = sample_rows == 0 ? y : zero_sampled;
+    for (const double ideal_error : {0.0, 0.5}) {
+      SpcaOptions spca_options;
+      spca_options.num_components = 2;
+      spca_options.error_sample_rows = sample_rows;
+      spca_options.ideal_error_override = ideal_error;
+      sketch::RandSvdOptions rand_options;
+      rand_options.num_components = 2;
+      rand_options.error_sample_rows = sample_rows;
+      rand_options.ideal_error_override = ideal_error;
+      baselines::SsvdOptions ssvd_options;
+      ssvd_options.num_components = 2;
+      ssvd_options.error_sample_rows = sample_rows;
+      ssvd_options.ideal_error_override = ideal_error;
+      const Spca spca(&engine, spca_options);
+      const sketch::RandSvdPca rand_svd(&engine, rand_options);
+      const baselines::SsvdPca ssvd(&engine, ssvd_options);
+      const BatchSolver* solvers[] = {&spca, &rand_svd, &ssvd};
+      for (const BatchSolver* solver : solvers) {
+        SCOPED_TRACE(std::string(solver->name()) + " sample_rows=" +
+                     std::to_string(sample_rows) +
+                     " ideal_error=" + std::to_string(ideal_error));
+        auto result = solver->Solve(input, {});
+        ASSERT_FALSE(result.ok());
+        EXPECT_EQ(result.status().code(), code)
+            << result.status().ToString();
+      }
+    }
+  }
+}
+
 TEST(SpcaEdgeTest, SsvdIdealOverrideAndTraceSemantics) {
   const DistMatrix y = SmallData(200, 12, 11);
   Engine engine(dist::ClusterSpec{}, EngineMode::kSpark);
