@@ -20,6 +20,7 @@
 #include "linalg/qr.h"
 #include "linalg/solve.h"
 #include "linalg/svd.h"
+#include "serve/projector.h"
 #include "workload/synthetic.h"
 
 namespace spca::linalg {
@@ -266,6 +267,69 @@ void BM_KernelErrorSample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * c.sample.rows());
 }
 BENCHMARK(BM_KernelErrorSample)->Arg(2000);
+
+// One serving query (Projector::ProjectSparse) at D = 2000, d = 50 on a
+// model fitted to nothing in particular (Gaussian C, the rows' own mean,
+// ss = 0.1), cycling through tweets-shaped rows. The naive side is the
+// query before the Projector served through the E-step map: the sparse
+// product over C into a fresh scratch row, minus C' * mean, then one
+// RowGemm by the d x d (C'C + ss*I)^-1. The kernel side is the library
+// call: one sparse product over CM = C * M^-1, minus Xm.
+struct ProjectSparseCase {
+  static constexpr size_t kComponents = 50;
+  explicit ProjectSparseCase(size_t dim) : rows(TweetsRows(4096, dim)) {
+    model.components = Random(dim, kComponents, 37);
+    model.mean = rows.ColumnMeans();
+    model.noise_variance = 0.1;
+    DenseMatrix m = TransposeMultiply(model.components, model.components);
+    m.AddScaledIdentity(model.noise_variance);
+    factor = Inverse(m).value();
+    mean_projection = TransposeMultiplyVector(model.components, model.mean);
+  }
+  SparseRowView NextRow() {
+    next = next + 1 == rows.rows() ? 0 : next + 1;
+    return rows.Row(next);
+  }
+
+  core::PcaModel model;
+  DenseMatrix factor;
+  DenseVector mean_projection;
+  SparseMatrix rows;
+  size_t next = 0;
+};
+
+void BM_NaiveProjectSparse(benchmark::State& state) {
+  ProjectSparseCase c(static_cast<size_t>(state.range(0)));
+  const size_t d = ProjectSparseCase::kComponents;
+  DenseVector out(d);
+  for (auto _ : state) {
+    const SparseRowView row = c.NextRow();
+    std::vector<double> t(d, 0.0);
+    kernels::SparseRowGemv(row.begin(), row.nnz(), c.model.components.data(),
+                           c.model.components.row_stride(), d, t.data());
+    for (size_t j = 0; j < d; ++j) t[j] -= c.mean_projection[j];
+    out.SetZero();
+    kernels::RowGemm(t.data(), d, c.factor.data(), c.factor.row_stride(), d,
+                     out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NaiveProjectSparse)->Arg(2000);
+
+void BM_KernelProjectSparse(benchmark::State& state) {
+  ProjectSparseCase c(static_cast<size_t>(state.range(0)));
+  const auto projector = serve::Projector::Create(c.model).value();
+  DenseVector out(ProjectSparseCase::kComponents);
+  for (auto _ : state) {
+    projector.ProjectSparse(c.NextRow(), out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KernelProjectSparse)->Arg(2000);
 
 void BM_NaiveRank1Update(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/jobs.h"
@@ -63,21 +64,14 @@ DenseMatrix TransposeTimesJob(dist::Engine* engine, const DistMatrix& y,
   const size_t k = q.cols();
   const size_t dim = y.cols();
 
-  struct Partial {
-    DenseMatrix ytq;
-    DenseVector q_sum;
-  };
-  auto partials = engine->RunMap<std::unique_ptr<Partial>>(
+  auto partials = engine->RunMap<core::ScatterPartial>(
       job, y, [&](const RowRange& range, TaskContext* ctx) {
-        auto partial = std::make_unique<Partial>();
-        partial->ytq = DenseMatrix(dim, k);
-        partial->q_sum = DenseVector(k);
+        core::ScatterPartial partial(dim, k);
         DenseVector q_row(k);
         uint64_t flops = 0;
         for (size_t i = range.begin; i < range.end; ++i) {
           for (size_t j = 0; j < k; ++j) q_row[j] = q.dense()(i, j);
-          y.AddRowOuterProduct(i, q_row, &partial->ytq);
-          partial->q_sum.Add(q_row);
+          partial.Scatter(y, i, q_row);
           flops += 2ull * y.RowNnz(i) * k + k;
         }
         ctx->CountFlops(flops);
@@ -88,17 +82,9 @@ DenseMatrix TransposeTimesJob(dist::Engine* engine, const DistMatrix& y,
         return partial;
       });
 
-  DenseMatrix z(dim, k);
-  DenseVector q_sum(k);
-  for (const auto& p : partials) {
-    z.Add(p->ytq);
-    q_sum.Add(p->q_sum);
-  }
-  for (size_t r = 0; r < dim; ++r) {
-    const double m = ym[r];
-    if (m == 0.0) continue;
-    for (size_t j = 0; j < k; ++j) z(r, j) -= m * q_sum[j];
-  }
+  std::vector<const core::ScatterPartial*> shares;
+  for (const auto& partial : partials) shares.push_back(&partial);
+  DenseMatrix z = core::MergeScatterPartials(shares, &ym);
   engine->CountDriverFlops(partials.size() * dim * k + 2ull * dim * k);
   return z;
 }

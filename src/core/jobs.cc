@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -48,19 +47,8 @@ uint64_t ComputeXRow(const DistMatrix& y, size_t i, const DenseMatrix& cm,
   return 2ull * dim * d + dim;
 }
 
-/// Bytes one partition's YtX partial occupies on the wire. On Spark with
-/// sparse input, only the indices of the touched rows of the partial are
-/// passed to the accumulator (Section 4.2); the MapReduce stateful
-/// combiner writes the full dense partial (Section 4.1).
-uint64_t PartialResultBytes(const Engine& engine, const DistMatrix& y,
-                            bool mean_propagation, size_t touched_rows,
-                            size_t d) {
-  if (engine.mode() == EngineMode::kSpark && y.is_sparse() &&
-      mean_propagation) {
-    return touched_rows * d * (sizeof(double) + sizeof(uint32_t));
-  }
-  return y.cols() * d * sizeof(double);
-}
+/// Rows of the D x d result that MergeScatterPartials finishes at a time.
+constexpr size_t kMergeBlockRows = 16;
 
 }  // namespace
 
@@ -147,6 +135,80 @@ double FrobeniusNormJob(Engine* engine, const DistMatrix& y,
   return total;
 }
 
+ScatterPartial::ScatterPartial(size_t dim, size_t d)
+    : w(dim, d), x_sum(d), touched(dim, 0) {}
+
+void ScatterPartial::Scatter(const DistMatrix& y, size_t i,
+                             const DenseVector& x) {
+  x_sum.Add(x);
+  y.ForEachEntry(i, [&](size_t k, double v) {
+    touched[k] = 1;
+    linalg::kernels::AxpyRow(v, x.data(), x.size(), w.RowPtr(k));
+  });
+}
+
+uint64_t ScatterPartial::AddRow(const DistMatrix& y, size_t i,
+                                const DenseMatrix& b, const DenseVector& bm,
+                                DenseVector* x) {
+  const size_t d = b.cols();
+  SPCA_CHECK_EQ(x->size(), d);
+  if (y.is_sparse()) {
+    // The fused kernel equals the composite below bit for bit.
+    const linalg::SparseRowView row = y.sparse().Row(i);
+    for (const auto& e : row) touched[e.index] = 1;
+    linalg::kernels::SparseRowProjectScatter(
+        row.begin(), row.nnz(), b.data(), b.row_stride(), bm.data(), d,
+        x->data(), x_sum.data(), w.data(), w.row_stride());
+  } else {
+    y.RowTimesMatrix(i, b, x);
+    x->Subtract(bm);
+    Scatter(y, i, *x);
+  }
+  // The row product's 2*nnz*d + d plus the outer product's 2*nnz*d.
+  return 4ull * y.RowNnz(i) * d + d;
+}
+
+uint64_t ScatterPartial::WireBytes(const Engine& engine, const DistMatrix& y,
+                                   bool mean_propagation) const {
+  if (engine.mode() == EngineMode::kSpark && y.is_sparse() &&
+      mean_propagation) {
+    const uint64_t rows = std::count(touched.begin(), touched.end(), 1);
+    return rows * w.cols() * (sizeof(double) + sizeof(uint32_t));
+  }
+  return w.rows() * w.cols() * sizeof(double);
+}
+
+DenseMatrix MergeScatterPartials(
+    std::span<const ScatterPartial* const> partials, const DenseVector* ym) {
+  SPCA_CHECK(!partials.empty());
+  const size_t dim = partials.front()->w.rows();
+  const size_t d = partials.front()->w.cols();
+  DenseVector x_sum(d);
+  for (const ScatterPartial* p : partials) x_sum.Add(p->x_sum);
+  // The partials are added one block of kMergeBlockRows result rows at a
+  // time, so the block stays in cache across all P partials rather than
+  // the D x d result being swept P times. Each entry still adds the
+  // partials in task order, then its mean-propagation term.
+  DenseMatrix w(dim, d);
+  for (size_t begin = 0; begin < dim; begin += kMergeBlockRows) {
+    const size_t end = std::min(dim, begin + kMergeBlockRows);
+    double* block = w.RowPtr(begin);
+    for (const ScatterPartial* p : partials) {
+      linalg::kernels::AddRow(p->w.RowPtr(begin), (end - begin) * d, block);
+    }
+    if (ym == nullptr) continue;
+    // W = sum_i Y_i' (x) x_i  -  Ym (x) sum_i x_i. AxpyRow with -m: (-m)*s
+    // and then adding is bit-identical to subtracting m*s (IEEE negation
+    // is exact).
+    for (size_t k = begin; k < end; ++k) {
+      const double m = (*ym)[k];
+      if (m == 0.0) continue;
+      linalg::kernels::AxpyRow(-m, x_sum.data(), d, w.RowPtr(k));
+    }
+  }
+  return w;
+}
+
 DenseMatrix MaterializeXJob(Engine* engine, const DistMatrix& y,
                             const DenseVector& ym, const DenseVector& xm,
                             const DenseMatrix& cm, const JobToggles& toggles) {
@@ -174,15 +236,10 @@ DenseMatrix MaterializeXJob(Engine* engine, const DistMatrix& y,
 
 namespace {
 
-/// Rows of the D x d YtX result that YtXJob's merge finishes at a time.
-constexpr size_t kMergeBlockRows = 16;
-
-/// Shared per-partition pass accumulating XtX and/or YtX partials.
+/// One YtXJob task's partials.
 struct YtXPartial {
-  DenseMatrix ytx;      // D x d (empty if YtX not requested)
-  DenseMatrix xtx;      // d x d (empty if XtX not requested)
-  DenseVector xc_sum;   // sum of centered X rows (for the -Ym (x) sum term)
-  size_t touched_rows = 0;
+  ScatterPartial ytx;  // Yc' * X's share (empty if YtX not requested)
+  DenseMatrix xtx;     // d x d (empty if XtX not requested)
 };
 
 YtXPartial RunYtXPartition(const DistMatrix& y, const RowRange& range,
@@ -194,37 +251,24 @@ YtXPartial RunYtXPartition(const DistMatrix& y, const RowRange& range,
   const size_t d = cm.cols();
   const size_t dim = y.cols();
   YtXPartial partial;
-  partial.xc_sum = DenseVector(d);
   if (want_xtx) partial.xtx = DenseMatrix(d, d);
-  if (want_ytx) partial.ytx = DenseMatrix(dim, d);
-  std::vector<uint8_t> touched(want_ytx ? dim : 0, 0);
+  if (want_ytx) partial.ytx = ScatterPartial(dim, d);
 
   DenseVector x_row(d);
   DenseVector dense_scratch(toggles.mean_propagation ? 0 : dim);
-  // Sparse rows with generated X take the fused kernel (X_i, the Xc sum
-  // and the outer product below in one pass).
-  const bool fused = want_ytx && toggles.mean_propagation && y.is_sparse() &&
-                     materialized_x == nullptr;
+  // Generated X rows with mean propagation take the shared projection-
+  // scatter row (X_i, the Xc sum and the outer product in one pass).
+  const bool shared_row =
+      want_ytx && toggles.mean_propagation && materialized_x == nullptr;
   uint64_t flops = 0;
   for (size_t i = range.begin; i < range.end; ++i) {
-    if (fused) {
-      const linalg::SparseRowView row = y.sparse().Row(i);
-      for (const auto& e : row) touched[e.index] = 1;
-      linalg::kernels::SparseRowProjectScatter(
-          row.begin(), row.nnz(), cm.data(), cm.row_stride(), xm.data(), d,
-          x_row.data(), partial.xc_sum.data(), partial.ytx.data(),
-          partial.ytx.row_stride());
-      // ComputeXRow's 2*nnz*d + d plus the outer product's 2*nnz*d.
-      flops += 4ull * row.nnz() * d + d;
+    if (shared_row) {
+      flops += partial.ytx.AddRow(y, i, cm, xm, &x_row);
+    } else if (materialized_x != nullptr) {
+      std::memcpy(x_row.data(), materialized_x->RowPtr(i), d * sizeof(double));
     } else {
-      if (materialized_x != nullptr) {
-        std::memcpy(x_row.data(), materialized_x->RowPtr(i),
-                    d * sizeof(double));
-      } else {
-        flops += ComputeXRow(y, i, cm, ym, xm, toggles.mean_propagation,
-                             &dense_scratch, &x_row);
-      }
-      partial.xc_sum.Add(x_row);
+      flops += ComputeXRow(y, i, cm, ym, xm, toggles.mean_propagation,
+                           &dense_scratch, &x_row);
     }
     if (want_xtx) {
       // Upper triangle only; mirrored once after the row loop. The flop
@@ -234,14 +278,11 @@ YtXPartial RunYtXPartition(const DistMatrix& y, const RowRange& range,
                                       partial.xtx.row_stride());
       flops += 2ull * d * d;
     }
-    if (want_ytx && !fused) {
+    if (want_ytx && !shared_row) {
       if (toggles.mean_propagation) {
         // Sparse outer product Y_i' (x) x_row; the -Ym (x) sum(Xc) term is
         // applied once on the driver.
-        y.ForEachEntry(i, [&](size_t k, double v) {
-          touched[k] = 1;
-          linalg::kernels::AxpyRow(v, x_row.data(), d, partial.ytx.RowPtr(k));
-        });
+        partial.ytx.Scatter(y, i, x_row);
         flops += 2ull * y.RowNnz(i) * d;
       } else {
         // Dense centered row outer product (all D rows touched).
@@ -249,8 +290,8 @@ YtXPartial RunYtXPartition(const DistMatrix& y, const RowRange& range,
         y.ForEachEntry(i,
                        [&](size_t k, double v) { dense_scratch[k] += v; });
         linalg::kernels::Rank1Update(dense_scratch.data(), dim, x_row.data(),
-                                     d, partial.ytx.data(),
-                                     partial.ytx.row_stride());
+                                     d, partial.ytx.w.data(),
+                                     partial.ytx.w.row_stride());
         flops += 2ull * dim * d + dim;
       }
     }
@@ -258,10 +299,6 @@ YtXPartial RunYtXPartition(const DistMatrix& y, const RowRange& range,
   if (want_xtx) {
     linalg::kernels::SymMirrorLower(partial.xtx.data(), d,
                                     partial.xtx.row_stride());
-  }
-  if (want_ytx) {
-    for (uint8_t t : touched) partial.touched_rows += t;
-    if (!toggles.mean_propagation) partial.touched_rows = dim;
   }
   ctx->CountFlops(flops);
   return partial;
@@ -282,18 +319,17 @@ YtXResult YtXJob(Engine* engine, const DistMatrix& y, const DenseVector& ym,
   engine->Broadcast(cm.ByteSize() + (ym.size() + xm.size()) * sizeof(double));
 
   auto run = [&](const dist::JobDesc& job, bool want_xtx, bool want_ytx) {
-    return engine->RunMap<std::unique_ptr<YtXPartial>>(
+    return engine->RunMap<YtXPartial>(
         job, y, [&](const RowRange& range, TaskContext* ctx) {
-          auto partial = std::make_unique<YtXPartial>(
+          YtXPartial partial =
               RunYtXPartition(y, range, ym, xm, cm, materialized_x, toggles,
-                              want_xtx, want_ytx, ctx));
-          uint64_t bytes = 0;
+                              want_xtx, want_ytx, ctx);
+          uint64_t bytes = d * sizeof(double);  // the Xc sum
           if (want_ytx) {
-            bytes += PartialResultBytes(*engine, y, toggles.mean_propagation,
-                                        partial->touched_rows, d);
+            bytes += partial.ytx.WireBytes(*engine, y,
+                                           toggles.mean_propagation);
           }
           if (want_xtx) bytes += d * d * sizeof(double);
-          bytes += d * sizeof(double);  // xc_sum
           engine->EmitPartial(ctx, bytes);
           return partial;
         });
@@ -305,8 +341,8 @@ YtXResult YtXJob(Engine* engine, const DistMatrix& y, const DenseVector& ym,
   // stream mini-batch) keep the update in the one pass.
   const bool driver_xtx = toggles.driver_moments && y.rows() >= 2 * dim;
   const bool one_job = toggles.driver_moments || toggles.consolidate_jobs;
-  std::vector<std::unique_ptr<YtXPartial>> xtx_partials;
-  std::vector<std::unique_ptr<YtXPartial>> ytx_partials;
+  std::vector<YtXPartial> xtx_partials;
+  std::vector<YtXPartial> ytx_partials;
   if (one_job) {
     ytx_partials = run(dist::JobDesc{"YtXJob", "em_iteration"},
                        /*want_xtx=*/!driver_xtx, /*want_ytx=*/true);
@@ -320,34 +356,16 @@ YtXResult YtXJob(Engine* engine, const DistMatrix& y, const DenseVector& ym,
   }
 
   YtXResult result;
-  result.ytx = DenseMatrix(dim, d);
-  DenseVector xc_sum(d);
   if (!driver_xtx) {
     result.xtx = DenseMatrix(d, d);
-    const auto& xtx_source = one_job ? ytx_partials : xtx_partials;
-    for (const auto& p : xtx_source) result.xtx.Add(p->xtx);
-  }
-  for (const auto& p : ytx_partials) xc_sum.Add(p->xc_sum);
-  // The partials are added one block of kMergeBlockRows result rows at a
-  // time, so the block stays in cache across all P partials rather than
-  // the D x d result being swept P times. Each entry still adds the
-  // partials in task order, then its mean-propagation term.
-  for (size_t begin = 0; begin < dim; begin += kMergeBlockRows) {
-    const size_t end = std::min(dim, begin + kMergeBlockRows);
-    double* block = result.ytx.RowPtr(begin);
-    for (const auto& p : ytx_partials) {
-      linalg::kernels::AddRow(p->ytx.RowPtr(begin), (end - begin) * d, block);
-    }
-    if (!toggles.mean_propagation) continue;
-    // YtX = sum_i Y_i' (x) Xc_i  -  Ym (x) sum_i Xc_i  (mean propagation).
-    // AxpyRow with -m: (-m)*s and then adding is bit-identical to
-    // subtracting m*s (IEEE negation is exact).
-    for (size_t k = begin; k < end; ++k) {
-      const double m = ym[k];
-      if (m == 0.0) continue;
-      linalg::kernels::AxpyRow(-m, xc_sum.data(), d, result.ytx.RowPtr(k));
+    for (const auto& p : one_job ? ytx_partials : xtx_partials) {
+      result.xtx.Add(p.xtx);
     }
   }
+  std::vector<const ScatterPartial*> shares;
+  for (const auto& p : ytx_partials) shares.push_back(&p.ytx);
+  result.ytx =
+      MergeScatterPartials(shares, toggles.mean_propagation ? &ym : nullptr);
   if (toggles.mean_propagation) engine->CountDriverFlops(2ull * dim * d);
   const size_t merged_xtx = driver_xtx ? 0 : d * d;
   engine->CountDriverFlops(ytx_partials.size() * (dim * d + merged_xtx));
@@ -378,13 +396,9 @@ double Ss3Job(Engine* engine, const DistMatrix& y, const DenseVector& ym,
                     (ym.size() + xm.size()) * sizeof(double));
 
   // Driver precomputes C' * Ym (mean propagation of the C' * Yc_n' term).
-  DenseVector ctym(d);
+  DenseVector ctym;
   if (toggles.mean_propagation) {
-    for (size_t k = 0; k < dim; ++k) {
-      const double m = ym[k];
-      if (m == 0.0) continue;
-      linalg::kernels::AxpyRow(m, c.RowPtr(k), d, ctym.data());
-    }
+    ctym = linalg::TransposeMultiplyVector(c, ym);
     engine->CountDriverFlops(2ull * dim * d);
   }
 
@@ -462,13 +476,10 @@ double Ss3FromYtX(Engine* engine, const DenseMatrix& c,
   return ss3;
 }
 
-StatusOr<EStep> PrepareEStep(Engine* engine, const DenseMatrix& c,
-                             const DenseMatrix& ctc, double ss,
-                             const DenseVector& ym) {
-  const size_t dim = c.rows();
-  const size_t d = c.cols();
-  SPCA_CHECK_EQ(ctc.rows(), d);
-  SPCA_CHECK_EQ(ctc.cols(), d);
+StatusOr<EStep> MakeEStep(const DenseMatrix& c, const DenseMatrix& ctc,
+                          double ss, const DenseVector& ym) {
+  SPCA_CHECK_EQ(ctc.rows(), c.cols());
+  SPCA_CHECK_EQ(ctc.cols(), c.cols());
   EStep e_step;
   e_step.ss = ss;
   DenseMatrix m = ctc;  // d x d
@@ -478,6 +489,16 @@ StatusOr<EStep> PrepareEStep(Engine* engine, const DenseMatrix& c,
   e_step.m_inverse = std::move(m_inverse).value();
   e_step.cm = linalg::Multiply(c, e_step.m_inverse);  // D x d
   e_step.xm = linalg::TransposeMultiplyVector(e_step.cm, ym);
+  return e_step;
+}
+
+StatusOr<EStep> PrepareEStep(Engine* engine, const DenseMatrix& c,
+                             const DenseMatrix& ctc, double ss,
+                             const DenseVector& ym) {
+  const size_t dim = c.rows();
+  const size_t d = c.cols();
+  auto e_step = MakeEStep(c, ctc, ss, ym);
+  if (!e_step.ok()) return e_step.status();
   // C'C is charged although the caller formed it: Algorithm 4 forms it
   // here and again for ss2 (line 12), and the cost model charges the
   // algorithm, not this implementation's reuse.

@@ -1,6 +1,10 @@
 #ifndef SPCA_CORE_JOBS_H_
 #define SPCA_CORE_JOBS_H_
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "common/status.h"
 #include "dist/dist_matrix.h"
 #include "dist/engine.h"
@@ -43,6 +47,46 @@ linalg::DenseVector MeanJob(dist::Engine* engine,
 /// Algorithm 2 (densify each row first).
 double FrobeniusNormJob(dist::Engine* engine, const dist::DistMatrix& y,
                         const linalg::DenseVector& ym, bool efficient);
+
+// ---- The projection-scatter pass ---------------------------------------
+// YtXJob, the Oja stream job (stream.ojaJob), rand_svd's sketch job and
+// ssvd's Bt job all fold each row's projection x_i = Y_i * B - bm into
+// W = sum_i Y_i' (x) x_i on the tasks (Algorithm 5); the driver adds the
+// task partials and the mean-propagation term -Ym (x) sum_i x_i. Each
+// caller keeps its own job name, flop count and byte charge.
+
+/// One task's share of the pass.
+struct ScatterPartial {
+  linalg::DenseMatrix w;         // D x d: sum_i Y_i' (x) x_i, stored entries
+  linalg::DenseVector x_sum;     // d: sum_i x_i
+  std::vector<uint8_t> touched;  // 1 for each row of w an entry named
+
+  ScatterPartial() = default;
+  ScatterPartial(size_t dim, size_t d);
+
+  /// x_sum += x, and W(k, :) += Y_ik * x for each stored entry k of row i.
+  void Scatter(const dist::DistMatrix& y, size_t i,
+               const linalg::DenseVector& x);
+
+  /// x = Y_i * B - bm, then Scatter(y, i, x); sparse rows run it as one
+  /// fused kernel. Returns YtXJob's charge for the row, 4 * nnz * d + d.
+  uint64_t AddRow(const dist::DistMatrix& y, size_t i,
+                  const linalg::DenseMatrix& b, const linalg::DenseVector& bm,
+                  linalg::DenseVector* x);
+
+  /// Bytes the partial ships (Section 4.2): on Spark with sparse,
+  /// mean-propagated input only the touched rows and their indices travel
+  /// to the accumulator; otherwise (and always on MapReduce, whose
+  /// stateful combiner writes it whole, Section 4.1) the dense D x d.
+  uint64_t WireBytes(const dist::Engine& engine, const dist::DistMatrix& y,
+                     bool mean_propagation) const;
+};
+
+/// The driver's merge: adds the partials' W in task order, one block of
+/// rows at a time, then W -= Ym (x) sum(x_sum) when `ym` is not null.
+linalg::DenseMatrix MergeScatterPartials(
+    std::span<const ScatterPartial* const> partials,
+    const linalg::DenseVector* ym);
 
 /// Materializes X = Yc * CM as an N x d matrix — the *unoptimized* path
 /// (Figure 1): X becomes intermediate data that every consumer job
@@ -109,9 +153,16 @@ struct EStep {
   linalg::DenseVector xm;         // Ym' * CM, the mean term of every X row
 };
 
-/// Builds the E-step inputs for components `c` (D x d), its C'C `ctc`
+/// Builds the E-step map for components `c` (D x d), its C'C `ctc`
 /// (linalg::TransposeMultiply(c, c); the previous MStep::ctc), noise
-/// variance `ss` and column mean `ym`. Fails when M is singular.
+/// variance `ss` and column mean `ym`: every row's latent coordinates are
+/// X_i = Y_i * CM - Xm. Fails when M is singular. Engine-free, so the
+/// serving Projector builds the same map from a model.
+StatusOr<EStep> MakeEStep(const linalg::DenseMatrix& c,
+                          const linalg::DenseMatrix& ctc, double ss,
+                          const linalg::DenseVector& ym);
+
+/// MakeEStep, charging the driver's flops to `engine`.
 StatusOr<EStep> PrepareEStep(dist::Engine* engine,
                              const linalg::DenseMatrix& c,
                              const linalg::DenseMatrix& ctc, double ss,

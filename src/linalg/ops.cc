@@ -23,6 +23,18 @@ DenseMatrix Multiply(const DenseMatrix& a, const DenseMatrix& b) {
 DenseMatrix TransposeMultiply(const DenseMatrix& a, const DenseMatrix& b) {
   SPCA_CHECK_EQ(a.rows(), b.rows());
   DenseMatrix c(a.cols(), b.cols());
+  if (&a == &b) {
+    // The Gram matrix A'A: the upper triangle row by row, then one mirror.
+    // Each entry adds the same products in the same row order as the
+    // general path (IEEE products commute; the +-0 products of the zeros
+    // Rank1Update skips leave a sum that started at +0 unchanged), so the
+    // bits match with half the multiply-adds.
+    for (size_t r = 0; r < a.rows(); ++r) {
+      kernels::SymRank1Update(a.RowPtr(r), a.cols(), c.data(), c.row_stride());
+    }
+    kernels::SymMirrorLower(c.data(), c.rows(), c.row_stride());
+    return c;
+  }
   // sum_r (A_r)' * B_r: stream one row of each operand at a time (the
   // paper's Equation 2) as a rank-1 update of C.
   for (size_t r = 0; r < a.rows(); ++r) {

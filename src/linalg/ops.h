@@ -11,6 +11,8 @@ DenseMatrix Multiply(const DenseMatrix& a, const DenseMatrix& b);
 
 /// C = A' * B. Shapes: (k x n)' * (k x m) -> (n x m). Computed row-by-row
 /// as sum_r (A_r)' * B_r (the paper's Equation 2), no explicit transpose.
+/// Called with one matrix twice (the Gram matrix A'A), it accumulates the
+/// upper triangle and mirrors it: half the work, the same bits.
 DenseMatrix TransposeMultiply(const DenseMatrix& a, const DenseMatrix& b);
 
 /// C = A * B'. Shapes: (n x k) * (m x k)' -> (n x m).

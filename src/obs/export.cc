@@ -161,4 +161,21 @@ Status WriteFile(const std::string& path, const std::string& content) {
   return Status::Ok();
 }
 
+StatusOr<std::string> ReadFile(const std::string& path,
+                               const std::string& what) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return Status::NotFound("cannot open " + (what.empty() ? "" : what + " ") +
+                            path);
+  }
+  std::string content;
+  char buf[1 << 16];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
+  const bool read_error = std::ferror(f) != 0;
+  std::fclose(f);
+  if (read_error) return Status::Internal("read failed for " + path);
+  return content;
+}
+
 }  // namespace spca::obs

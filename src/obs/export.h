@@ -34,8 +34,14 @@ std::string MetricsJsonLines(const Registry& registry);
 /// ("simulated cluster"); span attributes become event args.
 std::string ChromeTraceJson(const Registry& registry);
 
-/// Writes `content` to `path` (used by --trace-out and tests).
+/// Writes `content` to `path`, replacing the file (--trace-out, saved
+/// models and their sidecars, tests).
 Status WriteFile(const std::string& path, const std::string& content);
+
+/// Reads the whole file at `path`: NOT_FOUND "cannot open <what> <path>"
+/// when it cannot be opened, INTERNAL when a read fails.
+StatusOr<std::string> ReadFile(const std::string& path,
+                               const std::string& what = "");
 
 }  // namespace spca::obs
 

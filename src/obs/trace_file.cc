@@ -1,9 +1,9 @@
 #include "obs/trace_file.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
+#include "obs/export.h"
 #include "obs/json.h"
 
 namespace spca::obs {
@@ -203,18 +203,9 @@ StatusOr<ParsedTrace> ParseTrace(std::string_view content) {
 }
 
 StatusOr<ParsedTrace> LoadTraceFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
-  std::string content;
-  char buf[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    content.append(buf, n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Status::Internal("read failed for " + path);
-  return ParseTrace(content);
+  auto content = ReadFile(path);
+  if (!content.ok()) return content.status();
+  return ParseTrace(content.value());
 }
 
 }  // namespace spca::obs

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <vector>
 
+#include "obs/export.h"
+
 namespace spca::serve {
 
 namespace {
@@ -18,6 +20,15 @@ constexpr size_t kHeaderBytes =
 
 void AppendBytes(std::string* out, const void* data, size_t size) {
   out->append(static_cast<const char*>(data), size);
+}
+
+/// True when the last 8 bytes of `content` (at least 8 long) are the
+/// FNV-1a 64 of every byte before them.
+bool ChecksumMatches(const std::string& content) {
+  const size_t payload_size = content.size() - sizeof(uint64_t);
+  uint64_t stored = 0;
+  std::memcpy(&stored, content.data() + payload_size, sizeof(stored));
+  return Fnv1a64(content.data(), payload_size) == stored;
 }
 
 }  // namespace
@@ -56,29 +67,13 @@ Status SaveModel(const core::PcaModel& model, const std::string& path) {
               model.components.size() * sizeof(double));
   const uint64_t checksum = Fnv1a64(payload.data(), payload.size());
   AppendBytes(&payload, &checksum, sizeof(checksum));
-
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("cannot open " + path + " for writing");
-  }
-  const size_t written = std::fwrite(payload.data(), 1, payload.size(), f);
-  const int close_result = std::fclose(f);
-  if (written != payload.size() || close_result != 0) {
-    return Status::Internal("short write to " + path);
-  }
-  return Status::Ok();
+  return obs::WriteFile(path, payload);
 }
 
 StatusOr<core::PcaModel> LoadModel(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("cannot open model " + path);
-  std::string content;
-  char buf[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Status::Internal("read failed for " + path);
+  auto read = obs::ReadFile(path, "model");
+  if (!read.ok()) return read.status();
+  const std::string& content = read.value();
 
   auto corrupt = [&path](const std::string& why) {
     return Status::InvalidArgument("corrupt model " + path + ": " + why);
@@ -112,13 +107,7 @@ StatusOr<core::PcaModel> LoadModel(const std::string& path) {
   if (content.size() != ModelFileSize(d_in, d_out)) {
     return corrupt("file size does not match header dimensions");
   }
-  const size_t payload_size = content.size() - sizeof(uint64_t);
-  uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, content.data() + payload_size,
-              sizeof(stored_checksum));
-  if (Fnv1a64(content.data(), payload_size) != stored_checksum) {
-    return corrupt("checksum mismatch");
-  }
+  if (!ChecksumMatches(content)) return corrupt("checksum mismatch");
 
   core::PcaModel model;
   model.noise_variance = noise_variance;
@@ -144,20 +133,6 @@ void AppendKey(std::string* out, const std::string& key) {
   const uint64_t len = key.size();
   AppendBytes(out, &len, sizeof(len));
   AppendBytes(out, key.data(), key.size());
-}
-
-Status WriteFileAtomicallyEnough(const std::string& payload,
-                                 const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("cannot open " + path + " for writing");
-  }
-  const size_t written = std::fwrite(payload.data(), 1, payload.size(), f);
-  const int close_result = std::fclose(f);
-  if (written != payload.size() || close_result != 0) {
-    return Status::Internal("short write to " + path);
-  }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -203,19 +178,13 @@ Status SaveSolverState(const core::SolverCheckpoint& checkpoint,
   }
   const uint64_t checksum = Fnv1a64(payload.data(), payload.size());
   AppendBytes(&payload, &checksum, sizeof(checksum));
-  return WriteFileAtomicallyEnough(payload, path);
+  return obs::WriteFile(path, payload);
 }
 
 StatusOr<core::SolverCheckpoint> LoadSolverState(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("cannot open checkpoint " + path);
-  std::string content;
-  char buf[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Status::Internal("read failed for " + path);
+  auto read = obs::ReadFile(path, "checkpoint");
+  if (!read.ok()) return read.status();
+  const std::string& content = read.value();
 
   auto corrupt = [&path](const std::string& why) {
     return Status::InvalidArgument("corrupt checkpoint " + path + ": " + why);
@@ -224,13 +193,8 @@ StatusOr<core::SolverCheckpoint> LoadSolverState(const std::string& path) {
     return corrupt("truncated header");
   }
   // Checksum first: everything after it parses from verified bytes.
+  if (!ChecksumMatches(content)) return corrupt("checksum mismatch");
   const size_t payload_size = content.size() - sizeof(uint64_t);
-  uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, content.data() + payload_size,
-              sizeof(stored_checksum));
-  if (Fnv1a64(content.data(), payload_size) != stored_checksum) {
-    return corrupt("checksum mismatch");
-  }
 
   size_t offset = 0;
   bool truncated = false;

@@ -2,14 +2,13 @@
 
 #include <cstring>
 #include <utility>
-#include <vector>
 
+#include "core/jobs.h"
 #include "linalg/kernels.h"
-#include "linalg/solve.h"
+#include "linalg/ops.h"
 
 namespace spca::serve {
 
-using linalg::DenseMatrix;
 using linalg::DenseVector;
 
 StatusOr<Projector> Projector::Create(core::PcaModel model) {
@@ -19,41 +18,22 @@ StatusOr<Projector> Projector::Create(core::PcaModel model) {
   if (model.mean.size() != model.input_dim()) {
     return Status::InvalidArgument("model mean/components shape mismatch");
   }
-  const size_t big_d = model.input_dim();
-  const size_t d = model.num_components();
-
-  // M = C'C + ss*I, accumulated row-by-row with the symmetric rank-1
-  // kernel (exactly how the training XtX job accumulates).
-  DenseMatrix m(d, d);
-  for (size_t k = 0; k < big_d; ++k) {
-    linalg::kernels::SymRank1Update(model.components.RowPtr(k), d, m.data(),
-                                    d);
-  }
-  linalg::kernels::SymMirrorLower(m.data(), d, d);
-  m.AddScaledIdentity(model.noise_variance);
-
-  auto factor = linalg::Inverse(m);
-  if (!factor.ok()) {
+  const linalg::DenseMatrix& c = model.components;
+  auto e_step = core::MakeEStep(c, linalg::TransposeMultiply(c, c),
+                                model.noise_variance, model.mean);
+  if (!e_step.ok()) {
     return Status::InvalidArgument(
         "model is not servable: C'C + ss*I is singular (" +
-        factor.status().message() + ")");
+        e_step.status().message() + ")");
   }
 
   Projector projector;
-  projector.factor_ = std::move(factor.value());
-  // C' * mean via the same sparse-row kernel queries use (mean entries that
-  // are zero cost nothing).
-  projector.mean_projection_ = DenseVector(d);
-  for (size_t k = 0; k < big_d; ++k) {
-    const double v = model.mean[k];
-    if (v == 0.0) continue;
-    linalg::kernels::AxpyRow(v, model.components.RowPtr(k), d,
-                             projector.mean_projection_.data());
-  }
+  projector.cm_ = std::move(e_step->cm);
+  projector.xm_ = std::move(e_step->xm);
   uint64_t component_nnz = 0;
-  for (size_t k = 0; k < big_d; ++k) {
-    for (size_t j = 0; j < d; ++j) {
-      if (model.components(k, j) != 0.0) ++component_nnz;
+  for (size_t k = 0; k < c.rows(); ++k) {
+    for (size_t j = 0; j < c.cols(); ++j) {
+      if (c(k, j) != 0.0) ++component_nnz;
     }
   }
   projector.component_nnz_ = component_nnz;
@@ -61,32 +41,24 @@ StatusOr<Projector> Projector::Create(core::PcaModel model) {
   return projector;
 }
 
-void Projector::FinishProjection(double* scratch, double* out) const {
-  const size_t d = num_components();
-  for (size_t j = 0; j < d; ++j) scratch[j] -= mean_projection_[j];
-  std::memset(out, 0, d * sizeof(double));
-  // x = F * t with F symmetric, computed as the row-vector product t' * F
-  // so the d x d multiply reuses the RowGemm kernel.
-  linalg::kernels::RowGemm(scratch, d, factor_.data(), factor_.row_stride(),
-                           d, out);
-}
+// Both entry points are DistMatrix::RowTimesMatrix over CM followed by
+// DenseVector::Subtract of Xm: the fit's own X row, bit for bit.
 
 void Projector::ProjectSparse(linalg::SparseRowView row, double* out) const {
   SPCA_CHECK_EQ(row.dim(), input_dim());
   const size_t d = num_components();
-  std::vector<double> t(d, 0.0);
-  linalg::kernels::SparseRowGemv(row.begin(), row.nnz(),
-                                 model_.components.RowPtr(0),
-                                 model_.components.row_stride(), d, t.data());
-  FinishProjection(t.data(), out);
+  std::memset(out, 0, d * sizeof(double));
+  linalg::kernels::SparseRowGemv(row.begin(), row.nnz(), cm_.data(),
+                                 cm_.row_stride(), d, out);
+  for (size_t j = 0; j < d; ++j) out[j] -= xm_[j];
 }
 
 void Projector::ProjectDense(const double* row, double* out) const {
   const size_t d = num_components();
-  std::vector<double> t(d, 0.0);
-  linalg::kernels::RowGemm(row, input_dim(), model_.components.RowPtr(0),
-                           model_.components.row_stride(), d, t.data());
-  FinishProjection(t.data(), out);
+  std::memset(out, 0, d * sizeof(double));
+  linalg::kernels::RowGemm(row, input_dim(), cm_.data(), cm_.row_stride(), d,
+                           out);
+  for (size_t j = 0; j < d; ++j) out[j] -= xm_[j];
 }
 
 DenseVector Projector::Project(const linalg::SparseVector& query) const {

@@ -14,13 +14,12 @@ namespace spca::serve {
 /// The serving-side projection operator for one PPCA model: maps a query
 /// row y to its posterior-mean latent coordinates
 ///
-///   x = (C'C + ss*I)^{-1} C' (y - mean)
+///   x = (C'C + ss*I)^{-1} C' (y - mean) = y * CM - Xm
 ///
-/// (the E-step mean of Algorithm 1, evaluated for a single row at query
-/// time). The d x d factor (C'C + ss*I)^{-1} and the mean's projection
-/// C'*mean are precomputed once at load/swap time, so a query costs
-/// 2*nnz*d flops for the sparse C'y product plus 2*d^2 for the factor
-/// multiply — the same linalg kernels the training inner loops use.
+/// through the fit's own E-step map (core::MakeEStep: CM = C * M^-1 and
+/// Xm = CM' * mean, precomputed once at load/swap time), so a query is the
+/// X row the fit's E-step computes for that row: one sparse gather over
+/// CM and a subtraction, with the same linalg kernels.
 ///
 /// A Projector is immutable after Create(); concurrent ProjectSparse /
 /// ProjectDense calls from any number of worker threads are safe. Batched
@@ -28,8 +27,8 @@ namespace spca::serve {
 /// are bit-identical to row-at-a-time execution by construction.
 class Projector {
  public:
-  /// Precomputes the factor; fails when C'C + ss*I is numerically singular
-  /// (e.g. a zero component column with ss == 0).
+  /// Precomputes the E-step map; fails when C'C + ss*I is numerically
+  /// singular (e.g. a zero component column with ss == 0).
   static StatusOr<Projector> Create(core::PcaModel model);
 
   const core::PcaModel& model() const { return model_; }
@@ -52,10 +51,12 @@ class Projector {
   uint64_t component_nnz() const { return component_nnz_; }
 
   /// Floating-point work of one query with `nnz` stored entries (serving
-  /// throughput accounting; mirrors the engine's task flop counting). The
-  /// C'y product only multiplies the stored loadings of the touched rows,
-  /// so sparse-loadings models are charged proportionally less: for a
-  /// fully dense C this is exactly 2*nnz*d + d + 2*d^2.
+  /// throughput accounting; mirrors the engine's task flop counting). Like
+  /// the engine's cost model it charges the algorithm, x = M^-1 C'(y - mean),
+  /// not the kernel that runs: the C'y product multiplies only the stored
+  /// loadings of the touched rows, so sparse-loadings models are charged
+  /// proportionally less; for a fully dense C this is exactly
+  /// 2*nnz*d + d + 2*d*d.
   uint64_t QueryFlops(size_t nnz) const {
     const uint64_t d = num_components();
     const uint64_t dim = input_dim();
@@ -66,14 +67,10 @@ class Projector {
  private:
   Projector() = default;
 
-  /// Applies the precomputed factor to the centered C'y product in
-  /// `scratch` (size d), writing the final coordinates to out.
-  void FinishProjection(double* scratch, double* out) const;
-
   core::PcaModel model_;
-  linalg::DenseMatrix factor_;           // (C'C + ss*I)^{-1}, d x d
-  linalg::DenseVector mean_projection_;  // C' * mean, d
-  uint64_t component_nnz_ = 0;           // non-zero loadings of C
+  linalg::DenseMatrix cm_;      // C * M^-1 with M = C'C + ss*I (D x d)
+  linalg::DenseVector xm_;      // CM' * mean (d)
+  uint64_t component_nnz_ = 0;  // non-zero loadings of C
 };
 
 }  // namespace spca::serve

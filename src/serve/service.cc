@@ -1,6 +1,7 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -250,16 +251,28 @@ void ProjectionService::ExecuteBatch(std::deque<Pending>* batch) {
     latencies.reserve(items.size());
     queue_waits.reserve(items.size());
   }
+  uint64_t ok = 0;
   for (auto& item : items) {
     ProjectionResponse response;
-    response.outcome = RequestOutcome::kOk;
-    response.coordinates = std::move(item.out);
     response.queue_sec = formed_sec - item.pending->submit_sec;
     response.total_sec = done_sec - item.pending->submit_sec;
     response.batch_size = batch->size();
-    if (metrics != nullptr) {
-      latencies.push_back(response.total_sec);
-      queue_waits.push_back(response.queue_sec);
+    // A NaN, an infinity or a finite value whose product overflows leaves
+    // coordinates that are not all finite. Checking the output catches all
+    // three (d compares per row), so no NaN is ever served as OK.
+    const double* out = item.out.data();
+    if (!std::all_of(out, out + item.out.size(),
+                     [](double v) { return std::isfinite(v); })) {
+      response.outcome = RequestOutcome::kBadRequest;
+      ++bad_request;
+    } else {
+      response.outcome = RequestOutcome::kOk;
+      response.coordinates = std::move(item.out);
+      ++ok;
+      if (metrics != nullptr) {
+        latencies.push_back(response.total_sec);
+        queue_waits.push_back(response.queue_sec);
+      }
     }
     Resolve(item.pending, std::move(response));
   }
@@ -270,7 +283,7 @@ void ProjectionService::ExecuteBatch(std::deque<Pending>* batch) {
 
   if (metrics != nullptr) {
     hot_.batches->Add(1);
-    hot_.ok->Add(static_cast<double>(items.size()));
+    hot_.ok->Add(static_cast<double>(ok));
     if (expired > 0) {
       hot_.deadline_exceeded->Add(static_cast<double>(expired));
     }
@@ -290,7 +303,7 @@ void ProjectionService::ExecuteBatch(std::deque<Pending>* batch) {
           "serve.batch", "serve", obs::Track::kWall, formed_sec,
           done_sec - formed_sec, /*parent_id=*/0,
           {{"batch_size", static_cast<uint64_t>(batch->size())},
-           {"ok", static_cast<uint64_t>(items.size())},
+           {"ok", ok},
            {"expired", expired},
            {"flops", flops}});
     }

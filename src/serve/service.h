@@ -28,7 +28,8 @@ enum class RequestOutcome {
   kShed,              // rejected at admission: queue at capacity
   kDeadlineExceeded,  // expired while queued
   kNoModel,           // named model not in the registry at execution time
-  kBadRequest,        // query dimensionality does not match the model
+  kBadRequest,        // query dimensionality does not match the model,
+                      // or its coordinates are not all finite
   kShutdown,          // service stopped before the request was executed
 };
 

@@ -1,8 +1,8 @@
 #include "sketch/rand_svd.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/jobs.h"
@@ -18,18 +18,6 @@ using dist::RowRange;
 using dist::TaskContext;
 using linalg::DenseMatrix;
 using linalg::DenseVector;
-
-namespace {
-
-/// One task's sketch partial: W_p = sum_i Y_i' * t_i (D x k, touching only
-/// the stored entries of each row) and the projection column sums needed
-/// for the driver-side mean correction.
-struct SketchPartial {
-  DenseMatrix w;
-  DenseVector t_sum;
-};
-
-}  // namespace
 
 DenseMatrix RandSvdPca::DrawOmega(size_t dim, size_t sketch_dim,
                                   uint64_t seed) {
@@ -123,20 +111,17 @@ StatusOr<core::SolveResult> RandSvdPca::Solve(
     engine_->CountDriverFlops(2ull * dim * k);
 
     const char* phase = round == 1 ? "projection" : "power_iteration";
-    auto partials = engine_->RunMap<std::unique_ptr<SketchPartial>>(
+    // Each task's partial is W_p = sum_i Y_i' * t_i (touching only the
+    // stored entries of each row) and the projection sum for the driver's
+    // mean correction; summing t costs k more per row.
+    auto partials = engine_->RunMap<core::ScatterPartial>(
         dist::JobDesc{"randsvd.sketchJob", phase}, y,
         [&](const RowRange& range, TaskContext* ctx) {
-          auto partial = std::make_unique<SketchPartial>();
-          partial->w = DenseMatrix(dim, k);
-          partial->t_sum = DenseVector(k);
+          core::ScatterPartial partial(dim, k);
           DenseVector t(k);
           uint64_t flops = 0;
           for (size_t i = range.begin; i < range.end; ++i) {
-            y.RowTimesMatrix(i, z, &t);
-            t.Subtract(mean_proj);
-            y.AddRowOuterProduct(i, t, &partial->w);
-            partial->t_sum.Add(t);
-            flops += 4ull * y.RowNnz(i) * k + 2ull * k;
+            flops += partial.AddRow(y, i, z, mean_proj, &t) + k;
           }
           ctx->CountFlops(flops);
           engine_->EmitPartial(
@@ -144,18 +129,10 @@ StatusOr<core::SolveResult> RandSvdPca::Solve(
           return partial;
         });
 
-    DenseMatrix w(dim, k);
-    DenseVector t_sum(k);
-    for (const auto& partial : partials) {
-      w.Add(partial->w);
-      t_sum.Add(partial->t_sum);
-    }
-    // Mean correction: W -= Ym (x) t_sum (the -Ym' part of the left Yc').
-    for (size_t r = 0; r < dim; ++r) {
-      const double m = ym[r];
-      if (m == 0.0) continue;
-      for (size_t j = 0; j < k; ++j) w(r, j) -= m * t_sum[j];
-    }
+    // W -= Ym (x) t_sum (the -Ym' part of the left Yc').
+    std::vector<const core::ScatterPartial*> shares;
+    for (const auto& partial : partials) shares.push_back(&partial);
+    const DenseMatrix w = core::MergeScatterPartials(shares, &ym);
     engine_->CountDriverFlops(partials.size() * (dim * k + k) +
                               2ull * dim * k);
 

@@ -2,21 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/jobs.h"
-#include "linalg/kernels.h"
 #include "linalg/ops.h"
 #include "linalg/qr.h"
 
 namespace spca::stream {
 
 using dist::DistMatrix;
-using dist::EngineMode;
 using dist::RowRange;
 using dist::TaskContext;
 using linalg::DenseMatrix;
@@ -322,11 +319,9 @@ namespace {
 
 /// Per-partition partial of the consolidated Oja job.
 struct OjaPartial {
-  DenseMatrix a;     // D x d: sum_i Y_i' (x) p_i
-  DenseVector s;     // d: sum_i p_i
+  core::ScatterPartial gradient;  // sum_i Y_i' (x) p_i and sum_i p_i
   double proj_sq = 0.0;
   double norm_sq = 0.0;
-  size_t touched_rows = 0;
 };
 
 }  // namespace
@@ -347,12 +342,7 @@ Status OjaSolver::Update(const DistMatrix& batch) {
 
   // Driver precomputes C' * mean (mean propagation: p_i = Y_i C - C'm) and
   // ||m||^2 (for the per-row centered energy).
-  DenseVector cm0(d);
-  for (size_t k = 0; k < dim_; ++k) {
-    const double mk = mean_[k];
-    if (mk == 0.0) continue;
-    linalg::kernels::AxpyRow(mk, c_.RowPtr(k), d, cm0.data());
-  }
+  const DenseVector cm0 = linalg::TransposeMultiplyVector(c_, mean_);
   const double msq = mean_.SquaredNorm();
   engine_->CountDriverFlops(2ull * dim_ * d + 2ull * dim_);
   engine_->Broadcast(c_.ByteSize() + (mean_.size() + cm0.size()) *
@@ -361,65 +351,44 @@ Status OjaSolver::Update(const DistMatrix& batch) {
   // Consolidated Oja job: one pass accumulating the gradient partial
   // A_p = sum Y_i' (x) p_i, the projection sum s_p = sum p_i, and the
   // per-row energies for the ss estimate.
-  auto partials = engine_->RunMap<std::unique_ptr<OjaPartial>>(
+  auto partials = engine_->RunMap<OjaPartial>(
       dist::JobDesc{"stream.ojaJob", "stream"}, batch,
       [&](const RowRange& range, TaskContext* ctx) {
-        auto partial = std::make_unique<OjaPartial>();
-        partial->a = DenseMatrix(dim_, d);
-        partial->s = DenseVector(d);
-        std::vector<uint8_t> touched(dim_, 0);
+        OjaPartial partial;
+        partial.gradient = core::ScatterPartial(dim_, d);
         DenseVector p(d);
         uint64_t flops = 0;
         for (size_t i = range.begin; i < range.end; ++i) {
           // p_i = Yc_i * C = Y_i * C - C'm (mean propagation keeps the
-          // sparse row sparse).
-          batch.RowTimesMatrix(i, c_, &p);
-          p.Subtract(cm0);
-          flops += 2ull * batch.RowNnz(i) * d + d;
-          // Gradient partial: Yc_i' (x) p_i, split as the sparse outer
-          // product here plus the -m (x) sum(p) term on the driver.
-          batch.ForEachEntry(i, [&](size_t k, double v) {
-            touched[k] = 1;
-            linalg::kernels::AxpyRow(v, p.data(), d, partial->a.RowPtr(k));
-          });
-          partial->s.Add(p);
-          flops += 2ull * batch.RowNnz(i) * d + d;
+          // sparse row sparse), folded into the gradient partial as the
+          // sparse outer product Y_i' (x) p_i; the -m (x) sum(p) term is
+          // the driver's. The sum of p costs d more.
+          flops += partial.gradient.AddRow(batch, i, c_, cm0, &p) + d;
           // Residual bookkeeping: ||Yc_i||^2 and ||p_i||^2.
-          partial->norm_sq += batch.RowSquaredNorm(i) -
-                              2.0 * batch.RowDot(i, mean_) + msq;
-          partial->proj_sq += p.SquaredNorm();
+          partial.norm_sq += batch.RowSquaredNorm(i) -
+                             2.0 * batch.RowDot(i, mean_) + msq;
+          partial.proj_sq += p.SquaredNorm();
           flops += 4ull * batch.RowNnz(i) + 2ull * d + 3;
         }
-        for (uint8_t t : touched) partial->touched_rows += t;
         ctx->CountFlops(flops);
-        uint64_t bytes;
-        if (engine_->mode() == EngineMode::kSpark && batch.is_sparse()) {
-          bytes = partial->touched_rows * d *
-                  (sizeof(double) + sizeof(uint32_t));
-        } else {
-          bytes = dim_ * d * sizeof(double);
-        }
+        // Oja's rows are always mean-propagated; s_p and the two energies
+        // ride along with the gradient partial.
+        uint64_t bytes = partial.gradient.WireBytes(*engine_, batch, true);
         bytes += d * sizeof(double) + 2 * sizeof(double);
         engine_->EmitPartial(ctx, bytes);
         return partial;
       });
 
-  DenseMatrix grad(dim_, d);
-  DenseVector s_total(d);
+  std::vector<const core::ScatterPartial*> gradients;
   double norm_sq = 0.0;
   double proj_sq = 0.0;
   for (const auto& partial : partials) {
-    grad.Add(partial->a);
-    s_total.Add(partial->s);
-    norm_sq += partial->norm_sq;
-    proj_sq += partial->proj_sq;
+    gradients.push_back(&partial.gradient);
+    norm_sq += partial.norm_sq;
+    proj_sq += partial.proj_sq;
   }
-  // The -m (x) sum(p) half of the centered outer product.
-  for (size_t k = 0; k < dim_; ++k) {
-    const double mk = mean_[k];
-    if (mk == 0.0) continue;
-    linalg::kernels::AxpyRow(-mk, s_total.data(), d, grad.RowPtr(k));
-  }
+  const DenseMatrix grad = core::MergeScatterPartials(gradients, &mean_);
+
   // Gradient ascent on the batch-averaged Rayleigh objective.
   const double eta =
       options_.eta0 / (1.0 + static_cast<double>(steps_) / options_.tau);

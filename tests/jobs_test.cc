@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -11,6 +12,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "dist/engine.h"
+#include "linalg/kernels.h"
 #include "linalg/ops.h"
 #include "linalg/solve.h"
 
@@ -279,6 +281,97 @@ bool SameBits(const DenseMatrix& a, const DenseMatrix& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
          std::memcmp(a.data(), b.data(),
                      a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+bool SameBits(const DenseVector& a, const DenseVector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(ScatterPassTest, SharedRowIsTheCompositeRow) {
+  // The row YtXJob, the Oja job, rand_svd's sketch job and ssvd's Bt job
+  // share: on sparse rows the fused kernel, on dense rows the composite.
+  // Both must reproduce the composite (RowTimesMatrix, Subtract, one
+  // AxpyRow per stored entry, Add) bit for bit on every kernel ISA.
+  const size_t dim = 57;
+  for (const size_t d : {1u, 3u, 5u, 13u, 50u}) {
+    const Fixture f = MakeFixture(19, dim, 60 + d, 1);
+    const DistMatrix dense = DistMatrix::FromDense(f.dense, 1);
+    Rng rng(d);
+    const DenseMatrix b = DenseMatrix::GaussianRandom(dim, d, &rng);
+    DenseVector bm(d);
+    for (size_t j = 0; j < d; ++j) bm[j] = rng.NextGaussian();
+    for (const DistMatrix* y : {&f.y, &dense}) {
+      ScatterPartial shared(dim, d);
+      DenseMatrix w(dim, d);
+      DenseVector x_sum(d), x(d), x_ref(d);
+      std::vector<uint8_t> touched(dim, 0);
+      for (size_t i = 0; i < y->rows(); ++i) {
+        EXPECT_EQ(shared.AddRow(*y, i, b, bm, &x), 4 * y->RowNnz(i) * d + d);
+        y->RowTimesMatrix(i, b, &x_ref);
+        x_ref.Subtract(bm);
+        y->ForEachEntry(i, [&](size_t k, double v) {
+          touched[k] = 1;
+          linalg::kernels::AxpyRow(v, x_ref.data(), d, w.RowPtr(k));
+        });
+        x_sum.Add(x_ref);
+        ASSERT_TRUE(SameBits(x, x_ref))
+            << "d = " << d << ", row " << i << ", sparse " << y->is_sparse();
+      }
+      EXPECT_TRUE(SameBits(shared.w, w)) << "d = " << d;
+      EXPECT_TRUE(SameBits(shared.x_sum, x_sum)) << "d = " << d;
+      EXPECT_EQ(shared.touched, touched) << "d = " << d;
+    }
+  }
+}
+
+TEST(ScatterPassTest, MergeIsThePlainLoop) {
+  // The driver's merge against the loops it replaced: every partial added
+  // in task order, then w -= m * s per row with a non-zero mean. 37 rows
+  // are two full merge blocks and a tail.
+  const size_t dim = 37;
+  const size_t d = 13;
+  Rng rng(61);
+  std::vector<ScatterPartial> partials;
+  for (int p = 0; p < 3; ++p) {
+    ScatterPartial partial(dim, d);
+    partial.w = DenseMatrix::GaussianRandom(dim, d, &rng);
+    for (size_t j = 0; j < d; ++j) partial.x_sum[j] = rng.NextGaussian();
+    partials.push_back(std::move(partial));
+  }
+  DenseVector ym(dim);
+  for (size_t k = 0; k < dim; ++k) {
+    ym[k] = k % 4 == 0 ? 0.0 : rng.NextGaussian();
+  }
+  std::vector<const ScatterPartial*> shares;
+  DenseMatrix sum(dim, d);
+  DenseVector s(d);
+  for (const ScatterPartial& p : partials) {
+    shares.push_back(&p);
+    sum.Add(p.w);
+    s.Add(p.x_sum);
+  }
+  DenseMatrix expected = sum;
+  for (size_t r = 0; r < dim; ++r) {
+    const double m = ym[r];
+    if (m == 0.0) continue;
+    for (size_t j = 0; j < d; ++j) expected(r, j) -= m * s[j];
+  }
+
+  // Without the mean term the merge is exact on every ISA.
+  EXPECT_TRUE(SameBits(MergeScatterPartials(shares, nullptr), sum));
+  const DenseMatrix merged = MergeScatterPartials(shares, &ym);
+  if (linalg::kernels::DispatchedIsa() == linalg::kernels::Isa::kScalar) {
+    EXPECT_TRUE(SameBits(merged, expected));
+  } else {
+    // AVX2's AxpyRow fuses the multiply into the add: the tolerance tier.
+    for (size_t r = 0; r < dim; ++r) {
+      for (size_t j = 0; j < d; ++j) {
+        EXPECT_NEAR(merged(r, j), expected(r, j),
+                    1e-12 * std::max(1.0, std::fabs(expected(r, j))));
+      }
+    }
+  }
 }
 
 /// One E-step, YtXJob and M-step on `f` from components `c`.

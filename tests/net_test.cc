@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <future>
@@ -427,6 +428,45 @@ TEST_F(SocketTest, MalformedFrameGetsTypedRejectAndClose) {
 
   server.Stop();
   shards.Stop();
+}
+
+TEST_F(SocketTest, NonFiniteQueryIsBadRequestOnALiveConnection) {
+  // A well-formed frame whose value is NaN decodes fine; its projection is
+  // not finite, so the answer is a typed BAD_REQUEST (not malformed, no
+  // NaN coordinates), and the connection keeps serving.
+  ShardSet shards(ShardOptions(1));
+  ASSERT_TRUE(shards.InstallModel("m0", TestModel()).ok());
+  ASSERT_TRUE(shards.Start().ok());
+  ServerOptions server_options;
+  server_options.metrics = &metrics_;
+  SocketServer server(&shards, server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  const SparseVector nan_row({{3, std::nan("")}, {9, 1.0}}, 32);
+  client.QueueSparse(0, 1, "m0", nan_row.View());
+  ASSERT_TRUE(client.Flush().ok());
+  ClientResponse response;
+  ASSERT_TRUE(client.Receive(&response).ok());
+  EXPECT_FALSE(response.malformed);
+  EXPECT_EQ(response.request_id, 1u);
+  EXPECT_EQ(response.outcome, serve::RequestOutcome::kBadRequest);
+  EXPECT_EQ(response.coordinates.size(), 0u);
+
+  const SparseVector row = TestRow(32, 5);
+  client.QueueSparse(0, 2, "m0", row.View());
+  ASSERT_TRUE(client.Flush().ok());
+  ASSERT_TRUE(client.Receive(&response).ok());
+  EXPECT_FALSE(response.malformed);
+  EXPECT_EQ(response.request_id, 2u);
+  EXPECT_EQ(response.outcome, serve::RequestOutcome::kOk);
+  EXPECT_EQ(response.coordinates.size(), 4u);
+
+  server.Stop();
+  shards.Stop();  // joins the dispatcher, which counts after it resolves
+  EXPECT_EQ(CounterValue("serve.bad_request"), 1u);
+  EXPECT_EQ(CounterValue("serve.ok"), 1u);
 }
 
 TEST_F(SocketTest, OversizedFrameIsRejectedWithoutBuffering) {

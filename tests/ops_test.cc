@@ -42,6 +42,37 @@ TEST(OpsTest, TransposeMultiplyMatchesExplicitTranspose) {
   EXPECT_LT(fast.MaxAbsDiff(reference), 1e-12);
 }
 
+TEST(OpsTest, TransposeMultiplyGramPathMatchesTheGeneralPath) {
+  // TransposeMultiply(a, a) takes the upper-triangle-and-mirror path; a
+  // copy of `a` as the second operand takes the general rank-1 path. The
+  // two must agree bit for bit on every entry, both triangles included.
+  Rng rng(5);
+  for (const size_t d : {1, 2, 3, 5, 13, 50}) {
+    const size_t rows = 37;
+    DenseMatrix a = RandomMatrix(rows, d, &rng);  // about half negative
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t j = 0; j < d; ++j) {
+        if ((r + 2 * j) % 4 == 0) a(r, j) = 0.0;
+      }
+    }
+    for (size_t j = 0; j < d; ++j) a(11, j) = 0.0;  // an all-zero row
+    const DenseMatrix copy = a;
+    const DenseMatrix gram = TransposeMultiply(a, a);
+    const DenseMatrix general = TransposeMultiply(a, copy);
+    ASSERT_EQ(gram.rows(), d);
+    ASSERT_EQ(gram.cols(), d);
+    for (size_t i = 0; i < d; ++i) {
+      for (size_t j = 0; j < d; ++j) {
+        EXPECT_EQ(std::memcmp(gram.RowPtr(i) + j, general.RowPtr(i) + j,
+                              sizeof(double)),
+                  0)
+            << "d = " << d << ", (" << i << ", " << j << "): " << gram(i, j)
+            << " vs " << general(i, j);
+      }
+    }
+  }
+}
+
 TEST(OpsTest, MultiplyTransposeMatchesExplicitTranspose) {
   Rng rng(2);
   const DenseMatrix a = RandomMatrix(4, 6, &rng);

@@ -7,10 +7,16 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
+#include "core/jobs.h"
+#include "core/spca.h"
+#include "dist/engine.h"
+#include "linalg/ops.h"
 #include "linalg/solve.h"
 #include "obs/registry.h"
 #include "serve/model_io.h"
@@ -264,6 +270,57 @@ TEST(ProjectorTest, QueryFlopsAccounting) {
   EXPECT_EQ(projector->QueryFlops(4), 2ull * 4 * 3 + 3 + 2ull * 3 * 3);
 }
 
+/// A few sPCA EM iterations on `y`, without the accuracy anchor fit.
+core::PcaModel FitModel(const dist::DistMatrix& y, size_t d) {
+  dist::Engine engine(dist::ClusterSpec{}, dist::EngineMode::kSpark);
+  core::SpcaOptions options;
+  options.num_components = d;
+  options.max_iterations = 3;
+  options.compute_accuracy_trace = false;
+  auto result = core::Spca(&engine, options).Solve(y);
+  SPCA_CHECK(result.ok());
+  return std::move(result).value().model;
+}
+
+TEST(ProjectorTest, ServesTheFitsOwnEStepRow) {
+  // A served query is the X row the fit's E-step computes for that row:
+  // y.RowTimesMatrix(i, CM) - Xm from the engine-free core::MakeEStep, bit
+  // for bit, on sparse and dense inputs alike.
+  Rng rng(21);
+  DenseMatrix data(60, 30);
+  for (size_t i = 0; i < data.rows(); ++i) {
+    for (size_t j = 0; j < data.cols(); ++j) {
+      if (rng.NextDouble() < 0.3) data(i, j) = rng.NextGaussian() + 0.5;
+    }
+  }
+  const dist::DistMatrix sparse = dist::DistMatrix::FromSparse(
+      linalg::SparseMatrix::FromDense(data), 4);
+  const dist::DistMatrix dense = dist::DistMatrix::FromDense(data, 4);
+  const size_t d = 5;
+  for (const dist::DistMatrix* y : {&sparse, &dense}) {
+    const core::PcaModel model = FitModel(*y, d);
+    const DenseMatrix& c = model.components;
+    auto e_step = core::MakeEStep(c, linalg::TransposeMultiply(c, c),
+                                  model.noise_variance, model.mean);
+    ASSERT_TRUE(e_step.ok());
+    auto projector = Projector::Create(model);
+    ASSERT_TRUE(projector.ok()) << projector.status().ToString();
+    DenseVector want(d);
+    DenseVector got(d);
+    for (size_t i = 0; i < y->rows(); ++i) {
+      y->RowTimesMatrix(i, e_step->cm, &want);
+      want.Subtract(e_step->xm);
+      if (y->is_sparse()) {
+        projector->ProjectSparse(y->sparse().Row(i), got.data());
+      } else {
+        projector->ProjectDense(y->dense().RowPtr(i), got.data());
+      }
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), d * sizeof(double)), 0)
+          << (y->is_sparse() ? "sparse" : "dense") << " row " << i;
+    }
+  }
+}
+
 // ---- Registry ------------------------------------------------------------
 
 TEST(ModelRegistryTest, LoadThenGet) {
@@ -449,6 +506,54 @@ TEST_F(ServiceTest, UnknownModelAndBadShapeOutcomes) {
   service.Stop();
   EXPECT_EQ(CounterValue("serve.no_model"), 1u);
   EXPECT_EQ(CounterValue("serve.bad_request"), 1u);
+}
+
+TEST_F(ServiceTest, NonFiniteCoordinatesAreBadRequests) {
+  // NaN and +Inf values, and a finite 1e308 whose product overflows, leave
+  // coordinates that are not all finite: each resolves kBadRequest and
+  // counts in serve.bad_request, never in serve.ok, and the valid query in
+  // the same batch is still served.
+  // Small loadings and noise variance make CM = C (C'C + ss*I)^-1 large
+  // (hundreds), so 1e308 times one of its entries overflows.
+  core::PcaModel model = TestModel(20, 3, 1e-4);
+  model.noise_variance = 1e-8;
+  ASSERT_TRUE(models_.Install("m", model).ok());
+  auto reference = Projector::Create(model);
+  ASSERT_TRUE(reference.ok());
+  const size_t dim = model.input_dim();
+  auto sparse_with = [dim](double value) {
+    std::vector<SparseEntry> entries;
+    for (uint32_t k = 0; k < dim; ++k) entries.push_back({k, value});
+    return SparseVector(std::move(entries), dim);
+  };
+  std::vector<ProjectionRequest> requests(5);
+  requests[0].sparse = sparse_with(std::nan(""));
+  requests[1].sparse = sparse_with(std::numeric_limits<double>::infinity());
+  requests[2].sparse = sparse_with(1e308);
+  requests[3].dense = DenseVector(dim);
+  requests[3].dense[2] = std::nan("");
+  requests[4].sparse = SparseQuery(dim);
+  // The 1e308 row must overflow the projection itself: its value is finite.
+  const DenseVector overflowed = reference->Project(requests[2].sparse);
+  ASSERT_FALSE(std::isfinite(overflowed[0]) && std::isfinite(overflowed[1]) &&
+               std::isfinite(overflowed[2]));
+
+  ProjectionService service(&models_, Options());
+  std::vector<std::future<ProjectionResponse>> futures;
+  for (auto& request : requests) {
+    request.model = "m";
+    futures.push_back(service.Submit(std::move(request)));
+  }
+  ASSERT_TRUE(service.Start().ok());
+  for (size_t i = 0; i + 1 < futures.size(); ++i) {
+    const ProjectionResponse response = futures[i].get();
+    EXPECT_EQ(response.outcome, RequestOutcome::kBadRequest) << "request " << i;
+    EXPECT_EQ(response.coordinates.size(), 0u) << "request " << i;
+  }
+  EXPECT_EQ(futures.back().get().outcome, RequestOutcome::kOk);
+  service.Stop();
+  EXPECT_EQ(CounterValue("serve.bad_request"), 4u);
+  EXPECT_EQ(CounterValue("serve.ok"), 1u);
 }
 
 TEST_F(ServiceTest, StopResolvesQueuedRequestsAsShutdown) {

@@ -7,6 +7,11 @@
 # every pair and the speedups. End-to-end fit time is measured by the
 # repository benchmark (perfbench, workload fit_tweets), not here.
 #
+# Every BM_Naive*/BM_Kernel* pair is picked up by name. Only the headline
+# pairs below are gated; the fused YtX row (SparseRowProjectScatter/50),
+# the error sample (ErrorSample/2000) and the serving query
+# (ProjectSparse/2000) are recorded ungated.
+#
 # Each benchmark runs REPETITIONS times, its repetitions randomly
 # interleaved with the other benchmarks' so that a slow phase of a shared
 # host is spread over both sides of every pair. The JSON records the
