@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -138,70 +139,75 @@ SparseMatrix TweetsRows(size_t rows, size_t dim) {
   return workload::GenerateBagOfWords(config);
 }
 
-// One YtX-pass row (Algorithm 5 with mean propagation) against a
-// D = 2000 by d broadcast CM and YtX partial, cycling through the rows of
-// a tweets-shaped corpus (~10 stored entries per row) so the gathered CM
-// rows and the scattered partial rows move as they do inside a task. The
-// naive side is the composite of dispatched kernels that the fused kernel
-// replaced: the sparse row product into a zeroed x, the centring, the Xc
-// sum and one AxpyRow per stored entry.
-struct ProjectScatterCase {
+// One YtXJob task's row loop (Algorithm 5 with mean propagation): the
+// 12,500 tweets-shaped rows of one fit_tweets partition (200k rows over 16
+// partitions, ~10 stored entries each) against a D = 2000 by d broadcast
+// CM and the task's YtX partial, with the rows built once per process. The
+// naive side is the per-row composite of dispatched kernels that the range
+// kernel replaced: the sparse row product into a zeroed x, the centring,
+// the Xc sum and one AxpyRow per stored entry, row by row. The kernel side
+// is one SparseRowsProjectScatter call over the rows, X not read back.
+struct YtXTaskCase {
   static constexpr size_t kDim = 2000;
-  explicit ProjectScatterCase(size_t d)
+  static constexpr size_t kRows = 12500;
+  explicit YtXTaskCase(size_t d)
       : cm(Random(kDim, d, 31)),
         xm(d),
         x(d),
         xsum(d),
         ytx(kDim, d),
-        rows(TweetsRows(4096, kDim)) {
+        touched(kDim, 0) {
     Rng rng(33);
     for (size_t j = 0; j < d; ++j) xm[j] = rng.NextGaussian();
   }
-  SparseRowView NextRow() {
-    next = next + 1 == rows.rows() ? 0 : next + 1;
-    return rows.Row(next);
+  static const SparseMatrix& Rows() {
+    static const SparseMatrix rows = TweetsRows(kRows, kDim);
+    return rows;
   }
 
   DenseMatrix cm;
   DenseVector xm, x, xsum;
   DenseMatrix ytx;
-  SparseMatrix rows;
-  size_t next = 0;
+  std::vector<uint8_t> touched;
 };
 
-void BM_NaiveSparseRowProjectScatter(benchmark::State& state) {
+void BM_NaiveYtXTask(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
-  ProjectScatterCase c(d);
+  YtXTaskCase c(d);
+  const SparseMatrix& rows = YtXTaskCase::Rows();
   for (auto _ : state) {
-    const SparseRowView row = c.NextRow();
-    c.x.SetZero();
-    kernels::SparseRowGemv(row.begin(), row.nnz(), c.cm.data(),
-                           c.cm.row_stride(), d, c.x.data());
-    c.x.Subtract(c.xm);
-    c.xsum.Add(c.x);
-    for (const auto& e : row) {
-      kernels::AxpyRow(e.value, c.x.data(), d, c.ytx.RowPtr(e.index));
+    for (size_t i = 0; i < rows.rows(); ++i) {
+      const SparseRowView row = rows.Row(i);
+      c.x.SetZero();
+      kernels::SparseRowGemv(row.begin(), row.nnz(), c.cm.data(),
+                             c.cm.row_stride(), d, c.x.data());
+      c.x.Subtract(c.xm);
+      c.xsum.Add(c.x);
+      for (const auto& e : row) {
+        c.touched[e.index] = 1;
+        kernels::AxpyRow(e.value, c.x.data(), d, c.ytx.RowPtr(e.index));
+      }
     }
     benchmark::DoNotOptimize(c.ytx.data());
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * rows.rows());
 }
-BENCHMARK(BM_NaiveSparseRowProjectScatter)->Arg(50);
+BENCHMARK(BM_NaiveYtXTask)->Arg(50);
 
-void BM_KernelSparseRowProjectScatter(benchmark::State& state) {
+void BM_KernelYtXTask(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
-  ProjectScatterCase c(d);
+  YtXTaskCase c(d);
+  const SparseMatrix& rows = YtXTaskCase::Rows();
   for (auto _ : state) {
-    const SparseRowView row = c.NextRow();
-    kernels::SparseRowProjectScatter(row.begin(), row.nnz(), c.cm.data(),
-                                     c.cm.row_stride(), c.xm.data(), d,
-                                     c.x.data(), c.xsum.data(), c.ytx.data(),
-                                     c.ytx.row_stride());
+    kernels::SparseRowsProjectScatter(
+        rows.row_ptr(), rows.rows(), rows.entries(), c.cm.data(),
+        c.cm.row_stride(), c.xm.data(), d, nullptr, 0, c.xsum.data(),
+        c.ytx.data(), c.ytx.row_stride(), c.touched.data());
     benchmark::DoNotOptimize(c.ytx.data());
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * rows.rows());
 }
-BENCHMARK(BM_KernelSparseRowProjectScatter)->Arg(50);
+BENCHMARK(BM_KernelYtXTask)->Arg(50);
 
 // The accuracy metric's error sample (Section 5): 256 tweets-shaped rows
 // at D = 2000 against a Gaussian d = 50 basis C and the sample's mean. The

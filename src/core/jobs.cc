@@ -147,25 +147,42 @@ void ScatterPartial::Scatter(const DistMatrix& y, size_t i,
   });
 }
 
-uint64_t ScatterPartial::AddRow(const DistMatrix& y, size_t i,
-                                const DenseMatrix& b, const DenseVector& bm,
-                                DenseVector* x) {
+uint64_t ScatterPartial::AddRows(const DistMatrix& y, const RowRange& range,
+                                 const DenseMatrix& b, const DenseVector& bm,
+                                 DenseMatrix* x_out) {
   const size_t d = b.cols();
-  SPCA_CHECK_EQ(x->size(), d);
-  if (y.is_sparse()) {
-    // The fused kernel equals the composite below bit for bit.
-    const linalg::SparseRowView row = y.sparse().Row(i);
-    for (const auto& e : row) touched[e.index] = 1;
-    linalg::kernels::SparseRowProjectScatter(
-        row.begin(), row.nnz(), b.data(), b.row_stride(), bm.data(), d,
-        x->data(), x_sum.data(), w.data(), w.row_stride());
-  } else {
-    y.RowTimesMatrix(i, b, x);
-    x->Subtract(bm);
-    Scatter(y, i, *x);
+  SPCA_CHECK_EQ(bm.size(), d);
+  SPCA_CHECK_LE(range.end, y.rows());
+  if (x_out != nullptr) {
+    SPCA_CHECK_EQ(x_out->cols(), d);
+    SPCA_CHECK_GE(x_out->rows(), range.size());
   }
-  // The row product's 2*nnz*d + d plus the outer product's 2*nnz*d.
-  return 4ull * y.RowNnz(i) * d + d;
+  uint64_t nnz = 0;
+  if (y.is_sparse()) {
+    // The range kernel equals the per-row composite below bit for bit.
+    const linalg::SparseMatrix& m = y.sparse();
+    const uint64_t* row_ptr = m.row_ptr() + range.begin;
+    linalg::kernels::SparseRowsProjectScatter(
+        row_ptr, range.size(), m.entries(), b.data(), b.row_stride(),
+        bm.data(), d, x_out == nullptr ? nullptr : x_out->data(),
+        x_out == nullptr ? 0 : x_out->row_stride(), x_sum.data(), w.data(),
+        w.row_stride(), touched.data());
+    nnz = row_ptr[range.size()] - row_ptr[0];
+  } else {
+    DenseVector x(d);
+    for (size_t i = range.begin; i < range.end; ++i) {
+      y.RowTimesMatrix(i, b, &x);
+      x.Subtract(bm);
+      Scatter(y, i, x);
+      if (x_out != nullptr) {
+        std::memcpy(x_out->RowPtr(i - range.begin), x.data(),
+                    d * sizeof(double));
+      }
+    }
+    nnz = static_cast<uint64_t>(range.size()) * y.cols();
+  }
+  // Each row's product, 2*nnz*d + d, plus its outer product's 2*nnz*d.
+  return 4ull * nnz * d + static_cast<uint64_t>(range.size()) * d;
 }
 
 uint64_t ScatterPartial::WireBytes(const Engine& engine, const DistMatrix& y,
@@ -254,31 +271,44 @@ YtXPartial RunYtXPartition(const DistMatrix& y, const RowRange& range,
   if (want_xtx) partial.xtx = DenseMatrix(d, d);
   if (want_ytx) partial.ytx = ScatterPartial(dim, d);
 
-  DenseVector x_row(d);
-  DenseVector dense_scratch(toggles.mean_propagation ? 0 : dim);
-  // Generated X rows with mean propagation take the shared projection-
-  // scatter row (X_i, the Xc sum and the outer product in one pass).
-  const bool shared_row =
-      want_ytx && toggles.mean_propagation && materialized_x == nullptr;
   uint64_t flops = 0;
-  for (size_t i = range.begin; i < range.end; ++i) {
-    if (shared_row) {
-      flops += partial.ytx.AddRow(y, i, cm, xm, &x_row);
-    } else if (materialized_x != nullptr) {
-      std::memcpy(x_row.data(), materialized_x->RowPtr(i), d * sizeof(double));
+  // Upper triangle only; mirrored once after the rows. The flop count stays
+  // the cost model's full 2*d*d — the model charges the algorithmic work,
+  // not this implementation's execution speed.
+  const auto add_xtx = [&](const double* x_row) {
+    linalg::kernels::SymRank1Update(x_row, d, partial.xtx.data(),
+                                    partial.xtx.row_stride());
+    flops += 2ull * d * d;
+  };
+  if (want_ytx && toggles.mean_propagation && materialized_x == nullptr) {
+    // Generated X rows with mean propagation take the shared projection-
+    // scatter pass (X_i, the Xc sum and the outer product in one kernel
+    // call). X itself comes out only for the per-row XtX update, a block
+    // of rows at a time.
+    if (!want_xtx) {
+      flops += partial.ytx.AddRows(y, range, cm, xm, nullptr);
     } else {
-      flops += ComputeXRow(y, i, cm, ym, xm, toggles.mean_propagation,
-                           &dense_scratch, &x_row);
+      constexpr size_t kBlock = ScatterPartial::kXBlockRows;
+      DenseMatrix x_block(std::min(kBlock, range.size()), d);
+      for (size_t begin = range.begin; begin < range.end; begin += kBlock) {
+        const RowRange block{begin, std::min(range.end, begin + kBlock)};
+        flops += partial.ytx.AddRows(y, block, cm, xm, &x_block);
+        for (size_t r = 0; r < block.size(); ++r) add_xtx(x_block.RowPtr(r));
+      }
     }
-    if (want_xtx) {
-      // Upper triangle only; mirrored once after the row loop. The flop
-      // count stays the cost model's full 2*d*d — the model charges the
-      // algorithmic work, not this implementation's execution speed.
-      linalg::kernels::SymRank1Update(x_row.data(), d, partial.xtx.data(),
-                                      partial.xtx.row_stride());
-      flops += 2ull * d * d;
-    }
-    if (want_ytx && !shared_row) {
+  } else {
+    DenseVector x_row(d);
+    DenseVector dense_scratch(toggles.mean_propagation ? 0 : dim);
+    for (size_t i = range.begin; i < range.end; ++i) {
+      if (materialized_x != nullptr) {
+        std::memcpy(x_row.data(), materialized_x->RowPtr(i),
+                    d * sizeof(double));
+      } else {
+        flops += ComputeXRow(y, i, cm, ym, xm, toggles.mean_propagation,
+                             &dense_scratch, &x_row);
+      }
+      if (want_xtx) add_xtx(x_row.data());
+      if (!want_ytx) continue;
       if (toggles.mean_propagation) {
         // Sparse outer product Y_i' (x) x_row; the -Ym (x) sum(Xc) term is
         // applied once on the driver.

@@ -57,6 +57,9 @@ double FrobeniusNormJob(dist::Engine* engine, const dist::DistMatrix& y,
 
 /// One task's share of the pass.
 struct ScatterPartial {
+  /// Rows of X a caller that reads them takes per AddRows call.
+  static constexpr size_t kXBlockRows = 64;
+
   linalg::DenseMatrix w;         // D x d: sum_i Y_i' (x) x_i, stored entries
   linalg::DenseVector x_sum;     // d: sum_i x_i
   std::vector<uint8_t> touched;  // 1 for each row of w an entry named
@@ -68,11 +71,16 @@ struct ScatterPartial {
   void Scatter(const dist::DistMatrix& y, size_t i,
                const linalg::DenseVector& x);
 
-  /// x = Y_i * B - bm, then Scatter(y, i, x); sparse rows run it as one
-  /// fused kernel. Returns YtXJob's charge for the row, 4 * nnz * d + d.
-  uint64_t AddRow(const dist::DistMatrix& y, size_t i,
-                  const linalg::DenseMatrix& b, const linalg::DenseVector& bm,
-                  linalg::DenseVector* x);
+  /// For each row i of `range` in order: x_i = Y_i * B - bm, then
+  /// Scatter(y, i, x_i). Sparse input runs the whole range as one
+  /// kernels::SparseRowsProjectScatter call. x_i is written to row
+  /// i - range.begin of `x_out` (at least range.size() x B.cols()) only
+  /// when `x_out` is not null; callers that read X pass blocks of
+  /// kXBlockRows rows, so no buffer grows with the partition. Returns
+  /// YtXJob's charge, 4 * nnz_i * d + d summed over the rows.
+  uint64_t AddRows(const dist::DistMatrix& y, const dist::RowRange& range,
+                   const linalg::DenseMatrix& b, const linalg::DenseVector& bm,
+                   linalg::DenseMatrix* x_out);
 
   /// Bytes the partial ships (Section 4.2): on Spark with sparse,
   /// mean-propagated input only the touched rows and their indices travel

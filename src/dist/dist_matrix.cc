@@ -1,6 +1,7 @@
 #include "dist/dist_matrix.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 
 #include "linalg/kernels.h"
@@ -30,9 +31,15 @@ std::vector<RowRange> DistMatrix::MakePartitions(size_t rows,
   return partitions;
 }
 
+uint64_t DistMatrix::NextStorageKey() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 DistMatrix DistMatrix::FromSparse(SparseMatrix matrix, size_t num_partitions) {
   DistMatrix dm;
   dm.storage_ = Storage::kSparse;
+  dm.storage_key_ = NextStorageKey();
   dm.rows_ = matrix.rows();
   dm.cols_ = matrix.cols();
   dm.sparse_ = std::make_shared<const SparseMatrix>(std::move(matrix));
@@ -43,6 +50,7 @@ DistMatrix DistMatrix::FromSparse(SparseMatrix matrix, size_t num_partitions) {
 DistMatrix DistMatrix::FromDense(DenseMatrix matrix, size_t num_partitions) {
   DistMatrix dm;
   dm.storage_ = Storage::kDense;
+  dm.storage_key_ = NextStorageKey();
   dm.rows_ = matrix.rows();
   dm.cols_ = matrix.cols();
   dm.dense_ = std::make_shared<const DenseMatrix>(std::move(matrix));

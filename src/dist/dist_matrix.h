@@ -1,6 +1,7 @@
 #ifndef SPCA_DIST_DIST_MATRIX_H_
 #define SPCA_DIST_DIST_MATRIX_H_
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -51,11 +52,11 @@ class DistMatrix {
   bool is_sparse() const { return storage_ == Storage::kSparse; }
 
   /// Identity of the underlying storage; two DistMatrix copies share a key
-  /// iff they share storage. Used by the engine to model RDD caching.
-  const void* StorageKey() const {
-    return is_sparse() ? static_cast<const void*>(sparse_.get())
-                       : static_cast<const void*>(dense_.get());
-  }
+  /// iff they share storage. Used by the engine to model RDD caching. Every
+  /// FromSparse / FromDense call (so every SampleRows and ConcatRows) draws
+  /// a key no earlier matrix in the process had, so a matrix built where a
+  /// freed one lived is still a new input.
+  uint64_t StorageKey() const { return storage_key_; }
 
   size_t num_partitions() const { return partitions_.size(); }
   const RowRange& partition(size_t p) const { return partitions_[p]; }
@@ -123,7 +124,10 @@ class DistMatrix {
   size_t cols_ = 0;
   std::shared_ptr<const linalg::SparseMatrix> sparse_;
   std::shared_ptr<const linalg::DenseMatrix> dense_;
+  uint64_t storage_key_ = 0;
   std::vector<RowRange> partitions_;
+
+  static uint64_t NextStorageKey();
 
   static std::vector<RowRange> MakePartitions(size_t rows,
                                               size_t num_partitions);

@@ -284,7 +284,7 @@ class Engine {
   uint64_t peak_driver_memory_ = 0;
   // Matrices already resident in cluster memory (Spark caches the input RDD
   // after the first job; MapReduce re-reads from the DFS every job).
-  std::set<const void*> cached_inputs_;
+  std::set<uint64_t> cached_inputs_;  // DistMatrix::StorageKey()s
 };
 
 }  // namespace spca::dist

@@ -2,6 +2,7 @@
 #define SPCA_LINALG_KERNEL_DISPATCH_H_
 
 #include <cstddef>
+#include <cstdint>
 
 #include "linalg/sparse_matrix.h"
 
@@ -70,11 +71,11 @@ bool IsaAvailable(Isa isa);
   void SparseRowGemv(const SparseEntry* entries, size_t nnz,                 \
                      const double* b, size_t b_stride, size_t d,             \
                      double* out);                                           \
-  void SparseRowProjectScatter(const SparseEntry* entries, size_t nnz,       \
-                               const double* cm, size_t cm_stride,           \
-                               const double* xm, size_t d, double* x,        \
-                               double* xsum, double* out,                    \
-                               size_t out_stride);                           \
+  void SparseRowsProjectScatter(                                             \
+      const uint64_t* row_ptr, size_t rows, const SparseEntry* entries,      \
+      const double* cm, size_t cm_stride, const double* xm, size_t d,        \
+      double* x, size_t x_stride, double* xsum, double* out,                 \
+      size_t out_stride, uint8_t* touched);                                  \
   void RowGemm(const double* a_row, size_t k, const double* b,               \
                size_t b_stride, size_t n, double* c_row);
 

@@ -24,10 +24,11 @@ struct KernelTable {
   void (*sym_rank1_update)(const double*, size_t, double*, size_t);
   void (*sparse_row_gemv)(const SparseEntry*, size_t, const double*, size_t,
                           size_t, double*);
-  void (*sparse_row_project_scatter)(const SparseEntry*, size_t,
-                                     const double*, size_t, const double*,
-                                     size_t, double*, double*, double*,
-                                     size_t);
+  void (*sparse_rows_project_scatter)(const uint64_t*, size_t,
+                                      const SparseEntry*, const double*,
+                                      size_t, const double*, size_t, double*,
+                                      size_t, double*, double*, size_t,
+                                      uint8_t*);
   void (*row_gemm)(const double*, size_t, const double*, size_t, size_t,
                    double*);
 };
@@ -35,14 +36,14 @@ struct KernelTable {
 constexpr KernelTable kScalarTable = {
     Isa::kScalar,       scalar::AxpyRow,       scalar::AddRow,
     scalar::DotRow,     scalar::Rank1Update,   scalar::SymRank1Update,
-    scalar::SparseRowGemv, scalar::SparseRowProjectScatter, scalar::RowGemm,
+    scalar::SparseRowGemv, scalar::SparseRowsProjectScatter, scalar::RowGemm,
 };
 
 #if defined(SPCA_KERNELS_HAVE_AVX2)
 constexpr KernelTable kAvx2Table = {
     Isa::kAvx2,       avx2::AxpyRow,       avx2::AddRow,
     avx2::DotRow,     avx2::Rank1Update,   avx2::SymRank1Update,
-    avx2::SparseRowGemv, avx2::SparseRowProjectScatter, avx2::RowGemm,
+    avx2::SparseRowGemv, avx2::SparseRowsProjectScatter, avx2::RowGemm,
 };
 #endif
 
@@ -169,12 +170,15 @@ void SparseRowGemv(const SparseEntry* entries, size_t nnz, const double* b,
   Table().sparse_row_gemv(entries, nnz, b, b_stride, d, out);
 }
 
-void SparseRowProjectScatter(const SparseEntry* entries, size_t nnz,
-                             const double* cm, size_t cm_stride,
-                             const double* xm, size_t d, double* x,
-                             double* xsum, double* out, size_t out_stride) {
-  Table().sparse_row_project_scatter(entries, nnz, cm, cm_stride, xm, d, x,
-                                     xsum, out, out_stride);
+void SparseRowsProjectScatter(const uint64_t* row_ptr, size_t rows,
+                              const SparseEntry* entries, const double* cm,
+                              size_t cm_stride, const double* xm, size_t d,
+                              double* x, size_t x_stride, double* xsum,
+                              double* out, size_t out_stride,
+                              uint8_t* touched) {
+  Table().sparse_rows_project_scatter(row_ptr, rows, entries, cm, cm_stride,
+                                      xm, d, x, x_stride, xsum, out,
+                                      out_stride, touched);
 }
 
 void RowGemm(const double* a_row, size_t k, const double* b, size_t b_stride,

@@ -2,6 +2,7 @@
 #define SPCA_LINALG_KERNELS_H_
 
 #include <cstddef>
+#include <cstdint>
 
 #include "linalg/kernel_dispatch.h"
 #include "linalg/sparse_matrix.h"
@@ -32,7 +33,7 @@ namespace spca::linalg::kernels {
 // bit-identity properties (replay == live, batched == row-at-a-time,
 // checkpoint/resume) hold on every ISA.
 //
-// Buffer contract (SparseRowGemv / RowGemm, and SparseRowProjectScatter's
+// Buffer contract (SparseRowGemv / RowGemm, and SparseRowsProjectScatter's
 // `cm`): the matrix argument `b` must have at least 32 READABLE bytes past
 // its last element — the SIMD tail vector of the final column stripe
 // over-reads (never writes) up to 3 doubles beyond a logical row end and
@@ -87,21 +88,35 @@ void SymMirrorLower(double* out, size_t d, size_t stride);
 void SparseRowGemv(const SparseEntry* entries, size_t nnz, const double* b,
                    size_t b_stride, size_t d, double* out);
 
-/// One row of the YtX pass with mean propagation (Algorithm 5), fused:
-///   x     = sum_k entries[k].value * cm(entries[k].index, :) - xm
-///   xsum += x
-///   out(entries[k].index, :) += entries[k].value * x   for every entry k
+/// The YtX pass with mean propagation (Algorithm 5) over a run of CSR
+/// rows, fused into one call. Row r (r in [0, rows)) holds the entries
+/// entries[row_ptr[r] .. row_ptr[r + 1]); for each row in order:
+///   x_r   = sum_k entries[k].value * cm(entries[k].index, :) - xm
+///   xsum += x_r
+///   out(entries[k].index, :) += entries[k].value * x_r, and
+///   touched[entries[k].index] = 1, for every stored entry k of the row
 /// over d columns, with cm and out row-major of strides cm_stride and
-/// out_stride; x is returned for the caller's XtX update. The scalar
-/// variant is the composite it replaces, in the same order (SparseRowGemv
-/// into a zeroed x, x -= xm, AddRow into xsum, one AxpyRow per entry), so
-/// it is exact tier; the SIMD variants keep SparseRowGemv's accumulation
-/// chains. `cm` carries SparseRowGemv's over-read contract; no byte of
-/// x, xsum or out past column d - 1 is written.
-void SparseRowProjectScatter(const SparseEntry* entries, size_t nnz,
-                             const double* cm, size_t cm_stride,
-                             const double* xm, size_t d, double* x,
-                             double* xsum, double* out, size_t out_stride);
+/// out_stride. x_r is written to x + r * x_stride only when x is not null
+/// (a caller that reads X passes a block of a few rows at a time; one that
+/// does not passes null and a whole task's rows).
+///
+/// Per output element the operations and their order are those of the
+/// per-row composite, so the result does not depend on how a run of rows
+/// is split into calls: the scalar variant is that composite (SparseRowGemv
+/// into a zeroed x, x -= xm, AddRow into xsum, one AxpyRow per entry) and
+/// is exact tier; the SIMD variant keeps SparseRowGemv's stripe plan and
+/// accumulation chains and AxpyRow's fused multiply-add, chooses the plan
+/// once per call and holds each stripe of x in registers from the gather
+/// through the scatter. `cm` carries SparseRowGemv's over-read contract
+/// (any row an entry names, the last one included, may be read up to 32
+/// bytes past column d - 1); no byte of x, xsum or out past column d - 1
+/// is written, and no row of out that no entry names is touched.
+void SparseRowsProjectScatter(const uint64_t* row_ptr, size_t rows,
+                              const SparseEntry* entries, const double* cm,
+                              size_t cm_stride, const double* xm, size_t d,
+                              double* x, size_t x_stride, double* xsum,
+                              double* out, size_t out_stride,
+                              uint8_t* touched);
 
 /// c_row[j] += sum_k a_row[k] * b(k, j): one output row of C = A * B with
 /// b row-major of stride b_stride. The scalar path skips zero a_row[k]

@@ -25,14 +25,22 @@
 
 #if defined(__GNUC__) || defined(__clang__)
 #define SPCA_RESTRICT __restrict__
-// The register stripes MUST inline into their caller: as a standalone
-// function GCC leaves the __m256d acc[NV] array unpromoted (every
-// accumulator round-trips through the stack each iteration); inlined,
-// the array scalarizes fully into ymm registers.
+// A stripe's __m256d acc[NV] array lives in ymm registers only if GCC
+// replaces it by scalars, which needs the stripe inlined into its caller
+// and every loop over the vectors fully unrolled (constant indices).
+// GCC 12's early unroller refuses the twelve-vector loops ("size would
+// grow"), and then the array stays on the stack: the accumulators are
+// zeroed there, live in registers only inside the entry loop, and are
+// spilled and reloaded around it. The SparseRowsProjectScatter stripes
+// force the unroll with SPCA_UNROLL_STRIPE, and objdump of this file
+// shows no ymm stack operand in that kernel; SparseRowGemv and RowGemm,
+// whose fold loops are not forced, still show 48 each.
 #define SPCA_STRIPE_INLINE __attribute__((always_inline)) inline
+#define SPCA_UNROLL_STRIPE _Pragma("GCC unroll 16")
 #else
 #define SPCA_RESTRICT
 #define SPCA_STRIPE_INLINE inline
+#define SPCA_UNROLL_STRIPE
 #endif
 
 namespace spca::linalg::kernels::avx2 {
@@ -275,19 +283,25 @@ SPCA_STRIPE_INLINE void RowGemmStripe(const double* SPCA_RESTRICT a_row,
 // load (tail-padding contract): a gathered row is any row of b including
 // the last, so without the padding every iteration would need a masked
 // load — there is no "last iteration" to peel.
+//
+// `prefetch_count` >= nnz entries from `entries` on are readable; the
+// prefetch runs that far ahead, so a caller walking consecutive CSR rows
+// has the next row's first gathered rows in flight before it starts it.
 template <int NV, bool kHasRem>
 SPCA_STRIPE_INLINE void GatherStripe(const SparseEntry* SPCA_RESTRICT entries,
-                                     size_t nnz, const double* SPCA_RESTRICT b,
+                                     size_t nnz, size_t prefetch_count,
+                                     const double* SPCA_RESTRICT b,
                                      size_t b_stride, __m256d (&acc)[NV],
                                      __m256d& accr) {
   static_assert(NV >= 1 && NV <= 12, "more than 12 vectors cannot stay "
                                      "register-resident");
   constexpr size_t kPrefetchAhead = 6;
   constexpr int kPrefetchSpan = NV * 32 + (kHasRem ? 32 : 0);
+  SPCA_UNROLL_STRIPE
   for (int v = 0; v < NV; ++v) acc[v] = _mm256_setzero_pd();
   accr = _mm256_setzero_pd();
   for (size_t k = 0; k < nnz; ++k) {
-    if (k + kPrefetchAhead < nnz) {
+    if (k + kPrefetchAhead < prefetch_count) {
       const char* next = reinterpret_cast<const char*>(
           b + entries[k + kPrefetchAhead].index * b_stride);
       for (int off = 0; off <= kPrefetchSpan; off += 64) {
@@ -312,7 +326,7 @@ SPCA_STRIPE_INLINE void SparseGemvStripe(
     double* SPCA_RESTRICT out, size_t rem) {
   __m256d acc[NV];
   __m256d accr;
-  GatherStripe<NV, kHasRem>(entries, nnz, b, b_stride, acc, accr);
+  GatherStripe<NV, kHasRem>(entries, nnz, nnz, b, b_stride, acc, accr);
   for (int v = 0; v < NV; ++v) {
     _mm256_storeu_pd(out + 4 * v,
                      _mm256_add_pd(_mm256_loadu_pd(out + 4 * v), acc[v]));
@@ -363,11 +377,12 @@ SPCA_STRIPE_INLINE void RowGemmStripeNarrow(const double* SPCA_RESTRICT a_row,
 }
 
 // Narrow sparse counterpart: four gathered rows in flight per iteration
-// (memory-level parallelism for the random accesses) plus prefetch.
-// Returns the stripe's sum, (a0 + a1) + (a2 + a3).
+// (memory-level parallelism for the random accesses) plus prefetch, up to
+// `prefetch_count` entries out as in GatherStripe. Returns the stripe's
+// sum, (a0 + a1) + (a2 + a3).
 SPCA_STRIPE_INLINE __m256d GatherNarrow(
     const SparseEntry* SPCA_RESTRICT entries, size_t nnz,
-    const double* SPCA_RESTRICT b, size_t b_stride) {
+    size_t prefetch_count, const double* SPCA_RESTRICT b, size_t b_stride) {
   constexpr size_t kPrefetchAhead = 8;
   __m256d a0 = _mm256_setzero_pd();
   __m256d a1 = _mm256_setzero_pd();
@@ -375,7 +390,7 @@ SPCA_STRIPE_INLINE __m256d GatherNarrow(
   __m256d a3 = _mm256_setzero_pd();
   size_t k = 0;
   for (; k + 4 <= nnz; k += 4) {
-    if (k + kPrefetchAhead + 4 <= nnz) {
+    if (k + kPrefetchAhead + 4 <= prefetch_count) {
       for (size_t p = 0; p < 4; ++p) {
         _mm_prefetch(reinterpret_cast<const char*>(
                          b + entries[k + kPrefetchAhead + p].index * b_stride),
@@ -453,7 +468,7 @@ void SparseRowGemv(const SparseEntry* entries, size_t nnz, const double* b,
     SparseGemvStripe<4, false>(entries, nnz, b + j, b_stride, out + j, 0);
   }
   for (; j + 4 <= plan.prefix; j += 4) {
-    const __m256d sum = GatherNarrow(entries, nnz, b + j, b_stride);
+    const __m256d sum = GatherNarrow(entries, nnz, nnz, b + j, b_stride);
     _mm256_storeu_pd(out + j, _mm256_add_pd(_mm256_loadu_pd(out + j), sum));
   }
   switch (plan.final_nv) {
@@ -477,44 +492,95 @@ void SparseRowGemv(const SparseEntry* entries, size_t nnz, const double* b,
 
 namespace {
 
-// The second half of one SparseRowProjectScatter stripe, on the gathered
-// sums: x = (0 + acc) - xm (SparseRowGemv's sum into a zeroed x, then the
-// centring, so signed zeros match the composite), xsum += x, and then
-// out(entries[k].index, :) += entries[k].value * x with x still in
-// registers — the same fused multiply-add per element as AxpyRow. Lanes
-// of the tail vector past `rem` hold over-read data and are never stored.
-// The scattered rows are prefetched kPrefetchAhead entries out; issuing
-// those prefetches during the gather instead (next to the ones for b)
-// measured ~10% slower per row at d = 50.
-template <int NV, bool kHasRem>
+// The 1-3 column tail of a stripe of SparseRowsProjectScatter moves
+// through 128-bit and scalar loads and stores, not vmaskmovpd. With a
+// mask held in a register across the row loop, GCC 12 also kept the
+// centring's zero live there and spilled x's tail vector to the stack at
+// d = 50: twelve vectors of x, the tail, the mask, the zero, the broadcast
+// entry value and a temporary are seventeen values for sixteen registers.
+// Lanes past kRem of a loaded tail are zero; lanes past kRem of a
+// computed one hold over-read data and are never stored.
+template <int kRem>
+SPCA_STRIPE_INLINE __m256d LoadTail(const double* p) {
+  static_assert(kRem >= 1 && kRem <= 3, "a tail is 1-3 columns");
+  if constexpr (kRem == 1) {
+    return _mm256_zextpd128_pd256(_mm_load_sd(p));
+  } else if constexpr (kRem == 2) {
+    return _mm256_zextpd128_pd256(_mm_loadu_pd(p));
+  } else {
+    return _mm256_insertf128_pd(_mm256_zextpd128_pd256(_mm_loadu_pd(p)),
+                                _mm_load_sd(p + 2), 1);
+  }
+}
+
+template <int kRem>
+SPCA_STRIPE_INLINE void StoreTail(double* p, __m256d v) {
+  static_assert(kRem >= 1 && kRem <= 3, "a tail is 1-3 columns");
+  const __m128d lo = _mm256_castpd256_pd128(v);
+  if constexpr (kRem == 1) {
+    _mm_store_sd(p, lo);
+  } else {
+    _mm_storeu_pd(p, lo);
+  }
+  if constexpr (kRem == 3) _mm_store_sd(p + 2, _mm256_extractf128_pd(v, 1));
+}
+
+// out[0, kRem) += v * x[0, kRem) with one fused multiply-add per element,
+// as AxpyRow's: lanes 0-1 as one 128-bit operation, lane 2 as a scalar
+// one on the tail's upper half, so no second temporary is live.
+template <int kRem>
+SPCA_STRIPE_INLINE void ScatterTail(__m256d vv, __m256d x, double* out) {
+  static_assert(kRem >= 1 && kRem <= 3, "a tail is 1-3 columns");
+  const __m128d v = _mm256_castpd256_pd128(vv);
+  const __m128d lo = _mm256_castpd256_pd128(x);
+  if constexpr (kRem == 1) {
+    _mm_store_sd(out, _mm_fmadd_sd(v, lo, _mm_load_sd(out)));
+  } else {
+    _mm_storeu_pd(out, _mm_fmadd_pd(v, lo, _mm_loadu_pd(out)));
+  }
+  if constexpr (kRem == 3) {
+    _mm_store_sd(out + 2, _mm_fmadd_sd(v, _mm256_extractf128_pd(x, 1),
+                                       _mm_load_sd(out + 2)));
+  }
+}
+
+// The centring and scatter of one stripe of one row of
+// SparseRowsProjectScatter, on the gathered sums: x = (0 + acc) - xm
+// (SparseRowGemv's sum into a zeroed x, then the centring, so signed
+// zeros match the composite), xsum += x, x stored only when the caller
+// reads it, and then out(entries[k].index, :) += entries[k].value * x
+// with x still in registers (the same fused multiply-add per element as
+// AxpyRow), marking each named row touched. The scattered rows are
+// prefetched kPrefetchAhead entries out; issuing those prefetches during
+// the gather instead (next to the ones for cm) measured ~10% slower per
+// row at d = 50.
+template <int NV, int kRem>
 SPCA_STRIPE_INLINE void CenterAndScatter(
     __m256d (&acc)[NV], __m256d accr, const SparseEntry* SPCA_RESTRICT entries,
     size_t nnz, const double* SPCA_RESTRICT xm, double* SPCA_RESTRICT x,
     double* SPCA_RESTRICT xsum, double* SPCA_RESTRICT out, size_t out_stride,
-    size_t rem) {
+    uint8_t* SPCA_RESTRICT touched) {
   const __m256d zero = _mm256_setzero_pd();
+  SPCA_UNROLL_STRIPE
   for (int v = 0; v < NV; ++v) {
     acc[v] = _mm256_sub_pd(_mm256_add_pd(zero, acc[v]),
                            _mm256_loadu_pd(xm + 4 * v));
-    _mm256_storeu_pd(x + 4 * v, acc[v]);
     _mm256_storeu_pd(xsum + 4 * v,
                      _mm256_add_pd(_mm256_loadu_pd(xsum + 4 * v), acc[v]));
   }
-  [[maybe_unused]] __m256i mask;
-  if constexpr (kHasRem) {
-    mask = TailMask(rem);
+  if constexpr (kRem != 0) {
     accr = _mm256_sub_pd(_mm256_add_pd(zero, accr),
-                         _mm256_maskload_pd(xm + 4 * NV, mask));
-    _mm256_maskstore_pd(x + 4 * NV, mask, accr);
-    _mm256_maskstore_pd(
-        xsum + 4 * NV, mask,
-        _mm256_add_pd(_mm256_maskload_pd(xsum + 4 * NV, mask), accr));
-  } else {
-    (void)accr;
-    (void)rem;
+                         LoadTail<kRem>(xm + 4 * NV));
+    StoreTail<kRem>(xsum + 4 * NV,
+                    _mm256_add_pd(LoadTail<kRem>(xsum + 4 * NV), accr));
+  }
+  if (x != nullptr) {
+    SPCA_UNROLL_STRIPE
+    for (int v = 0; v < NV; ++v) _mm256_storeu_pd(x + 4 * v, acc[v]);
+    if constexpr (kRem != 0) StoreTail<kRem>(x + 4 * NV, accr);
   }
   constexpr size_t kPrefetchAhead = 4;
-  constexpr int kPrefetchSpan = NV * 32 + (kHasRem ? 32 : 0);
+  constexpr int kPrefetchSpan = NV * 32 + (kRem != 0 ? 32 : 0);
   for (size_t k = 0; k < nnz; ++k) {
     if (k + kPrefetchAhead < nnz) {
       const char* next = reinterpret_cast<const char*>(
@@ -523,87 +589,130 @@ SPCA_STRIPE_INLINE void CenterAndScatter(
         _mm_prefetch(next + off, _MM_HINT_T0);
       }
     }
+    const uint32_t index = entries[k].index;
+    touched[index] = 1;
     const __m256d vv = _mm256_set1_pd(entries[k].value);
-    double* row = out + entries[k].index * out_stride;
+    double* row = out + index * out_stride;
+    SPCA_UNROLL_STRIPE
     for (int v = 0; v < NV; ++v) {
       _mm256_storeu_pd(
           row + 4 * v,
           _mm256_fmadd_pd(vv, acc[v], _mm256_loadu_pd(row + 4 * v)));
     }
-    if constexpr (kHasRem) {
-      _mm256_maskstore_pd(
-          row + 4 * NV, mask,
-          _mm256_fmadd_pd(vv, accr, _mm256_maskload_pd(row + 4 * NV, mask)));
+    if constexpr (kRem != 0) ScatterTail<kRem>(vv, accr, row + 4 * NV);
+  }
+}
+
+// Gather, centre and scatter one stripe of one row: NV whole vectors plus
+// a kRem-column tail. `prefetch_count` entries from `entries` on are
+// readable: the gather prefetches the cm rows of the next row's first
+// entries while it finishes this one.
+template <int NV, int kRem>
+SPCA_STRIPE_INLINE void ProjectScatterStripe(
+    const SparseEntry* entries, size_t nnz, size_t prefetch_count,
+    const double* cm, size_t cm_stride, const double* xm, double* x,
+    double* xsum, double* out, size_t out_stride, uint8_t* touched) {
+  __m256d acc[NV];
+  __m256d accr;
+  GatherStripe<NV, kRem != 0>(entries, nnz, prefetch_count, cm, cm_stride,
+                              acc, accr);
+  CenterAndScatter<NV, kRem>(acc, accr, entries, nnz, xm, x, xsum, out,
+                             out_stride, touched);
+}
+
+// The row loop for one stripe plan: rem-free 48-, 16- and 4-column stripes
+// over `prefix` columns, then (kFinalNV > 0) the final stripe of kFinalNV
+// vectors and its kRem-column tail. The plan and the prefetch bound are
+// fixed for the whole call.
+template <int kFinalNV, int kRem>
+void ProjectScatterRows(const uint64_t* row_ptr, size_t rows,
+                        const SparseEntry* entries, const double* cm,
+                        size_t cm_stride, const double* xm, size_t prefix,
+                        double* x, size_t x_stride, double* xsum, double* out,
+                        size_t out_stride, uint8_t* touched) {
+  const uint64_t last = row_ptr[rows];
+  for (size_t r = 0; r < rows; ++r) {
+    const SparseEntry* row = entries + row_ptr[r];
+    const size_t nnz = row_ptr[r + 1] - row_ptr[r];
+    const size_t ahead = last - row_ptr[r];
+    double* x_row = x == nullptr ? nullptr : x + r * x_stride;
+    const auto x_at = [x_row](size_t j) {
+      return x_row == nullptr ? nullptr : x_row + j;
+    };
+    size_t j = 0;
+    for (; j + 48 <= prefix; j += 48) {
+      ProjectScatterStripe<12, 0>(row, nnz, ahead, cm + j, cm_stride, xm + j,
+                                  x_at(j), xsum + j, out + j, out_stride,
+                                  touched);
+    }
+    for (; j + 16 <= prefix; j += 16) {
+      ProjectScatterStripe<4, 0>(row, nnz, ahead, cm + j, cm_stride, xm + j,
+                                 x_at(j), xsum + j, out + j, out_stride,
+                                 touched);
+    }
+    for (; j + 4 <= prefix; j += 4) {
+      __m256d acc[1] = {GatherNarrow(row, nnz, ahead, cm + j, cm_stride)};
+      CenterAndScatter<1, 0>(acc, acc[0], row, nnz, xm + j, x_at(j),
+                             xsum + j, out + j, out_stride, touched);
+    }
+    if constexpr (kFinalNV > 0) {
+      ProjectScatterStripe<kFinalNV, kRem>(row, nnz, ahead, cm + j, cm_stride,
+                                           xm + j, x_at(j), xsum + j, out + j,
+                                           out_stride, touched);
     }
   }
 }
 
-template <int NV, bool kHasRem>
-SPCA_STRIPE_INLINE void ProjectScatterStripe(
-    const SparseEntry* entries, size_t nnz, const double* cm, size_t cm_stride,
-    const double* xm, double* x, double* xsum, double* out, size_t out_stride,
-    size_t rem) {
-  __m256d acc[NV];
-  __m256d accr;
-  GatherStripe<NV, kHasRem>(entries, nnz, cm, cm_stride, acc, accr);
-  CenterAndScatter<NV, kHasRem>(acc, accr, entries, nnz, xm, x, xsum, out,
-                                out_stride, rem);
+using RowLoop = decltype(&ProjectScatterRows<0, 0>);
+
+// The row loop whose final stripe has kFinalNV vectors and a `rem`-column
+// tail.
+template <int kFinalNV>
+RowLoop RowLoopWithTail(size_t rem) {
+  return rem == 1   ? ProjectScatterRows<kFinalNV, 1>
+         : rem == 2 ? ProjectScatterRows<kFinalNV, 2>
+                    : ProjectScatterRows<kFinalNV, 3>;
 }
 
 }  // namespace
 
-void SparseRowProjectScatter(const SparseEntry* entries, size_t nnz,
-                             const double* cm, size_t cm_stride,
-                             const double* xm, size_t d, double* x,
-                             double* xsum, double* out, size_t out_stride) {
-  // SparseRowGemv's stripe plan and accumulation chains; each stripe is
-  // centred and scattered before the next one is gathered, so a d <= 51
-  // row (d = 50 in every headline workload) is one pass over the entries
-  // for the gather and one for the scatter.
+void SparseRowsProjectScatter(const uint64_t* row_ptr, size_t rows,
+                              const SparseEntry* entries, const double* cm,
+                              size_t cm_stride, const double* xm, size_t d,
+                              double* x, size_t x_stride, double* xsum,
+                              double* out, size_t out_stride,
+                              uint8_t* touched) {
+  // SparseRowGemv's stripe plan and accumulation chains, planned once per
+  // call; each stripe of a row is centred and scattered before the next
+  // one is gathered, so a d <= 51 row (d = 50 in every headline workload)
+  // is one pass over its entries for the gather and one for the scatter.
   const size_t rem = d % 4;
   const size_t full = d - rem;
   const StripePlan plan = PlanStripes(full, rem);
-  size_t j = 0;
-  for (; j + 48 <= plan.prefix; j += 48) {
-    ProjectScatterStripe<12, false>(entries, nnz, cm + j, cm_stride, xm + j,
-                                    x + j, xsum + j, out + j, out_stride, 0);
+  if (full > 0) {
+    const RowLoop rows_fn = plan.final_nv == 12  ? RowLoopWithTail<12>(rem)
+                            : plan.final_nv == 4 ? RowLoopWithTail<4>(rem)
+                            : plan.final_nv == 1 ? RowLoopWithTail<1>(rem)
+                                                 : ProjectScatterRows<0, 0>;
+    rows_fn(row_ptr, rows, entries, cm, cm_stride, xm, plan.prefix, x,
+            x_stride, xsum, out, out_stride, touched);
+    return;
   }
-  for (; j + 16 <= plan.prefix; j += 16) {
-    ProjectScatterStripe<4, false>(entries, nnz, cm + j, cm_stride, xm + j,
-                                   x + j, xsum + j, out + j, out_stride, 0);
-  }
-  for (; j + 4 <= plan.prefix; j += 4) {
-    __m256d acc[1] = {GatherNarrow(entries, nnz, cm + j, cm_stride)};
-    CenterAndScatter<1, false>(acc, acc[0], entries, nnz, xm + j, x + j,
-                               xsum + j, out + j, out_stride, 0);
-  }
-  switch (plan.final_nv) {
-    case 12:
-      ProjectScatterStripe<12, true>(entries, nnz, cm + j, cm_stride, xm + j,
-                                     x + j, xsum + j, out + j, out_stride,
-                                     rem);
-      break;
-    case 4:
-      ProjectScatterStripe<4, true>(entries, nnz, cm + j, cm_stride, xm + j,
-                                    x + j, xsum + j, out + j, out_stride, rem);
-      break;
-    case 1:
-      ProjectScatterStripe<1, true>(entries, nnz, cm + j, cm_stride, xm + j,
-                                    x + j, xsum + j, out + j, out_stride, rem);
-      break;
-    default:
-      break;
-  }
-  if (full == 0) {
-    // d < 4: scalar columns, in the composite's order.
-    for (; j < d; ++j) {
-      x[j] = (0.0 + GatherColumn(entries, nnz, cm, cm_stride, j)) - xm[j];
-      xsum[j] += x[j];
+  // d < 4: scalar columns, in the composite's order.
+  for (size_t r = 0; r < rows; ++r) {
+    const SparseEntry* row = entries + row_ptr[r];
+    const size_t nnz = row_ptr[r + 1] - row_ptr[r];
+    double xr[3];
+    for (size_t j = 0; j < d; ++j) {
+      xr[j] = (0.0 + GatherColumn(row, nnz, cm, cm_stride, j)) - xm[j];
+      xsum[j] += xr[j];
+      if (x != nullptr) x[r * x_stride + j] = xr[j];
     }
     for (size_t k = 0; k < nnz; ++k) {
-      double* row = out + entries[k].index * out_stride;
+      touched[row[k].index] = 1;
+      double* out_row = out + row[k].index * out_stride;
       for (size_t c = 0; c < d; ++c) {
-        row[c] = __builtin_fma(entries[k].value, x[c], row[c]);
+        out_row[c] = __builtin_fma(row[k].value, xr[c], out_row[c]);
       }
     }
   }

@@ -1,5 +1,7 @@
 #include "linalg/kernel_dispatch.h"
 
+#include <cstdint>
+
 // Portable scalar kernel variants — the exact tier. These are the
 // pre-SIMD kernel-layer loops, verbatim: unrolled only across
 // *independent output elements*, reductions kept as one strictly
@@ -129,19 +131,38 @@ void SparseRowGemv(const SparseEntry* entries, size_t nnz, const double* b,
   }
 }
 
-void SparseRowProjectScatter(const SparseEntry* entries, size_t nnz,
-                             const double* cm, size_t cm_stride,
-                             const double* xm, size_t d, double* x,
-                             double* xsum, double* out, size_t out_stride) {
-  // The composite the fused kernel replaced, step for step: x starts at
-  // +0.0 (so signed zeros come out the same), then the row product, the
-  // centring, the running sum and one axpy per stored entry.
-  for (size_t j = 0; j < d; ++j) x[j] = 0.0;
-  SparseRowGemv(entries, nnz, cm, cm_stride, d, x);
-  for (size_t j = 0; j < d; ++j) x[j] -= xm[j];
-  AddRow(x, d, xsum);
-  for (size_t k = 0; k < nnz; ++k) {
-    AxpyRow(entries[k].value, x, d, out + entries[k].index * out_stride);
+void SparseRowsProjectScatter(const uint64_t* row_ptr, size_t rows,
+                              const SparseEntry* entries, const double* cm,
+                              size_t cm_stride, const double* xm, size_t d,
+                              double* x, size_t x_stride, double* xsum,
+                              double* out, size_t out_stride,
+                              uint8_t* touched) {
+  // The per-row composite, step for step, on blocks of up to kBlock
+  // columns of x held in a local buffer (one block for every d <= 64):
+  // x starts at +0.0 (so signed zeros come out the same), then the row
+  // product, the centring, the running sum and one axpy per stored entry.
+  // Each element sees the composite's operations in the composite's
+  // order, so this is exact tier, and x is written only for a caller that
+  // reads it.
+  constexpr size_t kBlock = 64;
+  double xb[kBlock] = {};
+  for (size_t r = 0; r < rows; ++r) {
+    const SparseEntry* row = entries + row_ptr[r];
+    const size_t nnz = row_ptr[r + 1] - row_ptr[r];
+    for (size_t j = 0; j < d; j += kBlock) {
+      const size_t width = d - j < kBlock ? d - j : kBlock;
+      for (size_t c = 0; c < width; ++c) xb[c] = 0.0;
+      SparseRowGemv(row, nnz, cm + j, cm_stride, width, xb);
+      for (size_t c = 0; c < width; ++c) xb[c] -= xm[j + c];
+      AddRow(xb, width, xsum + j);
+      if (x != nullptr) {
+        for (size_t c = 0; c < width; ++c) x[r * x_stride + j + c] = xb[c];
+      }
+      for (size_t k = 0; k < nnz; ++k) {
+        touched[row[k].index] = 1;
+        AxpyRow(row[k].value, xb, width, out + row[k].index * out_stride + j);
+      }
+    }
   }
 }
 

@@ -100,6 +100,11 @@ class SparseMatrix {
            row_ptr_.size() * sizeof(uint64_t);
   }
 
+  /// The CSR arrays behind Row(): row i's entries are
+  /// entries()[row_ptr()[i] .. row_ptr()[i + 1]), over rows() + 1 offsets.
+  const uint64_t* row_ptr() const { return row_ptr_.data(); }
+  const SparseEntry* entries() const { return entries_.data(); }
+
   /// View of row i.
   SparseRowView Row(size_t i) const {
     SPCA_CHECK_LT(i, rows_);

@@ -118,12 +118,8 @@ StatusOr<core::SolveResult> RandSvdPca::Solve(
         dist::JobDesc{"randsvd.sketchJob", phase}, y,
         [&](const RowRange& range, TaskContext* ctx) {
           core::ScatterPartial partial(dim, k);
-          DenseVector t(k);
-          uint64_t flops = 0;
-          for (size_t i = range.begin; i < range.end; ++i) {
-            flops += partial.AddRow(y, i, z, mean_proj, &t) + k;
-          }
-          ctx->CountFlops(flops);
+          ctx->CountFlops(partial.AddRows(y, range, z, mean_proj, nullptr) +
+                          static_cast<uint64_t>(range.size()) * k);
           engine_->EmitPartial(
               ctx, (static_cast<uint64_t>(dim) * k + k) * sizeof(double));
           return partial;

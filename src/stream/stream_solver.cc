@@ -356,19 +356,28 @@ Status OjaSolver::Update(const DistMatrix& batch) {
       [&](const RowRange& range, TaskContext* ctx) {
         OjaPartial partial;
         partial.gradient = core::ScatterPartial(dim_, d);
-        DenseVector p(d);
+        constexpr size_t kBlock = core::ScatterPartial::kXBlockRows;
+        DenseMatrix p(std::min(kBlock, range.size()), d);
         uint64_t flops = 0;
-        for (size_t i = range.begin; i < range.end; ++i) {
+        for (size_t begin = range.begin; begin < range.end; begin += kBlock) {
           // p_i = Yc_i * C = Y_i * C - C'm (mean propagation keeps the
           // sparse row sparse), folded into the gradient partial as the
           // sparse outer product Y_i' (x) p_i; the -m (x) sum(p) term is
-          // the driver's. The sum of p costs d more.
-          flops += partial.gradient.AddRow(batch, i, c_, cm0, &p) + d;
-          // Residual bookkeeping: ||Yc_i||^2 and ||p_i||^2.
-          partial.norm_sq += batch.RowSquaredNorm(i) -
-                             2.0 * batch.RowDot(i, mean_) + msq;
-          partial.proj_sq += p.SquaredNorm();
-          flops += 4ull * batch.RowNnz(i) + 2ull * d + 3;
+          // the driver's. The sum of p costs d more per row.
+          const RowRange block{begin, std::min(range.end, begin + kBlock)};
+          flops += partial.gradient.AddRows(batch, block, c_, cm0, &p) +
+                   block.size() * d;
+          for (size_t i = block.begin; i < block.end; ++i) {
+            // Residual bookkeeping: ||Yc_i||^2 and ||p_i||^2, the latter
+            // DenseVector::SquaredNorm's loop on the block's row.
+            partial.norm_sq += batch.RowSquaredNorm(i) -
+                               2.0 * batch.RowDot(i, mean_) + msq;
+            const double* p_i = p.RowPtr(i - block.begin);
+            double p_sq = 0.0;
+            for (size_t j = 0; j < d; ++j) p_sq += p_i[j] * p_i[j];
+            partial.proj_sq += p_sq;
+            flops += 4ull * batch.RowNnz(i) + 2ull * d + 3;
+          }
         }
         ctx->CountFlops(flops);
         // Oja's rows are always mean-propagated; s_p and the two energies

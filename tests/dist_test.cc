@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
 #include "common/rng.h"
 #include "dist/dist_matrix.h"
@@ -116,6 +117,13 @@ TEST(DistMatrixTest, StorageKeySharedAcrossCopies) {
   EXPECT_EQ(m.StorageKey(), copy.StorageKey());
   const DistMatrix other = DistMatrix::FromDense(RandomDense(4, 2, 8), 2);
   EXPECT_NE(m.StorageKey(), other.StorageKey());
+  const std::vector<size_t> rows = {0, 2};
+  const DistMatrix sample = m.SampleRows(rows, 1);
+  const DistMatrix both = DistMatrix::ConcatRows(std::vector{m, other}, 2);
+  EXPECT_NE(sample.StorageKey(), m.StorageKey());
+  EXPECT_NE(both.StorageKey(), m.StorageKey());
+  EXPECT_NE(both.StorageKey(), other.StorageKey());
+  EXPECT_NE(both.StorageKey(), sample.StorageKey());
 }
 
 // ---- Engine accounting -----------------------------------------------------
@@ -212,6 +220,27 @@ TEST(EngineTest, SparkCachesInputMapReduceRereads) {
   const auto [mr_first, mr_second] = data_secs(EngineMode::kMapReduce);
   EXPECT_GT(mr_second, 0.0);  // re-read from DFS
   EXPECT_NEAR(mr_first, mr_second, 1e-12);
+}
+
+TEST(EngineTest, EveryNewMatrixIsChargedItsFirstRead) {
+  // A stream of mini-batches, each built, read by two jobs and freed: a
+  // new batch usually lands where the freed one lived, and must still be
+  // a new Spark input whose first job reads it from the DFS.
+  Engine engine(SimpleSpec(), EngineMode::kSpark);
+  auto noop = [](const RowRange&, TaskContext*) { return 0; };
+  for (uint64_t batch = 0; batch < 8; ++batch) {
+    const DistMatrix y =
+        DistMatrix::FromSparse(SparseMatrix::FromDense(RandomDense(
+                                   16, 6, 20 + batch, /*density=*/0.5)),
+                               2);
+    engine.RunMap<int>(JobDesc{"first"}, y, noop);
+    EXPECT_EQ(engine.traces().back().charged_input_bytes,
+              static_cast<double>(y.ByteSize()))
+        << "batch " << batch;
+    engine.RunMap<int>(JobDesc{"second"}, y, noop);
+    EXPECT_EQ(engine.traces().back().charged_input_bytes, 0.0)
+        << "batch " << batch;
+  }
 }
 
 TEST(EngineTest, BroadcastAccounting) {

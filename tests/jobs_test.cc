@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -288,12 +289,15 @@ bool SameBits(const DenseVector& a, const DenseVector& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-TEST(ScatterPassTest, SharedRowIsTheCompositeRow) {
-  // The row YtXJob, the Oja job, rand_svd's sketch job and ssvd's Bt job
-  // share: on sparse rows the fused kernel, on dense rows the composite.
-  // Both must reproduce the composite (RowTimesMatrix, Subtract, one
-  // AxpyRow per stored entry, Add) bit for bit on every kernel ISA.
+TEST(ScatterPassTest, AddRowsIsThePerRowComposite) {
+  // The pass YtXJob, the Oja job and rand_svd's sketch job share: on sparse
+  // input one range-kernel call, on dense rows the composite. Both must
+  // reproduce a per-row loop of the composite (RowTimesMatrix, Subtract,
+  // one AxpyRow per stored entry, Add) bit for bit on every kernel ISA,
+  // over a range that starts mid-matrix, whether X is read back in blocks
+  // or not at all, and charge 4 * nnz * d + d per row.
   const size_t dim = 57;
+  const dist::RowRange range{2, 19};
   for (const size_t d : {1u, 3u, 5u, 13u, 50u}) {
     const Fixture f = MakeFixture(19, dim, 60 + d, 1);
     const DistMatrix dense = DistMatrix::FromDense(f.dense, 1);
@@ -302,12 +306,12 @@ TEST(ScatterPassTest, SharedRowIsTheCompositeRow) {
     DenseVector bm(d);
     for (size_t j = 0; j < d; ++j) bm[j] = rng.NextGaussian();
     for (const DistMatrix* y : {&f.y, &dense}) {
-      ScatterPartial shared(dim, d);
       DenseMatrix w(dim, d);
-      DenseVector x_sum(d), x(d), x_ref(d);
+      DenseVector x_sum(d), x_ref(d);
+      DenseMatrix x_rows(range.size(), d);
       std::vector<uint8_t> touched(dim, 0);
-      for (size_t i = 0; i < y->rows(); ++i) {
-        EXPECT_EQ(shared.AddRow(*y, i, b, bm, &x), 4 * y->RowNnz(i) * d + d);
+      uint64_t flops = 0;
+      for (size_t i = range.begin; i < range.end; ++i) {
         y->RowTimesMatrix(i, b, &x_ref);
         x_ref.Subtract(bm);
         y->ForEachEntry(i, [&](size_t k, double v) {
@@ -315,12 +319,39 @@ TEST(ScatterPassTest, SharedRowIsTheCompositeRow) {
           linalg::kernels::AxpyRow(v, x_ref.data(), d, w.RowPtr(k));
         });
         x_sum.Add(x_ref);
-        ASSERT_TRUE(SameBits(x, x_ref))
-            << "d = " << d << ", row " << i << ", sparse " << y->is_sparse();
+        std::memcpy(x_rows.RowPtr(i - range.begin), x_ref.data(),
+                    d * sizeof(double));
+        flops += 4 * y->RowNnz(i) * d + d;
       }
-      EXPECT_TRUE(SameBits(shared.w, w)) << "d = " << d;
-      EXPECT_TRUE(SameBits(shared.x_sum, x_sum)) << "d = " << d;
-      EXPECT_EQ(shared.touched, touched) << "d = " << d;
+      for (const size_t block : {0u, 1u, 4u, 64u}) {
+        ScatterPartial shared(dim, d);
+        DenseMatrix x_block(block, d);
+        uint64_t charged = 0;
+        if (block == 0) {
+          charged = shared.AddRows(*y, range, b, bm, nullptr);
+        }
+        for (size_t begin = range.begin; block > 0 && begin < range.end;
+             begin += block) {
+          const dist::RowRange part{begin, std::min(range.end, begin + block)};
+          charged += shared.AddRows(*y, part, b, bm, &x_block);
+          for (size_t i = part.begin; i < part.end; ++i) {
+            ASSERT_EQ(std::memcmp(x_block.RowPtr(i - part.begin),
+                                  x_rows.RowPtr(i - range.begin),
+                                  d * sizeof(double)),
+                      0)
+                << "d = " << d << ", row " << i << ", sparse "
+                << y->is_sparse();
+          }
+        }
+        const std::string context = "d = " + std::to_string(d) +
+                                    ", blocks of " + std::to_string(block) +
+                                    ", sparse " +
+                                    std::to_string(y->is_sparse());
+        EXPECT_EQ(charged, flops) << context;
+        EXPECT_TRUE(SameBits(shared.w, w)) << context;
+        EXPECT_TRUE(SameBits(shared.x_sum, x_sum)) << context;
+        EXPECT_EQ(shared.touched, touched) << context;
+      }
     }
   }
 }

@@ -307,10 +307,11 @@ struct IsaKernels {
                           size_t, double*);
   void (*row_gemm)(const double*, size_t, const double*, size_t, size_t,
                    double*);
-  void (*sparse_row_project_scatter)(const SparseEntry*, size_t,
-                                     const double*, size_t, const double*,
-                                     size_t, double*, double*, double*,
-                                     size_t);
+  void (*sparse_rows_project_scatter)(const uint64_t*, size_t,
+                                      const SparseEntry*, const double*,
+                                      size_t, const double*, size_t, double*,
+                                      size_t, double*, double*, size_t,
+                                      uint8_t*);
 };
 
 std::vector<IsaKernels> RunnableSimdVariants() {
@@ -322,7 +323,7 @@ std::vector<IsaKernels> RunnableSimdVariants() {
                         kernels::avx2::Rank1Update,
                         kernels::avx2::SymRank1Update,
                         kernels::avx2::SparseRowGemv, kernels::avx2::RowGemm,
-                        kernels::avx2::SparseRowProjectScatter});
+                        kernels::avx2::SparseRowsProjectScatter});
   }
 #endif
   return variants;
@@ -490,80 +491,157 @@ TEST(SimdVsScalarTest, RowGemm) {
   }
 }
 
-// ---- SparseRowProjectScatter --------------------------------------------
-// The fused YtX row against the composite it replaced, on ~100 shapes:
-// widths around every stripe boundary (and the d = 50 headline), 0-40
-// stored entries, and row strides wider than d whose slack columns — like
-// x and xsum past d — hold sentinels that must survive bit for bit.
+// ---- SparseRowsProjectScatter -------------------------------------------
+// The fused YtX pass over a run of CSR rows against a per-row loop of the
+// composite it replaced, on ~140 cases: widths that reach every stripe
+// plan (whole 48/16/4-column stripes, final stripes of 12, 4 and 1 vectors
+// with 1-3 tail columns, d < 4), ranges that start mid-matrix (some
+// empty), empty rows, a row naming CM's last row (the over-read contract:
+// CM carries only the 32 readable bytes of slack), and row strides wider
+// than d whose slack columns, like xsum past d, hold sentinels that must
+// survive bit for bit. X is read back both in blocks and not at all.
+
+using RangeKernel = void (*)(const uint64_t*, size_t, const SparseEntry*,
+                             const double*, size_t, const double*, size_t,
+                             double*, size_t, double*, double*, size_t,
+                             uint8_t*);
 
 struct ProjectScatterCase {
   size_t dim = 0;
   size_t d = 0;
   size_t cm_stride = 0;
   size_t out_stride = 0;
-  std::vector<SparseEntry> entries;
+  size_t x_stride = 0;
+  SparseMatrix y;
+  size_t begin = 0;  // the range [begin, end) of y's rows
+  size_t end = 0;
   std::vector<double> cm, xm;
-  std::vector<double> x, xsum, out;  // initial contents, sentinels included
+  std::vector<double> xsum, out;  // initial contents, sentinels included
+  std::vector<uint8_t> touched;   // initial marks
 
+  size_t rows() const { return end - begin; }
   std::string Name() const {
-    return "d=" + std::to_string(d) + " nnz=" +
-           std::to_string(entries.size()) + " cm_stride=" +
-           std::to_string(cm_stride) + " out_stride=" +
-           std::to_string(out_stride);
+    return "d=" + std::to_string(d) + " rows=[" + std::to_string(begin) +
+           ", " + std::to_string(end) + ") of " + std::to_string(y.rows()) +
+           " nnz=" +
+           std::to_string(y.row_ptr()[end] - y.row_ptr()[begin]) +
+           " cm_stride=" + std::to_string(cm_stride) +
+           " out_stride=" + std::to_string(out_stride) +
+           " x_stride=" + std::to_string(x_stride);
   }
 };
 
 ProjectScatterCase MakeProjectScatterCase(size_t trial, Rng* rng) {
-  static constexpr size_t kWidths[] = {1,  2,  3,  4,  5,  13, 47,
-                                       48, 49, 50, 51, 52, 64, 100};
+  static constexpr size_t kWidths[] = {1,  2,  3,  4,  5,  6,  7,
+                                       16, 17, 18, 19, 47, 48, 49,
+                                       50, 51, 52, 70, 99, 100};
   constexpr size_t kWidthCount = sizeof(kWidths) / sizeof(kWidths[0]);
   ProjectScatterCase c;
   c.d = kWidths[trial % kWidthCount];
   c.dim = 41 + rng->NextUint64() % 80;
   c.cm_stride = c.d + (trial % 3 == 0 ? 0 : 1 + rng->NextUint64() % 6);
   c.out_stride = c.d + (trial % 4 == 0 ? 0 : 1 + rng->NextUint64() % 6);
-  const size_t nnz = trial % 9 == 0 ? 0 : 1 + rng->NextUint64() % 40;
-  for (size_t k = 0; k < c.dim && c.entries.size() < nnz; ++k) {
-    if (rng->NextDouble() < static_cast<double>(nnz) / c.dim) {
-      c.entries.push_back({static_cast<uint32_t>(k),
-                           trial % 13 == 0 ? 0.0 : rng->NextGaussian()});
+  c.x_stride = c.d + (trial % 5 == 0 ? 0 : 1 + rng->NextUint64() % 4);
+  // Every seventeenth case underflows its products to signed zeros (values
+  // 1e-200 times CM entries 1e-200 against a zero xm), so x relies on the
+  // composite's "+0.0 + sum" to come out +0.0.
+  const bool underflow = trial % 17 == 5;
+  const double scale = underflow ? 1e-200 : 1.0;
+
+  const size_t total_rows = 4 + rng->NextUint64() % 24;
+  c.begin = rng->NextUint64() % (total_rows / 2 + 1);
+  c.end = trial % 7 == 3
+              ? c.begin
+              : c.begin + 1 + rng->NextUint64() % (total_rows - c.begin);
+  // One row of the range names CM's last row.
+  const size_t last_row_named =
+      c.rows() == 0 ? total_rows : c.begin + rng->NextUint64() % c.rows();
+  c.y = SparseMatrix(total_rows, c.dim);
+  for (size_t i = 0; i < total_rows; ++i) {
+    std::vector<SparseEntry> entries;
+    const size_t nnz = i % 5 == 2 ? 0 : 1 + rng->NextUint64() % 40;
+    for (size_t k = 0; k < c.dim && entries.size() < nnz; ++k) {
+      const bool last = k + 1 == c.dim && i == last_row_named;
+      if (last || rng->NextDouble() < static_cast<double>(nnz) / c.dim) {
+        entries.push_back(
+            {static_cast<uint32_t>(k),
+             trial % 13 == 0 ? 0.0 : scale * rng->NextGaussian()});
+      }
     }
+    if (i == last_row_named && (entries.empty() ||
+                                entries.back().index + 1 != c.dim)) {
+      entries.push_back({static_cast<uint32_t>(c.dim - 1),
+                         scale * rng->NextGaussian()});
+    }
+    c.y.AppendRow(i, entries);
   }
   c.cm = RandomGemmMatrix(c.dim * c.cm_stride, rng, 0.1);
-  c.xm = RandomValues(c.d, rng, ZeroFractionFor(trial));
-  c.x = RandomValues(c.d + 4, rng, 0.0);
+  for (double& v : c.cm) v *= scale;
+  c.xm = underflow ? std::vector<double>(c.d, 0.0)
+                   : RandomValues(c.d, rng, ZeroFractionFor(trial));
   c.xsum = RandomValues(c.d + 4, rng, 0.0);
   c.out = RandomValues(c.dim * c.out_stride, rng, 0.0);
+  c.touched.resize(c.dim);
+  for (auto& t : c.touched) t = rng->NextDouble() < 0.2 ? 1 : 0;
   return c;
 }
 
 struct ProjectScatterResult {
-  std::vector<double> x, xsum, out;
+  std::vector<double> x;  // rows() x x_stride; sentinels where unwritten
+  std::vector<double> xsum, out;
+  std::vector<uint8_t> touched;
 };
 
-ProjectScatterResult RunProjectScatter(
-    const ProjectScatterCase& c,
-    void (*fn)(const SparseEntry*, size_t, const double*, size_t,
-               const double*, size_t, double*, double*, double*, size_t)) {
-  ProjectScatterResult r{c.x, c.xsum, c.out};
-  fn(c.entries.data(), c.entries.size(), c.cm.data(), c.cm_stride,
-     c.xm.data(), c.d, r.x.data(), r.xsum.data(), r.out.data(), c.out_stride);
+// Sentinel contents of the X block buffer: nothing past column d - 1, and
+// nothing at all when X is not read, may change them.
+std::vector<double> XSentinels(const ProjectScatterCase& c) {
+  std::vector<double> x(c.rows() * c.x_stride);
+  for (size_t i = 0; i < x.size(); ++i) x[i] = -1000.0 - static_cast<double>(i);
+  return x;
+}
+
+// The range kernel `fn` over c's range: one call with x = null when
+// `block_rows` is 0, else one call per block of `block_rows` rows, each
+// writing its block of X.
+ProjectScatterResult RunRange(const ProjectScatterCase& c, RangeKernel fn,
+                              size_t block_rows) {
+  ProjectScatterResult r{XSentinels(c), c.xsum, c.out, c.touched};
+  const uint64_t* row_ptr = c.y.row_ptr();
+  if (block_rows == 0) {
+    fn(row_ptr + c.begin, c.rows(), c.y.entries(), c.cm.data(), c.cm_stride,
+       c.xm.data(), c.d, nullptr, 0, r.xsum.data(), r.out.data(), c.out_stride,
+       r.touched.data());
+    return r;
+  }
+  for (size_t b = c.begin; b < c.end; b += block_rows) {
+    const size_t n = std::min(block_rows, c.end - b);
+    fn(row_ptr + b, n, c.y.entries(), c.cm.data(), c.cm_stride, c.xm.data(),
+       c.d, r.x.data() + (b - c.begin) * c.x_stride, c.x_stride,
+       r.xsum.data(), r.out.data(), c.out_stride, r.touched.data());
+  }
   return r;
 }
 
-// The per-row steps the YtX pass ran before the fused kernel, built from
+// The per-row steps the YtX pass ran before the fused kernels, built from
 // one ISA's kernels: the sparse row product into a zeroed x, x -= xm,
-// xsum += x, one AxpyRow per stored entry.
+// xsum += x, one AxpyRow per stored entry (marking its row touched).
 ProjectScatterResult RunComposite(const ProjectScatterCase& c,
                                   const IsaKernels& k) {
-  ProjectScatterResult r{c.x, c.xsum, c.out};
-  for (size_t j = 0; j < c.d; ++j) r.x[j] = 0.0;
-  k.sparse_row_gemv(c.entries.data(), c.entries.size(), c.cm.data(),
-                    c.cm_stride, c.d, r.x.data());
-  for (size_t j = 0; j < c.d; ++j) r.x[j] -= c.xm[j];
-  for (size_t j = 0; j < c.d; ++j) r.xsum[j] += r.x[j];
-  for (const auto& e : c.entries) {
-    k.axpy_row(e.value, r.x.data(), c.d, r.out.data() + e.index * c.out_stride);
+  ProjectScatterResult r{XSentinels(c), c.xsum, c.out, c.touched};
+  std::vector<double> x(c.d);
+  for (size_t i = c.begin; i < c.end; ++i) {
+    const SparseRowView row = c.y.Row(i);
+    for (size_t j = 0; j < c.d; ++j) x[j] = 0.0;
+    k.sparse_row_gemv(row.begin(), row.nnz(), c.cm.data(), c.cm_stride, c.d,
+                      x.data());
+    for (size_t j = 0; j < c.d; ++j) x[j] -= c.xm[j];
+    for (size_t j = 0; j < c.d; ++j) r.xsum[j] += x[j];
+    for (const auto& e : row) {
+      r.touched[e.index] = 1;
+      k.axpy_row(e.value, x.data(), c.d,
+                 r.out.data() + e.index * c.out_stride);
+    }
+    std::copy(x.begin(), x.end(), r.x.begin() + (i - c.begin) * c.x_stride);
   }
   return r;
 }
@@ -579,20 +657,42 @@ void ExpectSameBits(const std::vector<double>& actual,
   }
 }
 
-// Every double outside x[0, d), xsum[0, d) and the d leading columns of
-// the rows the entries name keeps its bits.
+// The range call against the composite: x (when read back), xsum, out and
+// the touched marks, bit for bit.
+void ExpectSameResult(const ProjectScatterResult& actual,
+                      const ProjectScatterResult& expected, bool x_read,
+                      const std::string& context) {
+  if (x_read) ExpectSameBits(actual.x, expected.x, context + " x");
+  ExpectSameBits(actual.xsum, expected.xsum, context + " xsum");
+  ExpectSameBits(actual.out, expected.out, context + " out");
+  EXPECT_EQ(actual.touched, expected.touched) << context << " touched";
+}
+
+// Over the whole range: every double outside x[0, d) of each row,
+// xsum[0, d) and the d leading columns of the rows the range's entries
+// name keeps its bits, and only those rows gain a touched mark.
 void ExpectOnlyNamedRowsWritten(const ProjectScatterCase& c,
-                                const ProjectScatterResult& r,
+                                const ProjectScatterResult& r, bool x_read,
                                 const std::string& context) {
+  const std::vector<double> sentinels = XSentinels(c);
+  for (size_t i = 0; i < c.rows(); ++i) {
+    for (size_t j = x_read ? c.d : 0; j < c.x_stride; ++j) {
+      const size_t at = i * c.x_stride + j;
+      ASSERT_EQ(std::memcmp(&r.x[at], &sentinels[at], sizeof(double)), 0)
+          << context << " x(" << i << ", " << j << ")";
+    }
+  }
   for (size_t j = c.d; j < c.d + 4; ++j) {
-    ASSERT_EQ(std::memcmp(&r.x[j], &c.x[j], sizeof(double)), 0)
-        << context << " x slack " << j;
     ASSERT_EQ(std::memcmp(&r.xsum[j], &c.xsum[j], sizeof(double)), 0)
         << context << " xsum slack " << j;
   }
   std::vector<bool> named(c.dim, false);
-  for (const auto& e : c.entries) named[e.index] = true;
+  for (size_t i = c.begin; i < c.end; ++i) {
+    for (const auto& e : c.y.Row(i)) named[e.index] = true;
+  }
   for (size_t i = 0; i < c.dim; ++i) {
+    EXPECT_EQ(r.touched[i], named[i] ? 1 : c.touched[i])
+        << context << " touched " << i;
     const size_t first = named[i] ? c.d : 0;
     for (size_t j = first; j < c.out_stride; ++j) {
       const size_t at = i * c.out_stride + j;
@@ -602,65 +702,77 @@ void ExpectOnlyNamedRowsWritten(const ProjectScatterCase& c,
   }
 }
 
+// X not read, then read back in blocks of 1, 3 and 64 rows.
+constexpr size_t kXBlockRows[] = {0, 1, 3, 64};
+
 IsaKernels ScalarKernels() {
   return {Isa::kScalar, kernels::scalar::AxpyRow, kernels::scalar::AddRow,
           kernels::scalar::DotRow, kernels::scalar::Rank1Update,
           kernels::scalar::SymRank1Update, kernels::scalar::SparseRowGemv,
-          kernels::scalar::RowGemm, kernels::scalar::SparseRowProjectScatter};
+          kernels::scalar::RowGemm, kernels::scalar::SparseRowsProjectScatter};
 }
 
-TEST(KernelsTest, SparseRowProjectScatterScalarIsTheComposite) {
-  Rng rng(108);
-  const bool exact = DispatchIsExact();
-  for (size_t trial = 0; trial < 112; ++trial) {
-    const ProjectScatterCase c = MakeProjectScatterCase(trial, &rng);
-    const ProjectScatterResult composite = RunComposite(c, ScalarKernels());
-    const ProjectScatterResult fused =
-        RunProjectScatter(c, kernels::scalar::SparseRowProjectScatter);
-    ExpectSameBits(fused.x, composite.x, "scalar x " + c.Name());
-    ExpectSameBits(fused.xsum, composite.xsum, "scalar xsum " + c.Name());
-    ExpectSameBits(fused.out, composite.out, "scalar out " + c.Name());
-    ExpectOnlyNamedRowsWritten(c, fused, "scalar " + c.Name());
+IsaKernels DispatchedKernels() {
+  return {kernels::DispatchedIsa(),   kernels::AxpyRow,
+          kernels::AddRow,            kernels::DotRow,
+          kernels::Rank1Update,       kernels::SymRank1Update,
+          kernels::SparseRowGemv,     kernels::RowGemm,
+          kernels::SparseRowsProjectScatter};
+}
 
-    const ProjectScatterResult dispatched =
-        RunProjectScatter(c, kernels::SparseRowProjectScatter);
-    ExpectRowNear(dispatched.x, composite.x, exact, "dispatched x " + c.Name());
-    ExpectRowNear(dispatched.xsum, composite.xsum, exact,
-                  "dispatched xsum " + c.Name());
-    ExpectRowNear(dispatched.out, composite.out, exact,
-                  "dispatched out " + c.Name());
+// The scalar range kernel, and the dispatched one (scalar or AVX2), each
+// equal a per-row loop of its own ISA's composite bit for bit, whether X
+// is read back in blocks or not at all.
+TEST(KernelsTest, SparseRowsProjectScatterIsThePerRowComposite) {
+  Rng rng(108);
+  for (size_t trial = 0; trial < 140; ++trial) {
+    const ProjectScatterCase c = MakeProjectScatterCase(trial, &rng);
+    for (const IsaKernels& k : {ScalarKernels(), DispatchedKernels()}) {
+      const std::string isa = kernels::IsaName(k.isa);
+      const ProjectScatterResult composite = RunComposite(c, k);
+      for (const size_t block_rows : kXBlockRows) {
+        const std::string context = isa + " x blocks of " +
+                                    std::to_string(block_rows) + " " +
+                                    c.Name();
+        const ProjectScatterResult range =
+            RunRange(c, k.sparse_rows_project_scatter, block_rows);
+        ExpectSameResult(range, composite, block_rows > 0, context);
+        ExpectOnlyNamedRowsWritten(c, range, block_rows > 0, context);
+      }
+    }
   }
 }
 
-// Each SIMD variant is the tolerance tier against scalar, and also exactly
-// its own ISA's composite (the same accumulation chains and the same fused
-// multiply-add per scattered element), which is what keeps a fit's bits
-// unchanged by the fusion on every ISA.
-TEST(SimdVsScalarTest, SparseRowProjectScatter) {
+// Each SIMD variant is exactly its own ISA's per-row composite (the same
+// accumulation chains and the same fused multiply-add per scattered
+// element, which is what keeps a fit's bits unchanged by the fusion on
+// every ISA), and the tolerance tier against scalar.
+TEST(SimdVsScalarTest, SparseRowsProjectScatter) {
   const auto variants = RunnableSimdVariants();
   SPCA_SKIP_WITHOUT_SIMD(variants);
   for (const auto& v : variants) {
     Rng rng(208);
     const std::string isa = kernels::IsaName(v.isa);
-    for (size_t trial = 0; trial < 112; ++trial) {
+    for (size_t trial = 0; trial < 140; ++trial) {
       const ProjectScatterCase c = MakeProjectScatterCase(trial, &rng);
-      const ProjectScatterResult simd =
-          RunProjectScatter(c, v.sparse_row_project_scatter);
-      const ProjectScatterResult ref =
-          RunProjectScatter(c, kernels::scalar::SparseRowProjectScatter);
-      ExpectRowNear(simd.x, ref.x, /*exact=*/false, isa + " x " + c.Name());
-      ExpectRowNear(simd.xsum, ref.xsum, /*exact=*/false,
-                    isa + " xsum " + c.Name());
-      ExpectRowNear(simd.out, ref.out, /*exact=*/false,
-                    isa + " out " + c.Name());
-      ExpectOnlyNamedRowsWritten(c, simd, isa + " " + c.Name());
-
       const ProjectScatterResult composite = RunComposite(c, v);
-      ExpectSameBits(simd.x, composite.x, isa + " composite x " + c.Name());
-      ExpectSameBits(simd.xsum, composite.xsum,
-                     isa + " composite xsum " + c.Name());
-      ExpectSameBits(simd.out, composite.out,
-                     isa + " composite out " + c.Name());
+      const ProjectScatterResult ref =
+          RunRange(c, kernels::scalar::SparseRowsProjectScatter, 3);
+      for (const size_t block_rows : kXBlockRows) {
+        const std::string context = isa + " x blocks of " +
+                                    std::to_string(block_rows) + " " +
+                                    c.Name();
+        const ProjectScatterResult simd =
+            RunRange(c, v.sparse_rows_project_scatter, block_rows);
+        ExpectSameResult(simd, composite, block_rows > 0, context);
+        ExpectOnlyNamedRowsWritten(c, simd, block_rows > 0, context);
+        if (block_rows > 0) {
+          ExpectRowNear(simd.x, ref.x, /*exact=*/false, context + " x");
+        }
+        ExpectRowNear(simd.xsum, ref.xsum, /*exact=*/false,
+                      context + " xsum");
+        ExpectRowNear(simd.out, ref.out, /*exact=*/false, context + " out");
+      }
     }
   }
 }

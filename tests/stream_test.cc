@@ -512,6 +512,53 @@ TEST(PipelineTest, HotSwapsTrackDriftingStream) {
   EXPECT_NE(metrics.FindGauge("stream.subspace_angle_deg"), nullptr);
 }
 
+// Simulated seconds are a function of the stream, not of where the heap
+// puts each mini-batch: the same pipeline run twice, the second time with
+// an unrelated allocation kept alive before every batch is built (so a
+// batch no longer lands where the freed one before it lived), charges the
+// same seconds to the bit on both streaming solvers.
+TEST(PipelineTest, SimulatedSecondsDoNotDependOnWhereBatchesLand) {
+  for (const bool oja : {false, true}) {
+    std::vector<double> seconds;
+    for (const bool allocate_between : {false, true}) {
+      obs::Registry metrics;
+      serve::ModelRegistry registry(&metrics);
+      PublisherOptions publisher_options;
+      publisher_options.registry = &registry;
+      publisher_options.model_name = "stream";
+      ModelPublisher publisher(publisher_options);
+      workload::RowStream stream(SmallStreamConfig());
+      Engine engine(dist::ClusterSpec{}, EngineMode::kSpark);
+      std::unique_ptr<core::Solver> solver;
+      if (oja) {
+        solver = std::make_unique<OjaSolver>(&engine, SmallSolverOptions());
+      } else {
+        solver = std::make_unique<MiniBatchEmSolver>(&engine,
+                                                     SmallSolverOptions());
+      }
+      ASSERT_TRUE(solver->Init({}).ok());
+      StreamPipelineOptions pipeline_options;
+      pipeline_options.publish_every_batches = 4;
+      pipeline_options.max_batches = 8;
+      StreamPipeline pipeline(solver.get(), &publisher, pipeline_options);
+      std::vector<DenseMatrix> unrelated;
+      const auto summary = pipeline.Run(
+          [&]() -> std::optional<DistMatrix> {
+            if (allocate_between) {
+              unrelated.emplace_back(SmallStreamConfig().batch_rows,
+                                     SmallStreamConfig().dim);
+            }
+            return stream.NextBatch();
+          },
+          nullptr);
+      ASSERT_TRUE(summary.ok());
+      ASSERT_EQ(summary->batches, 8u);
+      seconds.push_back(engine.SimulatedSeconds());
+    }
+    EXPECT_EQ(seconds[0], seconds[1]) << (oja ? "oja" : "minibatch_em");
+  }
+}
+
 TEST(StreamMetricsTest, StepCountersSpansAndHistograms) {
   obs::Registry metrics;
   workload::RowStream stream(SmallStreamConfig());

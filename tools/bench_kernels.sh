@@ -8,7 +8,7 @@
 # repository benchmark (perfbench, workload fit_tweets), not here.
 #
 # Every BM_Naive*/BM_Kernel* pair is picked up by name. Only the headline
-# pairs below are gated; the fused YtX row (SparseRowProjectScatter/50),
+# pairs below are gated; one YtXJob task's rows (YtXTask/50),
 # the error sample (ErrorSample/2000) and the serving query
 # (ProjectSparse/2000) are recorded ungated.
 #
