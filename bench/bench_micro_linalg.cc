@@ -469,21 +469,29 @@ void BM_SparseRowTimesMatrix(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseRowTimesMatrix)->Arg(2000)->Arg(16000);
 
-void BM_CholeskySolve(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  DenseMatrix a = TransposeMultiply(Random(n, n, 8), Random(n, n, 8));
+/// Random n x n SPD matrix G'G + n*I.
+DenseMatrix RandomSpd(size_t n, uint64_t seed) {
+  const DenseMatrix g = Random(n, n, seed);
+  DenseMatrix a = TransposeMultiply(g, g);
   a.AddScaledIdentity(static_cast<double>(n));
-  const DenseMatrix b = Random(n, 10, 9);
-  for (auto _ : state) benchmark::DoNotOptimize(SolveSpd(a, b));
+  return a;
 }
-BENCHMARK(BM_CholeskySolve)->Arg(50)->Arg(100);
 
-void BM_LuInverse(benchmark::State& state) {
+void BM_SpdInverse(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const DenseMatrix a = Random(n, n, 10);
+  const DenseMatrix a = RandomSpd(n, 10);
   for (auto _ : state) benchmark::DoNotOptimize(Inverse(a));
 }
-BENCHMARK(BM_LuInverse)->Arg(50)->Arg(100);
+BENCHMARK(BM_SpdInverse)->Arg(50)->Arg(100);
+
+// The M-step's C' = YtX / A at D = range(0), d = 50.
+void BM_SolveRight(benchmark::State& state) {
+  const size_t dim = static_cast<size_t>(state.range(0));
+  const DenseMatrix a = RandomSpd(50, 8);
+  const DenseMatrix b = Random(dim, 50, 9);
+  for (auto _ : state) benchmark::DoNotOptimize(SolveRight(b, a));
+}
+BENCHMARK(BM_SolveRight)->Arg(2000);
 
 void BM_SymmetricEigen(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

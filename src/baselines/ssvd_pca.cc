@@ -121,7 +121,7 @@ StatusOr<DistMatrix> DistributedQr(dist::Engine* engine,
   auto chol = linalg::CholeskyFactor(gram);
   if (!chol.ok()) return chol.status();
   // R = L'; Q = Y * R^{-1} = Y * (L')^{-1}.
-  auto r_inverse = linalg::Inverse(chol.value().Transpose());
+  auto r_inverse = linalg::UpperTriangularInverse(chol.value().Transpose());
   if (!r_inverse.ok()) return r_inverse.status();
   engine->CountDriverFlops(grams.size() * k * k + 2ull * k * k * k);
   engine->Broadcast(k * k * sizeof(double));

@@ -171,8 +171,7 @@ double ErrorThroughGram(const dist::DistMatrix& sample,
   if (factor.ok() && GramRouteHolds(factor.value())) {
     // One d x d inverse per call: solving through the factor row by row
     // would put two serial triangular chains in every sample row.
-    const auto inverse = linalg::SolveSpd(
-        *gram, DenseMatrix::Identity(components.cols()));
+    const auto inverse = linalg::CholeskyInverse(factor.value());
     if (inverse.ok()) {
       return ProjectionError(sample, components, &inverse.value(), mean);
     }

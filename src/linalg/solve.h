@@ -6,22 +6,34 @@
 
 namespace spca::linalg {
 
+// The d x d solves of the library are all of symmetric positive-definite
+// (SPD) matrices: M = C'C + ss*I and XtX + ss*M^-1 in the PPCA EM
+// iteration, and the Gram matrix C'C of the error sample. The one
+// triangular routine serves their Cholesky factors and ssvd's R.
+
 /// Cholesky factorization of a symmetric positive-definite matrix:
-/// A = L * L' with L lower triangular. Fails if A is not SPD (within
-/// numerical tolerance). Used for the d x d matrices M and XtX in PPCA.
+/// A = L * L' with L lower triangular. Reads only the lower triangle of
+/// A. Fails if A is not SPD (within numerical tolerance).
 StatusOr<DenseMatrix> CholeskyFactor(const DenseMatrix& a);
 
-/// Solves A * X = B for SPD A using Cholesky. B may have multiple columns.
-StatusOr<DenseMatrix> SolveSpd(const DenseMatrix& a, const DenseMatrix& b);
+/// R^-1 of an upper-triangular R by back substitution, one column of
+/// R * X = I at a time. Reads only the upper triangle of R. Fails when the
+/// inverse is not finite (a zero or tiny diagonal entry).
+StatusOr<DenseMatrix> UpperTriangularInverse(const DenseMatrix& r);
 
-/// Solves A * X = B using LU with partial pivoting (general square A).
-StatusOr<DenseMatrix> SolveLu(const DenseMatrix& a, const DenseMatrix& b);
+/// A^-1 from A's Cholesky factor L, exactly symmetric. Fails when L or the
+/// inverse is not finite.
+StatusOr<DenseMatrix> CholeskyInverse(const DenseMatrix& l);
 
-/// Inverse of a square matrix via LU. Fails on (numerically) singular input.
+/// Inverse of an SPD matrix: one Cholesky factorization, then
+/// CholeskyInverse, so the result is exactly symmetric. InvalidArgument
+/// when A is not square or not exactly symmetric; FailedPrecondition when
+/// A is not finite or not positive definite, or its inverse is not finite.
 StatusOr<DenseMatrix> Inverse(const DenseMatrix& a);
 
 /// Solves X * A = B, i.e. X = B * A^{-1} — the paper's `B / A` notation
-/// (line "C = YtX / XtX" in Algorithm 1). A is square (d x d); B is (n x d).
+/// (line "C = YtX / XtX" in Algorithm 1) — as Multiply(B, Inverse(A)).
+/// A is SPD (d x d); B is (n x d). Fails as Inverse does.
 StatusOr<DenseMatrix> SolveRight(const DenseMatrix& b, const DenseMatrix& a);
 
 }  // namespace spca::linalg

@@ -27,8 +27,9 @@ namespace spca::serve {
 /// are bit-identical to row-at-a-time execution by construction.
 class Projector {
  public:
-  /// Precomputes the E-step map; fails when C'C + ss*I is numerically
-  /// singular (e.g. a zero component column with ss == 0).
+  /// Precomputes the E-step map; fails when C'C + ss*I is not positive
+  /// definite or not finite (e.g. a zero component column with ss == 0, or
+  /// a NaN loading or noise variance).
   static StatusOr<Projector> Create(core::PcaModel model);
 
   const core::PcaModel& model() const { return model_; }

@@ -924,9 +924,9 @@ double PlainLoopProjectionError(const dist::DistMatrix& sample,
 }
 
 // SampledReconstructionError's projector in plain loops: G = C'C summed
-// row by row as TransposeMultiply does, G^-1 from SolveSpd, and the basis
-// C with middle G^-1; or, where G's Cholesky factor fails, is not finite
-// or has (max L_ii / min L_ii)^2 above 1e8, the MGS2 basis alone.
+// row by row as TransposeMultiply does, G^-1 from linalg::Inverse, and the
+// basis C with middle G^-1; or, where G's Cholesky factor fails, is not
+// finite or has (max L_ii / min L_ii)^2 above 1e8, the MGS2 basis alone.
 double PlainLoopGramError(const dist::DistMatrix& sample,
                           const DenseMatrix& components,
                           const DenseVector& mean) {
@@ -959,8 +959,7 @@ double PlainLoopGramError(const dist::DistMatrix& sample,
     return PlainLoopProjectionError(sample, OrthonormalizeColumns(components),
                                     nullptr, mean);
   }
-  const DenseMatrix inverse =
-      SolveSpd(gram, DenseMatrix::Identity(d)).value();
+  const DenseMatrix inverse = Inverse(gram).value();
   return PlainLoopProjectionError(sample, components, &inverse, mean);
 }
 

@@ -89,8 +89,9 @@ TEST_P(MatrixAlgebraSweep, FrobeniusNormEqualsSumOfSquaredSingularValues) {
 TEST_P(MatrixAlgebraSweep, InverseOfInverseIsIdentityMap) {
   Rng rng(seed() + 13);
   const size_t n = 1 + rng.NextUint64Below(8);
-  DenseMatrix a = Random(n, n, seed() + 14);
-  a.AddScaledIdentity(static_cast<double>(n));  // keep well-conditioned
+  const DenseMatrix g = Random(n, n, seed() + 14);
+  DenseMatrix a = TransposeMultiply(g, g);
+  a.AddScaledIdentity(static_cast<double>(n));  // SPD, well-conditioned
   auto inv = Inverse(a);
   ASSERT_TRUE(inv.ok());
   auto inv_inv = Inverse(inv.value());
@@ -101,13 +102,14 @@ TEST_P(MatrixAlgebraSweep, InverseOfInverseIsIdentityMap) {
 TEST_P(MatrixAlgebraSweep, SolveThenMultiplyRoundTrips) {
   Rng rng(seed() + 15);
   const size_t n = 1 + rng.NextUint64Below(10);
-  DenseMatrix a = Random(n, n, seed() + 16);
+  const DenseMatrix g = Random(n, n, seed() + 16);
+  DenseMatrix a = TransposeMultiply(g, g);
   a.AddScaledIdentity(static_cast<double>(n));
-  const DenseMatrix x_truth = Random(n, 3, seed() + 17);
-  const DenseMatrix b = Multiply(a, x_truth);
-  auto x = SolveLu(a, b);
+  const DenseMatrix x_truth = Random(3, n, seed() + 17);
+  const DenseMatrix b = Multiply(x_truth, a);
+  auto x = SolveRight(b, a);  // X * A = B
   ASSERT_TRUE(x.ok());
-  EXPECT_LT(x.value().MaxAbsDiff(x_truth), 1e-7);
+  EXPECT_LT(Multiply(x.value(), a).MaxAbsDiff(b), 1e-7);
 }
 
 TEST_P(MatrixAlgebraSweep, OrthonormalizationIsIdempotent) {
@@ -171,8 +173,8 @@ TEST(LinalgStructuredTest, IdentityDecompositions) {
 }
 
 TEST(LinalgStructuredTest, IllConditionedSolveStillAccurate) {
-  // Hilbert-like matrix: notoriously ill-conditioned; residual (not the
-  // solution) must still be small at n = 6.
+  // The Hilbert matrix: SPD and notoriously ill-conditioned; the residual
+  // of its inverse (not the inverse itself) must still be small at n = 6.
   const size_t n = 6;
   DenseMatrix h(n, n);
   for (size_t i = 0; i < n; ++i) {
@@ -180,11 +182,10 @@ TEST(LinalgStructuredTest, IllConditionedSolveStillAccurate) {
       h(i, j) = 1.0 / static_cast<double>(i + j + 1);
     }
   }
-  const DenseMatrix b = DenseMatrix::Identity(n);
-  auto x = SolveLu(h, b);
+  auto x = Inverse(h);
   ASSERT_TRUE(x.ok());
   const DenseMatrix residual = Multiply(h, x.value());
-  EXPECT_LT(residual.MaxAbsDiff(b), 1e-6);
+  EXPECT_LT(residual.MaxAbsDiff(DenseMatrix::Identity(n)), 1e-6);
 }
 
 TEST(LinalgStructuredTest, ZeroMatrixSvd) {

@@ -57,7 +57,7 @@ core::PcaModel TestModel(size_t dim = 20, size_t components = 3,
 }
 
 /// Naive reference projection: x = (C'C + ss*I)^{-1} C'(y - mean), computed
-/// with plain loops and a dense solve.
+/// with plain loops around linalg::Inverse.
 DenseVector ReferenceProject(const core::PcaModel& model,
                              const DenseVector& y) {
   const size_t dim = model.input_dim();
@@ -81,9 +81,11 @@ DenseVector ReferenceProject(const core::PcaModel& model,
     }
     rhs(a, 0) = sum;
   }
-  auto solved = linalg::SolveLu(m, rhs);
+  const DenseMatrix m_inverse = linalg::Inverse(m).value();
   DenseVector x(d);
-  for (size_t a = 0; a < d; ++a) x[a] = solved.value()(a, 0);
+  for (size_t a = 0; a < d; ++a) {
+    for (size_t b = 0; b < d; ++b) x[a] += m_inverse(a, b) * rhs(b, 0);
+  }
   return x;
 }
 
@@ -261,6 +263,47 @@ TEST(ProjectorTest, RejectsEmptyAndMismatchedModels) {
   core::PcaModel mismatched = TestModel();
   mismatched.mean = DenseVector(3);
   EXPECT_FALSE(Projector::Create(mismatched).ok());
+}
+
+/// A model whose C'C + ss*I is not finite has no E-step map: Create
+/// refuses it with a typed status, so the registry neither swaps it in nor
+/// loads it from a file, and the model it holds keeps serving.
+void ExpectNotServable(const core::PcaModel& model) {
+  auto projector = Projector::Create(model);
+  ASSERT_FALSE(projector.ok());
+  EXPECT_EQ(projector.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(projector.status().message().find("not finite"),
+            std::string::npos)
+      << projector.status().message();
+
+  obs::Registry metrics;
+  ModelRegistry registry(&metrics);
+  ASSERT_TRUE(registry.Install("m", TestModel()).ok());
+  const auto before = registry.Get("m");
+  EXPECT_FALSE(registry.Install("m", model).ok());
+  const std::string path = TempPath("not_servable.spcm");
+  ASSERT_TRUE(SaveModel(model, path).ok());
+  EXPECT_FALSE(registry.Load("m", path).ok());
+  EXPECT_EQ(registry.Get("m"), before);
+  EXPECT_EQ(metrics.FindCounter("serve.model_swaps"), nullptr);
+}
+
+TEST(ProjectorTest, RejectsNanLoading) {
+  core::PcaModel model = TestModel();
+  model.components(4, 1) = std::numeric_limits<double>::quiet_NaN();
+  ExpectNotServable(model);
+}
+
+TEST(ProjectorTest, RejectsInfiniteLoading) {
+  core::PcaModel model = TestModel();
+  model.components(7, 2) = std::numeric_limits<double>::infinity();
+  ExpectNotServable(model);
+}
+
+TEST(ProjectorTest, RejectsNanNoiseVariance) {
+  core::PcaModel model = TestModel();
+  model.noise_variance = std::numeric_limits<double>::quiet_NaN();
+  ExpectNotServable(model);
 }
 
 TEST(ProjectorTest, QueryFlopsAccounting) {

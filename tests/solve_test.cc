@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
-#include <vector>
+#include <limits>
 
 #include "common/rng.h"
 #include "linalg/ops.h"
@@ -41,42 +42,101 @@ TEST(SolveTest, CholeskyRejectsNonSpd) {
   EXPECT_FALSE(CholeskyFactor(rect).ok());
 }
 
-TEST(SolveTest, SolveSpdResidual) {
-  Rng rng(11);
-  const DenseMatrix a = RandomSpd(8, &rng);
-  const DenseMatrix b = DenseMatrix::GaussianRandom(8, 3, &rng);
-  auto x = SolveSpd(a, b);
-  ASSERT_TRUE(x.ok());
-  const DenseMatrix residual = Multiply(a, x.value());
-  EXPECT_LT(residual.MaxAbsDiff(b), 1e-8);
-}
-
-TEST(SolveTest, SolveLuResidual) {
-  Rng rng(12);
-  const DenseMatrix a = DenseMatrix::GaussianRandom(9, 9, &rng);
-  const DenseMatrix b = DenseMatrix::GaussianRandom(9, 4, &rng);
-  auto x = SolveLu(a, b);
-  ASSERT_TRUE(x.ok());
-  const DenseMatrix residual = Multiply(a, x.value());
-  EXPECT_LT(residual.MaxAbsDiff(b), 1e-8);
-}
-
-TEST(SolveTest, SolveLuRejectsSingular) {
-  DenseMatrix a(3, 3);
-  a(0, 0) = 1.0;
-  a(1, 0) = 2.0;  // rank 1
-  a(2, 0) = 3.0;
-  const DenseMatrix b = DenseMatrix::Identity(3);
-  EXPECT_FALSE(SolveLu(a, b).ok());
-}
-
 TEST(SolveTest, InverseTimesOriginalIsIdentity) {
   Rng rng(13);
-  const DenseMatrix a = DenseMatrix::GaussianRandom(7, 7, &rng);
+  const DenseMatrix a = RandomSpd(7, &rng);
   auto inv = Inverse(a);
   ASSERT_TRUE(inv.ok());
   const DenseMatrix eye = Multiply(a, inv.value());
   EXPECT_LT(eye.MaxAbsDiff(DenseMatrix::Identity(7)), 1e-8);
+}
+
+TEST(SolveTest, InverseIsExactlySymmetric) {
+  Rng rng(17);
+  for (size_t n : {1, 2, 5, 50}) {
+    const DenseMatrix a = RandomSpd(n, &rng);
+    auto inv = Inverse(a);
+    ASSERT_TRUE(inv.ok());
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < i; ++j) {
+        ASSERT_EQ(std::memcmp(&inv.value()(i, j), &inv.value()(j, i),
+                              sizeof(double)),
+                  0)
+            << n << "x" << n << " (" << i << ", " << j << ")";
+      }
+    }
+  }
+}
+
+TEST(SolveTest, InverseRejectsAsymmetric) {
+  Rng rng(18);
+  DenseMatrix a = RandomSpd(4, &rng);
+  a(3, 1) = std::nextafter(a(3, 1), 1e300);  // one ulp off symmetric
+  auto inv = Inverse(a);
+  ASSERT_FALSE(inv.ok());
+  EXPECT_EQ(inv.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Inverse(DenseMatrix(2, 3)).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(SolveTest, InverseRejectsNonSpd) {
+  DenseMatrix indefinite(2, 2);  // eigenvalues 3 and -1
+  indefinite(0, 0) = 1.0;
+  indefinite(0, 1) = 2.0;
+  indefinite(1, 0) = 2.0;
+  indefinite(1, 1) = 1.0;
+  auto inv = Inverse(indefinite);
+  ASSERT_FALSE(inv.ok());
+  EXPECT_EQ(inv.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(Inverse(DenseMatrix(3, 3)).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST(SolveTest, InverseRejectsNonFinite) {
+  Rng rng(19);
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()};
+  for (const double bad : bad_values) {
+    DenseMatrix diagonal = RandomSpd(4, &rng);
+    diagonal(2, 2) = bad;
+    DenseMatrix off_diagonal = RandomSpd(4, &rng);
+    off_diagonal(3, 0) = bad;
+    off_diagonal(0, 3) = bad;
+    for (const DenseMatrix* a : {&diagonal, &off_diagonal}) {
+      auto inv = Inverse(*a);
+      ASSERT_FALSE(inv.ok()) << bad;
+      EXPECT_EQ(inv.status().code(), StatusCode::kFailedPrecondition) << bad;
+    }
+  }
+  // Finite and SPD, but the inverse overflows.
+  DenseMatrix tiny = DenseMatrix::Identity(2);
+  tiny.Scale(1e-310);
+  auto inv = Inverse(tiny);
+  ASSERT_FALSE(inv.ok());
+  EXPECT_EQ(inv.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// ssvd's Q = Y * R^-1 takes R^-1 from UpperTriangularInverse; R is the
+// transposed Cholesky factor of its Gram matrix.
+TEST(SolveTest, UpperTriangularInverseResidual) {
+  Rng rng(20);
+  for (size_t n : {1, 3, 8, 40}) {
+    const DenseMatrix r =
+        CholeskyFactor(RandomSpd(n, &rng)).value().Transpose();
+    auto inv = UpperTriangularInverse(r);
+    ASSERT_TRUE(inv.ok());
+    EXPECT_LT(Multiply(r, inv.value()).MaxAbsDiff(DenseMatrix::Identity(n)),
+              1e-10)
+        << n;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < i; ++j) EXPECT_EQ(inv.value()(i, j), 0.0);
+    }
+  }
+  DenseMatrix singular = DenseMatrix::Identity(3);
+  singular(1, 1) = 0.0;
+  auto inv = UpperTriangularInverse(singular);
+  ASSERT_FALSE(inv.ok());
+  EXPECT_EQ(inv.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(SolveTest, SolveRightMatchesDefinition) {
@@ -95,35 +155,25 @@ TEST(SolveTest, SolveRightShapeChecks) {
   EXPECT_FALSE(SolveRight(wrong, square).ok());
 }
 
-// SolveRight substitutes rows of B against one factorization of A'. It
-// must give the bits of the route it replaced, SolveLu(A', B')', for row
-// counts on both sides of its four-row interleave.
-TEST(SolveTest, SolveRightMatchesTransposedSolveLuBitwise) {
+// SolveRight(B, A) is Multiply(B, Inverse(A)) bit for bit, so the
+// M-step's C' = YtX / A runs on the RowGemm kernel.
+TEST(SolveTest, SolveRightIsMultiplyByInverseBitwise) {
   Rng rng(15);
-  // A whose transpose needs row swaps while it is factored.
-  DenseMatrix pivoting(6, 6);
-  for (size_t i = 0; i < 6; ++i) {
-    for (size_t j = 0; j < 6; ++j) pivoting(i, j) = 0.01 * rng.NextGaussian();
-    pivoting(i, (i + 1) % 6) = 1.0 + static_cast<double>(i);
-  }
-  const std::vector<DenseMatrix> as = {
-      RandomSpd(5, &rng), DenseMatrix::GaussianRandom(50, 50, &rng), pivoting};
-  for (const DenseMatrix& a : as) {
+  for (size_t n : {1, 5, 50}) {
+    const DenseMatrix a = RandomSpd(n, &rng);
+    const DenseMatrix inverse = Inverse(a).value();
     for (size_t rows : {0, 1, 3, 4, 5, 7, 2001}) {
-      const DenseMatrix b = DenseMatrix::GaussianRandom(rows, a.rows(), &rng);
+      const DenseMatrix b = DenseMatrix::GaussianRandom(rows, n, &rng);
       auto x = SolveRight(b, a);
-      auto xt = SolveLu(a.Transpose(), b.Transpose());
       ASSERT_TRUE(x.ok());
-      ASSERT_TRUE(xt.ok());
-      const DenseMatrix expected = xt.value().Transpose();
+      const DenseMatrix expected = Multiply(b, inverse);
       ASSERT_EQ(x.value().rows(), rows);
-      ASSERT_EQ(x.value().cols(), a.rows());
+      ASSERT_EQ(x.value().cols(), n);
       for (size_t r = 0; r < rows; ++r) {
         ASSERT_EQ(std::memcmp(x.value().RowPtr(r), expected.RowPtr(r),
-                              a.rows() * sizeof(double)),
+                              n * sizeof(double)),
                   0)
-            << a.rows() << "x" << a.rows() << " A, " << rows << " rows, row "
-            << r;
+            << n << "x" << n << " A, " << rows << " rows, row " << r;
       }
     }
   }
@@ -144,16 +194,14 @@ TEST(SolveTest, SolveRightRejectsSingular) {
 
 class SolveSizeSweep : public ::testing::TestWithParam<int> {};
 
-TEST_P(SolveSizeSweep, SpdAndLuAgree) {
+TEST_P(SolveSizeSweep, SolveRightResidual) {
   const size_t n = static_cast<size_t>(GetParam());
   Rng rng(100 + n);
   const DenseMatrix a = RandomSpd(n, &rng);
-  const DenseMatrix b = DenseMatrix::GaussianRandom(n, 2, &rng);
-  auto x_spd = SolveSpd(a, b);
-  auto x_lu = SolveLu(a, b);
-  ASSERT_TRUE(x_spd.ok());
-  ASSERT_TRUE(x_lu.ok());
-  EXPECT_LT(x_spd.value().MaxAbsDiff(x_lu.value()), 1e-7);
+  const DenseMatrix b = DenseMatrix::GaussianRandom(2, n, &rng);
+  auto x = SolveRight(b, a);
+  ASSERT_TRUE(x.ok());
+  EXPECT_LT(Multiply(x.value(), a).MaxAbsDiff(b), 1e-7);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SolveSizeSweep,
