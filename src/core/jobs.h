@@ -164,9 +164,9 @@ struct EStep {
 /// Builds the E-step map for components `c` (D x d), its C'C `ctc`
 /// (linalg::TransposeMultiply(c, c); the previous MStep::ctc), noise
 /// variance `ss` and column mean `ym`: every row's latent coordinates are
-/// X_i = Y_i * CM - Xm. Fails when M is not positive definite or not
-/// finite. Engine-free, so the serving Projector builds the same map from a
-/// model.
+/// X_i = Y_i * CM - Xm. Fails as linalg::Inverse does when M is not
+/// positive definite, ill-conditioned or not finite. Engine-free, so the
+/// serving Projector builds the same map from a model.
 StatusOr<EStep> MakeEStep(const linalg::DenseMatrix& c,
                           const linalg::DenseMatrix& ctc, double ss,
                           const linalg::DenseVector& ym);

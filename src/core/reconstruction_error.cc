@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -42,27 +41,11 @@ std::vector<size_t> SampleRowIndices(size_t total_rows, size_t count,
 
 namespace {
 
-/// The Gram route hands the error sample over to MGS2 when (max L_ii /
-/// min L_ii)^2 of G's Cholesky factor L exceeds this. That ratio is a lower
+/// The Gram route hands the error sample over to MGS2 when the
+/// CholeskyConditionEstimate of G's factor exceeds this. It is a lower
 /// bound on cond(G), and the route's relative error grows like cond(G)
 /// times the machine epsilon.
 constexpr double kGramConditionBound = 1e8;
-
-/// Whether the Cholesky factor `l` of G = C'C is finite and conditioned
-/// well enough for the Gram route.
-bool GramRouteHolds(const DenseMatrix& l) {
-  double max_diag = 0.0;
-  double min_diag = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < l.rows(); ++i) {
-    for (size_t j = 0; j <= i; ++j) {
-      if (!std::isfinite(l(i, j))) return false;
-    }
-    max_diag = std::max(max_diag, l(i, i));
-    min_diag = std::min(min_diag, l(i, i));
-  }
-  const double ratio = max_diag / min_diag;
-  return ratio * ratio <= kGramConditionBound;
-}
 
 /// sum_k |v[k]| over [0, n) in four interleaved partial sums, so the adds
 /// do not run as one chain of n dependent steps.
@@ -155,8 +138,9 @@ double ProjectionError(const dist::DistMatrix& sample,
 
 /// SampledReconstructionError with `gram` = C'C of `components` handed
 /// in, or formed here when null. The projector C * G^-1 * C' needs no
-/// orthonormal basis; MGS2 builds one only when G's factor fails the
-/// GramRouteHolds test (C rank-deficient, nearly so, or not finite).
+/// orthonormal basis; MGS2 builds one only when G's factor fails or its
+/// condition estimate exceeds kGramConditionBound (C rank-deficient,
+/// nearly so, or not finite).
 double ErrorThroughGram(const dist::DistMatrix& sample,
                         const DenseMatrix& components,
                         const DenseVector& mean, const DenseMatrix* gram) {
@@ -168,7 +152,8 @@ double ErrorThroughGram(const dist::DistMatrix& sample,
   }
   SPCA_CHECK_EQ(gram->rows(), components.cols());
   const auto factor = linalg::CholeskyFactor(*gram);
-  if (factor.ok() && GramRouteHolds(factor.value())) {
+  if (factor.ok() && linalg::CholeskyConditionEstimate(factor.value()) <=
+                         kGramConditionBound) {
     // One d x d inverse per call: solving through the factor row by row
     // would put two serial triangular chains in every sample row.
     const auto inverse = linalg::CholeskyInverse(factor.value());
@@ -216,7 +201,7 @@ AccuracyTracker::AccuracyTracker(dist::Engine* engine,
     : engine_(engine),
       policy_(policy),
       measures_(policy.compute_trace || policy.target_fraction <= 1.0),
-      stats_before_(engine->stats()),
+      stats_before_(engine->StatsSnapshot()),
       first_job_index_(engine->traces().size()) {}
 
 Status AccuracyTracker::Anchor(const dist::DistMatrix& y, size_t d) {
@@ -280,7 +265,7 @@ void AccuracyTracker::Finish(SolveResult* result) {
   result->ideal_error = ideal_error_;
   result->reached_target = reached_target_;
   result->first_job_index = first_job_index_;
-  result->stats = dist::StatsDiff(engine_->stats(), stats_before_);
+  result->stats = dist::StatsDiff(engine_->StatsSnapshot(), stats_before_);
   result->stats.wall_seconds = wall_.ElapsedSeconds();
 }
 

@@ -9,7 +9,7 @@ namespace spca::dist {
 namespace {
 
 // Registry metric names. The engine.* namespace is the single source of
-// truth for everything CommStats reports (see Engine::stats()).
+// truth for everything CommStats reports (see Engine::StatsSnapshot()).
 constexpr const char* kJobsLaunched = "engine.jobs_launched";
 constexpr const char* kTaskFlops = "engine.task_flops";
 constexpr const char* kDriverFlops = "engine.driver_flops";
@@ -65,12 +65,6 @@ CommStats Engine::StatsSnapshot() const {
   const obs::Counter* wall = registry_->FindCounter(kWallSeconds);
   snapshot.wall_seconds = wall == nullptr ? 0.0 : wall->value();
   return snapshot;
-}
-
-const CommStats& Engine::stats() const {
-  const std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_snapshot_ = StatsSnapshot();
-  return stats_snapshot_;
 }
 
 double Engine::SimulatedSeconds() const {

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -99,8 +98,8 @@ uint64_t LinearDriverStateBytes(const ClusterSpec& spec, size_t dim,
 /// spans on the simulated-time track). The engine owns a registry by
 /// default; pass one to the constructor to merge engine telemetry into a
 /// run-wide registry (what spca_cli --trace-out does). CommStats snapshots
-/// returned by stats() are materialized *from* the registry counters, so
-/// there is exactly one source of truth.
+/// returned by StatsSnapshot() are materialized *from* the registry
+/// counters, so there is exactly one source of truth.
 class Engine {
  public:
   /// `registry`, when non-null, must outlive the engine. Fault injection
@@ -127,12 +126,9 @@ class Engine {
   obs::Registry* registry() const { return registry_; }
 
   /// Cumulative statistics since construction or the last ResetStats(),
-  /// materialized from the registry's engine.* counters.
-  const CommStats& stats() const;
-
-  /// Same statistics, returned by value. Safe to call from any thread at
-  /// any time (the counters are atomics; nothing is materialized into
-  /// shared engine state) — what monitoring threads should use.
+  /// materialized from the registry's engine.* counters and returned by
+  /// value. Safe to call from any thread at any time (the counters are
+  /// atomics; nothing is materialized into shared engine state).
   CommStats StatsSnapshot() const;
 
   const std::vector<JobTrace>& traces() const { return traces_; }
@@ -267,11 +263,6 @@ class Engine {
   EngineMode mode_;
   obs::Registry owned_registry_;
   obs::Registry* registry_;
-  // stats() materializes into this under stats_mutex_ so concurrent readers
-  // (a monitor thread polling while the driver runs jobs) never race on the
-  // shared snapshot; StatsSnapshot() bypasses both entirely.
-  mutable std::mutex stats_mutex_;
-  mutable CommStats stats_snapshot_;
   std::vector<JobTrace> traces_;
   FaultPlan fault_plan_;
   // Jobs launched since construction / ResetStats — the job index faults

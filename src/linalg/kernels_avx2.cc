@@ -30,11 +30,10 @@
 // and every loop over the vectors fully unrolled (constant indices).
 // GCC 12's early unroller refuses the twelve-vector loops ("size would
 // grow"), and then the array stays on the stack: the accumulators are
-// zeroed there, live in registers only inside the entry loop, and are
-// spilled and reloaded around it. The SparseRowsProjectScatter stripes
-// force the unroll with SPCA_UNROLL_STRIPE, and objdump of this file
-// shows no ymm stack operand in that kernel; SparseRowGemv and RowGemm,
-// whose fold loops are not forced, still show 48 each.
+// zeroed there, live in registers only inside the term loop, and are
+// spilled and reloaded around it. Every loop over a stripe's vectors
+// therefore carries SPCA_UNROLL_STRIPE, and objdump of this file shows no
+// ymm stack operand in SparseRowGemv, RowGemm or SparseRowsProjectScatter.
 #define SPCA_STRIPE_INLINE __attribute__((always_inline)) inline
 #define SPCA_UNROLL_STRIPE _Pragma("GCC unroll 16")
 #else
@@ -199,117 +198,83 @@ inline __m256i TailMask(size_t rem) {
       reinterpret_cast<const __m256i*>(kMask[rem - 1]));
 }
 
-// One column stripe of a row-times-matrix product, with the stripe of c
-// held in NV ymm accumulators across the ENTIRE k sweep: c never touches
-// memory inside the stripe, b is streamed through sequentially (hardware-
-// prefetcher friendly), and each b cache line is read by exactly one
-// stripe. NV = 12 (48 columns) uses 12 of the 16 ymm registers and keeps
-// both FMA ports saturated; the d <= 48 shapes of the paper's workloads
-// run as one stripe with zero c traffic.
-//
-// kHasRem appends a partial tail vector (`rem` = 1-3 columns) so a
-// 50-wide row is ONE pass — peeling those columns into a scalar loop
-// would re-stream b's tail cache lines and serialize on FMA latency
-// (that chain alone cost ~25% of the d = 50 product). The tail is an
-// ORDINARY unmasked load: lanes rem..3 read bytes past the logical row
-// end, which the tail-padding contract (aligned.h, DESIGN.md par.8)
-// guarantees are readable — either the next row's head or the buffer's
-// zeroed padding. Their products are discarded by the masked store at
-// the end, so only rem columns of c change. A per-iteration
-// _mm256_maskload_pd here instead would cost an extra ymm for the mask
-// plus a slower load µop and push the d = 50 shape past 16 live
-// registers, forcing the stripe to split into two passes over b.
-template <int NV, bool kHasRem>
-SPCA_STRIPE_INLINE void RowGemmStripe(const double* SPCA_RESTRICT a_row,
-                                      size_t k, const double* SPCA_RESTRICT b,
-                                      size_t b_stride,
-                                      double* SPCA_RESTRICT c, size_t rem) {
-  static_assert(NV >= 1 && NV <= 12, "more than 12 vectors cannot stay "
-                                     "register-resident");
-  // Prefetch b a few rows ahead into L1: when b is bigger than L1 the
-  // hardware stride prefetcher only pulls the rows as far as L2, and the
-  // ~6 L1 misses per 50-column row otherwise serialize on the load
-  // buffer. For L1-resident b the redundant prefetches cost ~a cycle per
-  // row. Rows are b_stride (not 4*NV) apart, so for narrow stripes only
-  // the stripe's own lines are touched.
-  constexpr size_t kPrefetchRows = 4;
-  constexpr int kPrefetchSpan = NV * 32 + (kHasRem ? 32 : 0);
-  // Accumulators start at zero and c is folded in at the final store: if
-  // they were initialized by loading c, GCC turns the init/store loops
-  // into stack memcpys, the array stays memory-backed, and every
-  // iteration pays NV dead stores.
-  __m256d acc[NV];
-  for (int v = 0; v < NV; ++v) acc[v] = _mm256_setzero_pd();
-  __m256d accr = _mm256_setzero_pd();
-  for (size_t kk = 0; kk < k; ++kk) {
-    if (kk + kPrefetchRows < k) {
-      const char* next =
-          reinterpret_cast<const char*>(b + (kk + kPrefetchRows) * b_stride);
-      for (int off = 0; off <= kPrefetchSpan; off += 64) {
-        _mm_prefetch(next + off, _MM_HINT_T0);
-      }
-    }
-    const __m256d vv = _mm256_set1_pd(a_row[kk]);
-    const double* row = b + kk * b_stride;
-    for (int v = 0; v < NV; ++v) {
-      acc[v] = _mm256_fmadd_pd(vv, _mm256_loadu_pd(row + 4 * v), acc[v]);
-    }
-    if constexpr (kHasRem) {
-      accr = _mm256_fmadd_pd(vv, _mm256_loadu_pd(row + 4 * NV), accr);
-    }
-  }
-  for (int v = 0; v < NV; ++v) {
-    _mm256_storeu_pd(c + 4 * v,
-                     _mm256_add_pd(_mm256_loadu_pd(c + 4 * v), acc[v]));
-  }
-  if constexpr (kHasRem) {
-    const __m256i mask = TailMask(rem);
-    _mm256_maskstore_pd(
-        c + 4 * NV, mask,
-        _mm256_add_pd(_mm256_maskload_pd(c + 4 * NV, mask), accr));
-  }
-  if constexpr (!kHasRem) (void)rem;
-}
+// The two row sources of the stripe engine. Term k of a row-times-matrix
+// product adds Weight(k) times row Row(k) of the broadcast matrix b: for a
+// dense row a_row[k] times row k, for a CSR row entries[k].value times row
+// entries[k].index. Each source keeps its own software-prefetch distance
+// in terms (0 = none). A dense row walks b's rows in order, so only the
+// wide stripes prefetch, a few rows out into L1: when b is bigger than L1
+// the hardware stride prefetcher only pulls the rows as far as L2, and
+// the ~6 L1 misses per 50-column row otherwise serialize on the load
+// buffer. A CSR row's indices jump around b, so every gathered row is a
+// likely cache miss the hardware prefetcher cannot predict; both stripe
+// widths prefetch further out, far enough to cover L3 latency at ~10
+// cycles of FMA work per entry.
+struct DenseTerms {
+  static constexpr size_t kWideAhead = 4;
+  static constexpr size_t kNarrowAhead = 0;
+  const double* a;
+  double Weight(size_t k) const { return a[k]; }
+  size_t Row(size_t k) const { return k; }
+};
 
-// Same register-stripe shape for the sparse product, with the CSR entries
-// innermost. The entry indices jump around the broadcast matrix, so every
-// gathered row is a likely cache miss the hardware prefetcher cannot
-// predict: prefetch the FULL stripe width of the row kPrefetchAhead
-// entries out (~a cache-line per 8 doubles), far enough to cover L3
-// latency at ~10 cycles of FMA work per entry.
+struct CsrTerms {
+  static constexpr size_t kWideAhead = 6;
+  static constexpr size_t kNarrowAhead = 8;
+  const SparseEntry* entries;
+  double Weight(size_t k) const { return entries[k].value; }
+  size_t Row(size_t k) const { return entries[k].index; }
+};
+
+// One column stripe of a row-times-matrix product, with the stripe held
+// in NV ymm accumulators (one FMA chain per vector) across the ENTIRE
+// sweep over the n terms: the output never touches memory inside the
+// stripe, and each b cache line is read by exactly one stripe. NV = 12
+// (48 columns) uses 12 of the 16 ymm registers and keeps both FMA ports
+// saturated; the d <= 51 shapes of the paper's workloads run as one
+// stripe. The prefetch runs the FULL stripe width of the row
+// Terms::kWideAhead terms out, while that term is below `readable`, so a
+// caller walking consecutive CSR rows has the next row's first gathered
+// rows in flight before it starts it.
 //
-// Zero-init + fold-in-at-store, for the same register-promotion reason
-// as RowGemmStripe. The tail vector is likewise a plain over-reading
-// load (tail-padding contract): a gathered row is any row of b including
-// the last, so without the padding every iteration would need a masked
-// load — there is no "last iteration" to peel.
+// kHasRem appends a partial tail vector (1-3 columns), so a 50-wide row
+// is ONE pass: peeling those columns into a scalar loop would re-stream
+// b's tail cache lines and serialize on FMA latency. The tail is an
+// ORDINARY unmasked load: its surplus lanes read bytes past the logical
+// row end, which the tail-padding contract (aligned.h, DESIGN.md par.8)
+// guarantees are readable, either the next row's head or the buffer's
+// zeroed padding; FoldStripe's masked store discards their products. A
+// CSR term may name any row of b including the last, so without the
+// padding every term would need a masked load, and a per-term
+// _mm256_maskload_pd would cost a ymm for the mask plus a slower load µop
+// and push the d = 50 shape past 16 live registers.
 //
-// `prefetch_count` >= nnz entries from `entries` on are readable; the
-// prefetch runs that far ahead, so a caller walking consecutive CSR rows
-// has the next row's first gathered rows in flight before it starts it.
-template <int NV, bool kHasRem>
-SPCA_STRIPE_INLINE void GatherStripe(const SparseEntry* SPCA_RESTRICT entries,
-                                     size_t nnz, size_t prefetch_count,
+// The accumulators start at zero and the output is folded in at the end
+// (FoldStripe): if they were initialized by loading it, GCC turns the
+// init/store loops into stack memcpys and the array stays memory-backed.
+template <int NV, bool kHasRem, class Terms>
+SPCA_STRIPE_INLINE void GatherStripe(Terms terms, size_t n, size_t readable,
                                      const double* SPCA_RESTRICT b,
                                      size_t b_stride, __m256d (&acc)[NV],
                                      __m256d& accr) {
   static_assert(NV >= 1 && NV <= 12, "more than 12 vectors cannot stay "
                                      "register-resident");
-  constexpr size_t kPrefetchAhead = 6;
+  constexpr size_t kAhead = Terms::kWideAhead;
   constexpr int kPrefetchSpan = NV * 32 + (kHasRem ? 32 : 0);
   SPCA_UNROLL_STRIPE
   for (int v = 0; v < NV; ++v) acc[v] = _mm256_setzero_pd();
   accr = _mm256_setzero_pd();
-  for (size_t k = 0; k < nnz; ++k) {
-    if (k + kPrefetchAhead < prefetch_count) {
-      const char* next = reinterpret_cast<const char*>(
-          b + entries[k + kPrefetchAhead].index * b_stride);
+  for (size_t k = 0; k < n; ++k) {
+    if (k + kAhead < readable) {
+      const char* next =
+          reinterpret_cast<const char*>(b + terms.Row(k + kAhead) * b_stride);
       for (int off = 0; off <= kPrefetchSpan; off += 64) {
         _mm_prefetch(next + off, _MM_HINT_T0);
       }
     }
-    const __m256d vv = _mm256_set1_pd(entries[k].value);
-    const double* row = b + entries[k].index * b_stride;
+    const __m256d vv = _mm256_set1_pd(terms.Weight(k));
+    const double* row = b + terms.Row(k) * b_stride;
+    SPCA_UNROLL_STRIPE
     for (int v = 0; v < NV; ++v) {
       acc[v] = _mm256_fmadd_pd(vv, _mm256_loadu_pd(row + 4 * v), acc[v]);
     }
@@ -319,14 +284,58 @@ SPCA_STRIPE_INLINE void GatherStripe(const SparseEntry* SPCA_RESTRICT entries,
   }
 }
 
+// A 4-column stripe with the term loop unrolled into four independent
+// accumulator chains. The wide stripes have one chain per column vector,
+// so a lone 4-column stripe over many terms would serialize on FMA
+// latency (4 cycles per term for 1 vector of work); four chains over the
+// same columns restore ~1 term per cycle and keep four gathered rows in
+// flight. Used for the 4-15 column leftovers after the 48/16-wide
+// stripes; a source with kNarrowAhead > 0 prefetches the first line of
+// the rows that many terms out, up to `readable` as in GatherStripe.
+// Returns the stripe's sum, (a0 + a1) + (a2 + a3).
+template <class Terms>
+SPCA_STRIPE_INLINE __m256d GatherNarrow(Terms terms, size_t n,
+                                        size_t readable,
+                                        const double* SPCA_RESTRICT b,
+                                        size_t b_stride) {
+  constexpr size_t kAhead = Terms::kNarrowAhead;
+  __m256d a0 = _mm256_setzero_pd();
+  __m256d a1 = _mm256_setzero_pd();
+  __m256d a2 = _mm256_setzero_pd();
+  __m256d a3 = _mm256_setzero_pd();
+  size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    if constexpr (kAhead > 0) {
+      if (k + kAhead + 4 <= readable) {
+        for (size_t p = 0; p < 4; ++p) {
+          _mm_prefetch(reinterpret_cast<const char*>(
+                           b + terms.Row(k + kAhead + p) * b_stride),
+                       _MM_HINT_T0);
+        }
+      }
+    }
+    a0 = _mm256_fmadd_pd(_mm256_set1_pd(terms.Weight(k)),
+                         _mm256_loadu_pd(b + terms.Row(k) * b_stride), a0);
+    a1 = _mm256_fmadd_pd(_mm256_set1_pd(terms.Weight(k + 1)),
+                         _mm256_loadu_pd(b + terms.Row(k + 1) * b_stride), a1);
+    a2 = _mm256_fmadd_pd(_mm256_set1_pd(terms.Weight(k + 2)),
+                         _mm256_loadu_pd(b + terms.Row(k + 2) * b_stride), a2);
+    a3 = _mm256_fmadd_pd(_mm256_set1_pd(terms.Weight(k + 3)),
+                         _mm256_loadu_pd(b + terms.Row(k + 3) * b_stride), a3);
+  }
+  for (; k < n; ++k) {
+    a0 = _mm256_fmadd_pd(_mm256_set1_pd(terms.Weight(k)),
+                         _mm256_loadu_pd(b + terms.Row(k) * b_stride), a0);
+  }
+  return _mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3));
+}
+
+// out += a stripe's sums: NV whole vectors, then (kHasRem) the masked
+// `rem`-column tail, so only the stripe's own columns of out change.
 template <int NV, bool kHasRem>
-SPCA_STRIPE_INLINE void SparseGemvStripe(
-    const SparseEntry* SPCA_RESTRICT entries, size_t nnz,
-    const double* SPCA_RESTRICT b, size_t b_stride,
-    double* SPCA_RESTRICT out, size_t rem) {
-  __m256d acc[NV];
-  __m256d accr;
-  GatherStripe<NV, kHasRem>(entries, nnz, nnz, b, b_stride, acc, accr);
+SPCA_STRIPE_INLINE void FoldStripe(const __m256d (&acc)[NV], __m256d accr,
+                                   double* SPCA_RESTRICT out, size_t rem) {
+  SPCA_UNROLL_STRIPE
   for (int v = 0; v < NV; ++v) {
     _mm256_storeu_pd(out + 4 * v,
                      _mm256_add_pd(_mm256_loadu_pd(out + 4 * v), acc[v]));
@@ -338,82 +347,6 @@ SPCA_STRIPE_INLINE void SparseGemvStripe(
         _mm256_add_pd(_mm256_maskload_pd(out + 4 * NV, mask), accr));
   }
   if constexpr (!kHasRem) (void)rem;
-}
-
-// A 4-column stripe with the k loop unrolled into four independent
-// accumulator chains. The wide stripes above have one chain per column
-// vector, so a lone 4-column stripe over a long k would serialize on FMA
-// latency (4 cycles per iteration for 1 vector of work); four chains
-// over the same columns restore ~1 iteration/cycle. Used for the 4-15
-// column leftovers after the 48/16-wide loops. Reassociates the k sum —
-// tolerance tier.
-SPCA_STRIPE_INLINE void RowGemmStripeNarrow(const double* SPCA_RESTRICT a_row,
-                                            size_t k,
-                                            const double* SPCA_RESTRICT b,
-                                            size_t b_stride,
-                                            double* SPCA_RESTRICT c) {
-  __m256d a0 = _mm256_setzero_pd();
-  __m256d a1 = _mm256_setzero_pd();
-  __m256d a2 = _mm256_setzero_pd();
-  __m256d a3 = _mm256_setzero_pd();
-  size_t kk = 0;
-  for (; kk + 4 <= k; kk += 4) {
-    const double* row = b + kk * b_stride;
-    a0 = _mm256_fmadd_pd(_mm256_set1_pd(a_row[kk]), _mm256_loadu_pd(row), a0);
-    a1 = _mm256_fmadd_pd(_mm256_set1_pd(a_row[kk + 1]),
-                         _mm256_loadu_pd(row + b_stride), a1);
-    a2 = _mm256_fmadd_pd(_mm256_set1_pd(a_row[kk + 2]),
-                         _mm256_loadu_pd(row + 2 * b_stride), a2);
-    a3 = _mm256_fmadd_pd(_mm256_set1_pd(a_row[kk + 3]),
-                         _mm256_loadu_pd(row + 3 * b_stride), a3);
-  }
-  for (; kk < k; ++kk) {
-    a0 = _mm256_fmadd_pd(_mm256_set1_pd(a_row[kk]),
-                         _mm256_loadu_pd(b + kk * b_stride), a0);
-  }
-  const __m256d sum = _mm256_add_pd(_mm256_add_pd(a0, a1),
-                                    _mm256_add_pd(a2, a3));
-  _mm256_storeu_pd(c, _mm256_add_pd(_mm256_loadu_pd(c), sum));
-}
-
-// Narrow sparse counterpart: four gathered rows in flight per iteration
-// (memory-level parallelism for the random accesses) plus prefetch, up to
-// `prefetch_count` entries out as in GatherStripe. Returns the stripe's
-// sum, (a0 + a1) + (a2 + a3).
-SPCA_STRIPE_INLINE __m256d GatherNarrow(
-    const SparseEntry* SPCA_RESTRICT entries, size_t nnz,
-    size_t prefetch_count, const double* SPCA_RESTRICT b, size_t b_stride) {
-  constexpr size_t kPrefetchAhead = 8;
-  __m256d a0 = _mm256_setzero_pd();
-  __m256d a1 = _mm256_setzero_pd();
-  __m256d a2 = _mm256_setzero_pd();
-  __m256d a3 = _mm256_setzero_pd();
-  size_t k = 0;
-  for (; k + 4 <= nnz; k += 4) {
-    if (k + kPrefetchAhead + 4 <= prefetch_count) {
-      for (size_t p = 0; p < 4; ++p) {
-        _mm_prefetch(reinterpret_cast<const char*>(
-                         b + entries[k + kPrefetchAhead + p].index * b_stride),
-                     _MM_HINT_T0);
-      }
-    }
-    a0 = _mm256_fmadd_pd(_mm256_set1_pd(entries[k].value),
-                         _mm256_loadu_pd(b + entries[k].index * b_stride), a0);
-    a1 = _mm256_fmadd_pd(
-        _mm256_set1_pd(entries[k + 1].value),
-        _mm256_loadu_pd(b + entries[k + 1].index * b_stride), a1);
-    a2 = _mm256_fmadd_pd(
-        _mm256_set1_pd(entries[k + 2].value),
-        _mm256_loadu_pd(b + entries[k + 2].index * b_stride), a2);
-    a3 = _mm256_fmadd_pd(
-        _mm256_set1_pd(entries[k + 3].value),
-        _mm256_loadu_pd(b + entries[k + 3].index * b_stride), a3);
-  }
-  for (; k < nnz; ++k) {
-    a0 = _mm256_fmadd_pd(_mm256_set1_pd(entries[k].value),
-                         _mm256_loadu_pd(b + entries[k].index * b_stride), a0);
-  }
-  return _mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3));
 }
 
 // The d < 4 column of the sparse product: two entry-unrolled accumulator
@@ -437,7 +370,7 @@ inline double GatherColumn(const SparseEntry* entries, size_t nnz,
   return acc0 + acc1;
 }
 
-// The common stripe plan for both products: full 48-column stripes, then
+// The common stripe plan for every product: full 48-column stripes, then
 // 16- and 4-column stripes, with the final stripe widened to absorb a
 // 1-3 column remainder in its over-reading tail vector. The final
 // stripe keeps the full 12-vector width, so the paper's d <= 51 shapes
@@ -453,41 +386,88 @@ inline StripePlan PlanStripes(size_t full, size_t rem) {
   return {full - 4 * final_nv, final_nv};
 }
 
-}  // namespace
+template <int NV, bool kHasRem, class Terms>
+SPCA_STRIPE_INLINE void GemvStripe(Terms terms, size_t n, const double* b,
+                                   size_t b_stride, double* out, size_t rem) {
+  __m256d acc[NV];
+  __m256d accr;
+  GatherStripe<NV, kHasRem>(terms, n, n, b, b_stride, acc, accr);
+  FoldStripe<NV, kHasRem>(acc, accr, out, rem);
+}
 
-void SparseRowGemv(const SparseEntry* entries, size_t nnz, const double* b,
-                   size_t b_stride, size_t d, double* out) {
+// out[0, d) += sum over the n terms of Weight(k) * b(Row(k), 0..d), for
+// d >= 4, stripe by stripe in the plan's order: the one walker of
+// SparseRowGemv and RowGemm.
+template <class Terms>
+SPCA_STRIPE_INLINE void GemvStripes(Terms terms, size_t n, const double* b,
+                                    size_t b_stride, size_t d, double* out) {
   const size_t rem = d % 4;
-  const size_t full = d - rem;  // columns covered by whole vectors
-  const StripePlan plan = PlanStripes(full, rem);
+  const StripePlan plan = PlanStripes(d - rem, rem);
   size_t j = 0;
   for (; j + 48 <= plan.prefix; j += 48) {
-    SparseGemvStripe<12, false>(entries, nnz, b + j, b_stride, out + j, 0);
+    GemvStripe<12, false>(terms, n, b + j, b_stride, out + j, 0);
   }
   for (; j + 16 <= plan.prefix; j += 16) {
-    SparseGemvStripe<4, false>(entries, nnz, b + j, b_stride, out + j, 0);
+    GemvStripe<4, false>(terms, n, b + j, b_stride, out + j, 0);
   }
   for (; j + 4 <= plan.prefix; j += 4) {
-    const __m256d sum = GatherNarrow(entries, nnz, nnz, b + j, b_stride);
-    _mm256_storeu_pd(out + j, _mm256_add_pd(_mm256_loadu_pd(out + j), sum));
+    const __m256d sum[1] = {GatherNarrow(terms, n, n, b + j, b_stride)};
+    FoldStripe<1, false>(sum, sum[0], out + j, 0);
   }
   switch (plan.final_nv) {
     case 12:
-      SparseGemvStripe<12, true>(entries, nnz, b + j, b_stride, out + j, rem);
+      GemvStripe<12, true>(terms, n, b + j, b_stride, out + j, rem);
       break;
     case 4:
-      SparseGemvStripe<4, true>(entries, nnz, b + j, b_stride, out + j, rem);
+      GemvStripe<4, true>(terms, n, b + j, b_stride, out + j, rem);
       break;
     case 1:
-      SparseGemvStripe<1, true>(entries, nnz, b + j, b_stride, out + j, rem);
+      GemvStripe<1, true>(terms, n, b + j, b_stride, out + j, rem);
       break;
     default:
       break;
   }
-  if (full == 0) {
-    // d < 4: no whole vector at all.
-    for (; j < d; ++j) out[j] += GatherColumn(entries, nnz, b, b_stride, j);
+}
+
+}  // namespace
+
+void SparseRowGemv(const SparseEntry* entries, size_t nnz, const double* b,
+                   size_t b_stride, size_t d, double* out) {
+  if (d < 4) {
+    // No whole vector at all.
+    for (size_t j = 0; j < d; ++j) {
+      out[j] += GatherColumn(entries, nnz, b, b_stride, j);
+    }
+    return;
   }
+  GemvStripes(CsrTerms{entries}, nnz, b, b_stride, d, out);
+}
+
+void RowGemm(const double* a_row, size_t k, const double* b, size_t b_stride,
+             size_t n, double* c_row) {
+  if (n < 4) {
+    // No whole vector; 4 k-unrolled chains per column so the reduction is
+    // not FMA-latency-bound.
+    for (size_t j = 0; j < n; ++j) {
+      double acc0 = 0.0;
+      double acc1 = 0.0;
+      double acc2 = 0.0;
+      double acc3 = 0.0;
+      size_t kk = 0;
+      for (; kk + 4 <= k; kk += 4) {
+        acc0 = __builtin_fma(a_row[kk], b[kk * b_stride + j], acc0);
+        acc1 = __builtin_fma(a_row[kk + 1], b[(kk + 1) * b_stride + j], acc1);
+        acc2 = __builtin_fma(a_row[kk + 2], b[(kk + 2) * b_stride + j], acc2);
+        acc3 = __builtin_fma(a_row[kk + 3], b[(kk + 3) * b_stride + j], acc3);
+      }
+      for (; kk < k; ++kk) {
+        acc0 = __builtin_fma(a_row[kk], b[kk * b_stride + j], acc0);
+      }
+      c_row[j] += (acc0 + acc1) + (acc2 + acc3);
+    }
+    return;
+  }
+  GemvStripes(DenseTerms{a_row}, k, b, b_stride, n, c_row);
 }
 
 namespace {
@@ -614,8 +594,8 @@ SPCA_STRIPE_INLINE void ProjectScatterStripe(
     double* xsum, double* out, size_t out_stride, uint8_t* touched) {
   __m256d acc[NV];
   __m256d accr;
-  GatherStripe<NV, kRem != 0>(entries, nnz, prefetch_count, cm, cm_stride,
-                              acc, accr);
+  GatherStripe<NV, kRem != 0>(CsrTerms{entries}, nnz, prefetch_count, cm,
+                              cm_stride, acc, accr);
   CenterAndScatter<NV, kRem>(acc, accr, entries, nnz, xm, x, xsum, out,
                              out_stride, touched);
 }
@@ -651,7 +631,8 @@ void ProjectScatterRows(const uint64_t* row_ptr, size_t rows,
                                  touched);
     }
     for (; j + 4 <= prefix; j += 4) {
-      __m256d acc[1] = {GatherNarrow(row, nnz, ahead, cm + j, cm_stride)};
+      __m256d acc[1] = {
+          GatherNarrow(CsrTerms{row}, nnz, ahead, cm + j, cm_stride)};
       CenterAndScatter<1, 0>(acc, acc[0], row, nnz, xm + j, x_at(j),
                              xsum + j, out + j, out_stride, touched);
     }
@@ -714,62 +695,6 @@ void SparseRowsProjectScatter(const uint64_t* row_ptr, size_t rows,
       for (size_t c = 0; c < d; ++c) {
         out_row[c] = __builtin_fma(row[k].value, xr[c], out_row[c]);
       }
-    }
-  }
-}
-
-void RowGemm(const double* a_row, size_t k, const double* b, size_t b_stride,
-             size_t n, double* c_row) {
-  // Register-blocked column stripes (widest first): each stripe of c
-  // lives in ymm accumulators for the whole k sweep, so the only memory
-  // traffic is the sequential read of b's columns for that stripe — b is
-  // effectively streamed once regardless of k. The final (< 4 column)
-  // remainder rides along as a masked lane of the last stripe.
-  const size_t rem = n % 4;
-  const size_t full = n - rem;
-  const StripePlan plan = PlanStripes(full, rem);
-  size_t j = 0;
-  for (; j + 48 <= plan.prefix; j += 48) {
-    RowGemmStripe<12, false>(a_row, k, b + j, b_stride, c_row + j, 0);
-  }
-  for (; j + 16 <= plan.prefix; j += 16) {
-    RowGemmStripe<4, false>(a_row, k, b + j, b_stride, c_row + j, 0);
-  }
-  for (; j + 4 <= plan.prefix; j += 4) {
-    RowGemmStripeNarrow(a_row, k, b + j, b_stride, c_row + j);
-  }
-  switch (plan.final_nv) {
-    case 12:
-      RowGemmStripe<12, true>(a_row, k, b + j, b_stride, c_row + j, rem);
-      break;
-    case 4:
-      RowGemmStripe<4, true>(a_row, k, b + j, b_stride, c_row + j, rem);
-      break;
-    case 1:
-      RowGemmStripe<1, true>(a_row, k, b + j, b_stride, c_row + j, rem);
-      break;
-    default:
-      break;
-  }
-  if (full == 0) {
-    // n < 4: no whole vector; 4 k-unrolled chains per column so the
-    // reduction is not FMA-latency-bound.
-    for (; j < n; ++j) {
-      double acc0 = 0.0;
-      double acc1 = 0.0;
-      double acc2 = 0.0;
-      double acc3 = 0.0;
-      size_t kk = 0;
-      for (; kk + 4 <= k; kk += 4) {
-        acc0 = __builtin_fma(a_row[kk], b[kk * b_stride + j], acc0);
-        acc1 = __builtin_fma(a_row[kk + 1], b[(kk + 1) * b_stride + j], acc1);
-        acc2 = __builtin_fma(a_row[kk + 2], b[(kk + 2) * b_stride + j], acc2);
-        acc3 = __builtin_fma(a_row[kk + 3], b[(kk + 3) * b_stride + j], acc3);
-      }
-      for (; kk < k; ++kk) {
-        acc0 = __builtin_fma(a_row[kk], b[kk * b_stride + j], acc0);
-      }
-      c_row[j] += (acc0 + acc1) + (acc2 + acc3);
     }
   }
 }

@@ -1,6 +1,9 @@
 #include "linalg/solve.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 
 #include "linalg/ops.h"
 
@@ -82,6 +85,22 @@ StatusOr<DenseMatrix> CholeskyInverse(const DenseMatrix& l) {
   return inverse;
 }
 
+double CholeskyConditionEstimate(const DenseMatrix& l) {
+  double max_diag = 0.0;
+  double min_diag = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < l.rows(); ++i) {
+    for (size_t j = 0; j <= i; ++j) {
+      if (!std::isfinite(l(i, j))) {
+        return std::numeric_limits<double>::infinity();
+      }
+    }
+    max_diag = std::max(max_diag, l(i, i));
+    min_diag = std::min(min_diag, l(i, i));
+  }
+  const double ratio = max_diag / min_diag;
+  return ratio * ratio;
+}
+
 StatusOr<DenseMatrix> Inverse(const DenseMatrix& a) {
   if (a.rows() != a.cols()) {
     return Status::InvalidArgument("Inverse requires a square matrix");
@@ -100,6 +119,15 @@ StatusOr<DenseMatrix> Inverse(const DenseMatrix& a) {
   }
   auto factor = CholeskyFactor(a);
   if (!factor.ok()) return factor.status();
+  const double condition = CholeskyConditionEstimate(factor.value());
+  if (!(condition <= kInverseConditionBound)) {
+    char message[128];
+    std::snprintf(message, sizeof(message),
+                  "matrix is ill-conditioned or its Cholesky factor is not "
+                  "finite (condition estimate %.3g)",
+                  condition);
+    return Status::FailedPrecondition(message);
+  }
   return CholeskyInverse(factor.value());
 }
 

@@ -25,10 +25,25 @@ StatusOr<DenseMatrix> UpperTriangularInverse(const DenseMatrix& r);
 /// inverse is not finite.
 StatusOr<DenseMatrix> CholeskyInverse(const DenseMatrix& l);
 
+/// (max L_ii / min L_ii)^2 of the Cholesky factor L of A = L * L': a lower
+/// bound on the 2-norm condition number of A, read off the factor alone.
+/// +infinity when L is not finite.
+double CholeskyConditionEstimate(const DenseMatrix& l);
+
+/// The largest CholeskyConditionEstimate Inverse accepts. An exactly
+/// rank-deficient A whose last Cholesky pivot rounds positive instead of
+/// to zero leaves a pivot of rounding size and an estimate near
+/// 1 / epsilon; the ill-conditioned but regular inputs of the library
+/// (the n = 6 Hilbert matrix, every EM iteration) stay orders of magnitude
+/// below the bound.
+inline constexpr double kInverseConditionBound = 1e12;
+
 /// Inverse of an SPD matrix: one Cholesky factorization, then
 /// CholeskyInverse, so the result is exactly symmetric. InvalidArgument
 /// when A is not square or not exactly symmetric; FailedPrecondition when
-/// A is not finite or not positive definite, or its inverse is not finite.
+/// A is not finite or not positive definite, when its factor's
+/// CholeskyConditionEstimate exceeds kInverseConditionBound, or when its
+/// inverse is not finite.
 StatusOr<DenseMatrix> Inverse(const DenseMatrix& a);
 
 /// Solves X * A = B, i.e. X = B * A^{-1} — the paper's `B / A` notation

@@ -23,8 +23,8 @@ StatusOr<Projector> Projector::Create(core::PcaModel model) {
                                 model.noise_variance, model.mean);
   if (!e_step.ok()) {
     return Status::InvalidArgument(
-        "model is not servable: C'C + ss*I is not positive definite or not "
-        "finite (" +
+        "model is not servable: C'C + ss*I is not positive definite, "
+        "ill-conditioned or not finite (" +
         e_step.status().message() + ")");
   }
 

@@ -28,8 +28,9 @@ namespace spca::serve {
 class Projector {
  public:
   /// Precomputes the E-step map; fails when C'C + ss*I is not positive
-  /// definite or not finite (e.g. a zero component column with ss == 0, or
-  /// a NaN loading or noise variance).
+  /// definite, ill-conditioned or not finite (e.g. a zero or rank-deficient
+  /// set of component columns with ss == 0, or a NaN loading or noise
+  /// variance).
   static StatusOr<Projector> Create(core::PcaModel model);
 
   const core::PcaModel& model() const { return model_; }

@@ -65,7 +65,7 @@ Status StreamSolver::Init(const core::FitOptions& options) {
                                    "number of columns");
   }
   SPCA_RETURN_IF_ERROR(ResetState(options));
-  stats_before_ = engine_->stats();
+  stats_before_ = engine_->StatsSnapshot();
   sim_before_ = engine_->SimulatedSeconds();
   first_job_index_ = engine_->traces().size();
   wall_.Reset();
@@ -162,7 +162,7 @@ StatusOr<core::SolveResult> StreamSolver::Result() {
   result.trace = trace_;
   result.iterations_run = static_cast<int>(steps_);
   result.first_job_index = first_job_index_;
-  dist::CommStats stats_after = engine_->stats();
+  dist::CommStats stats_after = engine_->StatsSnapshot();
   stats_after.wall_seconds =
       wall_.ElapsedSeconds() + stats_before_.wall_seconds;
   result.stats = dist::StatsDiff(stats_after, stats_before_);

@@ -4,8 +4,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
+#include <cstring>
 #include <vector>
+
+#include "obs/export.h"
 
 namespace spca::workload {
 
@@ -17,168 +19,215 @@ namespace {
 
 constexpr uint64_t kSparseMagic = 0x53504341'53505233ULL;  // "SPCA SPR3"
 constexpr uint64_t kDenseMagic = 0x53504341'444E5333ULL;   // "SPCA DNS3"
+constexpr uint64_t kEntryBytes = sizeof(uint32_t) + sizeof(double);
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
+template <typename T>
+void AppendBytes(std::string* bytes, const T* data, size_t count) {
+  bytes->append(reinterpret_cast<const char*>(data), count * sizeof(T));
+}
+
+template <typename T>
+void AppendScalar(std::string* bytes, T value) {
+  AppendBytes(bytes, &value, 1);
+}
+
+/// Appends one printf-formatted field (a number, or an index:value pair).
+template <typename... Args>
+void AppendField(std::string* text, const char* format, Args... args) {
+  char field[64];
+  const int n = std::snprintf(field, sizeof(field), format, args...);
+  text->append(field, static_cast<size_t>(n));
+}
+
+/// Reads fixed-size values front to back from a file's bytes.
+class ByteReader {
+ public:
+  explicit ByteReader(const std::string& bytes) : bytes_(bytes) {}
+
+  template <typename T>
+  bool Read(T* data, size_t count = 1) {
+    if (count > remaining() / sizeof(T)) return false;
+    std::memcpy(data, bytes_.data() + pos_, count * sizeof(T));
+    pos_ += count * sizeof(T);
+    return true;
   }
+
+  uint64_t remaining() const { return bytes_.size() - pos_; }
+
+ private:
+  const std::string& bytes_;
+  size_t pos_ = 0;
 };
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-template <typename T>
-bool WriteScalar(std::FILE* f, T value) {
-  return std::fwrite(&value, sizeof(T), 1, f) == 1;
+/// Splits `text` into lines at '\n' and each line into fields at spaces,
+/// tabs and carriage returns: on_field(field) sees each non-empty field,
+/// then on_line(had_newline) ends the line (false for the text after the
+/// last newline). Stops at on_field's first error.
+template <typename OnField, typename OnLine>
+Status ForEachField(const std::string& text, OnField on_field,
+                    OnLine on_line) {
+  std::string field;
+  for (const char c : text) {
+    if (c == '\n' || c == ' ' || c == '\t' || c == '\r') {
+      if (!field.empty()) SPCA_RETURN_IF_ERROR(on_field(field));
+      field.clear();
+      if (c == '\n') on_line(true);
+    } else {
+      field.push_back(c);
+    }
+  }
+  if (!field.empty()) SPCA_RETURN_IF_ERROR(on_field(field));
+  on_line(false);
+  return Status::Ok();
 }
 
-template <typename T>
-bool ReadScalar(std::FILE* f, T* value) {
-  return std::fread(value, sizeof(T), 1, f) == 1;
-}
-
-template <typename T>
-bool WriteArray(std::FILE* f, const T* data, size_t count) {
-  if (count == 0) return true;
-  return std::fwrite(data, sizeof(T), count, f) == count;
-}
-
-template <typename T>
-bool ReadArray(std::FILE* f, T* data, size_t count) {
-  if (count == 0) return true;
-  return std::fread(data, sizeof(T), count, f) == count;
+/// InvalidArgument unless `index` may follow the entries of `row`: below
+/// `cols` and above the last index, as SparseMatrix::AppendRow requires.
+Status CheckNextIndex(const std::vector<SparseEntry>& row, uint32_t index,
+                      uint64_t cols, const std::string& path) {
+  if (index >= cols) {
+    return Status::InvalidArgument("index " + std::to_string(index) +
+                                   " out of range in " + path);
+  }
+  if (!row.empty() && index <= row.back().index) {
+    return Status::InvalidArgument("indices not strictly increasing in " +
+                                   path);
+  }
+  return Status::Ok();
 }
 
 }  // namespace
 
 Status SaveSparseBinary(const SparseMatrix& matrix, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
-
-  bool ok = WriteScalar(f.get(), kSparseMagic) &&
-            WriteScalar<uint64_t>(f.get(), matrix.rows()) &&
-            WriteScalar<uint64_t>(f.get(), matrix.cols()) &&
-            WriteScalar<uint64_t>(f.get(), matrix.nnz());
+  std::string bytes;
+  AppendScalar(&bytes, kSparseMagic);
+  AppendScalar<uint64_t>(&bytes, matrix.rows());
+  AppendScalar<uint64_t>(&bytes, matrix.cols());
+  AppendScalar<uint64_t>(&bytes, matrix.nnz());
   // Row lengths followed by (index, value) streams.
-  for (size_t i = 0; ok && i < matrix.rows(); ++i) {
+  for (size_t i = 0; i < matrix.rows(); ++i) {
     const auto row = matrix.Row(i);
-    ok = WriteScalar<uint64_t>(f.get(), row.nnz());
+    AppendScalar<uint64_t>(&bytes, row.nnz());
     for (const auto& e : row) {
-      ok = ok && WriteScalar<uint32_t>(f.get(), e.index) &&
-           WriteScalar<double>(f.get(), e.value);
+      AppendScalar<uint32_t>(&bytes, e.index);
+      AppendScalar<double>(&bytes, e.value);
     }
   }
-  if (!ok) return Status::Internal("short write to " + path);
-  return Status::Ok();
+  return obs::WriteFile(path, bytes);
 }
 
 StatusOr<SparseMatrix> LoadSparseBinary(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
-
+  auto bytes = obs::ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  ByteReader reader(bytes.value());
   uint64_t magic = 0, rows = 0, cols = 0, nnz = 0;
-  if (!ReadScalar(f.get(), &magic) || magic != kSparseMagic) {
+  if (!reader.Read(&magic) || magic != kSparseMagic) {
     return Status::InvalidArgument(path + " is not a sparse matrix file");
   }
-  if (!ReadScalar(f.get(), &rows) || !ReadScalar(f.get(), &cols) ||
-      !ReadScalar(f.get(), &nnz)) {
-    return Status::Internal("truncated header in " + path);
+  if (!reader.Read(&rows) || !reader.Read(&cols) || !reader.Read(&nnz)) {
+    return Status::InvalidArgument("truncated header in " + path);
+  }
+  // The body is one row length per row and one entry per stored value.
+  const uint64_t body = reader.remaining();
+  if (rows > body / sizeof(uint64_t) ||
+      nnz > (body - rows * sizeof(uint64_t)) / kEntryBytes ||
+      rows * sizeof(uint64_t) + nnz * kEntryBytes != body) {
+    return Status::InvalidArgument(
+        "header of " + path + " claims " + std::to_string(rows) +
+        " rows and " + std::to_string(nnz) + " entries, but " +
+        std::to_string(body) + " bytes follow it");
   }
   SparseMatrix matrix(rows, cols);
   std::vector<SparseEntry> row;
   uint64_t total = 0;
   for (uint64_t i = 0; i < rows; ++i) {
     uint64_t count = 0;
-    if (!ReadScalar(f.get(), &count)) {
-      return Status::Internal("truncated row header in " + path);
+    if (!reader.Read(&count) || count > reader.remaining() / kEntryBytes) {
+      return Status::InvalidArgument("truncated row " + std::to_string(i) +
+                                     " in " + path);
     }
     row.clear();
     for (uint64_t k = 0; k < count; ++k) {
-      uint32_t index = 0;
-      double value = 0.0;
-      if (!ReadScalar(f.get(), &index) || !ReadScalar(f.get(), &value)) {
-        return Status::Internal("truncated entry in " + path);
-      }
-      row.push_back({index, value});
+      SparseEntry e;
+      reader.Read(&e.index);
+      reader.Read(&e.value);
+      SPCA_RETURN_IF_ERROR(CheckNextIndex(row, e.index, cols, path));
+      row.push_back(e);
     }
     matrix.AppendRow(i, row);
     total += count;
   }
   if (total != nnz) {
-    return Status::Internal("nnz mismatch in " + path);
+    return Status::InvalidArgument("nnz mismatch in " + path);
   }
   return matrix;
 }
 
 Status SaveDenseBinary(const DenseMatrix& matrix, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
-  bool ok = WriteScalar(f.get(), kDenseMagic) &&
-            WriteScalar<uint64_t>(f.get(), matrix.rows()) &&
-            WriteScalar<uint64_t>(f.get(), matrix.cols()) &&
-            WriteArray(f.get(), matrix.data(), matrix.size());
-  if (!ok) return Status::Internal("short write to " + path);
-  return Status::Ok();
+  std::string bytes;
+  AppendScalar(&bytes, kDenseMagic);
+  AppendScalar<uint64_t>(&bytes, matrix.rows());
+  AppendScalar<uint64_t>(&bytes, matrix.cols());
+  AppendBytes(&bytes, matrix.data(), matrix.size());
+  return obs::WriteFile(path, bytes);
 }
 
 StatusOr<DenseMatrix> LoadDenseBinary(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
+  auto bytes = obs::ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  ByteReader reader(bytes.value());
   uint64_t magic = 0, rows = 0, cols = 0;
-  if (!ReadScalar(f.get(), &magic) || magic != kDenseMagic) {
+  if (!reader.Read(&magic) || magic != kDenseMagic) {
     return Status::InvalidArgument(path + " is not a dense matrix file");
   }
-  if (!ReadScalar(f.get(), &rows) || !ReadScalar(f.get(), &cols)) {
-    return Status::Internal("truncated header in " + path);
+  if (!reader.Read(&rows) || !reader.Read(&cols)) {
+    return Status::InvalidArgument("truncated header in " + path);
+  }
+  const uint64_t body = reader.remaining();
+  if ((rows != 0 && cols > body / sizeof(double) / rows) ||
+      rows * cols * sizeof(double) != body) {
+    return Status::InvalidArgument(
+        "header of " + path + " claims " + std::to_string(rows) + " x " +
+        std::to_string(cols) + " values, but " + std::to_string(body) +
+        " bytes follow it");
   }
   DenseMatrix matrix(rows, cols);
-  if (!ReadArray(f.get(), matrix.data(), matrix.size())) {
-    return Status::Internal("truncated data in " + path);
-  }
+  reader.Read(matrix.data(), matrix.size());
   return matrix;
 }
 
 Status SaveDenseText(const DenseMatrix& matrix, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "w"));
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
+  std::string text;
   for (size_t i = 0; i < matrix.rows(); ++i) {
     for (size_t j = 0; j < matrix.cols(); ++j) {
-      std::fprintf(f.get(), "%s%.17g", j == 0 ? "" : " ", matrix(i, j));
+      AppendField(&text, "%s%.17g", j == 0 ? "" : " ", matrix(i, j));
     }
-    std::fprintf(f.get(), "\n");
+    text.push_back('\n');
   }
-  return Status::Ok();
+  return obs::WriteFile(path, text);
 }
 
 StatusOr<DenseMatrix> LoadDenseText(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "r"));
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
+  auto text = obs::ReadFile(path);
+  if (!text.ok()) return text.status();
   std::vector<std::vector<double>> rows;
   std::vector<double> row;
-  std::string token;
-  int c;
-  auto flush_token = [&]() -> Status {
-    if (token.empty()) return Status::Ok();
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      return Status::InvalidArgument("bad value '" + token + "' in " + path);
-    }
-    row.push_back(value);
-    token.clear();
-    return Status::Ok();
-  };
-  while ((c = std::fgetc(f.get())) != EOF) {
-    if (c == '\n') {
-      SPCA_RETURN_IF_ERROR(flush_token());
-      if (!row.empty()) rows.push_back(row);
-      row.clear();
-    } else if (c == ' ' || c == '\t' || c == '\r') {
-      SPCA_RETURN_IF_ERROR(flush_token());
-    } else {
-      token.push_back(static_cast<char>(c));
-    }
-  }
-  SPCA_RETURN_IF_ERROR(flush_token());
-  if (!row.empty()) rows.push_back(row);
+  SPCA_RETURN_IF_ERROR(ForEachField(
+      text.value(),
+      [&](const std::string& field) -> Status {
+        char* end = nullptr;
+        const double value = std::strtod(field.c_str(), &end);
+        if (end == nullptr || *end != '\0') {
+          return Status::InvalidArgument("bad value '" + field + "' in " +
+                                         path);
+        }
+        row.push_back(value);
+        return Status::Ok();
+      },
+      [&](bool) {
+        if (!row.empty()) rows.push_back(row);
+        row.clear();
+      }));
   if (rows.empty()) return DenseMatrix(0, 0);
   const size_t cols = rows[0].size();
   DenseMatrix matrix(rows.size(), cols);
@@ -192,59 +241,44 @@ StatusOr<DenseMatrix> LoadDenseText(const std::string& path) {
 }
 
 Status SaveSparseText(const SparseMatrix& matrix, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "w"));
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
+  std::string text;
   for (size_t i = 0; i < matrix.rows(); ++i) {
     bool first = true;
     for (const auto& e : matrix.Row(i)) {
-      std::fprintf(f.get(), "%s%" PRIu32 ":%.17g", first ? "" : " ", e.index,
-                   e.value);
+      AppendField(&text, "%s%" PRIu32 ":%.17g", first ? "" : " ", e.index,
+                  e.value);
       first = false;
     }
-    std::fprintf(f.get(), "\n");
+    text.push_back('\n');
   }
-  return Status::Ok();
+  return obs::WriteFile(path, text);
 }
 
 StatusOr<SparseMatrix> LoadSparseText(const std::string& path, size_t cols) {
-  FilePtr f(std::fopen(path.c_str(), "r"));
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
-
-  // First pass over lines accumulating rows.
+  auto text = obs::ReadFile(path);
+  if (!text.ok()) return text.status();
+  // Every line is a row, an empty one included; a last line without its
+  // newline is a row only when it holds entries.
   std::vector<std::vector<SparseEntry>> rows;
   std::vector<SparseEntry> row;
-  std::string line;
-  int c;
-  std::string token;
-  auto flush_token = [&]() -> Status {
-    if (token.empty()) return Status::Ok();
-    uint32_t index = 0;
-    double value = 0.0;
-    if (std::sscanf(token.c_str(), "%" SCNu32 ":%lg", &index, &value) != 2) {
-      return Status::InvalidArgument("bad token '" + token + "' in " + path);
-    }
-    if (index >= cols) {
-      return Status::InvalidArgument("index out of range in " + path);
-    }
-    row.push_back({index, value});
-    token.clear();
-    return Status::Ok();
-  };
-
-  while ((c = std::fgetc(f.get())) != EOF) {
-    if (c == '\n') {
-      SPCA_RETURN_IF_ERROR(flush_token());
-      rows.push_back(row);
-      row.clear();
-    } else if (c == ' ' || c == '\t' || c == '\r') {
-      SPCA_RETURN_IF_ERROR(flush_token());
-    } else {
-      token.push_back(static_cast<char>(c));
-    }
-  }
-  SPCA_RETURN_IF_ERROR(flush_token());
-  if (!row.empty()) rows.push_back(row);
-
+  SPCA_RETURN_IF_ERROR(ForEachField(
+      text.value(),
+      [&](const std::string& field) -> Status {
+        uint32_t index = 0;
+        double value = 0.0;
+        if (std::sscanf(field.c_str(), "%" SCNu32 ":%lg", &index, &value) !=
+            2) {
+          return Status::InvalidArgument("bad token '" + field + "' in " +
+                                         path);
+        }
+        SPCA_RETURN_IF_ERROR(CheckNextIndex(row, index, cols, path));
+        row.push_back({index, value});
+        return Status::Ok();
+      },
+      [&](bool had_newline) {
+        if (had_newline || !row.empty()) rows.push_back(row);
+        row.clear();
+      }));
   SparseMatrix matrix(rows.size(), cols);
   for (size_t i = 0; i < rows.size(); ++i) matrix.AppendRow(i, rows[i]);
   return matrix;

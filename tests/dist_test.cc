@@ -161,7 +161,7 @@ TEST(EngineTest, JobLaunchOverheadDiffersByMode) {
                     [](const RowRange&, TaskContext*) { return 0; });
   EXPECT_GT(mr.SimulatedSeconds(), 5.0);
   EXPECT_LT(spark.SimulatedSeconds(), 5.0);
-  EXPECT_EQ(mr.stats().jobs_launched, 1u);
+  EXPECT_EQ(mr.StatsSnapshot().jobs_launched, 1u);
 }
 
 TEST(EngineTest, ComputeTimeUsesAllCores) {
@@ -247,7 +247,7 @@ TEST(EngineTest, BroadcastAccounting) {
   Engine engine(SimpleSpec(), EngineMode::kSpark);
   engine.Broadcast(100000000ull);  // 100 MB to each of 2 nodes at 100 MB/s
   EXPECT_NEAR(engine.SimulatedSeconds(), 2.0, 1e-9);
-  EXPECT_EQ(engine.stats().broadcast_bytes, 100000000ull);
+  EXPECT_EQ(engine.StatsSnapshot().broadcast_bytes, 100000000ull);
 }
 
 TEST(EngineTest, DriverMemoryBudget) {
@@ -281,7 +281,7 @@ TEST(EngineTest, ResetStatsClearsEverything) {
   engine.ResetStats();
   EXPECT_EQ(engine.SimulatedSeconds(), 0.0);
   EXPECT_TRUE(engine.traces().empty());
-  EXPECT_EQ(engine.stats().jobs_launched, 0u);
+  EXPECT_EQ(engine.StatsSnapshot().jobs_launched, 0u);
 }
 
 TEST(EngineTest, StatsDiffFieldwise) {
@@ -341,7 +341,7 @@ TEST(EngineTest, FailureAttemptsRespectCap) {
       });
   // Each task charged exactly max_task_attempts executions.
   EXPECT_EQ(engine.traces().back().task_retries, 8u * 2u);
-  EXPECT_EQ(engine.stats().task_flops, 8u * 3u * 1000u);
+  EXPECT_EQ(engine.StatsSnapshot().task_flops, 8u * 3u * 1000u);
 }
 
 TEST(EngineTest, ReplayAtUnitScaleMatchesOriginal) {

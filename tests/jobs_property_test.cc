@@ -397,9 +397,9 @@ TEST(JobsModeTest, IntermediateDataRoutingConvention) {
   Engine mapreduce(dist::ClusterSpec{}, EngineMode::kMapReduce);
   YtXJob(&spark, c.matrix, c.mean, xm, cm, nullptr, JobToggles{});
   YtXJob(&mapreduce, c.matrix, c.mean, xm, cm, nullptr, JobToggles{});
-  EXPECT_EQ(spark.stats().intermediate_bytes, 0u);
-  EXPECT_GT(spark.stats().result_bytes, 0u);
-  EXPECT_GT(mapreduce.stats().intermediate_bytes, 0u);
+  EXPECT_EQ(spark.StatsSnapshot().intermediate_bytes, 0u);
+  EXPECT_GT(spark.StatsSnapshot().result_bytes, 0u);
+  EXPECT_GT(mapreduce.StatsSnapshot().intermediate_bytes, 0u);
 }
 
 TEST(JobsModeTest, SparseAccumulatorBytesUndercutDensePartials) {
@@ -434,8 +434,8 @@ TEST(JobsModeTest, SparseAccumulatorBytesUndercutDensePartials) {
   YtXJob(&mapreduce, matrix, mean, xm, cm, nullptr, JobToggles{});
   // Only 20 of 500 rows of the partial are touched: the sparse-aware
   // Spark accounting must be well under half of the dense MapReduce one.
-  EXPECT_LT(2 * spark.stats().result_bytes,
-            mapreduce.stats().intermediate_bytes);
+  EXPECT_LT(2 * spark.StatsSnapshot().result_bytes,
+            mapreduce.StatsSnapshot().intermediate_bytes);
 }
 
 }  // namespace

@@ -61,7 +61,7 @@ TEST(MeanJobTest, MatchesReference) {
   Engine engine = MakeEngine();
   const DenseVector mean = MeanJob(&engine, f.y);
   for (size_t j = 0; j < 9; ++j) EXPECT_NEAR(mean[j], f.ym[j], 1e-12);
-  EXPECT_EQ(engine.stats().jobs_launched, 1u);
+  EXPECT_EQ(engine.StatsSnapshot().jobs_launched, 1u);
 }
 
 TEST(FrobeniusJobTest, BothVariantsMatchReference) {
@@ -192,7 +192,8 @@ TEST(JobsTest, ConsolidationReducesJobCount) {
   YtXJob(&e1, f.y, f.ym, ref.xm, ref.cm, nullptr, consolidated);
   Engine e2 = MakeEngine();
   YtXJob(&e2, f.y, f.ym, ref.xm, ref.cm, nullptr, split);
-  EXPECT_EQ(e1.stats().jobs_launched + 1, e2.stats().jobs_launched);
+  EXPECT_EQ(e1.StatsSnapshot().jobs_launched + 1,
+            e2.StatsSnapshot().jobs_launched);
   EXPECT_GT(e2.SimulatedSeconds(), e1.SimulatedSeconds());
 }
 
@@ -212,10 +213,12 @@ TEST(JobsTest, DriverMomentsDropThePerRowXtXWork) {
   YtXJob(&e1, f.y, f.ym, ref.xm, ref.cm, nullptr, algorithm4);
   Engine e2 = MakeEngine();
   YtXJob(&e2, f.y, f.ym, ref.xm, ref.cm, nullptr, driver);
-  EXPECT_EQ(e1.stats().jobs_launched, e2.stats().jobs_launched);
-  EXPECT_EQ(e1.stats().task_flops - e2.stats().task_flops, 40u * 2 * 4 * 4);
-  EXPECT_LT(e2.stats().ShippedBytes(), e1.stats().ShippedBytes());
-  EXPECT_GT(e2.stats().driver_flops, e1.stats().driver_flops);
+  const dist::CommStats s1 = e1.StatsSnapshot();
+  const dist::CommStats s2 = e2.StatsSnapshot();
+  EXPECT_EQ(s1.jobs_launched, s2.jobs_launched);
+  EXPECT_EQ(s1.task_flops - s2.task_flops, 40u * 2 * 4 * 4);
+  EXPECT_LT(s2.ShippedBytes(), s1.ShippedBytes());
+  EXPECT_GT(s2.driver_flops, s1.driver_flops);
 }
 
 TEST(JobsTest, DriverMomentsKeepThePerRowXtXBelowTwiceDRows) {
@@ -238,10 +241,12 @@ TEST(JobsTest, DriverMomentsKeepThePerRowXtXBelowTwiceDRows) {
       YtXJob(&e2, f.y, f.ym, ref.xm, ref.cm, nullptr, JobToggles{});
   EXPECT_EQ(r2.xtx.MaxAbsDiff(r1.xtx), 0.0);
   EXPECT_EQ(r2.ytx.MaxAbsDiff(r1.ytx), 0.0);
-  EXPECT_EQ(e2.stats().jobs_launched, e1.stats().jobs_launched);
-  EXPECT_EQ(e2.stats().task_flops, e1.stats().task_flops);
-  EXPECT_EQ(e2.stats().driver_flops, e1.stats().driver_flops);
-  EXPECT_EQ(e2.stats().ShippedBytes(), e1.stats().ShippedBytes());
+  const dist::CommStats s1 = e1.StatsSnapshot();
+  const dist::CommStats s2 = e2.StatsSnapshot();
+  EXPECT_EQ(s2.jobs_launched, s1.jobs_launched);
+  EXPECT_EQ(s2.task_flops, s1.task_flops);
+  EXPECT_EQ(s2.driver_flops, s1.driver_flops);
+  EXPECT_EQ(s2.ShippedBytes(), s1.ShippedBytes());
 }
 
 TEST(JobsTest, FusedYtXRowChargesTheFlopsAndBytesOfItsSteps) {
@@ -273,8 +278,8 @@ TEST(JobsTest, FusedYtXRowChargesTheFlopsAndBytesOfItsSteps) {
 
     Engine engine = MakeEngine();
     YtXJob(&engine, f.y, f.ym, ref.xm, ref.cm, nullptr, JobToggles{});
-    EXPECT_EQ(engine.stats().task_flops, flops) << rows << " rows";
-    EXPECT_EQ(engine.stats().result_bytes, bytes) << rows << " rows";
+    EXPECT_EQ(engine.StatsSnapshot().task_flops, flops) << rows << " rows";
+    EXPECT_EQ(engine.StatsSnapshot().result_bytes, bytes) << rows << " rows";
   }
 }
 
@@ -463,8 +468,9 @@ TEST(JobsTest, PrepareEStepOnTheMStepsCtCMatchesItsOwnProduct) {
   EXPECT_TRUE(SameBits(a->cm, b->cm));
   ASSERT_EQ(a->xm.size(), b->xm.size());
   EXPECT_EQ(std::memcmp(a->xm.data(), b->xm.data(), d * sizeof(double)), 0);
-  EXPECT_EQ(handed.stats().driver_flops, formed.stats().driver_flops);
-  EXPECT_EQ(handed.stats().driver_flops,
+  EXPECT_EQ(handed.StatsSnapshot().driver_flops,
+            formed.StatsSnapshot().driver_flops);
+  EXPECT_EQ(handed.StatsSnapshot().driver_flops,
             2 * dim * d * d + 2 * d * d * d + 2 * dim * d * d + 2 * dim * d);
 }
 
@@ -477,7 +483,7 @@ TEST(JobsTest, MinimizingIntermediateDataEliminatesXMaterialization) {
   JobToggles optimized;
   Engine e1 = MakeEngine();
   YtXJob(&e1, f.y, f.ym, ref.xm, ref.cm, nullptr, optimized);
-  EXPECT_EQ(e1.stats().intermediate_bytes, 0u);
+  EXPECT_EQ(e1.StatsSnapshot().intermediate_bytes, 0u);
 
   JobToggles naive;
   naive.minimize_intermediate_data = false;
@@ -486,7 +492,7 @@ TEST(JobsTest, MinimizingIntermediateDataEliminatesXMaterialization) {
       MaterializeXJob(&e2, f.y, f.ym, ref.xm, ref.cm, naive);
   YtXJob(&e2, f.y, f.ym, ref.xm, ref.cm, &x, naive);
   // The materialized X (N x d doubles) is intermediate data.
-  EXPECT_EQ(e2.stats().intermediate_bytes, 30u * 4 * sizeof(double));
+  EXPECT_EQ(e2.StatsSnapshot().intermediate_bytes, 30u * 4 * sizeof(double));
 }
 
 TEST(JobsTest, MeanPropagationCostsFewerFlopsOnSparseData) {
@@ -504,7 +510,7 @@ TEST(JobsTest, MeanPropagationCostsFewerFlopsOnSparseData) {
   Engine e2 = MakeEngine();
   YtXJob(&e2, f.y, f.ym, ref.xm, ref.cm, nullptr, without);
   // ~30% density: the dense path does ~3x the flops.
-  EXPECT_GT(e2.stats().task_flops, 2 * e1.stats().task_flops);
+  EXPECT_GT(e2.StatsSnapshot().task_flops, 2 * e1.StatsSnapshot().task_flops);
 }
 
 TEST(JobsTest, Ss3AssociativityCostsFewerFlops) {
@@ -521,7 +527,7 @@ TEST(JobsTest, Ss3AssociativityCostsFewerFlops) {
   Ss3Job(&e1, f.y, f.ym, ref.xm, ref.cm, c, nullptr, with);
   Engine e2 = MakeEngine();
   Ss3Job(&e2, f.y, f.ym, ref.xm, ref.cm, c, nullptr, without);
-  EXPECT_GT(e2.stats().task_flops, e1.stats().task_flops);
+  EXPECT_GT(e2.StatsSnapshot().task_flops, e1.StatsSnapshot().task_flops);
 }
 
 TEST(JobsTest, MapReduceRoutesPartialsAsIntermediateData) {
@@ -540,9 +546,9 @@ TEST(JobsTest, MapReduceRoutesPartialsAsIntermediateData) {
   const YtXResult r2 =
       YtXJob(&mapreduce, f.y, f.ym, ref.xm, ref.cm, nullptr, toggles);
   EXPECT_LT(r1.ytx.MaxAbsDiff(r2.ytx), 1e-12);
-  EXPECT_GT(mapreduce.stats().intermediate_bytes, 0u);
-  EXPECT_EQ(spark.stats().intermediate_bytes, 0u);
-  EXPECT_GT(spark.stats().result_bytes, 0u);
+  EXPECT_GT(mapreduce.StatsSnapshot().intermediate_bytes, 0u);
+  EXPECT_EQ(spark.StatsSnapshot().intermediate_bytes, 0u);
+  EXPECT_GT(spark.StatsSnapshot().result_bytes, 0u);
 }
 
 }  // namespace

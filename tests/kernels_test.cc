@@ -491,6 +491,40 @@ TEST(SimdVsScalarTest, RowGemm) {
   }
 }
 
+// One stripe engine serves both row products: for d >= 4 a dense row is
+// the CSR row that lists all of its entries, zeros included, so the SIMD
+// RowGemm and SparseRowGemv agree bit for bit on every stripe plan (their
+// d < 4 column loops differ by design: four chains against two).
+TEST(SimdVsScalarTest, RowGemmIsSparseRowGemvOverTheWholeRow) {
+  const auto variants = RunnableSimdVariants();
+  SPCA_SKIP_WITHOUT_SIMD(variants);
+  for (const auto& v : variants) {
+    Rng rng(208);
+    for (size_t d = 4; d <= 111; ++d) {
+      for (size_t trial = 0; trial < 2; ++trial) {
+        const size_t k = trial == 0 ? ShapeFor(d, &rng)
+                                    : 60 + rng.NextUint64() % 140;
+        const size_t stride = d + rng.NextUint64() % 5;
+        const auto a_row = RandomValues(k, &rng, ZeroFractionFor(d + trial));
+        std::vector<SparseEntry> entries(k);
+        for (size_t i = 0; i < k; ++i) {
+          entries[i] = {static_cast<uint32_t>(i), a_row[i]};
+        }
+        const auto b = RandomGemmMatrix(k * stride, &rng, 0.1);
+        auto dense = RandomValues(d, &rng, 0.0);
+        auto sparse = dense;
+        v.row_gemm(a_row.data(), k, b.data(), stride, d, dense.data());
+        v.sparse_row_gemv(entries.data(), k, b.data(), stride, d,
+                          sparse.data());
+        ASSERT_EQ(std::memcmp(dense.data(), sparse.data(), d * sizeof(double)),
+                  0)
+            << kernels::IsaName(v.isa) << " d=" << d << " k=" << k
+            << " stride=" << stride;
+      }
+    }
+  }
+}
+
 // ---- SparseRowsProjectScatter -------------------------------------------
 // The fused YtX pass over a run of CSR rows against a per-row loop of the
 // composite it replaced, on ~140 cases: widths that reach every stripe

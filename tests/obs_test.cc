@@ -434,7 +434,7 @@ TEST(ObsEngineTest, CommStatsAndJobTracesMatchRegistryCounters) {
   ASSERT_TRUE(result.ok());
 
   const Registry* registry = engine.registry();
-  const dist::CommStats& stats = engine.stats();
+  const dist::CommStats stats = engine.StatsSnapshot();
   auto counter = [&](const char* name) {
     const Counter* c = registry->FindCounter(name);
     return c == nullptr ? 0.0 : c->value();
@@ -662,7 +662,8 @@ TEST(ObsEngineTest, PooledExecutionMatchesInlineExecution) {
   EXPECT_EQ(inline_fit.value().model.components.MaxAbsDiff(
                 pooled_fit.value().model.components),
             0.0);
-  EXPECT_EQ(inline_engine.stats().task_flops, pooled_engine.stats().task_flops);
+  EXPECT_EQ(inline_engine.StatsSnapshot().task_flops,
+            pooled_engine.StatsSnapshot().task_flops);
   EXPECT_DOUBLE_EQ(inline_engine.SimulatedSeconds(),
                    pooled_engine.SimulatedSeconds());
 }
@@ -695,10 +696,10 @@ TEST(ObsEngineTest, ResetStatsClearsEngineMetricsButKeepsSolverCounters) {
   options.target_accuracy_fraction = 2.0;
   options.compute_accuracy_trace = false;
   ASSERT_TRUE(core::Spca(&engine, options).Solve(y).ok());
-  ASSERT_GT(engine.stats().jobs_launched, 0u);
+  ASSERT_GT(engine.StatsSnapshot().jobs_launched, 0u);
   engine.ResetStats();
-  EXPECT_EQ(engine.stats().jobs_launched, 0u);
-  EXPECT_EQ(engine.stats().task_flops, 0u);
+  EXPECT_EQ(engine.StatsSnapshot().jobs_launched, 0u);
+  EXPECT_EQ(engine.StatsSnapshot().task_flops, 0u);
   EXPECT_EQ(engine.SimulatedSeconds(), 0.0);
   EXPECT_TRUE(engine.traces().empty());
   // Non-engine metrics in the shared registry survive.

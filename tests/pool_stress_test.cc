@@ -5,9 +5,8 @@
 //    runs exactly once per job.
 //  * An Engine running real jobs while a monitor thread concurrently polls
 //    Engine::StatsSnapshot() and the registry's counters — the supported
-//    cross-thread read path. (Engine::stats() materializes into a shared
-//    snapshot under a mutex; StatsSnapshot() reads the atomic counters
-//    directly and is what a monitor should use.)
+//    cross-thread read path (StatsSnapshot() reads the atomic counters
+//    directly and returns by value).
 
 #include <gtest/gtest.h>
 

@@ -937,6 +937,31 @@ TEST(DegenerateModelTest, ZeroNoiseVarianceRankDeficientRejected) {
   EXPECT_FALSE(Projector::Create(model).ok());
 }
 
+TEST(DegenerateModelTest, RankOneModelWithPositiveLastPivotRejected) {
+  // C = [0.1, 1.2]' * [1, 0.5] with ss = 0: C'C is singular, but its last
+  // Cholesky pivot rounds to +5.6e-17 instead of zero, so the factor
+  // exists. Its condition estimate is about 2.6e16; Create must refuse
+  // the model rather than serve rounding noise.
+  core::PcaModel model;
+  model.components = DenseMatrix(2, 2);
+  model.components(0, 0) = 0.1;
+  model.components(0, 1) = 0.05;
+  model.components(1, 0) = 1.2;
+  model.components(1, 1) = 0.6;
+  model.mean = DenseVector(2);
+  model.noise_variance = 0.0;
+  ASSERT_TRUE(linalg::CholeskyFactor(
+                  linalg::TransposeMultiply(model.components,
+                                            model.components))
+                  .ok());
+  auto projector = Projector::Create(model);
+  ASSERT_FALSE(projector.ok());
+  EXPECT_EQ(projector.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(projector.status().message().find("ill-conditioned"),
+            std::string::npos)
+      << projector.status().message();
+}
+
 // ---- Checkpoint sidecar (SPCS) persistence -------------------------------
 
 core::SolverCheckpoint TestCheckpoint() {

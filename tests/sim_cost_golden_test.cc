@@ -100,7 +100,7 @@ std::unique_ptr<core::Solver> MakeCliSolver(const std::string& algorithm,
 
 std::string CostLine(const std::string& name, const dist::Engine& engine,
                      int iterations) {
-  const dist::CommStats& stats = engine.stats();
+  const dist::CommStats stats = engine.StatsSnapshot();
   char buffer[512];
   std::snprintf(buffer, sizeof(buffer),
                 "%s jobs=%llu task_flops=%llu shipped_bytes=%llu "

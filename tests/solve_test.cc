@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "common/rng.h"
 #include "linalg/ops.h"
@@ -114,6 +115,81 @@ TEST(SolveTest, InverseRejectsNonFinite) {
   auto inv = Inverse(tiny);
   ASSERT_FALSE(inv.ok());
   EXPECT_EQ(inv.status().code(), StatusCode::kFailedPrecondition);
+}
+
+/// The n x n Hilbert matrix 1 / (i + j + 1): SPD and ill-conditioned.
+DenseMatrix Hilbert(size_t n) {
+  DenseMatrix h(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      h(i, j) = 1.0 / static_cast<double>(i + j + 1);
+    }
+  }
+  return h;
+}
+
+TEST(SolveTest, CholeskyConditionEstimateIsTheSquaredDiagonalRatio) {
+  DenseMatrix l = DenseMatrix::Identity(3);
+  l(0, 0) = 4.0;
+  l(1, 0) = -7.0;  // off-diagonal entries do not enter the estimate
+  l(2, 2) = 0.5;
+  EXPECT_EQ(CholeskyConditionEstimate(l), 64.0);
+  l(2, 1) = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(CholeskyConditionEstimate(l),
+            std::numeric_limits<double>::infinity());
+}
+
+TEST(SolveTest, InverseRejectsIllConditioned) {
+  // SPD with pivots 1 and 1e-7: estimate 1e14, above the bound.
+  DenseMatrix a = DenseMatrix::Identity(2);
+  a(1, 1) = 1e-14;
+  ASSERT_TRUE(CholeskyFactor(a).ok());
+  auto inv = Inverse(a);
+  ASSERT_FALSE(inv.ok());
+  EXPECT_EQ(inv.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(inv.status().message().find("ill-conditioned"), std::string::npos)
+      << inv.status().message();
+  // Pivot 1e-5 (estimate 1e10) is still inverted.
+  a(1, 1) = 1e-10;
+  EXPECT_TRUE(Inverse(a).ok());
+  // So is the n = 6 Hilbert matrix, whose estimate is 7e5.
+  EXPECT_TRUE(Inverse(Hilbert(6)).ok());
+}
+
+// Why kInverseConditionBound is 1e12. C'C of an exactly rank-1 2 x 2
+// loading matrix C = [a, 2a + 1]' * [1, k] is singular, but its last
+// Cholesky pivot often rounds positive instead of to zero; that pivot is
+// rounding noise, and an inverse built on it serves noise coordinates. On
+// this 48-model grid every such factor has an estimate of at least 7e13
+// on both kernel tiers, while the Hilbert matrices up to n = 6, the worst
+// conditioned inputs the suite inverts, stay below 1e6: the bound sits
+// well clear of either side.
+TEST(SolveTest, ConditionBoundSeparatesRankDeficientFromIllConditioned) {
+  size_t factored = 0;
+  for (const double a : {0.1, 0.2, 0.3, 0.7, 1.0, 1.5, 3.0, 10.0}) {
+    for (const double k : {0.1, 0.25, 1.0 / 3.0, 0.5, 3.0, 7.0}) {
+      DenseMatrix c(2, 2);
+      c(0, 0) = a;
+      c(1, 0) = 2.0 * a + 1.0;
+      c(0, 1) = a * k;
+      c(1, 1) = (2.0 * a + 1.0) * k;
+      const DenseMatrix gram = TransposeMultiply(c, c);
+      EXPECT_FALSE(Inverse(gram).ok()) << "a = " << a << ", k = " << k;
+      auto l = CholeskyFactor(gram);
+      if (!l.ok()) continue;
+      ++factored;
+      EXPECT_GT(CholeskyConditionEstimate(l.value()),
+                50.0 * kInverseConditionBound)
+          << "a = " << a << ", k = " << k;
+    }
+  }
+  // The grid does exercise positive last pivots.
+  EXPECT_GT(factored, 10u);
+  for (size_t n = 1; n <= 6; ++n) {
+    auto l = CholeskyFactor(Hilbert(n));
+    ASSERT_TRUE(l.ok()) << n;
+    EXPECT_LT(CholeskyConditionEstimate(l.value()), 1e6) << n;
+  }
 }
 
 // ssvd's Q = Y * R^-1 takes R^-1 from UpperTriangularInverse; R is the

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <string>
 
 #include "linalg/ops.h"
 #include "linalg/svd.h"
+#include "obs/export.h"
 #include "workload/datasets.h"
 #include "workload/io.h"
 #include "workload/synthetic.h"
@@ -266,6 +270,103 @@ TEST(IoTest, WrongMagicRejected) {
   ASSERT_TRUE(SaveSparseBinary(m, path).ok());
   EXPECT_FALSE(LoadDenseBinary(path).ok());  // dense loader on sparse file
   std::remove(path.c_str());
+}
+
+/// The bytes of `path` with the uint64 header field at `offset` set to
+/// `value`, written to `out_path`.
+void WriteWithHeaderField(const std::string& path, size_t offset,
+                          uint64_t value, const std::string& out_path) {
+  std::string bytes = obs::ReadFile(path).value();
+  ASSERT_GE(bytes.size(), offset + sizeof(value));
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+  ASSERT_TRUE(obs::WriteFile(out_path, bytes).ok());
+}
+
+SparseMatrix SmallSparse() {
+  SparseMatrix m(2, 10);
+  m.AppendRow(0, std::vector<linalg::SparseEntry>{{1, 0.5}, {9, -2.0}});
+  m.AppendRow(1, std::vector<linalg::SparseEntry>{{4, 1.5}});
+  return m;
+}
+
+TEST(IoTest, SparseTextRejectsIndicesThatAreNotIncreasing) {
+  const std::string path = TempPath("descending.txt");
+  for (const char* text : {"0:1 3:2 2:5\n1:1\n", "1:1 1:2\n"}) {
+    ASSERT_TRUE(obs::WriteFile(path, text).ok());
+    auto loaded = LoadSparseText(path, 4);
+    ASSERT_FALSE(loaded.ok()) << text;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
+  ASSERT_TRUE(obs::WriteFile(path, "0:1 4:2\n").ok());
+  EXPECT_EQ(LoadSparseText(path, 4).status().code(),
+            StatusCode::kInvalidArgument);  // index 4 of 4 columns
+  std::remove(path.c_str());
+}
+
+TEST(IoTest, SparseBinaryRejectsIndexPastCols) {
+  const std::string path = TempPath("valid.spm");
+  const std::string bad = TempPath("narrow.spm");
+  ASSERT_TRUE(SaveSparseBinary(SmallSparse(), path).ok());
+  WriteWithHeaderField(path, 16, 9, bad);  // cols 10 -> 9; index 9 stays
+  auto loaded = LoadSparseBinary(bad);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+  std::remove(bad.c_str());
+}
+
+TEST(IoTest, BinaryHeadersMustMatchTheFileSize) {
+  const std::string sparse = TempPath("valid.spm");
+  const std::string dense = TempPath("valid.dnm");
+  const std::string bad = TempPath("bad_header.bin");
+  ASSERT_TRUE(SaveSparseBinary(SmallSparse(), sparse).ok());
+  DenseMatrix d(3, 2);
+  d(2, 1) = 4.0;
+  ASSERT_TRUE(SaveDenseBinary(d, dense).ok());
+  const uint64_t huge = uint64_t{1} << 61;
+  const auto expect_rejected = [&](auto loaded, const char* what) {
+    ASSERT_FALSE(loaded.ok()) << what;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << what;
+  };
+  // Sparse: rows at offset 8, nnz at 24.
+  WriteWithHeaderField(sparse, 8, huge, bad);
+  expect_rejected(LoadSparseBinary(bad), "2^61 sparse rows");
+  WriteWithHeaderField(sparse, 8, 3, bad);
+  expect_rejected(LoadSparseBinary(bad), "one sparse row too many");
+  WriteWithHeaderField(sparse, 24, huge, bad);
+  expect_rejected(LoadSparseBinary(bad), "2^61 entries");
+  WriteWithHeaderField(sparse, 24, 2, bad);
+  expect_rejected(LoadSparseBinary(bad), "one entry too few");
+  // Dense: rows at offset 8, cols at 16.
+  WriteWithHeaderField(dense, 8, huge, bad);
+  expect_rejected(LoadDenseBinary(bad), "2^61 dense rows");
+  WriteWithHeaderField(dense, 16, huge, bad);
+  expect_rejected(LoadDenseBinary(bad), "2^61 dense columns");
+  WriteWithHeaderField(dense, 16, 3, bad);
+  expect_rejected(LoadDenseBinary(bad), "one dense column too many");
+  // A byte short or a byte over.
+  for (const std::string& path : {sparse, dense}) {
+    std::string bytes = obs::ReadFile(path).value();
+    ASSERT_TRUE(obs::WriteFile(bad, bytes.substr(0, bytes.size() - 1)).ok());
+    EXPECT_FALSE(LoadSparseBinary(bad).ok());
+    EXPECT_FALSE(LoadDenseBinary(bad).ok());
+    ASSERT_TRUE(obs::WriteFile(bad, bytes + '\0').ok());
+    EXPECT_FALSE(LoadSparseBinary(bad).ok());
+    EXPECT_FALSE(LoadDenseBinary(bad).ok());
+  }
+  std::remove(sparse.c_str());
+  std::remove(dense.c_str());
+  std::remove(bad.c_str());
+}
+
+TEST(IoTest, WritersReportAFailedWrite) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  // /dev/full accepts the open and fails every write.
+  const DenseMatrix d(40, 40);
+  EXPECT_FALSE(SaveDenseText(d, "/dev/full").ok());
+  EXPECT_FALSE(SaveDenseBinary(d, "/dev/full").ok());
+  EXPECT_FALSE(SaveSparseText(SmallSparse(), "/dev/full").ok());
+  EXPECT_FALSE(SaveSparseBinary(SmallSparse(), "/dev/full").ok());
 }
 
 }  // namespace

@@ -650,10 +650,10 @@ int Main(int argc, char** argv) {
   std::printf("simulated cluster: %s (%d nodes, %s engine)\n",
               spca::HumanSeconds(engine.SimulatedSeconds()).c_str(),
               spec.num_nodes, spca::dist::EngineModeToString(mode));
-  std::printf("communication: %s\n", engine.stats().ToString().c_str());
+  std::printf("communication: %s\n", engine.StatsSnapshot().ToString().c_str());
   std::string fault_meta;
   if (fault_plan.active() && !o.replay_faults) {
-    const spca::dist::CommStats& stats = engine.stats();
+    const spca::dist::CommStats stats = engine.StatsSnapshot();
     auto counter = [&registry](const char* name) -> unsigned long long {
       const spca::obs::Counter* c = registry.FindCounter(name);
       return c == nullptr ? 0 : c->AsUint64();
@@ -766,7 +766,7 @@ int Main(int argc, char** argv) {
       char label[48];
       std::snprintf(label, sizeof(label), "%.0frows", rows);
       const double seconds = spca::dist::ReplayRun(
-          engine.traces(), engine.stats(), spec, mode,
+          engine.traces(), engine.StatsSnapshot(), spec, mode,
           [scale](const spca::dist::JobTrace&) {
             spca::dist::ReplayScales scales;
             scales.flops = scale;
