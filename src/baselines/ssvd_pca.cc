@@ -84,7 +84,7 @@ DenseMatrix TransposeTimesJob(dist::Engine* engine, const DistMatrix& y,
 
   std::vector<const core::ScatterPartial*> shares;
   for (const auto& partial : partials) shares.push_back(&partial);
-  DenseMatrix z = core::MergeScatterPartials(shares, &ym);
+  DenseMatrix z = core::MergeScatterPartials(engine, shares, &ym);
   engine->CountDriverFlops(partials.size() * dim * k + 2ull * dim * k);
   return z;
 }

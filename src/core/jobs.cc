@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -49,8 +50,58 @@ uint64_t ComputeXRow(const DistMatrix& y, size_t i, const DenseMatrix& cm,
 
 /// Rows of the D x d result that MergeScatterPartials finishes at a time.
 constexpr size_t kMergeBlockRows = 16;
+static_assert(kDriverBlockRows % kMergeBlockRows == 0,
+              "a driver block holds whole merge blocks");
 
 }  // namespace
+
+DenseMatrix DriverTransposeMultiply(Engine* engine, const DenseMatrix& a,
+                                    const DenseMatrix& b) {
+  const bool gram = &a == &b;
+  const size_t n = a.cols();
+  const size_t threads = engine == nullptr ? 1 : engine->DriverThreads();
+  const size_t parts = std::max<size_t>(1, std::min(threads, n));
+  // Range p ends where the rows before it hold p / parts of the work: a
+  // row's length for A'B, its triangle part n - row for the Gram.
+  std::vector<size_t> bounds(parts + 1, n);
+  bounds[0] = 0;
+  const double total = gram ? 0.5 * static_cast<double>(n) * (n + 1)
+                            : static_cast<double>(n);
+  double done = 0.0;
+  size_t row = 0;
+  for (size_t p = 1; p < parts; ++p) {
+    const double target = total * static_cast<double>(p) / parts;
+    while (row < n && done < target) {
+      done += gram ? static_cast<double>(n - row) : 1.0;
+      ++row;
+    }
+    bounds[p] = row;
+  }
+  std::vector<DenseMatrix> ranges;
+  for (size_t p = 0; p < parts; ++p) {
+    ranges.emplace_back(bounds[p + 1] - bounds[p], b.cols());
+  }
+  const auto form = [&](size_t p) {
+    linalg::TransposeMultiplyRows(a, b, bounds[p], bounds[p + 1], &ranges[p]);
+  };
+  DenseMatrix c;
+  if (parts == 1) {
+    form(0);
+    c = std::move(ranges[0]);
+  } else {
+    engine->ForEachDriverBlock(parts, std::cref(form));
+    c = DenseMatrix(n, b.cols());
+    for (size_t p = 0; p < parts; ++p) {
+      if (ranges[p].size() == 0) continue;
+      std::memcpy(c.RowPtr(bounds[p]), ranges[p].data(),
+                  ranges[p].size() * sizeof(double));
+    }
+  }
+  if (gram) {
+    linalg::kernels::SymMirrorLower(c.data(), c.rows(), c.row_stride());
+  }
+  return c;
+}
 
 DenseVector ColumnSumJob(Engine* engine, const DistMatrix& y,
                          const dist::JobDesc& job) {
@@ -196,7 +247,8 @@ uint64_t ScatterPartial::WireBytes(const Engine& engine, const DistMatrix& y,
 }
 
 DenseMatrix MergeScatterPartials(
-    std::span<const ScatterPartial* const> partials, const DenseVector* ym) {
+    Engine* engine, std::span<const ScatterPartial* const> partials,
+    const DenseVector* ym) {
   SPCA_CHECK(!partials.empty());
   const size_t dim = partials.front()->w.rows();
   const size_t d = partials.front()->w.cols();
@@ -207,22 +259,25 @@ DenseMatrix MergeScatterPartials(
   // the D x d result being swept P times. Each entry still adds the
   // partials in task order, then its mean-propagation term.
   DenseMatrix w(dim, d);
-  for (size_t begin = 0; begin < dim; begin += kMergeBlockRows) {
-    const size_t end = std::min(dim, begin + kMergeBlockRows);
-    double* block = w.RowPtr(begin);
-    for (const ScatterPartial* p : partials) {
-      linalg::kernels::AddRow(p->w.RowPtr(begin), (end - begin) * d, block);
+  const auto merge_rows = [&](size_t first, size_t last) {
+    for (size_t begin = first; begin < last; begin += kMergeBlockRows) {
+      const size_t end = std::min(last, begin + kMergeBlockRows);
+      double* block = w.RowPtr(begin);
+      for (const ScatterPartial* p : partials) {
+        linalg::kernels::AddRow(p->w.RowPtr(begin), (end - begin) * d, block);
+      }
+      if (ym == nullptr) continue;
+      // W = sum_i Y_i' (x) x_i  -  Ym (x) sum_i x_i. AxpyRow with -m: (-m)*s
+      // and then adding is bit-identical to subtracting m*s (IEEE negation
+      // is exact).
+      for (size_t k = begin; k < end; ++k) {
+        const double m = (*ym)[k];
+        if (m == 0.0) continue;
+        linalg::kernels::AxpyRow(-m, x_sum.data(), d, w.RowPtr(k));
+      }
     }
-    if (ym == nullptr) continue;
-    // W = sum_i Y_i' (x) x_i  -  Ym (x) sum_i x_i. AxpyRow with -m: (-m)*s
-    // and then adding is bit-identical to subtracting m*s (IEEE negation
-    // is exact).
-    for (size_t k = begin; k < end; ++k) {
-      const double m = (*ym)[k];
-      if (m == 0.0) continue;
-      linalg::kernels::AxpyRow(-m, x_sum.data(), d, w.RowPtr(k));
-    }
-  }
+  };
+  ForEachRowBlock(engine, dim, kDriverBlockRows, merge_rows);
   return w;
 }
 
@@ -394,15 +449,15 @@ YtXResult YtXJob(Engine* engine, const DistMatrix& y, const DenseVector& ym,
   }
   std::vector<const ScatterPartial*> shares;
   for (const auto& p : ytx_partials) shares.push_back(&p.ytx);
-  result.ytx =
-      MergeScatterPartials(shares, toggles.mean_propagation ? &ym : nullptr);
+  result.ytx = MergeScatterPartials(
+      engine, shares, toggles.mean_propagation ? &ym : nullptr);
   if (toggles.mean_propagation) engine->CountDriverFlops(2ull * dim * d);
   const size_t merged_xtx = driver_xtx ? 0 : d * d;
   engine->CountDriverFlops(ytx_partials.size() * (dim * d + merged_xtx));
   if (driver_xtx) {
     // Every X row is Yc_i * CM, so X'X = CM' * (Yc'X). Averaging the two
     // triangles makes the d x d result exactly symmetric.
-    result.xtx = linalg::TransposeMultiply(cm, result.ytx);
+    result.xtx = DriverTransposeMultiply(engine, cm, result.ytx);
     for (size_t a = 0; a < d; ++a) {
       for (size_t b = a + 1; b < d; ++b) {
         const double average = 0.5 * (result.xtx(a, b) + result.xtx(b, a));
@@ -507,7 +562,7 @@ double Ss3FromYtX(Engine* engine, const DenseMatrix& c,
 }
 
 StatusOr<EStep> MakeEStep(const DenseMatrix& c, const DenseMatrix& ctc,
-                          double ss, const DenseVector& ym) {
+                          double ss, const DenseVector& ym, Engine* engine) {
   SPCA_CHECK_EQ(ctc.rows(), c.cols());
   SPCA_CHECK_EQ(ctc.cols(), c.cols());
   EStep e_step;
@@ -517,7 +572,11 @@ StatusOr<EStep> MakeEStep(const DenseMatrix& c, const DenseMatrix& ctc,
   auto m_inverse = linalg::Inverse(m);
   if (!m_inverse.ok()) return m_inverse.status();
   e_step.m_inverse = std::move(m_inverse).value();
-  e_step.cm = linalg::Multiply(c, e_step.m_inverse);  // D x d
+  e_step.cm = DenseMatrix(c.rows(), c.cols());  // D x d
+  const auto cm_rows = [&](size_t begin, size_t end) {
+    linalg::MultiplyRows(c, e_step.m_inverse, begin, end, &e_step.cm);
+  };
+  ForEachRowBlock(engine, c.rows(), kDriverBlockRows, cm_rows);
   e_step.xm = linalg::TransposeMultiplyVector(e_step.cm, ym);
   return e_step;
 }
@@ -527,7 +586,7 @@ StatusOr<EStep> PrepareEStep(Engine* engine, const DenseMatrix& c,
                              const DenseVector& ym) {
   const size_t dim = c.rows();
   const size_t d = c.cols();
-  auto e_step = MakeEStep(c, ctc, ss, ym);
+  auto e_step = MakeEStep(c, ctc, ss, ym, engine);
   if (!e_step.ok()) return e_step.status();
   // C'C is charged although the caller formed it: Algorithm 4 forms it
   // here and again for ss2 (line 12), and the cost model charges the
@@ -577,15 +636,21 @@ StatusOr<MStep> SolveMStep(Engine* engine, const EStep& e_step,
                            const YtXResult& stats, double l1_threshold) {
   const size_t dim = stats.ytx.rows();
   const size_t d = stats.ytx.cols();
-  // XtX += ss * M^-1 (line 10), then C' = YtX / XtX (line 11).
+  // XtX += ss * M^-1 (line 10), then C' = YtX / XtX (line 11): the d x d
+  // inverse here, YtX times it in blocks of rows on the driver's threads.
   DenseMatrix xtx = stats.xtx;
   xtx.AddScaled(e_step.ss, e_step.m_inverse);
-  auto c_new = linalg::SolveRight(stats.ytx, xtx);
-  if (!c_new.ok()) return c_new.status();
+  auto xtx_inverse = linalg::Inverse(xtx);
+  if (!xtx_inverse.ok()) return xtx_inverse.status();
+  MStep m_step;
+  m_step.c = DenseMatrix(dim, d);
+  const auto c_rows = [&](size_t begin, size_t end) {
+    linalg::MultiplyRows(stats.ytx, xtx_inverse.value(), begin, end,
+                         &m_step.c);
+  };
+  ForEachRowBlock(engine, dim, kDriverBlockRows, c_rows);
   engine->CountDriverFlops(2ull * d * d * d + 2ull * dim * d * d);
 
-  MStep m_step;
-  m_step.c = std::move(c_new).value();
   if (l1_threshold > 0.0) {
     // Sparse loadings: the prox runs *before* the variance update, so
     // (C', ss') stay mutually consistent and the model alone is the
@@ -595,7 +660,7 @@ StatusOr<MStep> SolveMStep(Engine* engine, const EStep& e_step,
   }
 
   // ss2 = trace(XtX * C'' * C') (line 12).
-  m_step.ctc = linalg::TransposeMultiply(m_step.c, m_step.c);
+  m_step.ctc = DriverTransposeMultiply(engine, m_step.c, m_step.c);
   for (size_t a = 0; a < d; ++a) {
     for (size_t b = 0; b < d; ++b) m_step.ss2 += xtx(a, b) * m_step.ctc(b, a);
   }

@@ -1,10 +1,13 @@
 #ifndef SPCA_CORE_JOBS_H_
 #define SPCA_CORE_JOBS_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
+#include "common/check.h"
 #include "common/status.h"
 #include "dist/dist_matrix.h"
 #include "dist/engine.h"
@@ -47,6 +50,45 @@ linalg::DenseVector MeanJob(dist::Engine* engine,
 /// Algorithm 2 (densify each row first).
 double FrobeniusNormJob(dist::Engine* engine, const dist::DistMatrix& y,
                         const linalg::DenseVector& ym, bool efficient);
+
+// ---- The driver's loops -------------------------------------------------
+// The D-sized driver work between jobs splits over output rows (or sample
+// rows) only, so every output entry keeps its operations and their order
+// and a split loop has the bits of one call over all rows. Reductions
+// over D (Xm, ss3, the mean projections) stay on the calling thread.
+
+/// Output rows each block of a D-row driver loop covers.
+inline constexpr size_t kDriverBlockRows = 64;
+
+/// Runs `fn(begin, end)` over consecutive ranges of at most `block_rows`
+/// rows covering [0, rows), on the engine's driver threads
+/// (Engine::ForEachDriverBlock); with a null engine, once over all rows on
+/// the calling thread. `fn` must write only its own rows' outputs. The
+/// loop holds `fn` by reference, so no functor is copied to the heap.
+template <typename Fn>
+void ForEachRowBlock(dist::Engine* engine, size_t rows, size_t block_rows,
+                     const Fn& fn) {
+  if (engine == nullptr) {
+    fn(size_t{0}, rows);
+    return;
+  }
+  SPCA_CHECK_GT(block_rows, 0u);
+  const auto run = [&](size_t block) {
+    const size_t begin = block * block_rows;
+    fn(begin, std::min(rows, begin + block_rows));
+  };
+  engine->ForEachDriverBlock((rows + block_rows - 1) / block_rows,
+                             std::cref(run));
+}
+
+/// linalg::TransposeMultiply(a, b), bit for bit, with its output rows split
+/// into one range per driver thread of `engine` (ranges of equal triangle
+/// area for the Gram matrix, `a` and `b` one object). Each range
+/// accumulates in its own buffer and is then copied out, so no two threads
+/// write one cache line. A null engine forms it in one range.
+linalg::DenseMatrix DriverTransposeMultiply(dist::Engine* engine,
+                                            const linalg::DenseMatrix& a,
+                                            const linalg::DenseMatrix& b);
 
 // ---- The projection-scatter pass ---------------------------------------
 // YtXJob, the Oja stream job (stream.ojaJob), rand_svd's sketch job and
@@ -91,9 +133,11 @@ struct ScatterPartial {
 };
 
 /// The driver's merge: adds the partials' W in task order, one block of
-/// rows at a time, then W -= Ym (x) sum(x_sum) when `ym` is not null.
+/// rows at a time, then W -= Ym (x) sum(x_sum) when `ym` is not null. The
+/// blocks run on `engine`'s driver threads (ForEachRowBlock); sum(x_sum)
+/// is formed before them.
 linalg::DenseMatrix MergeScatterPartials(
-    std::span<const ScatterPartial* const> partials,
+    dist::Engine* engine, std::span<const ScatterPartial* const> partials,
     const linalg::DenseVector* ym);
 
 /// Materializes X = Yc * CM as an N x d matrix — the *unoptimized* path
@@ -165,13 +209,16 @@ struct EStep {
 /// (linalg::TransposeMultiply(c, c); the previous MStep::ctc), noise
 /// variance `ss` and column mean `ym`: every row's latent coordinates are
 /// X_i = Y_i * CM - Xm. Fails as linalg::Inverse does when M is not
-/// positive definite, ill-conditioned or not finite. Engine-free, so the
-/// serving Projector builds the same map from a model.
+/// positive definite, ill-conditioned or not finite. CM = C * M^-1 runs
+/// in blocks of kDriverBlockRows rows on `engine`'s driver threads, which
+/// are charged nothing; with no engine (the serving Projector builds the
+/// same map from a model) it runs in one block.
 StatusOr<EStep> MakeEStep(const linalg::DenseMatrix& c,
                           const linalg::DenseMatrix& ctc, double ss,
-                          const linalg::DenseVector& ym);
+                          const linalg::DenseVector& ym,
+                          dist::Engine* engine = nullptr);
 
-/// MakeEStep, charging the driver's flops to `engine`.
+/// MakeEStep on `engine`, charging it the driver's flops.
 StatusOr<EStep> PrepareEStep(dist::Engine* engine,
                              const linalg::DenseMatrix& c,
                              const linalg::DenseMatrix& ctc, double ss,
@@ -190,7 +237,10 @@ struct MStep {
 };
 
 /// Solves the M-step from YtXJob's statistics; only the d x d XtX is
-/// copied, so the caller keeps `stats.ytx` for ss3. With `l1_threshold` > 0
+/// copied, so the caller keeps `stats.ytx` for ss3. C' = YtX * A^-1
+/// (linalg::SolveRight's product, A^-1 formed serially) runs in blocks of
+/// kDriverBlockRows rows and C''C' in DriverTransposeMultiply, both on
+/// `engine`'s driver threads. With `l1_threshold` > 0
 /// the lasso prox (SoftThreshold on every loading except each column's
 /// largest, so no component collapses) sparsifies C' before ss2; at 0 it
 /// is skipped entirely. MStep::ctc is formed on the final C'.

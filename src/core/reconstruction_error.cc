@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "core/jobs.h"
 #include "core/spca.h"
 #include "dist/engine.h"
 #include "linalg/kernels.h"
@@ -69,85 +70,118 @@ double AbsSum(const double* v, size_t n) {
 constexpr size_t kBlockRows = 16;
 constexpr size_t kBlockCols = 48;
 
+/// One thread's buffers for rebuilding a block of sample rows, kept across
+/// calls so a loop over blocks allocates no kBlockRows x D matrix per block.
+struct BlockScratch {
+  DenseVector projected;      // d
+  DenseMatrix coefficients;   // kBlockRows x d
+  DenseMatrix reconstructed;  // kBlockRows x D
+};
+
+BlockScratch& ThreadBlockScratch(size_t d, size_t dim) {
+  thread_local BlockScratch scratch;
+  if (scratch.coefficients.cols() != d ||
+      scratch.reconstructed.cols() != dim) {
+    scratch.projected = DenseVector(d);
+    scratch.coefficients = DenseMatrix(kBlockRows, d);
+    scratch.reconstructed = DenseMatrix(kBlockRows, dim);
+  }
+  return scratch;
+}
+
 /// The relative 1-norm error when each sample row Y_i is rebuilt as
 ///   mean + ((Y_i - mean) * basis * middle) * basis',
 /// with middle = I when null: G^-1 for the Gram route, where basis = C;
-/// nothing for MGS2, where basis is orthonormal.
-double ProjectionError(const dist::DistMatrix& sample,
+/// nothing for MGS2, where basis is orthonormal. The blocks of sample rows
+/// run on `engine`'s driver threads (in one block without an engine); each
+/// row's error and norm land in their own slots, summed in row order.
+double ProjectionError(dist::Engine* engine, const dist::DistMatrix& sample,
                        const DenseMatrix& basis, const DenseMatrix* middle,
                        const DenseVector& mean) {
   const size_t d = basis.cols();
   const size_t dim = sample.cols();
+  const size_t n = sample.rows();
 
   // mean' * basis (so each row's projection uses mean propagation).
   const DenseVector mean_projection =
       linalg::TransposeMultiplyVector(basis, mean);
 
+  const DenseMatrix basis_t = basis.Transpose();
+  std::vector<double> row_errors(n);
+  std::vector<double> row_norms(n);
+  const auto measure_rows = [&](size_t first_row, size_t last_row) {
+    BlockScratch& scratch = ThreadBlockScratch(d, dim);
+    DenseVector& projected = scratch.projected;
+    DenseMatrix& coefficients = scratch.coefficients;
+    DenseMatrix& reconstructed = scratch.reconstructed;
+    for (size_t first = first_row; first < last_row; first += kBlockRows) {
+      const size_t rows = std::min(kBlockRows, last_row - first);
+      for (size_t r = 0; r < rows; ++r) {
+        sample.RowTimesMatrix(first + r, basis, &projected);
+        projected.Subtract(mean_projection);
+        double* z = coefficients.RowPtr(r);
+        if (middle != nullptr) {
+          std::fill(z, z + d, 0.0);
+          linalg::kernels::RowGemm(projected.data(), d, middle->data(),
+                                   middle->row_stride(), d, z);
+        } else {
+          std::copy(projected.data(), projected.data() + d, z);
+        }
+        std::copy(mean.data(), mean.data() + dim, reconstructed.RowPtr(r));
+      }
+      // Reconstruction (dense rows): mean + z * basis', row products over
+      // the contiguous rows of basis', one column slice at a time. Under
+      // scalar dispatch each entry adds its d products left to right after
+      // mean[k]; the zero products RowGemm skips could only change the sign
+      // of a zero, which the 1-norm below does not see.
+      for (size_t col = 0; col < dim; col += kBlockCols) {
+        const size_t width = std::min(kBlockCols, dim - col);
+        for (size_t r = 0; r < rows; ++r) {
+          linalg::kernels::RowGemm(coefficients.RowPtr(r), d,
+                                   basis_t.data() + col, basis_t.row_stride(),
+                                   width, reconstructed.RowPtr(r) + col);
+        }
+      }
+      // 1-norm of (row - reconstruction) without materializing the dense
+      // rows: stored entries contribute |v - rec|, absent entries |0 - rec|.
+      for (size_t r = 0; r < rows; ++r) {
+        const double* rec = reconstructed.RowPtr(r);
+        const double absent = AbsSum(rec, dim);
+        double present = 0.0;
+        double row_norm = 0.0;
+        sample.ForEachEntry(first + r, [&](size_t k, double v) {
+          present += std::fabs(v - rec[k]) - std::fabs(rec[k]);
+          row_norm += std::fabs(v);
+        });
+        row_errors[first + r] = absent + present;
+        row_norms[first + r] = row_norm;
+      }
+    }
+  };
+  ForEachRowBlock(engine, n, kBlockRows, measure_rows);
   double error_norm = 0.0;
   double data_norm = 0.0;
-  const DenseMatrix basis_t = basis.Transpose();
-  DenseVector projected(d);
-  DenseMatrix coefficients(kBlockRows, d);
-  DenseMatrix reconstructed(kBlockRows, dim);
-  for (size_t first = 0; first < sample.rows(); first += kBlockRows) {
-    const size_t rows = std::min(kBlockRows, sample.rows() - first);
-    for (size_t r = 0; r < rows; ++r) {
-      sample.RowTimesMatrix(first + r, basis, &projected);
-      projected.Subtract(mean_projection);
-      double* z = coefficients.RowPtr(r);
-      if (middle != nullptr) {
-        std::fill(z, z + d, 0.0);
-        linalg::kernels::RowGemm(projected.data(), d, middle->data(),
-                                 middle->row_stride(), d, z);
-      } else {
-        std::copy(projected.data(), projected.data() + d, z);
-      }
-      std::copy(mean.data(), mean.data() + dim, reconstructed.RowPtr(r));
-    }
-    // Reconstruction (dense rows): mean + z * basis', row products over the
-    // contiguous rows of basis', one column slice at a time. Under scalar
-    // dispatch each entry adds its d products left to right after mean[k];
-    // the zero products RowGemm skips could only change the sign of a
-    // zero, which the 1-norm below does not see.
-    for (size_t col = 0; col < dim; col += kBlockCols) {
-      const size_t width = std::min(kBlockCols, dim - col);
-      for (size_t r = 0; r < rows; ++r) {
-        linalg::kernels::RowGemm(coefficients.RowPtr(r), d,
-                                 basis_t.data() + col, basis_t.row_stride(),
-                                 width, reconstructed.RowPtr(r) + col);
-      }
-    }
-    // 1-norm of (row - reconstruction) without materializing the dense
-    // rows: stored entries contribute |v - rec|, absent entries |0 - rec|.
-    for (size_t r = 0; r < rows; ++r) {
-      const double* rec = reconstructed.RowPtr(r);
-      const double absent = AbsSum(rec, dim);
-      double present = 0.0;
-      double row_norm = 0.0;
-      sample.ForEachEntry(first + r, [&](size_t k, double v) {
-        present += std::fabs(v - rec[k]) - std::fabs(rec[k]);
-        row_norm += std::fabs(v);
-      });
-      error_norm += absent + present;
-      data_norm += row_norm;
-    }
+  for (size_t i = 0; i < n; ++i) {
+    error_norm += row_errors[i];
+    data_norm += row_norms[i];
   }
   if (data_norm == 0.0) return 0.0;
   return error_norm / data_norm;
 }
 
 /// SampledReconstructionError with `gram` = C'C of `components` handed
-/// in, or formed here when null. The projector C * G^-1 * C' needs no
+/// in, or formed here when null, and the sample rows on `engine`'s driver
+/// threads when it is not null. The projector C * G^-1 * C' needs no
 /// orthonormal basis; MGS2 builds one only when G's factor fails or its
 /// condition estimate exceeds kGramConditionBound (C rank-deficient,
 /// nearly so, or not finite).
-double ErrorThroughGram(const dist::DistMatrix& sample,
+double ErrorThroughGram(dist::Engine* engine, const dist::DistMatrix& sample,
                         const DenseMatrix& components,
                         const DenseVector& mean, const DenseMatrix* gram) {
   SPCA_CHECK_EQ(sample.cols(), components.rows());
   DenseMatrix own_gram;
   if (gram == nullptr) {
-    own_gram = linalg::TransposeMultiply(components, components);
+    own_gram = DriverTransposeMultiply(engine, components, components);
     gram = &own_gram;
   }
   SPCA_CHECK_EQ(gram->rows(), components.cols());
@@ -158,11 +192,13 @@ double ErrorThroughGram(const dist::DistMatrix& sample,
     // would put two serial triangular chains in every sample row.
     const auto inverse = linalg::CholeskyInverse(factor.value());
     if (inverse.ok()) {
-      return ProjectionError(sample, components, &inverse.value(), mean);
+      return ProjectionError(engine, sample, components, &inverse.value(),
+                             mean);
     }
   }
-  return ProjectionError(sample, linalg::OrthonormalizeColumns(components),
-                         nullptr, mean);
+  return ProjectionError(engine, sample,
+                         linalg::OrthonormalizeColumns(components), nullptr,
+                         mean);
 }
 
 }  // namespace
@@ -170,7 +206,8 @@ double ErrorThroughGram(const dist::DistMatrix& sample,
 double SampledReconstructionError(const dist::DistMatrix& sample,
                                   const DenseMatrix& components,
                                   const DenseVector& mean) {
-  return ErrorThroughGram(sample, components, mean, /*gram=*/nullptr);
+  return ErrorThroughGram(/*engine=*/nullptr, sample, components, mean,
+                          /*gram=*/nullptr);
 }
 
 StatusOr<double> ConvergedIdealError(const dist::ClusterSpec& spec,
@@ -239,7 +276,7 @@ bool AccuracyTracker::Record(int iteration, const PcaModel& model,
   IterationTrace trace;
   trace.iteration = iteration;
   trace.error =
-      ErrorThroughGram(sample_, model.components, model.mean, gram);
+      ErrorThroughGram(engine_, sample_, model.components, model.mean, gram);
   trace.accuracy_percent = AccuracyPercent(trace.error, ideal_error_);
   trace.simulated_seconds =
       engine_->SimulatedSeconds() - stats_before_.simulated_seconds;

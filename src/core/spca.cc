@@ -7,7 +7,6 @@
 #include "common/rng.h"
 #include "core/jobs.h"
 #include "core/reconstruction_error.h"
-#include "linalg/ops.h"
 
 namespace spca::core {
 
@@ -42,6 +41,17 @@ StatusOr<SolveResult> Spca::Solve(const DistMatrix& y,
   if (options_.l1_threshold > 0.0) {
     fit_span.SetAttribute("l1_threshold", options_.l1_threshold);
   }
+
+  // RunEm's driver budget, checked (reserved and released at once) before
+  // the D x d draw of C: a D the driver cannot hold then ends in
+  // OUT_OF_MEMORY rather than in a failed allocation.
+  SPCA_RETURN_IF_ERROR(
+      engine_
+          ->ReserveDriverMemory("sPCA driver state",
+                                dist::LinearDriverStateBytes(
+                                    engine_->spec(), y.cols(),
+                                    options_.num_components))
+          .status());
 
   const bool warm_start = init.components.has_value();
   DenseMatrix c;
@@ -173,7 +183,7 @@ StatusOr<SolveResult> Spca::RunEm(
   const DenseVector& ym = result.model.mean;
   // C'C of the current C: formed here for the first iteration, then taken
   // from each M-step by the next E-step and by the error sample.
-  DenseMatrix ctc = linalg::TransposeMultiply(c, c);
+  DenseMatrix ctc = DriverTransposeMultiply(engine_, c, c);
 
   for (int iteration = 1; iteration <= options_.max_iterations; ++iteration) {
     obs::Span iter_span(registry, "spca.em_iteration", "iteration");

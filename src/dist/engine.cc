@@ -1,6 +1,7 @@
 #include "dist/engine.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/format.h"
 
@@ -102,10 +103,13 @@ DriverReservation::~DriverReservation() {
 uint64_t LinearDriverStateBytes(const ClusterSpec& spec, size_t dim,
                                 size_t width) {
   constexpr double kObjectOverhead = 10.0;
+  const double state = kObjectOverhead * 4.0 * static_cast<double>(dim) *
+                       static_cast<double>(width) * sizeof(double);
+  // Compared in double first: casting a value no uint64_t holds is
+  // undefined, and no driver budget admits 2^63 bytes anyway.
+  if (!(state < 0x1p63)) return std::numeric_limits<uint64_t>::max();
   return static_cast<uint64_t>(spec.driver_baseline_bytes) +
-         static_cast<uint64_t>(kObjectOverhead * 4.0 *
-                               static_cast<double>(dim) * width *
-                               sizeof(double));
+         static_cast<uint64_t>(state);
 }
 
 StatusOr<DriverReservation> Engine::ReserveDriverMemory(
@@ -135,19 +139,47 @@ void Engine::ReleaseDriverMemory(uint64_t bytes) {
       ->Set(static_cast<double>(driver_memory_));
 }
 
-WorkerPool* Engine::EnsureWorkerPool(size_t num_threads) {
+size_t Engine::LocalWorkers() const {
+  return local_workers_ > 0
+             ? local_workers_
+             : std::max<unsigned>(1, std::thread::hardware_concurrency());
+}
+
+size_t Engine::DriverThreads() const {
+  const size_t workers = LocalWorkers();
+  return workers <= 1 ? 1 : workers + 1;
+}
+
+WorkerPool* Engine::Pool(size_t num_threads) {
   if (pool_ == nullptr) {
     pool_ = std::make_unique<WorkerPool>(num_threads);
     registry_->gauge("engine.pool.threads")
         ->Set(static_cast<double>(pool_->num_threads()));
-  } else {
-    SPCA_CHECK_EQ(pool_->num_threads(), num_threads);
+  }
+  SPCA_CHECK_EQ(pool_->num_threads(), num_threads);
+  return pool_.get();
+}
+
+WorkerPool* Engine::EnsureWorkerPool(size_t num_threads) {
+  const bool reused = pool_ != nullptr;
+  WorkerPool* pool = Pool(num_threads);
+  if (reused) {
     // Reusing the persistent pool saves one thread spawn+join per worker
     // that the per-job-thread engine used to pay.
     registry_->gauge("engine.pool.spawns_avoided")
-        ->Add(static_cast<double>(pool_->num_threads()));
+        ->Add(static_cast<double>(pool->num_threads()));
   }
-  return pool_.get();
+  return pool;
+}
+
+void Engine::ForEachDriverBlock(size_t num_blocks,
+                                const std::function<void(size_t)>& fn) {
+  const size_t workers = LocalWorkers();
+  if (workers <= 1 || num_blocks <= 1) {
+    for (size_t block = 0; block < num_blocks; ++block) fn(block);
+    return;
+  }
+  Pool(workers)->RunWithCaller(num_blocks, fn);
 }
 
 // The ComputeJobCost cost model lives in dist/replay.cc so FinishJob and

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -176,10 +177,7 @@ class Engine {
       T value = fn(matrix.partition(p), ctx);
       if (is_final) results[p] = std::move(value);
     };
-    const size_t hardware =
-        local_workers_ > 0
-            ? local_workers_
-            : std::max<unsigned>(1, std::thread::hardware_concurrency());
+    const size_t hardware = LocalWorkers();
     const size_t num_workers = std::min(num_tasks, hardware);
     if (num_workers <= 1) {
       for (size_t p = 0; p < num_tasks; ++p) {
@@ -196,6 +194,23 @@ class Engine {
     FinishJob(job, matrix, contexts, faults, wall.ElapsedSeconds(), &span);
     return results;
   }
+
+  /// Runs `fn(block)` once for every block in [0, num_blocks) and returns
+  /// once all have run: the driver's own loops between jobs (Algorithm 4's
+  /// D x d algebra, the merge of the task partials, the error sample). The
+  /// worker pool's threads run blocks, and the calling thread claims
+  /// blocks beside them; with one local worker, or one block, every block
+  /// runs on the calling thread, in order. Blocks must write disjoint
+  /// outputs. Nothing is charged and no job is launched: the cost model
+  /// charges the driver's flops (CountDriverFlops) however many threads
+  /// ran them. A call from a task the worker pool is running (a pooled
+  /// RunMap task) fails a CHECK instead of deadlocking.
+  void ForEachDriverBlock(size_t num_blocks,
+                          const std::function<void(size_t)>& fn);
+
+  /// Threads a ForEachDriverBlock loop runs on: the pool's workers plus
+  /// the driver, or 1 with one local worker.
+  size_t DriverThreads() const;
 
   /// Accounts a broadcast of `bytes` from the driver to every node (the
   /// in-memory matrix CM, the mean vector, ...).
@@ -247,8 +262,16 @@ class Engine {
   friend class DriverReservation;
   void ReleaseDriverMemory(uint64_t bytes);
 
-  /// Lazily creates the persistent worker pool of `num_threads` workers
-  /// and records the spawn / reuse bookkeeping (engine.pool.* metrics).
+  /// Threads that execute tasks: SetLocalWorkers' count, or the hardware
+  /// concurrency when it is 0.
+  size_t LocalWorkers() const;
+
+  /// The persistent worker pool of `num_threads` workers, created (and
+  /// engine.pool.threads set) on first use.
+  WorkerPool* Pool(size_t num_threads);
+
+  /// Pool() for a map job; reusing the pool adds its size to
+  /// engine.pool.spawns_avoided.
   WorkerPool* EnsureWorkerPool(size_t num_threads);
 
   /// Converts per-task accounting (including `faults` — the retry and

@@ -17,7 +17,9 @@ namespace spca::dist {
 /// once and hands each job's tasks out via an atomic work queue.
 ///
 /// Run() is synchronous and must be called from one thread at a time (the
-/// engine's driver thread). Task functions must not throw.
+/// engine's driver thread). It is not re-entrant: a call from inside one of
+/// this pool's own tasks fails a CHECK instead of deadlocking. Task
+/// functions must not throw.
 class WorkerPool {
  public:
   explicit WorkerPool(size_t num_threads);
@@ -39,6 +41,11 @@ class WorkerPool {
   /// outputs stay task-ordered and deterministic either way.
   void Run(size_t num_tasks, const std::function<void(size_t)>& fn);
 
+  /// Run() with the calling thread claiming tasks beside the pool's
+  /// threads (num_threads() + 1 executors, the grain sized for all of
+  /// them) instead of sleeping until they finish.
+  void RunWithCaller(size_t num_tasks, const std::function<void(size_t)>& fn);
+
   /// Run() with task-level retry, for the fault-injection layer: each task
   /// is invoked `attempts(task)` times (at least once) as
   /// `fn(task, attempt, is_final)` with attempt = 0 .. attempts-1 and
@@ -53,6 +60,13 @@ class WorkerPool {
                    const std::function<void(size_t, int, bool)>& fn);
 
  private:
+  /// Publishes the job, claims tasks on this thread too when
+  /// `caller_claims`, and waits for the barrier.
+  void Dispatch(size_t num_tasks, const std::function<void(size_t)>& fn,
+                bool caller_claims);
+  /// Claims chunks of `grain` tasks until none are left.
+  void ClaimTasks(const std::function<void(size_t)>& fn, size_t num_tasks,
+                  size_t grain);
   void WorkerLoop();
 
   std::mutex mutex_;
@@ -60,7 +74,7 @@ class WorkerPool {
   std::condition_variable done_cv_;  // signals the driver: job complete
   const std::function<void(size_t)>* fn_ = nullptr;
   size_t num_tasks_ = 0;
-  size_t grain_ = 1;  // tasks claimed per fetch_add, set by Run()
+  size_t grain_ = 1;  // tasks claimed per fetch_add, set by Dispatch()
   uint64_t generation_ = 0;
   size_t active_workers_ = 0;  // workers currently inside a claim loop
   bool shutdown_ = false;

@@ -68,6 +68,8 @@ bool IsaAvailable(Isa isa);
                    size_t cols, double* out, size_t out_stride);             \
   void SymRank1Update(const double* x, size_t d, double* out,                \
                       size_t stride);                                        \
+  void SymRank1UpdateRows(const double* x, size_t d, size_t row_begin,       \
+                          size_t row_end, double* out, size_t stride);       \
   void SparseRowGemv(const SparseEntry* entries, size_t nnz,                 \
                      const double* b, size_t b_stride, size_t d,             \
                      double* out);                                           \

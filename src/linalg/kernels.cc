@@ -21,7 +21,8 @@ struct KernelTable {
   double (*dot_row)(const double*, const double*, size_t, double);
   void (*rank1_update)(const double*, size_t, const double*, size_t, double*,
                        size_t);
-  void (*sym_rank1_update)(const double*, size_t, double*, size_t);
+  void (*sym_rank1_update_rows)(const double*, size_t, size_t, size_t,
+                                double*, size_t);
   void (*sparse_row_gemv)(const SparseEntry*, size_t, const double*, size_t,
                           size_t, double*);
   void (*sparse_rows_project_scatter)(const uint64_t*, size_t,
@@ -35,14 +36,14 @@ struct KernelTable {
 
 constexpr KernelTable kScalarTable = {
     Isa::kScalar,       scalar::AxpyRow,       scalar::AddRow,
-    scalar::DotRow,     scalar::Rank1Update,   scalar::SymRank1Update,
+    scalar::DotRow,     scalar::Rank1Update,   scalar::SymRank1UpdateRows,
     scalar::SparseRowGemv, scalar::SparseRowsProjectScatter, scalar::RowGemm,
 };
 
 #if defined(SPCA_KERNELS_HAVE_AVX2)
 constexpr KernelTable kAvx2Table = {
     Isa::kAvx2,       avx2::AxpyRow,       avx2::AddRow,
-    avx2::DotRow,     avx2::Rank1Update,   avx2::SymRank1Update,
+    avx2::DotRow,     avx2::Rank1Update,   avx2::SymRank1UpdateRows,
     avx2::SparseRowGemv, avx2::SparseRowsProjectScatter, avx2::RowGemm,
 };
 #endif
@@ -154,7 +155,12 @@ void Rank1Update(const double* a, size_t rows, const double* b, size_t cols,
 }
 
 void SymRank1Update(const double* x, size_t d, double* out, size_t stride) {
-  Table().sym_rank1_update(x, d, out, stride);
+  Table().sym_rank1_update_rows(x, d, 0, d, out, stride);
+}
+
+void SymRank1UpdateRows(const double* x, size_t d, size_t row_begin,
+                        size_t row_end, double* out, size_t stride) {
+  Table().sym_rank1_update_rows(x, d, row_begin, row_end, out, stride);
 }
 
 void SymMirrorLower(double* out, size_t d, size_t stride) {

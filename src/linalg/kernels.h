@@ -73,6 +73,14 @@ void Rank1Update(const double* a, size_t rows, const double* b, size_t cols,
 /// tier under SIMD).
 void SymRank1Update(const double* x, size_t d, double* out, size_t stride);
 
+/// SymRank1Update restricted to the upper-triangle rows [row_begin,
+/// row_end): out(a - row_begin, b) += x[a] * x[b] for a in the range and b
+/// in [a, d), so row row_begin of the triangle is row 0 of `out`. Each
+/// entry's arithmetic is the whole update's, so split ranges reproduce it
+/// bit for bit; SymRank1Update is this over [0, d).
+void SymRank1UpdateRows(const double* x, size_t d, size_t row_begin,
+                        size_t row_end, double* out, size_t stride);
+
 /// Copies the upper triangle of a d x d row-major matrix into its lower
 /// triangle (the finishing step after a run of SymRank1Update calls).
 /// Pure copies — bit-identical on every ISA.

@@ -136,17 +136,19 @@ void Rank1Update(const double* a, size_t rows, const double* b, size_t cols,
   }
 }
 
-void SymRank1Update(const double* x, size_t d, double* out, size_t stride) {
+void SymRank1UpdateRows(const double* x, size_t d, size_t row_begin,
+                        size_t row_end, double* out, size_t stride) {
   // Row pairing: rows a and a+1 share every x[b] vector load, and the
   // per-row loop prologue/epilogue (the dominant cost for small d, where
   // triangle rows are only a handful of elements) is paid once per pair.
   // The 2x2 corner at the diagonal is peeled off scalar so both rows'
-  // vector loops start at the same column a+2.
-  size_t a = 0;
-  for (; a + 2 <= d; a += 2) {
+  // vector loops start at the same column a+2. Every entry is one fused
+  // multiply-add however the rows pair up.
+  size_t a = row_begin;
+  for (; a + 2 <= row_end; a += 2) {
     const double xa0 = x[a];
     const double xa1 = x[a + 1];
-    double* row0 = out + a * stride;
+    double* row0 = out + (a - row_begin) * stride;
     double* row1 = row0 + stride;
     row0[a] = __builtin_fma(xa0, xa0, row0[a]);
     row0[a + 1] = __builtin_fma(xa0, xa1, row0[a + 1]);
@@ -180,10 +182,22 @@ void SymRank1Update(const double* x, size_t d, double* out, size_t stride) {
       row1[b] = __builtin_fma(xa1, x[b], row1[b]);
     }
   }
-  if (a < d) {  // odd d: the last row is just its diagonal element
-    double* row = out + a * stride;
-    row[a] = __builtin_fma(x[a], x[a], row[a]);
+  if (a < row_end) {  // an odd row count: the last row alone
+    const double xa = x[a];
+    double* row = out + (a - row_begin) * stride;
+    row[a] = __builtin_fma(xa, xa, row[a]);
+    const __m256d v = _mm256_set1_pd(xa);
+    size_t b = a + 1;
+    for (; b + 4 <= d; b += 4) {
+      _mm256_storeu_pd(row + b, _mm256_fmadd_pd(v, _mm256_loadu_pd(x + b),
+                                                _mm256_loadu_pd(row + b)));
+    }
+    for (; b < d; ++b) row[b] = __builtin_fma(xa, x[b], row[b]);
   }
+}
+
+void SymRank1Update(const double* x, size_t d, double* out, size_t stride) {
+  SymRank1UpdateRows(x, d, 0, d, out, stride);
 }
 
 namespace {

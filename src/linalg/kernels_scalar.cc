@@ -71,11 +71,12 @@ void Rank1Update(const double* a, size_t rows, const double* b, size_t cols,
   }
 }
 
-void SymRank1Update(const double* x, size_t d, double* out, size_t stride) {
+void SymRank1UpdateRows(const double* x, size_t d, size_t row_begin,
+                        size_t row_end, double* out, size_t stride) {
   const double* SPCA_RESTRICT xp = x;
-  for (size_t a = 0; a < d; ++a) {
+  for (size_t a = row_begin; a < row_end; ++a) {
     const double xa = xp[a];
-    double* SPCA_RESTRICT row = out + a * stride;
+    double* SPCA_RESTRICT row = out + (a - row_begin) * stride;
     size_t b = a;
     for (; b + 4 <= d; b += 4) {
       row[b] += xa * xp[b];
@@ -85,6 +86,10 @@ void SymRank1Update(const double* x, size_t d, double* out, size_t stride) {
     }
     for (; b < d; ++b) row[b] += xa * xp[b];
   }
+}
+
+void SymRank1Update(const double* x, size_t d, double* out, size_t stride) {
+  SymRank1UpdateRows(x, d, 0, d, out, stride);
 }
 
 void SparseRowGemv(const SparseEntry* entries, size_t nnz, const double* b,

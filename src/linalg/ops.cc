@@ -11,37 +11,57 @@ namespace spca::linalg {
 // triple loops it replaced.
 
 DenseMatrix Multiply(const DenseMatrix& a, const DenseMatrix& b) {
-  SPCA_CHECK_EQ(a.cols(), b.rows());
   DenseMatrix c(a.rows(), b.cols());
-  for (size_t i = 0; i < a.rows(); ++i) {
-    kernels::RowGemm(a.RowPtr(i), a.cols(), b.data(), b.row_stride(),
-                     b.cols(), c.RowPtr(i));
-  }
+  MultiplyRows(a, b, 0, a.rows(), &c);
   return c;
 }
 
+void MultiplyRows(const DenseMatrix& a, const DenseMatrix& b, size_t begin,
+                  size_t end, DenseMatrix* c) {
+  SPCA_CHECK_EQ(a.cols(), b.rows());
+  SPCA_CHECK_EQ(c->rows(), a.rows());
+  SPCA_CHECK_EQ(c->cols(), b.cols());
+  SPCA_CHECK_LE(begin, end);
+  SPCA_CHECK_LE(end, a.rows());
+  for (size_t i = begin; i < end; ++i) {
+    kernels::RowGemm(a.RowPtr(i), a.cols(), b.data(), b.row_stride(),
+                     b.cols(), c->RowPtr(i));
+  }
+}
+
 DenseMatrix TransposeMultiply(const DenseMatrix& a, const DenseMatrix& b) {
-  SPCA_CHECK_EQ(a.rows(), b.rows());
   DenseMatrix c(a.cols(), b.cols());
+  TransposeMultiplyRows(a, b, 0, a.cols(), &c);
+  // The Gram matrix's rows hold their upper triangle: one mirror.
+  if (&a == &b) kernels::SymMirrorLower(c.data(), c.rows(), c.row_stride());
+  return c;
+}
+
+void TransposeMultiplyRows(const DenseMatrix& a, const DenseMatrix& b,
+                           size_t begin, size_t end, DenseMatrix* out) {
+  SPCA_CHECK_EQ(a.rows(), b.rows());
+  SPCA_CHECK_LE(begin, end);
+  SPCA_CHECK_LE(end, a.cols());
+  SPCA_CHECK_GE(out->rows(), end - begin);
+  SPCA_CHECK_EQ(out->cols(), b.cols());
   if (&a == &b) {
-    // The Gram matrix A'A: the upper triangle row by row, then one mirror.
-    // Each entry adds the same products in the same row order as the
-    // general path (IEEE products commute; the +-0 products of the zeros
-    // Rank1Update skips leave a sum that started at +0 unchanged), so the
-    // bits match with half the multiply-adds.
+    // The Gram matrix A'A: the upper triangle row by row. Each entry adds
+    // the same products in the same row order as the general path (IEEE
+    // products commute; the +-0 products of the zeros Rank1Update skips
+    // leave a sum that started at +0 unchanged), so the bits match with
+    // half the multiply-adds.
     for (size_t r = 0; r < a.rows(); ++r) {
-      kernels::SymRank1Update(a.RowPtr(r), a.cols(), c.data(), c.row_stride());
+      kernels::SymRank1UpdateRows(a.RowPtr(r), a.cols(), begin, end,
+                                  out->data(), out->row_stride());
     }
-    kernels::SymMirrorLower(c.data(), c.rows(), c.row_stride());
-    return c;
+    return;
   }
   // sum_r (A_r)' * B_r: stream one row of each operand at a time (the
-  // paper's Equation 2) as a rank-1 update of C.
+  // paper's Equation 2) as a rank-1 update of the range's rows.
   for (size_t r = 0; r < a.rows(); ++r) {
-    kernels::Rank1Update(a.RowPtr(r), a.cols(), b.RowPtr(r), b.cols(),
-                         c.data(), c.row_stride());
+    kernels::Rank1Update(a.RowPtr(r) + begin, end - begin, b.RowPtr(r),
+                         b.cols(), out->data(), out->row_stride());
   }
-  return c;
 }
 
 DenseMatrix MultiplyTranspose(const DenseMatrix& a, const DenseMatrix& b) {

@@ -6,14 +6,33 @@
 
 namespace spca::linalg {
 
+// The row-range forms below compute rows [begin, end) of a product, each
+// entry with the whole product's operations in the whole product's order,
+// so a product split into ranges (the engine's driver loops) has the bits
+// of one call over all rows; the whole-matrix function is that call.
+
 /// C = A * B. Shapes: (n x k) * (k x m) -> (n x m).
 DenseMatrix Multiply(const DenseMatrix& a, const DenseMatrix& b);
+
+/// Rows [begin, end) of C = A * B, written into the same rows of `c`
+/// (n x m, those rows zero on entry).
+void MultiplyRows(const DenseMatrix& a, const DenseMatrix& b, size_t begin,
+                  size_t end, DenseMatrix* c);
 
 /// C = A' * B. Shapes: (k x n)' * (k x m) -> (n x m). Computed row-by-row
 /// as sum_r (A_r)' * B_r (the paper's Equation 2), no explicit transpose.
 /// Called with one matrix twice (the Gram matrix A'A), it accumulates the
 /// upper triangle and mirrors it: half the work, the same bits.
 DenseMatrix TransposeMultiply(const DenseMatrix& a, const DenseMatrix& b);
+
+/// Rows [begin, end) of C = A' * B added into `out`, product row `begin`
+/// in row 0 (`out` is at least (end - begin) x m). Every row r of A and B
+/// is still visited in order, so each entry sums over r as the whole
+/// product does. For the Gram matrix (`a` and `b` one object) only the
+/// upper triangle of those rows is formed (columns from the row's own
+/// index on), and the caller mirrors once every row is in.
+void TransposeMultiplyRows(const DenseMatrix& a, const DenseMatrix& b,
+                           size_t begin, size_t end, DenseMatrix* out);
 
 /// C = A * B'. Shapes: (n x k) * (m x k)' -> (n x m).
 DenseMatrix MultiplyTranspose(const DenseMatrix& a, const DenseMatrix& b);

@@ -128,7 +128,7 @@ StatusOr<core::SolveResult> RandSvdPca::Solve(
     // W -= Ym (x) t_sum (the -Ym' part of the left Yc').
     std::vector<const core::ScatterPartial*> shares;
     for (const auto& partial : partials) shares.push_back(&partial);
-    const DenseMatrix w = core::MergeScatterPartials(shares, &ym);
+    const DenseMatrix w = core::MergeScatterPartials(engine_, shares, &ym);
     engine_->CountDriverFlops(partials.size() * (dim * k + k) +
                               2ull * dim * k);
 

@@ -239,7 +239,7 @@ Status MiniBatchEmSolver::Update(const DistMatrix& batch) {
       core::FrobeniusNormJob(engine_, batch, mean_, /*efficient=*/true);
   // The batch EM iteration's E-step, on the current batch.
   auto e_step = core::PrepareEStep(
-      engine_, c_, linalg::TransposeMultiply(c_, c_), ss_, mean_);
+      engine_, c_, core::DriverTransposeMultiply(engine_, c_, c_), ss_, mean_);
   if (!e_step.ok()) return e_step.status();
   const DenseMatrix& cm = e_step->cm;
   const DenseVector& xm = e_step->xm;
@@ -396,7 +396,8 @@ Status OjaSolver::Update(const DistMatrix& batch) {
     norm_sq += partial.norm_sq;
     proj_sq += partial.proj_sq;
   }
-  const DenseMatrix grad = core::MergeScatterPartials(gradients, &mean_);
+  const DenseMatrix grad =
+      core::MergeScatterPartials(engine_, gradients, &mean_);
 
   // Gradient ascent on the batch-averaged Rayleigh objective.
   const double eta =

@@ -20,6 +20,21 @@ namespace {
 constexpr uint64_t kSparseMagic = 0x53504341'53505233ULL;  // "SPCA SPR3"
 constexpr uint64_t kDenseMagic = 0x53504341'444E5333ULL;   // "SPCA DNS3"
 constexpr uint64_t kEntryBytes = sizeof(uint32_t) + sizeof(double);
+/// The most columns a sparse matrix may have: its uint32 indices name
+/// columns 0 .. 2^32 - 1.
+constexpr uint64_t kMaxSparseCols = uint64_t{1} << 32;
+
+/// InvalidArgument when `cols` exceeds kMaxSparseCols: no stored entry
+/// could name the columns past it, and every D-sized buffer downstream
+/// would be refused by the allocator.
+Status CheckSparseCols(uint64_t cols, const std::string& path) {
+  if (cols > kMaxSparseCols) {
+    return Status::InvalidArgument(
+        path + " claims " + std::to_string(cols) +
+        " columns, more than the 2^32 a sparse index can name");
+  }
+  return Status::Ok();
+}
 
 template <typename T>
 void AppendBytes(std::string* bytes, const T* data, size_t count) {
@@ -127,6 +142,7 @@ StatusOr<SparseMatrix> LoadSparseBinary(const std::string& path) {
   if (!reader.Read(&rows) || !reader.Read(&cols) || !reader.Read(&nnz)) {
     return Status::InvalidArgument("truncated header in " + path);
   }
+  SPCA_RETURN_IF_ERROR(CheckSparseCols(cols, path));
   // The body is one row length per row and one entry per stored value.
   const uint64_t body = reader.remaining();
   if (rows > body / sizeof(uint64_t) ||
@@ -255,6 +271,7 @@ Status SaveSparseText(const SparseMatrix& matrix, const std::string& path) {
 }
 
 StatusOr<SparseMatrix> LoadSparseText(const std::string& path, size_t cols) {
+  SPCA_RETURN_IF_ERROR(CheckSparseCols(cols, path));
   auto text = obs::ReadFile(path);
   if (!text.ok()) return text.status();
   // Every line is a row, an empty one included; a last line without its

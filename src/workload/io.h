@@ -14,7 +14,8 @@ namespace spca::workload {
 Status SaveSparseBinary(const linalg::SparseMatrix& matrix,
                         const std::string& path);
 
-/// Reads a matrix written by SaveSparseBinary.
+/// Reads a matrix written by SaveSparseBinary. A header claiming more than
+/// 2^32 columns is InvalidArgument, refused before the matrix is built.
 StatusOr<linalg::SparseMatrix> LoadSparseBinary(const std::string& path);
 
 /// Writes a dense matrix in a simple binary format.
@@ -40,7 +41,8 @@ Status SaveSparseText(const linalg::SparseMatrix& matrix,
                       const std::string& path);
 
 /// Reads a matrix written by SaveSparseText. `cols` must be supplied (the
-/// text format does not record trailing empty columns).
+/// text format does not record trailing empty columns); more than 2^32 is
+/// InvalidArgument, refused before the file is read.
 StatusOr<linalg::SparseMatrix> LoadSparseText(const std::string& path,
                                               size_t cols);
 

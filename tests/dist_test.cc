@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -401,6 +403,116 @@ TEST(EngineTest, MoreCoresReduceSimulatedComputeTime) {
   const double two_nodes = sim_for_cores(2);    // 4 cores
   const double eight_nodes = sim_for_cores(8);  // 16 cores
   EXPECT_NEAR(two_nodes / eight_nodes, 4.0, 0.01);
+}
+
+// ---- Driver loops (Engine::ForEachDriverBlock) -----------------------------
+
+TEST(DriverLoopTest, EveryBlockRunsExactlyOnce) {
+  for (const size_t workers : {size_t{1}, size_t{3}}) {
+    Engine engine(SimpleSpec(), EngineMode::kSpark);
+    engine.SetLocalWorkers(workers);
+    EXPECT_EQ(engine.DriverThreads(), workers == 1 ? 1u : workers + 1);
+    for (const size_t blocks : {size_t{0}, size_t{1}, size_t{2}, size_t{7},
+                                size_t{100}, size_t{1000}}) {
+      std::vector<std::atomic<int>> hits(blocks);
+      for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+      std::atomic<size_t> calls{0};
+      engine.ForEachDriverBlock(blocks, [&](size_t block) {
+        hits[block].fetch_add(1, std::memory_order_relaxed);
+        calls.fetch_add(1, std::memory_order_relaxed);
+      });
+      EXPECT_EQ(calls.load(), blocks) << workers << " workers";
+      for (size_t block = 0; block < blocks; ++block) {
+        ASSERT_EQ(hits[block].load(), 1)
+            << workers << " workers, block " << block << " of " << blocks;
+      }
+    }
+    // A loop is not a job: nothing is launched, charged or traced.
+    EXPECT_EQ(engine.StatsSnapshot().jobs_launched, 0u);
+    EXPECT_EQ(engine.SimulatedSeconds(), 0.0);
+    EXPECT_TRUE(engine.traces().empty());
+  }
+}
+
+TEST(DriverLoopTest, OneLocalWorkerRunsEveryBlockOnTheCallerInOrder) {
+  Engine engine(SimpleSpec(), EngineMode::kSpark);
+  engine.SetLocalWorkers(1);
+  std::vector<size_t> order;
+  std::vector<std::thread::id> threads;
+  engine.ForEachDriverBlock(50, [&](size_t block) {
+    order.push_back(block);
+    threads.push_back(std::this_thread::get_id());
+  });
+  std::vector<size_t> expected(50);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
+  for (const std::thread::id id : threads) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
+TEST(DriverLoopTest, WritesAreVisibleAcrossTheLoop) {
+  // Plain (non-atomic) writes: the caller's before the loop must be seen
+  // by every block, and every block's after it returns, on whichever
+  // thread ran it.
+  Engine engine(SimpleSpec(), EngineMode::kSpark);
+  engine.SetLocalWorkers(3);
+  constexpr size_t kBlocks = 64;
+  constexpr size_t kRows = 16;
+  std::vector<uint64_t> input(kBlocks * kRows);
+  std::vector<uint64_t> output(kBlocks * kRows);
+  for (uint64_t round = 0; round < 200; ++round) {
+    for (size_t i = 0; i < input.size(); ++i) input[i] = round * 1000 + i;
+    engine.ForEachDriverBlock(kBlocks, [&](size_t block) {
+      for (size_t i = block * kRows; i < (block + 1) * kRows; ++i) {
+        output[i] = 3 * input[i] + block;
+      }
+    });
+    for (size_t i = 0; i < output.size(); ++i) {
+      ASSERT_EQ(output[i], 3 * (round * 1000 + i) + i / kRows)
+          << "round " << round << " row " << i;
+    }
+  }
+}
+
+TEST(DriverLoopTest, LoopsShareTheJobsPoolWithoutCountingAsReuse) {
+  const DistMatrix m = DistMatrix::FromDense(RandomDense(40, 2, 16), 8);
+  Engine engine(SimpleSpec(), EngineMode::kSpark);
+  engine.SetLocalWorkers(2);
+  engine.ForEachDriverBlock(8, [](size_t) {});  // creates the pool
+  const obs::Gauge* threads =
+      engine.registry()->FindGauge("engine.pool.threads");
+  ASSERT_NE(threads, nullptr);
+  EXPECT_EQ(threads->value(), 2.0);
+  auto noop = [](const RowRange&, TaskContext*) { return 0; };
+  engine.RunMap<int>(JobDesc{"first"}, m, noop);
+  engine.ForEachDriverBlock(8, [](size_t) {});
+  engine.ForEachDriverBlock(8, [](size_t) {});
+  engine.RunMap<int>(JobDesc{"second"}, m, noop);
+  // engine.pool.spawns_avoided counts the two map jobs that found the
+  // pool, never a loop.
+  const obs::Gauge* saved =
+      engine.registry()->FindGauge("engine.pool.spawns_avoided");
+  ASSERT_NE(saved, nullptr);
+  EXPECT_EQ(saved->value(), 4.0);
+}
+
+TEST(DriverLoopDeathTest, CallFromInsideAMapTaskDies) {
+  // A pool thread that waits for its own pool's barrier would deadlock;
+  // WorkerPool::Run refuses the call instead.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        const DistMatrix m = DistMatrix::FromDense(RandomDense(40, 2, 17), 4);
+        Engine engine(SimpleSpec(), EngineMode::kSpark);
+        engine.SetLocalWorkers(2);
+        engine.RunMap<int>(JobDesc{"nested"}, m,
+                           [&](const RowRange&, TaskContext*) {
+                             engine.ForEachDriverBlock(4, [](size_t) {});
+                             return 0;
+                           });
+      },
+      "inside one of its own tasks");
 }
 
 }  // namespace

@@ -12,10 +12,13 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "core/spca.h"
 #include "dist/engine.h"
 #include "linalg/kernels.h"
 #include "linalg/ops.h"
 #include "linalg/solve.h"
+#include "sketch/rand_svd.h"
+#include "stream/stream_solver.h"
 
 namespace spca::core {
 namespace {
@@ -364,47 +367,57 @@ TEST(ScatterPassTest, AddRowsIsThePerRowComposite) {
 TEST(ScatterPassTest, MergeIsThePlainLoop) {
   // The driver's merge against the loops it replaced: every partial added
   // in task order, then w -= m * s per row with a non-zero mean. 37 rows
-  // are two full merge blocks and a tail.
-  const size_t dim = 37;
+  // are two full merge blocks and a tail; 150 rows are two full driver
+  // blocks (kDriverBlockRows) and a tail, on three threads.
   const size_t d = 13;
-  Rng rng(61);
-  std::vector<ScatterPartial> partials;
-  for (int p = 0; p < 3; ++p) {
-    ScatterPartial partial(dim, d);
-    partial.w = DenseMatrix::GaussianRandom(dim, d, &rng);
-    for (size_t j = 0; j < d; ++j) partial.x_sum[j] = rng.NextGaussian();
-    partials.push_back(std::move(partial));
-  }
-  DenseVector ym(dim);
-  for (size_t k = 0; k < dim; ++k) {
-    ym[k] = k % 4 == 0 ? 0.0 : rng.NextGaussian();
-  }
-  std::vector<const ScatterPartial*> shares;
-  DenseMatrix sum(dim, d);
-  DenseVector s(d);
-  for (const ScatterPartial& p : partials) {
-    shares.push_back(&p);
-    sum.Add(p.w);
-    s.Add(p.x_sum);
-  }
-  DenseMatrix expected = sum;
-  for (size_t r = 0; r < dim; ++r) {
-    const double m = ym[r];
-    if (m == 0.0) continue;
-    for (size_t j = 0; j < d; ++j) expected(r, j) -= m * s[j];
-  }
-
-  // Without the mean term the merge is exact on every ISA.
-  EXPECT_TRUE(SameBits(MergeScatterPartials(shares, nullptr), sum));
-  const DenseMatrix merged = MergeScatterPartials(shares, &ym);
-  if (linalg::kernels::DispatchedIsa() == linalg::kernels::Isa::kScalar) {
-    EXPECT_TRUE(SameBits(merged, expected));
-  } else {
-    // AVX2's AxpyRow fuses the multiply into the add: the tolerance tier.
+  Engine engine = MakeEngine();
+  engine.SetLocalWorkers(3);
+  for (const size_t dim : {size_t{37}, size_t{150}}) {
+    Rng rng(61);
+    std::vector<ScatterPartial> partials;
+    for (int p = 0; p < 3; ++p) {
+      ScatterPartial partial(dim, d);
+      partial.w = DenseMatrix::GaussianRandom(dim, d, &rng);
+      for (size_t j = 0; j < d; ++j) partial.x_sum[j] = rng.NextGaussian();
+      partials.push_back(std::move(partial));
+    }
+    DenseVector ym(dim);
+    for (size_t k = 0; k < dim; ++k) {
+      ym[k] = k % 4 == 0 ? 0.0 : rng.NextGaussian();
+    }
+    std::vector<const ScatterPartial*> shares;
+    DenseMatrix sum(dim, d);
+    DenseVector s(d);
+    for (const ScatterPartial& p : partials) {
+      shares.push_back(&p);
+      sum.Add(p.w);
+      s.Add(p.x_sum);
+    }
+    DenseMatrix expected = sum;
     for (size_t r = 0; r < dim; ++r) {
-      for (size_t j = 0; j < d; ++j) {
-        EXPECT_NEAR(merged(r, j), expected(r, j),
-                    1e-12 * std::max(1.0, std::fabs(expected(r, j))));
+      const double m = ym[r];
+      if (m == 0.0) continue;
+      for (size_t j = 0; j < d; ++j) expected(r, j) -= m * s[j];
+    }
+
+    // Without the mean term the merge is exact on every ISA, on the
+    // engine's driver threads as in one block.
+    EXPECT_TRUE(SameBits(MergeScatterPartials(&engine, shares, nullptr), sum))
+        << dim;
+    EXPECT_TRUE(SameBits(MergeScatterPartials(nullptr, shares, nullptr), sum))
+        << dim;
+    const DenseMatrix merged = MergeScatterPartials(&engine, shares, &ym);
+    EXPECT_TRUE(SameBits(MergeScatterPartials(nullptr, shares, &ym), merged))
+        << dim;
+    if (linalg::kernels::DispatchedIsa() == linalg::kernels::Isa::kScalar) {
+      EXPECT_TRUE(SameBits(merged, expected)) << dim;
+    } else {
+      // AVX2's AxpyRow fuses the multiply into the add: the tolerance tier.
+      for (size_t r = 0; r < dim; ++r) {
+        for (size_t j = 0; j < d; ++j) {
+          EXPECT_NEAR(merged(r, j), expected(r, j),
+                      1e-12 * std::max(1.0, std::fabs(expected(r, j))));
+        }
       }
     }
   }
@@ -549,6 +562,123 @@ TEST(JobsTest, MapReduceRoutesPartialsAsIntermediateData) {
   EXPECT_GT(mapreduce.StatsSnapshot().intermediate_bytes, 0u);
   EXPECT_EQ(spark.StatsSnapshot().intermediate_bytes, 0u);
   EXPECT_GT(spark.StatsSnapshot().result_bytes, 0u);
+}
+
+// ---- Driver loops: split over threads, the bits of one block -------------
+// At D = 300 the E-step's CM, the merge and the M-step's product take five
+// 64-row blocks, C'C and CM' * YtX (d = 13) one range per driver thread,
+// and the 256-row error sample sixteen 16-row blocks. Three local workers
+// run them on four threads; one runs every block inline, in order.
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Every charge, and the simulated seconds, of `split` equal `one`'s.
+void ExpectSameCosts(const Engine& one, const Engine& split) {
+  const dist::CommStats a = one.StatsSnapshot();
+  const dist::CommStats b = split.StatsSnapshot();
+  EXPECT_EQ(a.jobs_launched, b.jobs_launched);
+  EXPECT_EQ(a.task_flops, b.task_flops);
+  EXPECT_EQ(a.driver_flops, b.driver_flops);
+  EXPECT_EQ(a.intermediate_bytes, b.intermediate_bytes);
+  EXPECT_EQ(a.broadcast_bytes, b.broadcast_bytes);
+  EXPECT_EQ(a.result_bytes, b.result_bytes);
+  EXPECT_EQ(one.SimulatedSeconds(), split.SimulatedSeconds());
+}
+
+/// The model and every trace point's error, bit for bit.
+void ExpectSameFit(const SolveResult& a, const SolveResult& b) {
+  EXPECT_TRUE(SameBits(a.model.components, b.model.components));
+  EXPECT_TRUE(SameBits(a.model.noise_variance, b.model.noise_variance));
+  EXPECT_TRUE(SameBits(a.model.mean, b.model.mean));
+  ASSERT_EQ(a.trace.size(), b.trace.size());
+  for (size_t i = 0; i < a.trace.size(); ++i) {
+    EXPECT_TRUE(SameBits(a.trace[i].error, b.trace[i].error)) << i;
+    EXPECT_TRUE(SameBits(a.trace[i].ss, b.trace[i].ss)) << i;
+  }
+}
+
+/// Parameter: the input's rows, at least 2 * D (the driver's XtX) or fewer
+/// (the tasks' per-row XtX).
+class SpcaDriverLoopTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(SpcaDriverLoopTest, SplitFitMatchesOneBlock) {
+  const size_t dim = 300;
+  const Fixture f = MakeFixture(GetParam(), dim, 71, 6);
+  SpcaOptions options;
+  options.num_components = 13;
+  options.max_iterations = 3;
+  options.target_accuracy_fraction = 2.0;
+  options.compute_accuracy_trace = true;
+  options.ideal_error_override = 1.0;  // the errors, without an anchor fit
+  Engine one = MakeEngine();
+  one.SetLocalWorkers(1);
+  Engine split = MakeEngine();
+  split.SetLocalWorkers(3);
+  ASSERT_EQ(split.DriverThreads(), 4u);
+  auto a = Spca(&one, options).Solve(f.y);
+  auto b = Spca(&split, options).Solve(f.y);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  ASSERT_EQ(a->trace.size(), 3u);
+  ExpectSameFit(*a, *b);
+  ExpectSameCosts(one, split);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    XtX, SpcaDriverLoopTest, ::testing::Values(size_t{700}, size_t{400}),
+    [](const ::testing::TestParamInfo<size_t>& info) {
+      return info.param >= 600 ? std::string("OnTheDriver")
+                               : std::string("OnTheTasks");
+    });
+
+TEST(DriverLoopSplitTest, RandSvdSketchMergeMatchesOneBlock) {
+  const Fixture f = MakeFixture(500, 300, 72, 6);
+  sketch::RandSvdOptions options;
+  options.num_components = 13;
+  options.power_iterations = 2;
+  options.error_sample_rows = 256;
+  options.compute_accuracy_trace = true;
+  options.ideal_error_override = 1.0;
+  Engine one = MakeEngine();
+  one.SetLocalWorkers(1);
+  Engine split = MakeEngine();
+  split.SetLocalWorkers(3);
+  auto a = sketch::RandSvdPca(&one, options).Solve(f.y);
+  auto b = sketch::RandSvdPca(&split, options).Solve(f.y);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  ASSERT_EQ(a->trace.size(), 3u);
+  ExpectSameFit(*a, *b);
+  ExpectSameCosts(one, split);
+}
+
+TEST(DriverLoopSplitTest, MiniBatchEmStepsMatchOneBlock) {
+  const std::vector<Fixture> batches = {MakeFixture(200, 300, 73, 4),
+                                        MakeFixture(200, 300, 74, 4)};
+  stream::StreamSolverOptions options;
+  options.num_components = 13;
+  Engine one = MakeEngine();
+  one.SetLocalWorkers(1);
+  Engine split = MakeEngine();
+  split.SetLocalWorkers(3);
+  stream::MiniBatchEmSolver a(&one, options);
+  stream::MiniBatchEmSolver b(&split, options);
+  ASSERT_TRUE(a.Init({}).ok());
+  ASSERT_TRUE(b.Init({}).ok());
+  for (const Fixture& batch : batches) {
+    ASSERT_TRUE(a.Step(batch.y).ok());
+    ASSERT_TRUE(b.Step(batch.y).ok());
+  }
+  auto model_a = a.Snapshot();
+  auto model_b = b.Snapshot();
+  ASSERT_TRUE(model_a.ok());
+  ASSERT_TRUE(model_b.ok());
+  EXPECT_TRUE(SameBits(model_a->components, model_b->components));
+  EXPECT_TRUE(SameBits(model_a->noise_variance, model_b->noise_variance));
+  EXPECT_TRUE(SameBits(model_a->mean, model_b->mean));
+  ExpectSameCosts(one, split);
 }
 
 }  // namespace

@@ -211,6 +211,35 @@ TEST(KernelsTest, SymRank1UpdatePlusMirrorMatchesFullRectangle) {
   }
 }
 
+TEST(KernelsTest, SymRank1UpdateRowsSplitsTheTriangleBitForBit) {
+  // Every row range of the triangle reproduces those rows of the whole
+  // update bit for bit and writes nothing left of the diagonal, on the
+  // dispatched ISA (kernels_test_forced_scalar runs the scalar tier): the
+  // driver's C'C splits its rows this way across threads.
+  Rng rng(107);
+  for (const size_t d : {size_t{1}, size_t{2}, size_t{3}, size_t{5},
+                         size_t{13}, size_t{50}}) {
+    const auto x = RandomValues(d, &rng, 0.2);
+    std::vector<double> whole(d * d, 0.0);
+    kernels::SymRank1Update(x.data(), d, whole.data(), d);
+    for (size_t begin = 0; begin < d; ++begin) {
+      for (size_t end = begin + 1; end <= d; ++end) {
+        std::vector<double> range((end - begin) * d, 0.0);
+        kernels::SymRank1UpdateRows(x.data(), d, begin, end, range.data(), d);
+        for (size_t a = begin; a < end; ++a) {
+          const double* got = range.data() + (a - begin) * d;
+          for (size_t b = 0; b < a; ++b) ASSERT_EQ(got[b], 0.0);
+          ASSERT_EQ(std::memcmp(got + a, whole.data() + a * d + a,
+                                (d - a) * sizeof(double)),
+                    0)
+              << "d=" << d << " rows [" << begin << ", " << end << ") row "
+              << a;
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelsTest, SparseRowGemvMatchesNaive) {
   Rng rng(106);
   const bool exact = DispatchIsExact();

@@ -233,5 +233,62 @@ TEST(PoolStress, ConcurrentStatsSnapshotsDuringJobs) {
   EXPECT_GT(snapshots_taken.load(std::memory_order_relaxed), 0u);
 }
 
+// Map jobs and driver loops take turns on one pool, as an EM iteration's
+// jobs and its driver algebra do: each loop reads the job's results and
+// writes its own rows with plain stores, the next job reads them in its
+// tasks. Every task and block runs exactly once per round, and TSan sees
+// the happens-before edges of both barriers.
+TEST(PoolStress, MapJobsAndDriverLoopsAlternate) {
+  workload::BagOfWordsConfig config;
+  config.rows = 64;
+  config.vocab = 32;
+  config.words_per_row = 4;
+  config.seed = 13;
+  const DistMatrix matrix =
+      DistMatrix::FromSparse(workload::GenerateBagOfWords(config), 8);
+
+  Engine engine(dist::ClusterSpec{}, EngineMode::kSpark);
+  engine.SetLocalWorkers(3);
+  constexpr size_t kRounds = 2000;
+  constexpr size_t kBlocks = 16;
+  constexpr size_t kRowsPerBlock = 4;
+  std::vector<uint64_t> cells(kBlocks * kRowsPerBlock, 0);
+  uint64_t expected_cell_sum = 0;
+  for (size_t round = 0; round < kRounds; ++round) {
+    const auto partials = engine.RunMap<uint64_t>(
+        dist::JobDesc{"alternate"}, matrix,
+        [&](const dist::RowRange& range, TaskContext*) -> uint64_t {
+          uint64_t sum = range.end - range.begin;
+          for (const uint64_t cell : cells) sum += cell;
+          return sum;
+        });
+    uint64_t cell_sum = 0;
+    for (const uint64_t cell : cells) cell_sum += cell;
+    ASSERT_EQ(cell_sum, expected_cell_sum) << "round " << round;
+    for (const uint64_t partial : partials) {
+      ASSERT_EQ(partial - cell_sum,
+                matrix.rows() / matrix.num_partitions())
+          << "round " << round;
+    }
+    std::vector<std::atomic<int>> hits(kBlocks);
+    for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+    engine.ForEachDriverBlock(kBlocks, [&](size_t block) {
+      hits[block].fetch_add(1, std::memory_order_relaxed);
+      for (size_t r = 0; r < kRowsPerBlock; ++r) {
+        cells[block * kRowsPerBlock + r] =
+            partials[block % partials.size()] % 7;
+      }
+    });
+    expected_cell_sum = 0;
+    for (size_t block = 0; block < kBlocks; ++block) {
+      ASSERT_EQ(hits[block].load(std::memory_order_relaxed), 1)
+          << "round " << round << " block " << block;
+      expected_cell_sum +=
+          kRowsPerBlock * (partials[block % partials.size()] % 7);
+    }
+  }
+  EXPECT_EQ(engine.StatsSnapshot().jobs_launched, kRounds);
+}
+
 }  // namespace
 }  // namespace spca

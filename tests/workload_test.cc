@@ -315,6 +315,37 @@ TEST(IoTest, SparseBinaryRejectsIndexPastCols) {
   std::remove(bad.c_str());
 }
 
+TEST(IoTest, SparseLoadersRefuseMoreColumnsThanAnIndexNames) {
+  // uint32 indices name columns 0 .. 2^32 - 1: 2^32 columns load, one more
+  // (or 2^61) is INVALID_ARGUMENT before any D-sized buffer exists.
+  const std::string binary = TempPath("valid.spm");
+  const std::string bad = TempPath("wide.spm");
+  const std::string text = TempPath("wide.txt");
+  ASSERT_TRUE(SaveSparseBinary(SmallSparse(), binary).ok());
+  ASSERT_TRUE(SaveSparseText(SmallSparse(), text).ok());
+  const uint64_t limit = uint64_t{1} << 32;
+  for (const uint64_t cols : {limit + 1, uint64_t{1} << 61}) {
+    WriteWithHeaderField(binary, 16, cols, bad);  // cols at offset 16
+    auto loaded = LoadSparseBinary(bad);
+    ASSERT_FALSE(loaded.ok()) << cols;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << cols;
+    auto from_text = LoadSparseText(text, cols);
+    ASSERT_FALSE(from_text.ok()) << cols;
+    EXPECT_EQ(from_text.status().code(), StatusCode::kInvalidArgument)
+        << cols;
+  }
+  WriteWithHeaderField(binary, 16, limit, bad);
+  auto widest = LoadSparseBinary(bad);
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ(widest.value().cols(), limit);
+  auto widest_text = LoadSparseText(text, limit);
+  ASSERT_TRUE(widest_text.ok()) << widest_text.status().ToString();
+  EXPECT_EQ(widest_text.value().cols(), limit);
+  std::remove(binary.c_str());
+  std::remove(bad.c_str());
+  std::remove(text.c_str());
+}
+
 TEST(IoTest, BinaryHeadersMustMatchTheFileSize) {
   const std::string sparse = TempPath("valid.spm");
   const std::string dense = TempPath("valid.dnm");

@@ -52,6 +52,8 @@ set(u64_1 "\\001\\000\\000\\000\\000\\000\\000\\000")
 set(u64_2 "\\002\\000\\000\\000\\000\\000\\000\\000")
 set(u64_4 "\\004\\000\\000\\000\\000\\000\\000\\000")
 set(u64_2pow61 "\\000\\000\\000\\000\\000\\000\\000\\040")
+set(u64_0 "\\000\\000\\000\\000\\000\\000\\000\\000")
+set(u64_2pow32m1 "\\377\\377\\377\\377\\000\\000\\000\\000")
 set(u32_9 "\\011\\000\\000\\000")
 set(f64_1 "\\000\\000\\000\\000\\000\\000\\360\\077")
 
@@ -69,6 +71,25 @@ expect_error(sparse_bin_huge_rows
 write_bytes(huge_rows.dnm "${dense_magic}${u64_2pow61}${u64_2}")
 expect_error(dense_bin_huge_rows
              --input huge_rows.dnm --format dense-bin --components 2)
+
+# Two empty rows under a header that claims 2^61 columns: refused by the
+# loader, since no uint32 index names a column past 2^32 - 1.
+write_bytes(huge_cols.spm
+            "${sparse_magic}${u64_2}${u64_2pow61}${u64_0}${u64_0}${u64_0}")
+expect_error(sparse_bin_huge_cols
+             --input huge_cols.spm --format sparse-bin --components 2)
+
+# 2^32 - 1 columns pass the loader; the fit's driver budget refuses the
+# D x d state before C is drawn.
+write_bytes(u32_max_cols.spm
+            "${sparse_magic}${u64_2}${u64_2pow32m1}${u64_0}${u64_0}${u64_0}")
+expect_error(sparse_bin_u32_max_cols
+             --input u32_max_cols.spm --format sparse-bin --components 2)
+
+file(WRITE "${OUT_DIR}/two_rows.txt" "0:1\n1:2\n")
+expect_error(sparse_text_huge_cols
+             --input two_rows.txt --format sparse-text
+             --text-cols 2305843009213693952 --components 2)
 
 file(WRITE "${OUT_DIR}/descending.txt" "0:1 3:2 2:5\n1:1\n")
 expect_error(sparse_text_descending
